@@ -56,4 +56,4 @@ print(f"\nlog-normal data vs Tweedie null: z = {test.z:6.2f}, p = {test.p_value:
 gamma_data = Sample.from_values(rng.gamma(2.0, 0.1, 1200))
 fit = fit_jacobi(gamma_data)
 print(f"\ncosh-Jacobi index estimate on small-scale gamma data: {fit.gamma_hat:.4f} "
-      f"+- {fit.se:.4f} (flags: {list(fit.diagnostics) or 'none'})")
+      f"+- {fit.se_gamma:.4f} (flags: {list(fit.diagnostics) or 'none'})")

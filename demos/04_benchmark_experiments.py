@@ -11,7 +11,7 @@ parallel.  Full-scale runs use `run_table(k)` or the CLI
 from laplacefit import DistributionSpec
 from laplacefit.montecarlo import (
     ExperimentConfig,
-    run_experiment,
+    run_configs,
     run_table,
 )
 
@@ -24,7 +24,7 @@ config = ExperimentConfig(
     base_seed=1,
     metrics=("rrmse", "coverage"),
 )
-report = run_experiment(config, jobs=1)
+report = run_configs([config], jobs=1)
 print("PS(0.5,15), 300 replicates (benchmark values at 3500 reps: "
       "rrmse 7.31/18.81 at n=100, 4.22/10.54 at n=300):")
 for record in report.records:
@@ -41,7 +41,7 @@ for text, label in (("ps:0.4,5", "size"), ("pa:5,2", "power")):
         base_seed=2,
         metrics=("size",) if label == "size" else ("power",),
     )
-    record = run_experiment(config, jobs=1).records[0]
+    record = run_configs([config], jobs=1).records[0]
     print(f"\n{label} of the stable gof test under {text} at n=200: "
           f"{100 * record.value:.2f}%  (failures: {record.n_failed})")
 

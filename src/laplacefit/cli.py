@@ -21,16 +21,12 @@ from typing import Any, Sequence
 
 from .distributions import DistributionSpec, Tw0Params, derive_substream, sample_spec, tw0_to_tw
 from .errors import STATISTICAL_ERRORS, ConfigError, LaplaceFitError
-from .jacobi import fit_jacobi, gof_jacobi
-from .laplace_core import Sample, load_sample, parse_sample_lines
+from .families import FAMILIES
+from .laplace_core import Sample, load_sample
 from .montecarlo import parse_config_document, run_configs, run_table
-from .ps import fit_ps, gof_ps
 from .results import json_safe
-from .tweedie import fit_tweedie, gof_tweedie
 
 DEFAULT_SEED = 123456789
-
-_FAMILIES = ("ps", "tweedie", "jacobi")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,11 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p_fit = sub.add_parser("fit", help="fit a family and report estimates plus the GOF test")
-    p_fit.add_argument("family", choices=_FAMILIES)
+    p_fit.add_argument("family", choices=tuple(FAMILIES))
     add_io_args(p_fit)
 
     p_gof = sub.add_parser("gof", help="goodness-of-fit test only")
-    p_gof.add_argument("family", choices=_FAMILIES)
+    p_gof.add_argument("family", choices=tuple(FAMILIES))
     add_io_args(p_gof)
 
     p_sample = sub.add_parser("sample", help="draw from a distribution spec")
@@ -78,13 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_sample(args: argparse.Namespace) -> Sample:
-    if args.input == "-":
-        if args.column is not None:
-            from .laplace_core import parse_sample_csv
-
-            return parse_sample_csv(sys.stdin, args.column)
-        return parse_sample_lines(sys.stdin)
-    return load_sample(args.input, column=args.column)
+    return load_sample(sys.stdin if args.input == "-" else args.input, column=args.column)
 
 
 def _emit(payload: dict[str, Any], fmt: str) -> None:
@@ -105,16 +95,10 @@ def _emit(payload: dict[str, Any], fmt: str) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    family = FAMILIES[args.family]
     sample = _read_sample(args)
-    if args.family == "ps":
-        payload = fit_ps(sample, alpha=args.alpha).to_dict()
-        payload.update(gof_ps(sample, alpha=args.alpha).to_dict())
-    elif args.family == "tweedie":
-        payload = fit_tweedie(sample, alpha=args.alpha).to_dict()
-        payload.update(gof_tweedie(sample, alpha=args.alpha).to_dict())
-    else:
-        payload = fit_jacobi(sample, alpha=args.alpha).to_dict()
-        payload.update(gof_jacobi(sample, alpha=args.alpha).to_dict())
+    payload = family.fit(sample, alpha=args.alpha).to_dict()
+    payload.update(family.gof(sample, alpha=args.alpha).to_dict())
     payload["family"] = args.family
     _emit(payload, args.fmt)
     return 0
@@ -122,8 +106,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_gof(args: argparse.Namespace) -> int:
     sample = _read_sample(args)
-    tester = {"ps": gof_ps, "tweedie": gof_tweedie, "jacobi": gof_jacobi}[args.family]
-    _emit(tester(sample, alpha=args.alpha).to_dict(), args.fmt)
+    _emit(FAMILIES[args.family].gof(sample, alpha=args.alpha).to_dict(), args.fmt)
     return 0
 
 

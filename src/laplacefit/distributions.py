@@ -15,6 +15,7 @@ literature and change nothing here except the meaning of ``delta``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +117,9 @@ def tw0_to_tw(p3: Tw0Params) -> TweedieParams:
     p = exp(-lam*theta**gamma) in closed form.  The resulting index is
     gamma = mu / (mu + w*log p), which is negative exactly when
     mu + w*log p < 0; anything else is outside the compound-Poisson range.
+    A triple whose theta**gamma or theta**(gamma-1) leaves the normal float
+    range, or whose lam is not finite, is refused too: its native parameters
+    cannot be represented well enough to convert back.
     """
     denom = p3.mu + p3.w * math.log(p3.p)
     if denom >= 0.0:
@@ -124,7 +128,16 @@ def tw0_to_tw(p3: Tw0Params) -> TweedieParams:
         )
     gamma = p3.mu / denom
     theta = (1.0 - gamma) / p3.w
-    lam = -math.log(p3.p) / theta**gamma
+    try:
+        theta_g, theta_g1 = theta**gamma, theta ** (gamma - 1.0)
+    except OverflowError:
+        theta_g = theta_g1 = math.inf
+    lam = -math.log(p3.p) / theta_g if theta_g >= sys.float_info.min else math.inf
+    if theta_g1 < sys.float_info.min or not 0.0 < lam < math.inf:
+        raise InvalidRegimeError(
+            f"index {gamma:.6g} and tilt {theta:.6g} put theta**gamma or lam "
+            "outside the float range"
+        )
     return TweedieParams(gamma, lam, theta)
 
 

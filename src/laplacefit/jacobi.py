@@ -26,16 +26,12 @@ from typing import Any
 
 import numpy as np
 
-from .errors import (
-    AllZeroSampleError,
-    InsufficientSampleError,
-    LogDomainError,
-    RegimeError,
-)
+from .errors import LogDomainError
 from .laplace_core import (
     E,
     Sample,
     censored_moments,
+    check_regime,
     empirical_laplace,
     influence_rows,
     sample_covariance,
@@ -67,8 +63,8 @@ def jacobi_population_m1(gamma: float) -> float:
 @dataclass(frozen=True)
 class JacobiFit:
     gamma_hat: float
-    se: float
-    ci: tuple[float, float]
+    se_gamma: float
+    ci_gamma: tuple[float, float]
     a: float
     c: float
     n: int
@@ -79,8 +75,8 @@ class JacobiFit:
         return {
             "family": "jacobi",
             "gamma_hat": self.gamma_hat,
-            "se_gamma": self.se,
-            "ci_gamma": list(self.ci),
+            "se_gamma": self.se_gamma,
+            "ci_gamma": list(self.ci_gamma),
             "a": self.a,
             "c": self.c,
             "n": self.n,
@@ -89,31 +85,24 @@ class JacobiFit:
         }
 
 
-def _check_regime(sample: Sample) -> None:
-    if sample.all_zero:
-        raise AllZeroSampleError("all observations are zero")
-    if sample.n < MIN_SAMPLE:
-        raise InsufficientSampleError(f"need at least {MIN_SAMPLE} observations, got {sample.n}")
-    if sample.p_hat >= 1.0 / E:
-        raise RegimeError(
-            f"zero fraction {sample.p_hat:.3f} >= 1/e; the asymptotic covariance "
-            "is not available in this regime"
-        )
+def jacobi_index(a: float) -> float:
+    """Index estimate gamma_hat = log(c)/log(A) at the censoring point A."""
+    log_a = math.log(a)
+    if abs(log_a) < LOG_ATOL:
+        raise LogDomainError(f"censoring point {a!r} equals 1 within tolerance")
+    return math.log(JACOBI_C) / log_a
 
 
 def fit_jacobi(sample: Sample, alpha: float = 0.05) -> JacobiFit:
     """Estimate the index as gamma_hat = log(c)/log(A)."""
-    _check_regime(sample)
+    check_regime(sample, MIN_SAMPLE)
     moments = censored_moments(sample, r_max=2)
     a = moments.a
-    log_a = math.log(a)
-    if abs(log_a) < LOG_ATOL:
-        raise LogDomainError(f"censoring point {a!r} equals 1 within tolerance")
-    gamma_hat = math.log(JACOBI_C) / log_a
+    gamma_hat = jacobi_index(a)
 
     # plug-in variance of sqrt(n)*(A - a_*), then the delta method
     var_a = (float(empirical_laplace(sample, 2.0 * a)) - math.exp(-2.0)) / moments.m(1) ** 2
-    dgamma_da = -math.log(JACOBI_C) / (a * log_a**2)
+    dgamma_da = -math.log(JACOBI_C) / (a * math.log(a) ** 2)
     se = abs(dgamma_da) * math.sqrt(max(var_a, 0.0) / sample.n)
 
     flags = []
@@ -122,8 +111,8 @@ def fit_jacobi(sample: Sample, alpha: float = 0.05) -> JacobiFit:
     z = normal_quantile(alpha)
     return JacobiFit(
         gamma_hat=gamma_hat,
-        se=se,
-        ci=(gamma_hat - z * se, gamma_hat + z * se),
+        se_gamma=se,
+        ci_gamma=(gamma_hat - z * se, gamma_hat + z * se),
         a=a,
         c=JACOBI_C,
         n=sample.n,
@@ -145,12 +134,11 @@ def gof_jacobi(sample: Sample, alpha: float = 0.05) -> GofOutcome:
     population via the m_1 identity; its variance comes from the analytic
     gradient above applied to the 2x2 influence covariance.
     """
-    _check_regime(sample)
-    fit = fit_jacobi(sample, alpha=alpha)
+    check_regime(sample, MIN_SAMPLE)
     moments = censored_moments(sample, r_max=2)
     a, m1 = moments.a, moments.m(1)
     statistic = math.sqrt(sample.n) * (
-        m1 - math.exp(-2.0) * JACOBI_C * math.sinh(JACOBI_C) * fit.gamma_hat / a
+        m1 - math.exp(-2.0) * JACOBI_C * math.sinh(JACOBI_C) * jacobi_index(a) / a
     )
     grad = jacobi_gof_gradient(m1, a)
     cov = sample_covariance(influence_rows(sample, moments, k=1))

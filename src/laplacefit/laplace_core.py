@@ -20,6 +20,8 @@ import numpy as np
 from .errors import (
     AllZeroSampleError,
     DegenerateMomentsError,
+    InsufficientSampleError,
+    RegimeError,
     SampleValidationError,
 )
 
@@ -78,6 +80,24 @@ class Sample:
         return float(np.median(self.values[self.values > 0.0]))
 
 
+def check_regime(sample: Sample, min_n: int) -> None:
+    """Refuse samples outside the regime where the estimators and tests are defined.
+
+    Raises on an all-zero sample, on fewer than ``min_n`` observations and on a
+    zero fraction at or above 1/e, where the asymptotic covariance is not
+    available.
+    """
+    if sample.all_zero:
+        raise AllZeroSampleError("all observations are zero")
+    if sample.n < min_n:
+        raise InsufficientSampleError(f"need at least {min_n} observations, got {sample.n}")
+    if sample.p_hat >= 1.0 / E:
+        raise RegimeError(
+            f"zero fraction {sample.p_hat:.3f} >= 1/e; the asymptotic covariance "
+            "is not available in this regime"
+        )
+
+
 def parse_sample_lines(lines: Iterable[str]) -> Sample:
     """Parse newline-delimited decimal floats; blank lines are skipped."""
     out: list[float] = []
@@ -112,7 +132,8 @@ def parse_sample_csv(stream: TextIO, column: str) -> Sample:
         if not cell:
             raise SampleValidationError(f"row {i}: empty cell in column {column!r}")
         cells.append(cell)
-    return parse_sample_lines(cells)
+    # the blank first line stands in for the header, so errors name CSV rows
+    return parse_sample_lines(["", *cells])
 
 
 def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sample:

@@ -6,7 +6,9 @@ bitwise identical regardless of worker count or scheduling.  Failed
 replicates are counted by error kind and excluded from metric denominators,
 never resampled (resampling would bias size and power).
 
-The registry at the bottom bundles the benchmark experiment designs
+The fit targets, their parameter names, null generators, fit and test
+functions come from the family registry ``laplacefit.families.FAMILIES``.
+The table designs at the bottom bundle the benchmark experiments
 (tables 1-7): estimator RRMSE for the stable and Tweedie targets, test sizes
 under the null families, test powers under the alternative laws, and the
 deterministic mean/zero-probability conversion table.
@@ -20,29 +22,18 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Sequence
 
 import numpy as np
 
 from . import __version__
 from .distributions import DistributionSpec, derive_substream, sample_spec
 from .errors import ConfigError, LaplaceFitError
-from .jacobi import fit_jacobi, gof_jacobi
+from .families import FAMILIES
 from .laplace_core import Sample
-from .ps import fit_ps, gof_ps
-from .tweedie import fit_tweedie, gof_tweedie
 
 VALID_METRICS = ("rrmse", "coverage", "size", "power")
-VALID_TARGETS = ("ps", "tweedie", "jacobi")
-
-#: generator families that are the null family of each fit target
-_NULL_FAMILIES = {"ps": ("ps",), "tweedie": ("tw", "tw0"), "jacobi": ("jacobi",)}
-
-_PARAM_NAMES = {"ps": ("gamma", "lambda"), "tweedie": ("gamma", "lambda", "theta")}
-
-#: at least this share of replicates must succeed in a paper-table cell
-MAX_FAILURE_RATE = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +53,8 @@ class ExperimentConfig:
     metrics: tuple[str, ...] = ("rrmse",)
 
     def __post_init__(self) -> None:
-        if self.fit_target not in VALID_TARGETS:
-            raise ConfigError(f"fit_target: must be one of {VALID_TARGETS}, got {self.fit_target!r}")
+        if self.fit_target not in FAMILIES:
+            raise ConfigError(f"fit_target: must be one of {tuple(FAMILIES)}, got {self.fit_target!r}")
         if not self.n_grid:
             raise ConfigError("n_grid: must be non-empty")
         if any(int(n) < 1 for n in self.n_grid):
@@ -85,13 +76,9 @@ class ExperimentConfig:
 
     def truth(self) -> dict[str, float]:
         """True parameter values of the fit target implied by the generator."""
-        fam = self.generator.family
-        if self.fit_target == "ps" and fam == "ps":
-            g, lam = self.generator.params
-            return {"gamma": g, "lambda": lam}
-        if self.fit_target == "tweedie" and fam in ("tw", "tw0"):
-            tw = self.generator.tweedie_params()
-            return {"gamma": tw.gamma, "lambda": tw.lam, "theta": tw.theta}
+        family = FAMILIES[self.fit_target]
+        if family.truth is not None and self.generator.family in family.null_generators:
+            return dict(zip(family.param_names, family.truth(self.generator)))
         raise ConfigError(
             f"generator: {self.generator.text()!r} is not in the {self.fit_target!r} "
             "null family, so rrmse/coverage have no truth to compare against"
@@ -277,37 +264,8 @@ class ExperimentReport:
         return max((r.failure_rate for r in self.records), default=0.0)
 
 
-def merge_reports(reports: Iterable[ExperimentReport]) -> ExperimentReport:
-    reports = list(reports)
-    records = tuple(record for report in reports for record in report.records)
-    blob = ",".join(report.config_hash for report in reports)
-    merged_hash = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    return ExperimentReport(
-        records=records,
-        config_hash=merged_hash,
-        base_seed=reports[0].base_seed if reports else 0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # replicate execution
-
-_FITTERS: dict[str, Callable] = {"ps": fit_ps, "tweedie": fit_tweedie, "jacobi": fit_jacobi}
-_TESTERS: dict[str, Callable] = {"ps": gof_ps, "tweedie": gof_tweedie, "jacobi": gof_jacobi}
-
-
-def _estimates_and_cis(fit: Any, target: str) -> tuple[np.ndarray, np.ndarray]:
-    if target == "ps":
-        est = np.array([fit.gamma_hat, fit.lambda_hat])
-        cis = np.array([fit.ci_gamma, fit.ci_lambda])
-    elif target == "tweedie":
-        est = np.array([fit.gamma_hat, fit.lambda_hat, fit.theta_hat])
-        cis = np.array([fit.ci_gamma, fit.ci_lambda, fit.ci_theta])
-    else:
-        est = np.array([fit.gamma_hat])
-        cis = np.array([fit.ci])
-    return est, cis
-
 
 @dataclass
 class _CellTally:
@@ -330,8 +288,7 @@ def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> _CellTally:
     tally = _CellTally()
     if need_fit:
         tally.covered = np.zeros(truth.size, dtype=int)
-    fitter = _FITTERS[config.fit_target]
-    tester = _TESTERS[config.fit_target]
+    family = FAMILIES[config.fit_target]
 
     for rep in range(config.replications):
         rng = derive_substream(config.base_seed, cell_index, rep)
@@ -345,8 +302,9 @@ def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> _CellTally:
             warnings.simplefilter("ignore")
             if need_fit:
                 try:
-                    fit = fitter(sample, alpha=config.alpha)
-                    est, cis = _estimates_and_cis(fit, config.fit_target)
+                    fit = family.fit(sample, alpha=config.alpha)
+                    est = np.array([getattr(fit, f"{p}_hat") for p in family.param_names])
+                    cis = np.array([getattr(fit, f"ci_{p}") for p in family.param_names])
                     if not (np.isfinite(est).all() and np.isfinite(cis).all()):
                         tally.fail("nonfinite_estimate")
                     else:
@@ -357,7 +315,7 @@ def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> _CellTally:
                     continue
             if need_gof:
                 try:
-                    outcome = tester(sample, alpha=config.alpha)
+                    outcome = family.gof(sample, alpha=config.alpha)
                     tally.rejections += int(outcome.reject)
                     tally.n_tested += 1
                 except LaplaceFitError as exc:
@@ -424,7 +382,7 @@ def _records_for_cell(
                     )
                 )
     if wants & {"size", "power"}:
-        is_null = config.generator.family in _NULL_FAMILIES[config.fit_target] and (
+        is_null = config.generator.family in FAMILIES[config.fit_target].null_generators and (
             config.generator.p_zero == 0.0
         )
         label = "size" if is_null else "power"
@@ -444,22 +402,6 @@ def _records_for_cell(
 
 def _cell_task(args: tuple[ExperimentConfig, int, int]) -> _CellTally:
     return _run_cell(*args)
-
-
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    """Run all requested metrics for one config across its sample-size grid."""
-    tasks = [(config, cell_index, n) for cell_index, n in enumerate(config.n_grid)]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            tallies = list(pool.map(_cell_task, tasks))
-    else:
-        tallies = [_cell_task(task) for task in tasks]
-    records: list[CellRecord] = []
-    for (_, _, n), tally in zip(tasks, tallies):
-        records.extend(_records_for_cell(config, n, tally))
-    return ExperimentReport(
-        records=tuple(records), config_hash=config_hash([config]), base_seed=config.base_seed
-    )
 
 
 def run_configs(configs: Sequence[ExperimentConfig], jobs: int = 1) -> ExperimentReport:
@@ -482,19 +424,6 @@ def run_configs(configs: Sequence[ExperimentConfig], jobs: int = 1) -> Experimen
         config_hash=config_hash(configs),
         base_seed=configs[0].base_seed if configs else 0,
     )
-
-
-def run_rrmse(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    return run_experiment(replace(config, metrics=("rrmse",)), jobs=jobs)
-
-
-def run_coverage(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    return run_experiment(replace(config, metrics=("coverage",)), jobs=jobs)
-
-
-def run_size_power(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    metrics = tuple(m for m in config.metrics if m in ("size", "power")) or ("size",)
-    return run_experiment(replace(config, metrics=metrics), jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,13 @@ from typing import Any
 
 import numpy as np
 
-from .errors import (
-    AllZeroSampleError,
-    DegenerateSampleError,
-    InsufficientSampleError,
-    RegimeError,
-)
+from .errors import DegenerateSampleError
 from .laplace_core import (
     E,
     CensoredMomentSet,
     Sample,
     censored_moments,
+    check_regime,
 )
 from .results import GofOutcome, make_gof_outcome, normal_quantile
 
@@ -65,23 +61,6 @@ class PsFit:
         }
 
 
-def _check_regime(sample: Sample) -> list[str]:
-    if sample.all_zero:
-        raise AllZeroSampleError("all observations are zero")
-    if sample.n < MIN_SAMPLE:
-        raise InsufficientSampleError(f"need at least {MIN_SAMPLE} observations, got {sample.n}")
-    if sample.p_hat >= 1.0 / E:
-        raise RegimeError(
-            f"zero fraction {sample.p_hat:.3f} >= 1/e; the asymptotic covariance "
-            "is not available in this regime"
-        )
-    flags = []
-    if sample.zero_count > 0:
-        # the positive stable law has no atom at zero
-        flags.append("zero_values_present")
-    return flags
-
-
 def ps_point_estimates(moments: CensoredMomentSet) -> tuple[float, float]:
     """Map (m_hat[1], A) to (gamma_hat, lambda_hat)."""
     gamma_hat = E * moments.m(1) * moments.a
@@ -99,7 +78,9 @@ def fit_ps(sample: Sample, alpha: float = 0.05) -> PsFit:
     estimates are still emitted (with a zero covariance and a warning) so that
     the boundary is visible rather than an error.
     """
-    flags = _check_regime(sample)
+    check_regime(sample, MIN_SAMPLE)
+    # the positive stable law has no atom at zero
+    flags = ["zero_values_present"] if sample.zero_count > 0 else []
     moments = censored_moments(sample, r_max=3)
     gamma_hat, lambda_hat = ps_point_estimates(moments)
     if gamma_hat > 1.0 or gamma_hat <= 0.0:
@@ -144,7 +125,7 @@ def gof_ps(sample: Sample, alpha: float = 0.05) -> GofOutcome:
     The variance is estimated from the per-observation terms
     Z_i = exp(-A*X_i) * ((A*m_hat[3] - 2*m_hat[2]) / m_hat[1] + X_i*(1 - A*X_i)).
     """
-    _check_regime(sample)
+    check_regime(sample, MIN_SAMPLE)
     if sample.constant:
         raise DegenerateSampleError("constant sample: test variance is zero")
     moments = censored_moments(sample, r_max=3)

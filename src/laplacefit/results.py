@@ -3,21 +3,21 @@
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Any
-
-from scipy import stats
 
 
 def normal_quantile(alpha: float) -> float:
     """Two-sided standard normal critical value z_{1 - alpha/2}."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return float(stats.norm.ppf(1.0 - alpha / 2.0))
+    return statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
 def two_sided_p_value(z: float) -> float:
-    return float(2.0 * stats.norm.sf(abs(z)))
+    """Two-sided standard normal tail probability P(|Z| >= |z|) = erfc(|z|/sqrt(2))."""
+    return math.erfc(abs(z) * math.sqrt(0.5))
 
 
 @dataclass(frozen=True)

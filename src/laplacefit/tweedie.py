@@ -22,19 +22,13 @@ from typing import Any
 import numpy as np
 
 from .distributions import DistributionSpec, TweedieParams, laplace_exact
-from .errors import (
-    AllZeroSampleError,
-    ComplexPowerError,
-    DegenerateSampleError,
-    InsufficientSampleError,
-    NearSingularError,
-    RegimeError,
-)
+from .errors import ComplexPowerError, DegenerateSampleError, NearSingularError, RegimeError
 from .laplace_core import (
     E,
     CensoredMomentSet,
     Sample,
     censored_moments,
+    check_regime,
     influence_rows,
     sample_covariance,
 )
@@ -187,21 +181,10 @@ class TweedieFit:
         }
 
 
-def _check_regime(sample: Sample) -> None:
-    if sample.all_zero:
-        raise AllZeroSampleError("all observations are zero")
-    if sample.n < MIN_SAMPLE:
-        raise InsufficientSampleError(f"need at least {MIN_SAMPLE} observations, got {sample.n}")
-    if sample.p_hat >= 1.0 / E:
-        raise RegimeError(
-            f"zero fraction {sample.p_hat:.3f} >= 1/e; the asymptotic covariance "
-            "is not available in this regime"
-        )
+def _fit_point(sample: Sample) -> tuple[CensoredMomentSet, np.ndarray, list[str]]:
+    check_regime(sample, MIN_SAMPLE)
     if sample.constant:
         raise DegenerateSampleError("constant sample: moment aggregates are singular")
-
-
-def _fit_point(sample: Sample) -> tuple[CensoredMomentSet, np.ndarray, list[str]]:
     moments = censored_moments(sample, r_max=4)
     m1, m2, m3 = moments.m(1), moments.m(2), moments.m(3)
     flags = _singularity_flags(m1, m2, m3)
@@ -225,7 +208,6 @@ def fit_tweedie(sample: Sample, alpha: float = 0.05) -> TweedieFit:
     estimate is clamped into the parameter space, out-of-range values only set
     diagnostics flags so that downstream summaries stay unbiased.
     """
-    _check_regime(sample)
     moments, est, flags = _fit_point(sample)
     gamma_hat, lambda_hat, theta_hat = est
     plug_in = np.array([moments.m(1), moments.m(2), moments.m(3), moments.a])
@@ -279,7 +261,6 @@ def gof_tweedie(sample: Sample, alpha: float = 0.05) -> GofOutcome:
     censoring-point identity.  Its variance combines the influence rows with
     the finite-difference gradient of the underlying moment map.
     """
-    _check_regime(sample)
     moments, est, _ = _fit_point(sample)
     gamma_hat, _, theta_hat = est
     a, m1 = moments.a, moments.m(1)

@@ -39,7 +39,6 @@ from laplacefit.montecarlo import (
     ExperimentConfig,
     coverage_grid_configs,
     run_configs,
-    run_experiment,
     run_table,
 )
 from laplacefit.numdiff import central_diff_jacobian, richardson_jacobian
@@ -214,7 +213,7 @@ def _power_cell(generator: str, fit_target: str, n: int, reps: int, seed: int) -
         base_seed=seed,
         metrics=("power",),
     )
-    rep = run_experiment(config, jobs=JOBS)
+    rep = run_configs([config], jobs=JOBS)
     record = rep.records[0]
     assert record.failure_rate < 0.01, (generator, record.failures)
     return 100.0 * record.value, 3.0 * 100.0 * record.mc_se
@@ -427,9 +426,9 @@ def test_criterion_7f_experiment_determinism():
         base_seed=74,
         metrics=("rrmse", "coverage"),
     )
-    first = run_experiment(config, jobs=1)
-    second = run_experiment(config, jobs=1)
-    parallel = run_experiment(config, jobs=2)
+    first = run_configs([config], jobs=1)
+    second = run_configs([config], jobs=1)
+    parallel = run_configs([config], jobs=2)
     same = first.to_json() == second.to_json() == parallel.to_json()
     same = same and (first.to_csv() == second.to_csv() == parallel.to_csv())
     check("criterion 7f (determinism)", [] if same else ["byte mismatch"], "reports byte-identical")

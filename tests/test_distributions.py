@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laplacefit import (
@@ -78,11 +79,26 @@ def test_tw0_conversion_matches_high_precision():
     w=st.floats(0.1, 5.0),
     p=st.floats(0.01, 0.6),
 )
+@example(mu=0.5, w=0.265625, p=0.150390625)  # gamma ~ -155, theta**gamma underflows
 @settings(max_examples=200, deadline=None)
 def test_tw0_round_trip(mu, w, p):
-    if mu + w * math.log(p) >= -1e-9:
-        return
+    # the due outcome, worked out in log space where nothing under- or overflows:
+    # a negative index with theta**gamma, theta**(gamma-1) and lam all normal floats
+    denom = mu + w * math.log(p)
+    representable = False
+    if denom < 0.0:
+        gamma = mu / denom
+        log_theta = math.log((1.0 - gamma) / w)
+        log_tiny, log_huge = math.log(sys.float_info.min), math.log(sys.float_info.max)
+        log_powers = (gamma * log_theta, (gamma - 1.0) * log_theta)
+        representable = all(log_tiny < v < log_huge for v in log_powers) and (
+            math.log(-math.log(p)) - gamma * log_theta < log_huge
+        )
     p3 = Tw0Params(mu, w, p)
+    if not representable:
+        with pytest.raises(InvalidRegimeError):
+            tw0_to_tw(p3)
+        return
     back = tw_to_tw0(tw0_to_tw(p3))
     assert back.mu == pytest.approx(mu, rel=1e-9)
     assert back.w == pytest.approx(w, rel=1e-9)

@@ -25,7 +25,7 @@ from laplacefit.errors import (
     DegenerateMomentsError,
     SampleValidationError,
 )
-from laplacefit.laplace_core import SOLVER_RTOL, parse_sample_lines
+from laplacefit.laplace_core import SOLVER_RTOL, parse_sample_csv, parse_sample_lines
 
 E = math.e
 
@@ -54,6 +54,9 @@ def test_parse_lines_row_indexed_errors():
         parse_sample_lines(["1.0", "2.0", "oops"])
     with pytest.raises(SampleValidationError, match="row 2"):
         parse_sample_lines(["1.0", "-3"])
+    # CSV rows count the header as row 1
+    with pytest.raises(SampleValidationError, match="row 4"):
+        parse_sample_csv(io.StringIO("a\n1\n2\nxx"), "a")
 
 
 def test_load_csv_column(tmp_path):

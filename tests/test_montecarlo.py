@@ -10,13 +10,8 @@ from laplacefit.montecarlo import (
     ExperimentConfig,
     conversion_report,
     coverage_grid_configs,
-    merge_reports,
     parse_config_document,
     run_configs,
-    run_coverage,
-    run_experiment,
-    run_rrmse,
-    run_size_power,
     run_table,
     table_configs,
 )
@@ -56,6 +51,9 @@ def test_config_validation_errors():
 def test_config_truth_mismatch():
     with pytest.raises(ConfigError, match="null family"):
         small_config(generator=DistributionSpec.parse("pa:5,2"))
+    # the cosh-Jacobi law has no sampler, so no truth either
+    with pytest.raises(ConfigError, match="null family"):
+        small_config(generator=DistributionSpec.parse("jacobi:0.3"), fit_target="jacobi")
     # size/power need no truth
     cfg = small_config(generator=DistributionSpec.parse("pa:5,2"), metrics=("power",))
     assert cfg.metrics == ("power",)
@@ -103,7 +101,7 @@ def test_tw0_truth_uses_converted_parameters():
 
 
 def test_rrmse_run_shape_and_values():
-    report = run_rrmse(small_config(replications=60))
+    report = run_configs([small_config(replications=60)])
     assert len(report.records) == 2  # gamma and lambda
     for record in report.records:
         assert record.metric == "rrmse"
@@ -113,35 +111,37 @@ def test_rrmse_run_shape_and_values():
 
 
 def test_coverage_run_degenerate_single_replicate():
-    report = run_coverage(small_config(replications=1, metrics=("coverage",)))
+    report = run_configs([small_config(replications=1, metrics=("coverage",))])
     for record in report.records:
         assert record.value in (0.0, 1.0)
 
 
 def test_coverage_run_hits_nominal_level():
-    report = run_coverage(
-        small_config(n_grid=(400,), replications=150, metrics=("coverage",))
-    )
+    report = run_configs([small_config(n_grid=(400,), replications=150, metrics=("coverage",))])
     for record in report.records:
         assert 0.85 <= record.value <= 1.0
 
 
 def test_size_power_labeling():
-    size_rep = run_size_power(small_config(metrics=("size",), replications=40))
+    size_rep = run_configs([small_config(metrics=("size",), replications=40)])
     assert size_rep.records[0].metric == "size"
-    power_rep = run_size_power(
-        small_config(
-            generator=DistributionSpec.parse("pa:5,2"), metrics=("power",), replications=40
-        )
+    power_rep = run_configs(
+        [
+            small_config(
+                generator=DistributionSpec.parse("pa:5,2"), metrics=("power",), replications=40
+            )
+        ]
     )
     assert power_rep.records[0].metric == "power"
     # zero inflation leaves the stable null family
-    zi_rep = run_size_power(
-        small_config(
-            generator=DistributionSpec.parse("we0:1,1,0.1"),
-            metrics=("power",),
-            replications=40,
-        )
+    zi_rep = run_configs(
+        [
+            small_config(
+                generator=DistributionSpec.parse("we0:1,1,0.1"),
+                metrics=("power",),
+                replications=40,
+            )
+        ]
     )
     assert zi_rep.records[0].metric == "power"
 
@@ -149,7 +149,7 @@ def test_size_power_labeling():
 def test_failure_accounting_without_silent_drops():
     # n below the family minimum fails every replicate; the report must carry
     # the counts and still serialize to valid JSON
-    report = run_rrmse(small_config(n_grid=(5,), replications=8))
+    report = run_configs([small_config(n_grid=(5,), replications=8)])
     record = report.records[0]
     assert record.n_ok == 0 and record.n_failed == 8
     assert record.failures == {"insufficient_sample": 8}
@@ -159,22 +159,22 @@ def test_failure_accounting_without_silent_drops():
 
 def test_determinism_byte_for_byte():
     cfg = small_config(replications=25, n_grid=(80, 120))
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
+    a = run_configs([cfg])
+    b = run_configs([cfg])
     assert a.to_json() == b.to_json()
     assert a.to_csv() == b.to_csv()
 
 
 def test_determinism_across_worker_counts():
     cfg = small_config(replications=20, n_grid=(60, 90))
-    serial = run_experiment(cfg, jobs=1)
-    parallel = run_experiment(cfg, jobs=2)
+    serial = run_configs([cfg], jobs=1)
+    parallel = run_configs([cfg], jobs=2)
     assert serial.to_json() == parallel.to_json()
 
 
 def test_mixed_metrics_single_pass():
     cfg = small_config(metrics=("rrmse", "coverage", "size"), replications=30)
-    report = run_experiment(cfg)
+    report = run_configs([cfg])
     metrics = sorted({r.metric for r in report.records})
     assert metrics == ["coverage", "rrmse", "size"]
 
@@ -230,9 +230,12 @@ def test_coverage_grid_configs():
 
 
 def test_merge_and_lookup():
-    r1 = run_rrmse(small_config(replications=10))
-    r2 = run_rrmse(small_config(generator=DistributionSpec.parse("ps:0.3,2"), replications=10))
-    merged = merge_reports([r1, r2])
+    merged = run_configs(
+        [
+            small_config(replications=10),
+            small_config(generator=DistributionSpec.parse("ps:0.3,2"), replications=10),
+        ]
+    )
     assert len(merged.records) == 4
     assert merged.value("ps:0.3,2", 100, "rrmse", "gamma") > 0.0
     with pytest.raises(KeyError):
@@ -243,7 +246,7 @@ def test_report_csv_round_trip():
     import csv
     import io
 
-    report = run_rrmse(small_config(replications=10))
+    report = run_configs([small_config(replications=10)])
     rows = list(csv.DictReader(io.StringIO(report.to_csv())))
     assert len(rows) == len(report.records)
     assert rows[0]["generator"] == "ps:0.5,2"
@@ -259,6 +262,6 @@ def test_coverage_moderate_sample_size():
         metrics=("coverage",),
         base_seed=31,
     )
-    report = run_coverage(cfg)
+    report = run_configs([cfg])
     for record in report.records:
         assert 0.91 <= record.value <= 0.97
