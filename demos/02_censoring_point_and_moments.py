@@ -31,15 +31,16 @@ print(f"solved A = {point.a:.6f}  (population a* = {a_star:.6f})")
 print(f"L_n(A) = {empirical_laplace(sample, point.a):.15f} vs target {point.c_target:.15f}")
 print(f"solver iterations: {point.iterations}, residual {point.residual:.2e}")
 
-moments = censored_moments(sample, r_max=4)
+# the sample solves for A once and keeps its moments; every fit and test of
+# this sample reads this same set
+moments = censored_moments(sample)
 print("\ncensored moments m_r = mean(X**r exp(-A X)):")
 for r in range(5):
     print(f"  m_{r} = {moments.m(r):12.6f}")
 print(f"population m_1 = gamma/(e*a*) = {0.5 / (np.e * a_star):12.6f}")
 
 # the influence rows drive every standard error in the package
-rows = influence_rows(sample, moments, k=3)
-cov = sample_covariance(rows)
+cov = sample_covariance(influence_rows(sample, moments, k=3))
 print("\ninfluence covariance (V1, V2, V3, W):")
 print(np.array2string(cov, precision=4, suppress_small=True))
 

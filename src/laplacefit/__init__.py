@@ -29,7 +29,6 @@ from .jacobi import JacobiFit, fit_jacobi, gof_jacobi
 from .laplace_core import (
     CensoredMomentSet,
     CensoringPoint,
-    InfluenceRows,
     Sample,
     censored_moments,
     censored_moments_at,
@@ -54,7 +53,6 @@ __all__ = [
     "CensoringPoint",
     "DistributionSpec",
     "GofOutcome",
-    "InfluenceRows",
     "JacobiFit",
     "LaplaceFitError",
     "PsFit",

@@ -84,6 +84,12 @@ class TweedieParams:
             raise SpecFormatError(f"tilt must be >= 0, got {self.theta}")
         if self.gamma < 0.0 and not self.theta > 0.0:
             raise SpecFormatError("compound-Poisson branch (gamma < 0) needs theta > 0")
+        try:
+            mass = self.lam * self.theta**self.gamma
+        except OverflowError:
+            mass = math.inf
+        if not math.isfinite(mass):
+            raise SpecFormatError(f"lam*theta**gamma is not finite for {self!r}")
 
     @property
     def zero_probability(self) -> float:

@@ -61,7 +61,7 @@ class RegimeError(LaplaceFitError):
 
 
 class DegenerateSampleError(LaplaceFitError):
-    """All observations are equal; covariance estimation is impossible."""
+    """All observations are equal, or a test's variance estimate is zero."""
 
     code = "degenerate_sample"
 

@@ -96,7 +96,7 @@ def jacobi_index(a: float) -> float:
 def fit_jacobi(sample: Sample, alpha: float = 0.05) -> JacobiFit:
     """Estimate the index as gamma_hat = log(c)/log(A)."""
     check_regime(sample, MIN_SAMPLE)
-    moments = censored_moments(sample, r_max=2)
+    moments = censored_moments(sample)
     a = moments.a
     gamma_hat = jacobi_index(a)
 
@@ -135,7 +135,7 @@ def gof_jacobi(sample: Sample, alpha: float = 0.05) -> GofOutcome:
     gradient above applied to the 2x2 influence covariance.
     """
     check_regime(sample, MIN_SAMPLE)
-    moments = censored_moments(sample, r_max=2)
+    moments = censored_moments(sample)
     a, m1 = moments.a, moments.m(1)
     statistic = math.sqrt(sample.n) * (
         m1 - math.exp(-2.0) * JACOBI_C * math.sinh(JACOBI_C) * jacobi_index(a) / a

@@ -5,13 +5,15 @@ L_n(s) = mean(exp(-s*X_i)), where the target level c is exp(-1) unless the
 observed zero fraction reaches 1/e, in which case the zero-adjusted level
 (1 + (e-1)*p_hat)/e is used.  Censored moments, per-observation influence rows
 and their sample covariance feed every estimator and test in the package.
+A sample caches its censored moments, so its fit and test share one solve.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -33,10 +35,17 @@ SOLVER_RTOL = 1e-12
 #: hard cap on safeguarded Newton/bisection iterations
 SOLVER_MAX_ITER = 80
 
+#: highest censored moment order; the Tweedie covariance reads m_hat[4]
+MAX_ORDER = 4
+
 
 @dataclass(frozen=True)
 class Sample:
-    """Validated vector of non-negative observations with cached summaries."""
+    """Validated vector of non-negative observations with cached summaries.
+
+    Frozen with a read-only array, so the caches (no n-length arrays) cannot
+    go stale.
+    """
 
     values: np.ndarray
     n: int
@@ -70,9 +79,19 @@ class Sample:
     def all_zero(self) -> bool:
         return self.zero_count == self.n
 
-    @property
+    @cached_property
     def constant(self) -> bool:
         return bool(self.values.max() == self.values.min())
+
+    @cached_property
+    def moments(self) -> CensoredMomentSet:
+        """Censored moments through r = MAX_ORDER at the solved censoring point.
+
+        m_hat[0] equals the target level up to the solver tolerance, because
+        the solver and the moments sum exp(-A*X) the same way.
+        """
+        point = solve_censoring_point(self)
+        return replace(censored_moments_at(self, point.a), c_target=point.c_target)
 
     def positive_median(self) -> float:
         if self.all_zero:
@@ -225,25 +244,17 @@ def solve_censoring_point(sample: Sample) -> CensoringPoint:
 # censored moments
 
 
-def _power_products(x: np.ndarray, weights: np.ndarray, r_max: int) -> np.ndarray:
-    """Row r of the result is x**r * weights with zeros wherever weights == 0.
+def _power_products(x: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
+    """Row r <= order of the result is x**r * weights.
 
-    exp(-a*x) underflows to exact zero for a*x beyond ~746 while x**r may
-    overflow there; the true product is below 1e-300, so zeroing it is exact.
+    The rows are built by repeated multiplication from the weights, never
+    from x**r, which may overflow where exp(-a*x) underflows to zero; a zero
+    weight times a finite x stays an exact zero.
     """
-    out = np.zeros((r_max + 1, x.size))
-    live = weights > 0.0
-    if live.all():
-        out[0] = weights
-        for r in range(1, r_max + 1):
-            out[r] = out[r - 1] * x
-    else:
-        xl, wl = x[live], weights[live]
-        term = wl
-        out[0, live] = term
-        for r in range(1, r_max + 1):
-            term = term * xl
-            out[r, live] = term
+    out = np.empty((order + 1, x.size))
+    out[0] = weights
+    for r in range(1, order + 1):
+        out[r] = out[r - 1] * x
     return out
 
 
@@ -254,71 +265,41 @@ class CensoredMomentSet:
     a: float
     c_target: float
     m_hat: np.ndarray
-    p_hat: float
 
     def m(self, r: int) -> float:
         return float(self.m_hat[r])
 
-    @property
-    def r_max(self) -> int:
-        return self.m_hat.size - 1
 
-
-def censored_moments_at(sample: Sample, a: float, r_max: int = 4) -> CensoredMomentSet:
-    """Censored empirical moments at a fixed censoring point."""
+def censored_moments_at(sample: Sample, a: float) -> CensoredMomentSet:
+    """Censored empirical moments through r = MAX_ORDER at a fixed censoring point."""
     if not a > 0.0:
         raise ValueError("censoring point must be positive")
-    weights = np.exp(-a * sample.values)
-    terms = _power_products(sample.values, weights, r_max)
-    m_hat = terms.mean(axis=1)
-    return CensoredMomentSet(a=a, c_target=float(m_hat[0]), m_hat=m_hat, p_hat=sample.p_hat)
+    # one n-length term at a time: no (MAX_ORDER + 1, n) block is held
+    term = np.exp(-a * sample.values)
+    m_hat = np.empty(MAX_ORDER + 1)
+    for r in range(MAX_ORDER + 1):
+        m_hat[r] = term.mean()
+        term = term * sample.values
+    return CensoredMomentSet(a=a, c_target=float(m_hat[0]), m_hat=m_hat)
 
 
-def censored_moments(sample: Sample, r_max: int = 4) -> CensoredMomentSet:
-    """Censored empirical moments at the solved censoring point.
-
-    m_hat[0] equals the target level up to the solver tolerance by definition
-    of A; both use the same summation path, so the identity is preserved.
-    """
-    point = solve_censoring_point(sample)
-    moments = censored_moments_at(sample, point.a, r_max=r_max)
-    return CensoredMomentSet(
-        a=point.a, c_target=point.c_target, m_hat=moments.m_hat, p_hat=sample.p_hat
-    )
+def censored_moments(sample: Sample) -> CensoredMomentSet:
+    """The sample's cached censored moments (``Sample.moments``), solved on first use."""
+    return sample.moments
 
 
 # ---------------------------------------------------------------------------
 # influence rows and covariance
 
 
-@dataclass(frozen=True)
-class InfluenceRows:
-    """Per-observation rows (V_1i, ..., V_ki, W_i) of the limit covariance.
+def influence_rows(sample: Sample, moments: CensoredMomentSet, k: int) -> np.ndarray:
+    """Per-observation rows (V_1i, ..., V_ki, W_i) of the limit covariance, shape (n, k+1).
 
     V_ri = exp(-A*X_i) * (X_i**r - m_hat[r+1]/m_hat[1]) captures a censored
     moment, W_i = exp(-A*X_i)/m_hat[1] captures the censoring point itself.
     """
-
-    matrix: np.ndarray
-    k: int
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def moment_rows(self) -> np.ndarray:
-        return self.matrix[:, : self.k]
-
-    def point_row(self) -> np.ndarray:
-        return self.matrix[:, self.k]
-
-
-def influence_rows(sample: Sample, moments: CensoredMomentSet, k: int) -> InfluenceRows:
-    """Build the (n, k+1) influence matrix for the first k censored moments."""
-    if not 1 <= k <= 3:
-        raise ValueError("k must be in 1..3")
-    if moments.r_max < k + 1:
-        raise ValueError(f"need moments through r={k + 1}, have r_max={moments.r_max}")
+    if not 1 <= k <= MAX_ORDER - 1:
+        raise ValueError(f"k must be in 1..{MAX_ORDER - 1}")
     m1 = moments.m(1)
     if m1 == 0.0:
         raise DegenerateMomentsError("first censored moment is zero")
@@ -327,12 +308,11 @@ def influence_rows(sample: Sample, moments: CensoredMomentSet, k: int) -> Influe
     terms = _power_products(x, weights, k)
     cols = [terms[r] - moments.m(r + 1) / m1 * weights for r in range(1, k + 1)]
     cols.append(weights / m1)
-    return InfluenceRows(matrix=np.stack(cols, axis=1), k=k)
+    return np.stack(cols, axis=1)
 
 
-def sample_covariance(rows: InfluenceRows | np.ndarray) -> np.ndarray:
+def sample_covariance(rows: np.ndarray) -> np.ndarray:
     """Unbiased sample covariance of the influence rows (observations in rows)."""
-    matrix = rows.matrix if isinstance(rows, InfluenceRows) else np.asarray(rows)
-    if matrix.shape[0] < 2:
+    if rows.shape[0] < 2:
         raise ValueError("need at least two observations for a covariance")
-    return np.atleast_2d(np.cov(matrix, rowvar=False, ddof=1))
+    return np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))

@@ -292,9 +292,8 @@ def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> _CellTally:
 
     for rep in range(config.replications):
         rng = derive_substream(config.base_seed, cell_index, rep)
-        values = sample_spec(config.generator, rng, size=n)
         try:
-            sample = Sample.from_values(values)
+            sample = Sample.from_values(sample_spec(config.generator, rng, size=n))
         except LaplaceFitError as exc:
             tally.fail(exc.code)
             continue

@@ -81,7 +81,7 @@ def fit_ps(sample: Sample, alpha: float = 0.05) -> PsFit:
     check_regime(sample, MIN_SAMPLE)
     # the positive stable law has no atom at zero
     flags = ["zero_values_present"] if sample.zero_count > 0 else []
-    moments = censored_moments(sample, r_max=3)
+    moments = censored_moments(sample)
     gamma_hat, lambda_hat = ps_point_estimates(moments)
     if gamma_hat > 1.0 or gamma_hat <= 0.0:
         flags.append("gamma_out_of_range")
@@ -128,7 +128,7 @@ def gof_ps(sample: Sample, alpha: float = 0.05) -> GofOutcome:
     check_regime(sample, MIN_SAMPLE)
     if sample.constant:
         raise DegenerateSampleError("constant sample: test variance is zero")
-    moments = censored_moments(sample, r_max=3)
+    moments = censored_moments(sample)
     a, m1, m2, m3 = moments.a, moments.m(1), moments.m(2), moments.m(3)
     statistic = math.sqrt(sample.n) * (a * m2 - m1)
 

@@ -7,11 +7,18 @@ import statistics
 from dataclasses import dataclass
 from typing import Any
 
+from .errors import ConfigError, DegenerateSampleError
+
+
+def check_alpha(alpha: float) -> None:
+    """Refuse a significance level outside (0, 1); ConfigError is a ValueError."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+
 
 def normal_quantile(alpha: float) -> float:
     """Two-sided standard normal critical value z_{1 - alpha/2}."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     return statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
@@ -54,6 +61,10 @@ class GofOutcome:
 def make_gof_outcome(
     family: str, statistic: float, sigma_hat: float, alpha: float, n: int
 ) -> GofOutcome:
+    """Standardize the statistic; a zero variance estimate is a degenerate sample."""
+    check_alpha(alpha)
+    if sigma_hat == 0.0:
+        raise DegenerateSampleError("test variance estimate is zero")
     z = statistic / sigma_hat
     p = two_sided_p_value(z)
     return GofOutcome(

@@ -185,7 +185,7 @@ def _fit_point(sample: Sample) -> tuple[CensoredMomentSet, np.ndarray, list[str]
     check_regime(sample, MIN_SAMPLE)
     if sample.constant:
         raise DegenerateSampleError("constant sample: moment aggregates are singular")
-    moments = censored_moments(sample, r_max=4)
+    moments = censored_moments(sample)
     m1, m2, m3 = moments.m(1), moments.m(2), moments.m(3)
     flags = _singularity_flags(m1, m2, m3)
     with np.errstate(invalid="ignore"):
@@ -214,7 +214,7 @@ def fit_tweedie(sample: Sample, alpha: float = 0.05) -> TweedieFit:
 
     with np.errstate(invalid="ignore"):
         jac = central_diff_jacobian(_h, plug_in)
-    rows = influence_rows(sample, moments, k=3).matrix @ jac.T
+    rows = influence_rows(sample, moments, k=3) @ jac.T
     if np.isfinite(rows).all():
         cov = sample_covariance(rows)
     else:
@@ -278,7 +278,7 @@ def gof_tweedie(sample: Sample, alpha: float = 0.05) -> GofOutcome:
     plug_in = np.array([m1, moments.m(2), moments.m(3), a])
     with np.errstate(invalid="ignore"):
         beta = central_diff_gradient(_gof_map, plug_in)
-    z_terms = influence_rows(sample, moments, k=3).matrix @ beta
+    z_terms = influence_rows(sample, moments, k=3) @ beta
     sigma_hat = float(z_terms.std(ddof=1))
     if not math.isfinite(statistic) or not math.isfinite(sigma_hat):
         raise ComplexPowerError(

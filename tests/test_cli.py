@@ -106,6 +106,24 @@ def test_fit_human_format(capsys, stable_data_file):
     assert "gamma_hat" in out and "{" not in out.splitlines()[0]
 
 
+@pytest.mark.parametrize("command", ["fit", "gof"])
+@pytest.mark.parametrize("alpha", ["1.5", "0"])
+def test_alpha_outside_unit_interval_exit_1(capsys, stable_data_file, command, alpha):
+    code, out, err = run_cli(capsys, command, "ps", str(stable_data_file), "--alpha", alpha)
+    assert code == 1 and out == ""
+    assert "error (config): alpha must be in (0, 1)" in err
+
+
+def test_zero_test_variance_exit_2(capsys, tmp_path):
+    # at scale 1e-300 the ps test's variance estimate underflows to zero
+    values = sample_spec(DistributionSpec.parse("ps:0.5,15"), derive_substream(98), size=500)
+    path = tmp_path / "tiny.txt"
+    path.write_text("\n".join(repr(float(v) * 1e-300) for v in values) + "\n")
+    code, out, _ = run_cli(capsys, "gof", "ps", str(path))
+    assert code == 2
+    assert json.loads(out) == {"error": "degenerate_sample", "message": "test variance estimate is zero"}
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run_cli(capsys, "fit", "ps", "/no/such/file.txt")
     assert code == 1

@@ -288,7 +288,9 @@ def test_spec_parse_zero_inflated():
 @pytest.mark.parametrize(
     "bad",
     ["", "ps", "ps:", "ps:1", "ps:0.5,15,3", "nope:1,2", "ps:0.5,abc", "tw00:1,1,0.1,0.1",
-     "ps:1.5,2", "tw:0.5,-1,0", "tw0:1,1,1.5", "jacobi:0.9"],
+     "ps:1.5,2", "tw:0.5,-1,0", "tw0:1,1,1.5", "jacobi:0.9",
+     # theta**gamma, or lam*theta**gamma, overflows
+     "tw:-2000,1,0.5", "tw:-2,1e308,0.5"],
 )
 def test_spec_parse_errors(bad):
     with pytest.raises(SpecFormatError):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from laplacefit import DistributionSpec, Sample, derive_substream
+from laplacefit import DistributionSpec, Sample, derive_substream, laplace_core, sample_spec
 from laplacefit.cli import _build_parser
 from laplacefit.families import FAMILIES
 from laplacefit.montecarlo import ExperimentConfig
@@ -41,3 +41,26 @@ def test_fit_exposes_estimate_and_ci_per_parameter(name):
         estimate = getattr(fit, f"{param}_hat")
         lo, hi = getattr(fit, f"ci_{param}")
         assert math.isfinite(estimate) and lo <= estimate <= hi
+
+
+#: a sample each family fits and tests without error
+FAMILY_SAMPLES = {"ps": "ps:0.5,15", "tweedie": "tw0:1,1,0.1", "jacobi": "ps:0.4,5"}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_fit_then_gof_solves_the_censoring_point_once(name, monkeypatch):
+    calls = []
+    solve = laplace_core.solve_censoring_point
+
+    def counting_solve(sample):
+        calls.append(sample)
+        return solve(sample)
+
+    monkeypatch.setattr(laplace_core, "solve_censoring_point", counting_solve)
+    spec = DistributionSpec.parse(FAMILY_SAMPLES[name])
+    sample = Sample.from_values(sample_spec(spec, derive_substream(54), size=500))
+    family = FAMILIES[name]
+    family.fit(sample, alpha=0.05)
+    family.gof(sample, alpha=0.05)
+    family.gof(sample, alpha=0.05)
+    assert len(calls) == 1 and calls[0] is sample

@@ -120,22 +120,6 @@ def test_rejects_unit_exponential():
     assert rejections / reps > 0.5  # empirically the test rejects nearly always
 
 
-def test_gof_solves_the_censoring_point_once(monkeypatch):
-    from laplacefit import laplace_core
-
-    calls = []
-    solve = laplace_core.solve_censoring_point
-
-    def counting_solve(sample):
-        calls.append(sample)
-        return solve(sample)
-
-    monkeypatch.setattr(laplace_core, "solve_censoring_point", counting_solve)
-    s = Sample.from_values(derive_substream(54).gamma(2.0, 1.0, 200))
-    gof_jacobi(s)
-    assert len(calls) == 1
-
-
 def test_fit_serialization_shape():
     rng = derive_substream(53)
     payload = fit_jacobi(Sample.from_values(rng.gamma(2.0, 1.0, 200))).to_dict()

@@ -173,9 +173,21 @@ def test_censoring_point_monotone_consistency():
 def test_moments_constant_sample():
     k = 2.5
     s = Sample.from_values([k] * 50)
-    ms = censored_moments(s, r_max=4)
+    ms = censored_moments(s)
     for r in range(5):
         assert ms.m(r) == pytest.approx(k**r * math.exp(-1.0), rel=1e-11)
+
+
+def test_sample_caches_only_scalars():
+    # the cached moments hold A, the target level and five moments; an
+    # n-length array kept on the sample would pin 8n bytes per sample
+    s = Sample.from_values(derive_substream(109).gamma(2.0, 1.0, 1000))
+    assert censored_moments(s) is censored_moments(s) is s.moments
+    assert not s.constant
+    ms = s.moments
+    assert ms.m_hat.shape == (5,)
+    assert sorted(vars(s)) == ["constant", "moments", "n", "values", "zero_count"]
+    assert all(np.ndim(v) == 0 for v in (ms.a, ms.c_target))
 
 
 def test_moment_zero_equals_target():
@@ -205,7 +217,7 @@ def test_moments_survive_huge_values():
     # x**4 overflows for the largest entry but exp(-a*x) underflows to an
     # exact zero there, so the product must come back as zero, not NaN
     s = Sample.from_values([0.5, 1.0, 2.0, 1e120])
-    ms = censored_moments(s, r_max=4)
+    ms = censored_moments(s)
     assert np.isfinite(ms.m_hat).all()
 
 
@@ -215,11 +227,11 @@ def test_moments_survive_huge_values():
 
 def test_influence_rows_hand_computed():
     s = Sample.from_values([0.0, 2.0])
-    ms = censored_moments_at(s, math.log(2.0), r_max=2)
+    ms = censored_moments_at(s, math.log(2.0))
     assert ms.m(1) == pytest.approx(0.25, rel=1e-15)
     assert ms.m(2) == pytest.approx(0.5, rel=1e-15)
     rows = influence_rows(s, ms, k=1)
-    v1 = rows.moment_rows()[:, 0]
+    v1 = rows[:, 0]
     assert v1[0] == pytest.approx(-2.0, rel=1e-14)
     assert v1[1] == pytest.approx(0.0, abs=1e-14)
 
@@ -229,29 +241,23 @@ def test_influence_point_row_identity():
     s = Sample.from_values(sample_spec(DistributionSpec.parse("ps:0.4,5"), rng, size=2000))
     ms = censored_moments(s)
     rows = influence_rows(s, ms, k=3)
-    assert rows.point_row().mean() == pytest.approx(ms.m(0) / ms.m(1), rel=1e-12)
+    assert rows[:, 3].mean() == pytest.approx(ms.m(0) / ms.m(1), rel=1e-12)
 
 
 def test_influence_rows_degenerate_moments():
     s = Sample.from_values([0.0, 2.0])
-    ms = censored_moments_at(s, 1.0, r_max=2)
-    forced = type(ms)(a=ms.a, c_target=ms.c_target, m_hat=np.zeros(3), p_hat=ms.p_hat)
+    ms = censored_moments_at(s, 1.0)
+    forced = type(ms)(a=ms.a, c_target=ms.c_target, m_hat=np.zeros(3))
     with pytest.raises(DegenerateMomentsError):
         influence_rows(s, forced, k=1)
 
 
 def test_covariance_constant_rows():
-    from laplacefit.laplace_core import InfluenceRows
-
-    rows = InfluenceRows(matrix=np.ones((10, 2)), k=1)
-    assert np.allclose(sample_covariance(rows), 0.0)
+    assert np.allclose(sample_covariance(np.ones((10, 2))), 0.0)
 
 
 def test_covariance_two_point_hand_value():
-    from laplacefit.laplace_core import InfluenceRows
-
-    rows = InfluenceRows(matrix=np.array([[-2.0, 4.0], [0.0, 1.0]]), k=1)
-    cov = sample_covariance(rows)
+    cov = sample_covariance(np.array([[-2.0, 4.0], [0.0, 1.0]]))
     assert cov == pytest.approx(np.array([[2.0, -3.0], [-3.0, 4.5]]))
 
 

@@ -157,6 +157,29 @@ def test_failure_accounting_without_silent_drops():
     assert payload["records"][0]["value"] is None
 
 
+@pytest.mark.parametrize(
+    "generator, fit_target, metric, code",
+    [
+        ("jacobi:0.3", "jacobi", "size", "unsupported_operation"),
+        ("tw:0.5,200,5", "tweedie", "rrmse", "tilted_rejection_infeasible"),
+    ],
+)
+def test_sampler_error_counts_as_failed_replicates(generator, fit_target, metric, code):
+    normal = small_config(replications=20)
+    failing = small_config(
+        generator=DistributionSpec.parse(generator),
+        fit_target=fit_target,
+        metrics=(metric,),
+        replications=4,
+    )
+    report = run_configs([normal, failing])
+    alone = run_configs([normal])
+    kept = [r.to_dict() for r in report.records if r.generator == normal.generator.text()]
+    assert kept == [r.to_dict() for r in alone.records]
+    failed = [r for r in report.records if r.generator == failing.generator.text()]
+    assert failed and all(r.n_ok == 0 and r.failures == {code: 4} for r in failed)
+
+
 def test_determinism_byte_for_byte():
     cfg = small_config(replications=25, n_grid=(80, 120))
     a = run_configs([cfg])

@@ -104,7 +104,7 @@ def test_theoretical_moments_monte_carlo():
     params = TweedieParams(0.6, 2.5, 0.6)
     a_star = tw_censoring_point(params)
     s = tw_sample(params, 10**6, seed=11)
-    ms = censored_moments_at(s, a_star, r_max=3)
+    ms = censored_moments_at(s, a_star)
     m1, m2, m3 = tw_theoretical_censored_moments(params, a_star)
     assert ms.m(1) == pytest.approx(m1, rel=0.01)
     assert ms.m(2) == pytest.approx(m2, rel=0.01)
