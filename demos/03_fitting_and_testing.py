@@ -23,10 +23,8 @@ from laplacefit import (
 rng = derive_substream(99)
 
 
-def show(fit, names):
-    for name in names:
-        est = getattr(fit, f"{name}_hat")
-        lo, hi = getattr(fit, f"ci_{name}")
+def show(fit):
+    for name, est, (lo, hi) in zip(fit.param_names, fit.estimates, fit.ci):
         print(f"  {name:<7} {est:9.4f}   95% CI [{lo:8.4f}, {hi:8.4f}]")
 
 
@@ -34,7 +32,7 @@ def show(fit, names):
 sample = Sample.from_values(sample_spec(DistributionSpec.parse("ps:0.5,15"), rng, size=2000))
 fit = fit_ps(sample)
 print("PS(0.5, 15) fit at n=2000:")
-show(fit, ("gamma", "lambda"))
+show(fit)
 test = gof_ps(sample)
 print(f"  gof: T = {test.statistic:8.4f}, z = {test.z:6.3f}, p = {test.p_value:.3f}")
 
@@ -42,7 +40,7 @@ print(f"  gof: T = {test.statistic:8.4f}, z = {test.z:6.3f}, p = {test.p_value:.
 sample = Sample.from_values(sample_spec(DistributionSpec.parse("tw0:1,1,0.1"), rng, size=5000))
 fit = fit_tweedie(sample)
 print("\nTW0(1, 1, 0.1) fit at n=5000 (true gamma,lam,theta = -0.768, 3.566, 1.768):")
-show(fit, ("gamma", "lambda", "theta"))
+show(fit)
 test = gof_tweedie(sample)
 print(f"  gof: T = {test.statistic:8.4f}, z = {test.z:6.3f}, p = {test.p_value:.3f}")
 
@@ -55,5 +53,5 @@ print(f"\nlog-normal data vs Tweedie null: z = {test.z:6.2f}, p = {test.p_value:
 # -- one-parameter cosh-Jacobi example ----------------------------------------
 gamma_data = Sample.from_values(rng.gamma(2.0, 0.1, 1200))
 fit = fit_jacobi(gamma_data)
-print(f"\ncosh-Jacobi index estimate on small-scale gamma data: {fit.gamma_hat:.4f} "
-      f"+- {fit.se_gamma:.4f} (flags: {list(fit.diagnostics) or 'none'})")
+print(f"\ncosh-Jacobi index estimate on small-scale gamma data: {fit.estimates[0]:.4f} "
+      f"+- {fit.se[0]:.4f} (flags: {list(fit.diagnostics) or 'none'})")

@@ -25,7 +25,7 @@ from .distributions import (
     tw_to_tw0,
 )
 from .errors import LaplaceFitError
-from .jacobi import JacobiFit, fit_jacobi, gof_jacobi
+from .jacobi import fit_jacobi, gof_jacobi
 from .laplace_core import (
     CensoredMomentSet,
     CensoringPoint,
@@ -38,10 +38,9 @@ from .laplace_core import (
     sample_covariance,
     solve_censoring_point,
 )
-from .ps import PsFit, fit_ps, gof_ps
-from .results import GofOutcome
+from .ps import fit_ps, gof_ps
+from .results import Fit, GofOutcome
 from .tweedie import (
-    TweedieFit,
     fit_tweedie,
     gof_tweedie,
     tw_censoring_point,
@@ -52,15 +51,13 @@ __all__ = [
     "CensoredMomentSet",
     "CensoringPoint",
     "DistributionSpec",
+    "Fit",
     "GofOutcome",
-    "JacobiFit",
     "LaplaceFitError",
-    "PsFit",
     "PsParams",
     "RngStream",
     "Sample",
     "Tw0Params",
-    "TweedieFit",
     "TweedieParams",
     "censored_moments",
     "censored_moments_at",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Any, Sequence
 
 from .distributions import DistributionSpec, Tw0Params, derive_substream, sample_spec, tw0_to_tw
@@ -99,7 +100,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     sample = _read_sample(args)
     payload = family.fit(sample, alpha=args.alpha).to_dict()
     payload.update(family.gof(sample, alpha=args.alpha).to_dict())
-    payload["family"] = args.family
     _emit(payload, args.fmt)
     return 0
 
@@ -143,12 +143,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 raise ConfigError(f"config: invalid JSON ({exc})") from None
         configs = parse_config_document(payload)
         if args.seed is not None:
-            from dataclasses import replace
-
             configs = [replace(c, base_seed=args.seed + i) for i, c in enumerate(configs)]
         if args.desk_scale:
-            from dataclasses import replace
-
             configs = [replace(c, replications=min(c.replications, 1000)) for c in configs]
         report = run_configs(configs, jobs=args.jobs)
     json_path, csv_path = report.write(args.out)

@@ -7,21 +7,19 @@ each one's parameters and null generators are, only from ``FAMILIES``.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from typing import Any, Callable
+from typing import Callable
 
+from . import jacobi, ps, tweedie
 from .distributions import DistributionSpec
-from .jacobi import fit_jacobi, gof_jacobi
-from .ps import fit_ps, gof_ps
-from .results import GofOutcome
-from .tweedie import fit_tweedie, gof_tweedie
+from .results import Fit, GofOutcome
 
 
 @dataclass(frozen=True)
 class Family:
     """One fitted law.
 
-    ``fit(sample, alpha)`` returns a record with ``<name>_hat`` and
-    ``ci_<name>`` for every name in ``param_names``; ``gof(sample, alpha)``
+    ``fit(sample, alpha)`` returns a :class:`~laplacefit.results.Fit` whose
+    estimates and intervals follow ``param_names``; ``gof(sample, alpha)``
     returns the test outcome.  ``null_generators`` are the spec families that
     draw from the law itself, and ``truth`` maps such a spec to its parameter
     values in ``param_names`` order, or is None when the law has no sampler.
@@ -30,7 +28,7 @@ class Family:
     name: str
     param_names: tuple[str, ...]
     null_generators: tuple[str, ...]
-    fit: Callable[..., Any]
+    fit: Callable[..., Fit]
     gof: Callable[..., GofOutcome]
     truth: Callable[[DistributionSpec], tuple[float, ...]] | None
 
@@ -38,15 +36,15 @@ class Family:
 FAMILIES: dict[str, Family] = {
     family.name: family
     for family in (
-        Family("ps", ("gamma", "lambda"), ("ps",), fit_ps, gof_ps, lambda spec: spec.params),
+        Family("ps", ps.PARAM_NAMES, ("ps",), ps.fit_ps, ps.gof_ps, lambda spec: spec.params),
         Family(
             "tweedie",
-            ("gamma", "lambda", "theta"),
+            tweedie.PARAM_NAMES,
             ("tw", "tw0"),
-            fit_tweedie,
-            gof_tweedie,
+            tweedie.fit_tweedie,
+            tweedie.gof_tweedie,
             lambda spec: astuple(spec.tweedie_params()),
         ),
-        Family("jacobi", ("gamma",), ("jacobi",), fit_jacobi, gof_jacobi, None),
+        Family("jacobi", jacobi.PARAM_NAMES, ("jacobi",), jacobi.fit_jacobi, jacobi.gof_jacobi, None),
     )
 }

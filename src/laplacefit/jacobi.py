@@ -21,8 +21,6 @@ combined with the 2x2 influence covariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -36,13 +34,16 @@ from .laplace_core import (
     influence_rows,
     sample_covariance,
 )
-from .results import GofOutcome, make_gof_outcome, normal_quantile
+from .results import Fit, GofOutcome, make_fit, make_gof_outcome
 
 #: the transform-level constant c with cosh(c) = e
 JACOBI_C = math.log(E + math.sqrt(E**2 - 1.0))
 
 #: smallest sample size accepted
 MIN_SAMPLE = 10
+
+#: the fitted parameter: the index alone
+PARAM_NAMES = ("gamma",)
 
 #: |log A| below this means gamma_hat = log(c)/log(A) is undefined
 LOG_ATOL = 1e-9
@@ -60,31 +61,6 @@ def jacobi_population_m1(gamma: float) -> float:
     return JACOBI_C * math.sinh(JACOBI_C) * gamma / (E**2 * jacobi_censoring_point(gamma))
 
 
-@dataclass(frozen=True)
-class JacobiFit:
-    gamma_hat: float
-    se_gamma: float
-    ci_gamma: tuple[float, float]
-    a: float
-    c: float
-    n: int
-    alpha: float
-    diagnostics: tuple[str, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "family": "jacobi",
-            "gamma_hat": self.gamma_hat,
-            "se_gamma": self.se_gamma,
-            "ci_gamma": list(self.ci_gamma),
-            "a": self.a,
-            "c": self.c,
-            "n": self.n,
-            "alpha": self.alpha,
-            "diagnostics": list(self.diagnostics),
-        }
-
-
 def jacobi_index(a: float) -> float:
     """Index estimate gamma_hat = log(c)/log(A) at the censoring point A."""
     log_a = math.log(a)
@@ -93,7 +69,7 @@ def jacobi_index(a: float) -> float:
     return math.log(JACOBI_C) / log_a
 
 
-def fit_jacobi(sample: Sample, alpha: float = 0.05) -> JacobiFit:
+def fit_jacobi(sample: Sample, alpha: float = 0.05) -> Fit:
     """Estimate the index as gamma_hat = log(c)/log(A)."""
     check_regime(sample, MIN_SAMPLE)
     moments = censored_moments(sample)
@@ -103,21 +79,13 @@ def fit_jacobi(sample: Sample, alpha: float = 0.05) -> JacobiFit:
     # plug-in variance of sqrt(n)*(A - a_*), then the delta method
     var_a = (float(empirical_laplace(sample, 2.0 * a)) - math.exp(-2.0)) / moments.m(1) ** 2
     dgamma_da = -math.log(JACOBI_C) / (a * math.log(a) ** 2)
-    se = abs(dgamma_da) * math.sqrt(max(var_a, 0.0) / sample.n)
+    cov = np.array([[dgamma_da * max(var_a, 0.0) * dgamma_da]])
 
     flags = []
     if not 0.0 < gamma_hat <= 0.5:
         flags.append("gamma_out_of_range")
-    z = normal_quantile(alpha)
-    return JacobiFit(
-        gamma_hat=gamma_hat,
-        se_gamma=se,
-        ci_gamma=(gamma_hat - z * se, gamma_hat + z * se),
-        a=a,
-        c=JACOBI_C,
-        n=sample.n,
-        alpha=alpha,
-        diagnostics=tuple(flags),
+    return make_fit(
+        "jacobi", PARAM_NAMES, (gamma_hat,), cov, a, sample.n, alpha, flags, {"c": JACOBI_C}
     )
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     AllZeroSampleError,
     DegenerateMomentsError,
+    DegenerateSampleError,
     InsufficientSampleError,
     RegimeError,
     SampleValidationError,
@@ -205,8 +206,11 @@ def solve_censoring_point(sample: Sample) -> CensoringPoint:
     between them whenever some observation is positive, so the root is unique.
     The bracket starts at [0, 1/median(positive values)] and doubles the upper
     end until it straddles the root; safeguarded Newton steps (falling back to
-    bisection whenever a step leaves the bracket) then converge to relative
-    tolerance SOLVER_RTOL on the transform value.
+    bisection whenever a step leaves the bracket or the slope is zero) then
+    converge to relative tolerance SOLVER_RTOL on the transform value.  A
+    bracket whose midpoint is not a positive finite float raises
+    DegenerateSampleError: subnormal data make 1/median infinite, and a
+    median of two values near the float maximum overflows, making it zero.
     """
     if sample.all_zero:
         raise AllZeroSampleError("all observations are zero; L_n(s) == 1 has no root")
@@ -215,12 +219,15 @@ def solve_censoring_point(sample: Sample) -> CensoringPoint:
 
     lo = 0.0
     hi = 1.0 / sample.positive_median()
-    f_hi = float(np.exp(-hi * x).mean()) - c
-    while f_hi > 0.0:
+    while 0.0 < hi < math.inf and float(np.exp(-hi * x).mean()) - c > 0.0:
         lo, hi = hi, 2.0 * hi
-        f_hi = float(np.exp(-hi * x).mean()) - c
-
     a = 0.5 * (lo + hi)
+    if not 0.0 < a < math.inf:
+        raise DegenerateSampleError(
+            "censoring point bracket leaves the float range: the positive values "
+            "are too small or too large for 1/median to be a positive finite float"
+        )
+
     f = math.inf
     for it in range(SOLVER_MAX_ITER):
         weights = np.exp(-a * x)
@@ -232,9 +239,8 @@ def solve_censoring_point(sample: Sample) -> CensoringPoint:
         else:
             hi = a
         slope = -float((x * weights).mean())
-        step = f / slope
-        a_next = a - step
-        if not lo < a_next < hi:
+        a_next = a - f / slope if slope != 0.0 else math.nan
+        if not lo < a_next < hi:  # NaN included: bisect
             a_next = 0.5 * (lo + hi)
         a = a_next
     return CensoringPoint(a=a, c_target=c, iterations=SOLVER_MAX_ITER, residual=f)

@@ -68,11 +68,18 @@ class ExperimentConfig:
             raise ConfigError(f"metrics: unknown {unknown}; valid are {VALID_METRICS}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "metrics", tuple(self.metrics))
-        if self._needs_truth():
+        if self.needs_fit:
             self.truth()  # raises ConfigError on generator/target mismatch
 
-    def _needs_truth(self) -> bool:
+    @property
+    def needs_fit(self) -> bool:
+        """Whether a metric (rrmse, coverage) reads the fit and the truth."""
         return bool(set(self.metrics) & {"rrmse", "coverage"})
+
+    @property
+    def needs_gof(self) -> bool:
+        """Whether a metric (size, power) reads the test outcome."""
+        return bool(set(self.metrics) & {"size", "power"})
 
     def truth(self) -> dict[str, float]:
         """True parameter values of the fit target implied by the generator."""
@@ -280,13 +287,10 @@ class _CellTally:
 
 
 def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> _CellTally:
-    need_fit = bool(set(config.metrics) & {"rrmse", "coverage"})
-    need_gof = bool(set(config.metrics) & {"size", "power"})
     truth = None
-    if need_fit:
-        truth = np.array(list(config.truth().values()))
     tally = _CellTally()
-    if need_fit:
+    if config.needs_fit:
+        truth = np.array(list(config.truth().values()))
         tally.covered = np.zeros(truth.size, dtype=int)
     family = FAMILIES[config.fit_target]
 
@@ -299,11 +303,11 @@ def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> _CellTally:
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            if need_fit:
+            if config.needs_fit:
                 try:
                     fit = family.fit(sample, alpha=config.alpha)
-                    est = np.array([getattr(fit, f"{p}_hat") for p in family.param_names])
-                    cis = np.array([getattr(fit, f"ci_{p}") for p in family.param_names])
+                    est = np.array(fit.estimates)
+                    cis = np.array(fit.ci)
                     if not (np.isfinite(est).all() and np.isfinite(cis).all()):
                         tally.fail("nonfinite_estimate")
                     else:
@@ -312,7 +316,7 @@ def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> _CellTally:
                 except LaplaceFitError as exc:
                     tally.fail(exc.code)
                     continue
-            if need_gof:
+            if config.needs_gof:
                 try:
                     outcome = family.gof(sample, alpha=config.alpha)
                     tally.rejections += int(outcome.reject)
@@ -352,7 +356,7 @@ def _records_for_cell(
         base_seed=config.base_seed,
     )
     wants = set(config.metrics)
-    if wants & {"rrmse", "coverage"}:
+    if config.needs_fit:
         truth = config.truth()
         names = list(truth)
         n_ok = len(tally.estimates)
@@ -380,7 +384,7 @@ def _records_for_cell(
                         **common,
                     )
                 )
-    if wants & {"size", "power"}:
+    if config.needs_gof:
         is_null = config.generator.family in FAMILIES[config.fit_target].null_generators and (
             config.generator.p_zero == 0.0
         )

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -23,42 +21,13 @@ from .laplace_core import (
     censored_moments,
     check_regime,
 )
-from .results import GofOutcome, make_gof_outcome, normal_quantile
+from .results import Fit, GofOutcome, make_fit, make_gof_outcome
 
 #: smallest sample size accepted by the positive stable fit
 MIN_SAMPLE = 10
 
-
-@dataclass(frozen=True)
-class PsFit:
-    """Point estimates, covariance estimate and confidence intervals."""
-
-    gamma_hat: float
-    lambda_hat: float
-    cov_hat: np.ndarray
-    se_gamma: float
-    se_lambda: float
-    ci_gamma: tuple[float, float]
-    ci_lambda: tuple[float, float]
-    a: float
-    n: int
-    alpha: float
-    diagnostics: tuple[str, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "family": "ps",
-            "gamma_hat": self.gamma_hat,
-            "lambda_hat": self.lambda_hat,
-            "se_gamma": self.se_gamma,
-            "se_lambda": self.se_lambda,
-            "ci_gamma": list(self.ci_gamma),
-            "ci_lambda": list(self.ci_lambda),
-            "a": self.a,
-            "n": self.n,
-            "alpha": self.alpha,
-            "diagnostics": list(self.diagnostics),
-        }
+#: the fitted parameters, in the order of every estimate and interval tuple
+PARAM_NAMES = ("gamma", "lambda")
 
 
 def ps_point_estimates(moments: CensoredMomentSet) -> tuple[float, float]:
@@ -67,7 +36,7 @@ def ps_point_estimates(moments: CensoredMomentSet) -> tuple[float, float]:
     return gamma_hat, moments.a**-gamma_hat
 
 
-def fit_ps(sample: Sample, alpha: float = 0.05) -> PsFit:
+def fit_ps(sample: Sample, alpha: float = 0.05) -> Fit:
     """Fit the positive stable law by censored moments.
 
     The covariance estimate is the sample covariance of the per-observation
@@ -101,21 +70,8 @@ def fit_ps(sample: Sample, alpha: float = 0.05) -> PsFit:
     else:
         cov = np.cov(np.stack([rows_gamma, rows_lambda]), ddof=1)
 
-    z = normal_quantile(alpha)
-    se_g = math.sqrt(cov[0, 0] / sample.n)
-    se_l = math.sqrt(cov[1, 1] / sample.n)
-    return PsFit(
-        gamma_hat=gamma_hat,
-        lambda_hat=lambda_hat,
-        cov_hat=cov,
-        se_gamma=se_g,
-        se_lambda=se_l,
-        ci_gamma=(gamma_hat - z * se_g, gamma_hat + z * se_g),
-        ci_lambda=(lambda_hat - z * se_l, lambda_hat + z * se_l),
-        a=moments.a,
-        n=sample.n,
-        alpha=alpha,
-        diagnostics=tuple(flags),
+    return make_fit(
+        "ps", PARAM_NAMES, (gamma_hat, lambda_hat), cov, moments.a, sample.n, alpha, flags
     )
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DegenerateSampleError
 
@@ -25,6 +27,55 @@ def normal_quantile(alpha: float) -> float:
 def two_sided_p_value(z: float) -> float:
     """Two-sided standard normal tail probability P(|Z| >= |z|) = erfc(|z|/sqrt(2))."""
     return math.erfc(abs(z) * math.sqrt(0.5))
+
+
+@dataclass(frozen=True)
+class Fit:
+    """Point estimates, covariance estimate and confidence intervals of one fit.
+
+    ``estimates``, ``se`` and ``ci`` are tuples in ``param_names`` order.
+    ``cov_hat`` estimates the asymptotic covariance of sqrt(n) times the
+    estimates, ``a`` is the censoring point and ``constants`` holds the
+    family's fixed constants that its JSON reports (the Jacobi ``c``).
+    """
+
+    family: str
+    param_names: tuple[str, ...]
+    estimates: tuple[float, ...]
+    cov_hat: np.ndarray
+    se: tuple[float, ...]
+    ci: tuple[tuple[float, float], ...]
+    a: float
+    n: int
+    alpha: float
+    diagnostics: tuple[str, ...]
+    constants: dict[str, float]
+
+    def to_dict(self) -> dict[str, Any]:
+        names = self.param_names
+        payload: dict[str, Any] = {"family": self.family}
+        payload.update((f"{p}_hat", e) for p, e in zip(names, self.estimates))
+        payload.update((f"se_{p}", s) for p, s in zip(names, self.se))
+        payload.update((f"ci_{p}", list(ci)) for p, ci in zip(names, self.ci))
+        payload.update(a=self.a, n=self.n, alpha=self.alpha, diagnostics=list(self.diagnostics))
+        payload.update(self.constants)
+        return payload
+
+
+def make_fit(
+    family: str, param_names: tuple[str, ...], estimates: Sequence[float], cov_hat: np.ndarray,
+    a: float, n: int, alpha: float, diagnostics: Sequence[str],
+    constants: dict[str, float] | None = None,
+) -> Fit:
+    """Standard errors sqrt(cov_hat[i, i] / n) and intervals est +- z_{1-alpha/2} * se."""
+    z = normal_quantile(alpha)
+    estimates = tuple(estimates)
+    se = tuple(math.sqrt(cov_hat[i, i] / n) for i in range(len(param_names)))
+    ci = tuple((e - z * s, e + z * s) for e, s in zip(estimates, se))
+    return Fit(
+        family, param_names, estimates, cov_hat, se, ci, a, n, alpha, tuple(diagnostics),
+        constants or {},
+    )
 
 
 @dataclass(frozen=True)

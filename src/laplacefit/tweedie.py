@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -33,10 +32,13 @@ from .laplace_core import (
     sample_covariance,
 )
 from .numdiff import central_diff_gradient, central_diff_jacobian
-from .results import GofOutcome, make_gof_outcome, normal_quantile
+from .results import Fit, GofOutcome, make_fit, make_gof_outcome
 
 #: smallest sample size accepted by the Tweedie fit
 MIN_SAMPLE = 50
+
+#: the fitted parameters, in the order of every estimate and interval tuple
+PARAM_NAMES = ("gamma", "lambda", "theta")
 
 #: relative threshold below which an aggregate is treated as singular
 SINGULAR_RTOL = 1e-8
@@ -141,44 +143,11 @@ def _singularity_flags(m1: float, m2: float, m3: float) -> list[str]:
     return flags
 
 
-def estimates_from_moments(m1: float, m2: float, m3: float, a: float) -> np.ndarray:
-    """Guarded estimator map; raises NearSingularError close to its poles."""
-    _singularity_flags(m1, m2, m3)
-    return _h(np.array([m1, m2, m3, a]))
-
-
-@dataclass(frozen=True)
-class TweedieFit:
-    gamma_hat: float
-    lambda_hat: float
-    theta_hat: float
-    cov_hat: np.ndarray
-    se: tuple[float, float, float]
-    ci_gamma: tuple[float, float]
-    ci_lambda: tuple[float, float]
-    ci_theta: tuple[float, float]
-    a: float
-    n: int
-    alpha: float
-    diagnostics: tuple[str, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "family": "tweedie",
-            "gamma_hat": self.gamma_hat,
-            "lambda_hat": self.lambda_hat,
-            "theta_hat": self.theta_hat,
-            "se_gamma": self.se[0],
-            "se_lambda": self.se[1],
-            "se_theta": self.se[2],
-            "ci_gamma": list(self.ci_gamma),
-            "ci_lambda": list(self.ci_lambda),
-            "ci_theta": list(self.ci_theta),
-            "a": self.a,
-            "n": self.n,
-            "alpha": self.alpha,
-            "diagnostics": list(self.diagnostics),
-        }
+def estimates_from_moments(m1: float, m2: float, m3: float, a: float) -> tuple[np.ndarray, list[str]]:
+    """Guarded estimator map and its flags; raises NearSingularError close to its poles."""
+    flags = _singularity_flags(m1, m2, m3)
+    with np.errstate(invalid="ignore"):
+        return _h(np.array([m1, m2, m3, a])), flags
 
 
 def _fit_point(sample: Sample) -> tuple[CensoredMomentSet, np.ndarray, list[str]]:
@@ -186,10 +155,7 @@ def _fit_point(sample: Sample) -> tuple[CensoredMomentSet, np.ndarray, list[str]
     if sample.constant:
         raise DegenerateSampleError("constant sample: moment aggregates are singular")
     moments = censored_moments(sample)
-    m1, m2, m3 = moments.m(1), moments.m(2), moments.m(3)
-    flags = _singularity_flags(m1, m2, m3)
-    with np.errstate(invalid="ignore"):
-        est = _h(np.array([m1, m2, m3, moments.a]))
+    est, flags = estimates_from_moments(moments.m(1), moments.m(2), moments.m(3), moments.a)
     gamma_hat, lambda_hat, theta_hat = est
     if gamma_hat > 1.0 or gamma_hat == 0.0:
         flags.append("gamma_out_of_range")
@@ -200,7 +166,7 @@ def _fit_point(sample: Sample) -> tuple[CensoredMomentSet, np.ndarray, list[str]
     return moments, est, flags
 
 
-def fit_tweedie(sample: Sample, alpha: float = 0.05) -> TweedieFit:
+def fit_tweedie(sample: Sample, alpha: float = 0.05) -> Fit:
     """Fit the Tweedie law from the first three censored moments.
 
     The covariance estimate transforms the influence rows (V_1, V_2, V_3, W)
@@ -209,7 +175,6 @@ def fit_tweedie(sample: Sample, alpha: float = 0.05) -> TweedieFit:
     diagnostics flags so that downstream summaries stay unbiased.
     """
     moments, est, flags = _fit_point(sample)
-    gamma_hat, lambda_hat, theta_hat = est
     plug_in = np.array([moments.m(1), moments.m(2), moments.m(3), moments.a])
 
     with np.errstate(invalid="ignore"):
@@ -222,24 +187,7 @@ def fit_tweedie(sample: Sample, alpha: float = 0.05) -> TweedieFit:
         if "nonfinite_estimate" not in flags:
             flags.append("nonfinite_covariance")
 
-    z = normal_quantile(alpha)
-    with np.errstate(invalid="ignore"):
-        se = tuple(float(v) for v in np.sqrt(np.diag(cov) / sample.n))
-    ci = tuple((e - z * s, e + z * s) for e, s in zip(est, se))
-    return TweedieFit(
-        gamma_hat=float(gamma_hat),
-        lambda_hat=float(lambda_hat),
-        theta_hat=float(theta_hat),
-        cov_hat=cov,
-        se=se,
-        ci_gamma=ci[0],
-        ci_lambda=ci[1],
-        ci_theta=ci[2],
-        a=moments.a,
-        n=sample.n,
-        alpha=alpha,
-        diagnostics=tuple(flags),
-    )
+    return make_fit("tweedie", PARAM_NAMES, est, cov, moments.a, sample.n, alpha, flags)
 
 
 def _gof_map(v: np.ndarray) -> float:

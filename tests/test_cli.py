@@ -124,6 +124,16 @@ def test_zero_test_variance_exit_2(capsys, tmp_path):
     assert json.loads(out) == {"error": "degenerate_sample", "message": "test variance estimate is zero"}
 
 
+def test_subnormal_sample_exit_2(capsys, tmp_path):
+    # the largest value is 1e-310, so the censoring point is not a finite float
+    values = sample_spec(DistributionSpec.parse("ps:0.5,15"), derive_substream(97), size=500)
+    path = tmp_path / "subnormal.txt"
+    path.write_text("\n".join(repr(float(v)) for v in values / values.max() * 1e-310) + "\n")
+    code, out, _ = run_cli(capsys, "fit", "ps", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "degenerate_sample"
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run_cli(capsys, "fit", "ps", "/no/such/file.txt")
     assert code == 1

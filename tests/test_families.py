@@ -5,6 +5,7 @@ import pytest
 
 from laplacefit import DistributionSpec, Sample, derive_substream, laplace_core, sample_spec
 from laplacefit.cli import _build_parser
+from laplacefit.errors import DegenerateSampleError
 from laplacefit.families import FAMILIES
 from laplacefit.montecarlo import ExperimentConfig
 
@@ -37,10 +38,44 @@ def test_fit_exposes_estimate_and_ci_per_parameter(name):
     family = FAMILIES[name]
     sample = Sample.from_values(derive_substream(61).gamma(2.0, 1.0, 400))
     fit = family.fit(sample, alpha=0.05)
-    for param in family.param_names:
-        estimate = getattr(fit, f"{param}_hat")
-        lo, hi = getattr(fit, f"ci_{param}")
+    assert len(fit.estimates) == len(fit.ci) == len(family.param_names)
+    for estimate, (lo, hi) in zip(fit.estimates, fit.ci):
         assert math.isfinite(estimate) and lo <= estimate <= hi
+
+
+#: the exact key set of each family's fit JSON
+FIT_KEYS = {
+    "ps": {
+        "family", "gamma_hat", "lambda_hat", "se_gamma", "se_lambda", "ci_gamma", "ci_lambda",
+        "a", "n", "alpha", "diagnostics",
+    },
+    "tweedie": {
+        "family", "gamma_hat", "lambda_hat", "theta_hat", "se_gamma", "se_lambda", "se_theta",
+        "ci_gamma", "ci_lambda", "ci_theta", "a", "n", "alpha", "diagnostics",
+    },
+    "jacobi": {"family", "gamma_hat", "se_gamma", "ci_gamma", "a", "c", "n", "alpha", "diagnostics"},
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_fit_json_keys_and_parameter_names(name):
+    family = FAMILIES[name]
+    sample = Sample.from_values(derive_substream(61).gamma(2.0, 1.0, 400))
+    fit = family.fit(sample, alpha=0.05)
+    assert fit.family == name
+    assert fit.param_names == family.param_names
+    assert set(fit.to_dict()) == FIT_KEYS[name]
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_subnormal_sample_is_a_coded_error(name):
+    # the largest value is 1e-310, so 1/median and the censoring point overflow
+    values = sample_spec(DistributionSpec.parse("ps:0.5,15"), derive_substream(55), size=500)
+    sample = Sample.from_values(values / values.max() * 1e-310)
+    family = FAMILIES[name]
+    for run in (family.fit, family.gof):
+        with pytest.raises(DegenerateSampleError):
+            run(sample, alpha=0.05)
 
 
 #: a sample each family fits and tests without error

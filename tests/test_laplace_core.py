@@ -23,6 +23,7 @@ from laplacefit import (
 from laplacefit.errors import (
     AllZeroSampleError,
     DegenerateMomentsError,
+    DegenerateSampleError,
     SampleValidationError,
 )
 from laplacefit.laplace_core import SOLVER_RTOL, parse_sample_csv, parse_sample_lines
@@ -132,6 +133,18 @@ def test_solver_zero_adjusted_target():
 def test_solver_all_zero():
     with pytest.raises(AllZeroSampleError):
         solve_censoring_point(Sample.from_values([0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1e-310, 2e-310, 3e-310],  # 1/median overflows to inf
+        [9e307, 1.7e308, 1e-100, 1.1e308],  # the median overflows, so 1/median is 0
+    ],
+)
+def test_solver_bracket_outside_float_range(values):
+    with pytest.raises(DegenerateSampleError):
+        solve_censoring_point(Sample.from_values(values))
 
 
 def test_solver_residual_tolerance_across_laws():

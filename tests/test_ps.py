@@ -39,8 +39,9 @@ def test_constant_sample_degenerate_boundary():
     k = 4.0
     with pytest.warns(UserWarning, match="constant sample"):
         fit = fit_ps(Sample.from_values([k] * 30))
-    assert fit.gamma_hat == pytest.approx(1.0, rel=1e-9)
-    assert fit.lambda_hat == pytest.approx(k, rel=1e-9)
+    gamma_hat, lambda_hat = fit.estimates
+    assert gamma_hat == pytest.approx(1.0, rel=1e-9)
+    assert lambda_hat == pytest.approx(k, rel=1e-9)
     assert "degenerate_sample" in fit.diagnostics
     assert np.allclose(fit.cov_hat, 0.0)
 
@@ -49,8 +50,9 @@ def test_construction_identities_exact():
     s = ps_sample(0.5, 15.0, 500, seed=1)
     fit = fit_ps(s)
     ms = censored_moments(s)
-    assert fit.gamma_hat == E * ms.m(1) * ms.a
-    assert fit.lambda_hat == ms.a**-fit.gamma_hat
+    gamma_hat, lambda_hat = fit.estimates
+    assert gamma_hat == E * ms.m(1) * ms.a
+    assert lambda_hat == ms.a**-gamma_hat
 
 
 def test_population_round_trip():
@@ -65,9 +67,9 @@ def test_population_round_trip():
 
 
 def test_consistency_large_sample():
-    fit = fit_ps(ps_sample(0.5, 15.0, 10**5, seed=2))
-    assert abs(fit.gamma_hat - 0.5) < 0.02
-    assert fit.lambda_hat == pytest.approx(15.0, rel=0.05)
+    gamma_hat, lambda_hat = fit_ps(ps_sample(0.5, 15.0, 10**5, seed=2)).estimates
+    assert abs(gamma_hat - 0.5) < 0.02
+    assert lambda_hat == pytest.approx(15.0, rel=0.05)
 
 
 def test_scale_equivariance_power_of_two_exact():
@@ -77,22 +79,20 @@ def test_scale_equivariance_power_of_two_exact():
     k = 4.0
     scaled = Sample.from_values(s.values * k)
     fit, fit_scaled = fit_ps(s), fit_ps(scaled)
+    (gamma_hat, lambda_hat), (gamma_scaled, lambda_scaled) = fit.estimates, fit_scaled.estimates
     assert fit_scaled.a == fit.a / k
-    assert fit_scaled.gamma_hat == fit.gamma_hat
-    assert fit_scaled.lambda_hat == pytest.approx(
-        fit.lambda_hat * k**fit.gamma_hat, rel=1e-12
-    )
+    assert gamma_scaled == gamma_hat
+    assert lambda_scaled == pytest.approx(lambda_hat * k**gamma_hat, rel=1e-12)
 
 
 def test_scale_equivariance_general_factor():
     s = ps_sample(0.6, 20.0, 400, seed=4)
     k = 3.7
     fit, fit_scaled = fit_ps(s), fit_ps(Sample.from_values(s.values * k))
+    (gamma_hat, lambda_hat), (gamma_scaled, lambda_scaled) = fit.estimates, fit_scaled.estimates
     assert fit_scaled.a == pytest.approx(fit.a / k, rel=1e-9)
-    assert fit_scaled.gamma_hat == pytest.approx(fit.gamma_hat, rel=1e-9)
-    assert fit_scaled.lambda_hat == pytest.approx(
-        fit.lambda_hat * k**fit.gamma_hat, rel=1e-8
-    )
+    assert gamma_scaled == pytest.approx(gamma_hat, rel=1e-9)
+    assert lambda_scaled == pytest.approx(lambda_hat * k**gamma_hat, rel=1e-8)
 
 
 def test_covariance_rows_match_delta_method():
@@ -122,7 +122,7 @@ def test_variance_estimator_consistency():
     for rep in range(reps):
         s = ps_sample(0.5, 2.0, n, seed=600 + rep)
         fit = fit_ps(s)
-        gammas[rep] = fit.gamma_hat
+        gammas[rep] = fit.estimates[0]
         sigma11[rep] = fit.cov_hat[0, 0]
     mc_var = n * gammas.var(ddof=1)
     assert mc_var == pytest.approx(np.median(sigma11), rel=0.10)
@@ -143,7 +143,8 @@ def test_ci_contains_truth_typically():
     hits = 0
     for rep in range(40):
         fit = fit_ps(ps_sample(0.5, 2.0, 400, seed=900 + rep), alpha=0.05)
-        hits += fit.ci_gamma[0] <= 0.5 <= fit.ci_gamma[1]
+        lo, hi = fit.ci[0]
+        hits += lo <= 0.5 <= hi
     assert hits >= 30
 
 

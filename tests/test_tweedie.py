@@ -128,7 +128,7 @@ def test_degenerate_point_mass_moments():
 def test_population_round_trip(params):
     a_star = tw_censoring_point(params)
     m1, m2, m3 = tw_theoretical_censored_moments(params, a_star)
-    est = estimates_from_moments(m1, m2, m3, a_star)
+    est, _ = estimates_from_moments(m1, m2, m3, a_star)
     assert est[0] == pytest.approx(params.gamma, rel=1e-9)
     assert est[1] == pytest.approx(params.lam, rel=1e-9)
     assert est[2] == pytest.approx(params.theta, rel=1e-9, abs=1e-9)
@@ -201,17 +201,19 @@ def test_near_singular_guard():
 
 def test_fit_consistency_tilted_branch():
     fit = fit_tweedie(tw_sample(TweedieParams(0.5, 2.0, 0.5), 2 * 10**5, seed=14))
-    assert fit.gamma_hat == pytest.approx(0.5, abs=0.03)
-    assert fit.lambda_hat == pytest.approx(2.0, rel=0.06)
-    assert fit.theta_hat == pytest.approx(0.5, rel=0.12)
+    gamma_hat, lambda_hat, theta_hat = fit.estimates
+    assert gamma_hat == pytest.approx(0.5, abs=0.03)
+    assert lambda_hat == pytest.approx(2.0, rel=0.06)
+    assert theta_hat == pytest.approx(0.5, rel=0.12)
 
 
 def test_fit_consistency_compound_poisson_branch():
     params = tw0_to_tw(Tw0Params(1.0, 1.0, 0.1))
     fit = fit_tweedie(tw_sample(params, 2 * 10**5, seed=15))
-    assert fit.gamma_hat == pytest.approx(params.gamma, rel=0.10)
-    assert fit.lambda_hat == pytest.approx(params.lam, rel=0.12)
-    assert fit.theta_hat == pytest.approx(params.theta, rel=0.10)
+    gamma_hat, lambda_hat, theta_hat = fit.estimates
+    assert gamma_hat == pytest.approx(params.gamma, rel=0.10)
+    assert lambda_hat == pytest.approx(params.lam, rel=0.12)
+    assert theta_hat == pytest.approx(params.theta, rel=0.10)
 
 
 def test_fit_regime_and_guards():
