@@ -15,8 +15,6 @@ from laplacefit import (
     censored_moments,
     derive_substream,
     empirical_laplace,
-    influence_rows,
-    sample_covariance,
     sample_spec,
     solve_censoring_point,
 )
@@ -31,18 +29,18 @@ print(f"solved A = {point.a:.6f}  (population a* = {a_star:.6f})")
 print(f"L_n(A) = {empirical_laplace(sample, point.a):.15f} vs target {point.c_target:.15f}")
 print(f"solver iterations: {point.iterations}, residual {point.residual:.2e}")
 
-# the sample solves for A once and keeps its moments; every fit and test of
-# this sample reads this same set
+# the sample solves for A once and makes one statistics pass in the frame
+# y = A*X; every fit and test of this sample reads this same set
 moments = censored_moments(sample)
-print("\ncensored moments m_r = mean(X**r exp(-A X)):")
+print("\ncensored moments m_r = mean(X**r exp(-A X)) = mean(y**r exp(-y)) / A**r:")
 for r in range(5):
     print(f"  m_{r} = {moments.m(r):12.6f}")
 print(f"population m_1 = gamma/(e*a*) = {0.5 / (np.e * a_star):12.6f}")
 
-# the influence rows drive every standard error in the package
-cov = sample_covariance(influence_rows(sample, moments, k=3))
-print("\ninfluence covariance (V1, V2, V3, W):")
-print(np.array2string(cov, precision=4, suppress_small=True))
+# the covariance of the power products y**r exp(-y), r <= 3, drives every
+# standard error in the package through a small fixed matrix
+print("\npower-product covariance (r = 0..3, frame y = A*X):")
+print(np.array2string(moments.cov, precision=4, suppress_small=True))
 
 # zero-heavy data switch to the adjusted target level
 zeros = Sample.from_values(np.where(rng.random(1000) < 0.45, 0.0, rng.gamma(2.0, 1.0, 1000)))

@@ -33,9 +33,8 @@ from .laplace_core import (
     censored_moments,
     censored_moments_at,
     empirical_laplace,
-    influence_rows,
+    influence_map,
     load_sample,
-    sample_covariance,
     solve_censoring_point,
 )
 from .ps import fit_ps, gof_ps
@@ -69,11 +68,10 @@ __all__ = [
     "gof_jacobi",
     "gof_ps",
     "gof_tweedie",
-    "influence_rows",
+    "influence_map",
     "laplace_exact",
     "load_sample",
     "sample_alternative",
-    "sample_covariance",
     "sample_positive_stable",
     "sample_spec",
     "sample_tweedie",

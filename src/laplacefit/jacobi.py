@@ -8,14 +8,12 @@ the censoring point alone (the r = 0 case of the framework).
 No exact sampler exists here; correctness rests on the population-moment
 identities (m_1 = c*sinh(c)*gamma/(e^2*a_*)) and the generic asymptotics.
 The variance expressions are not spelled out by the estimator maps
-themselves; both come mechanically from the limit law of A,
-
-    sqrt(n) * (A - a_*)  ->  N(0, (L_X(2 a_*) - e^-2) / m_1^2),
-
-estimated by plug-in with the empirical transform, plus the delta method:
-for the fit through d gamma/d a = -log(c)/(a * log(a)^2), and for the test
-through the gradient of (m_1, a) -> m_1 - e^-2*c*sinh(c)*log(c)/(a*log(a))
-combined with the 2x2 influence covariance.
+themselves; both come mechanically from the influence rows of the limit law
+and the delta method.  In the frame y = A*x the censoring point's row is
+A * P~_0/m_tilde[1], so the fit's variance is b * S[0, 0] * b with
+b = -log(c)/(log(A)^2 * m_tilde[1]).  The test statistic is
+sqrt(n) * (m_tilde[1] - kappa*gamma_hat)/A with kappa = e^-2*c*sinh(c); its
+row, with the 1/A factored out, is V~_1 + kappa*gamma_hat*(1 + 1/log(A)) * W~.
 """
 
 from __future__ import annotations
@@ -25,19 +23,14 @@ import math
 import numpy as np
 
 from .errors import LogDomainError
-from .laplace_core import (
-    E,
-    Sample,
-    censored_moments,
-    check_regime,
-    empirical_laplace,
-    influence_rows,
-    sample_covariance,
-)
+from .laplace_core import E, Sample, censored_moments, check_regime, influence_map
 from .results import Fit, GofOutcome, make_fit, make_gof_outcome
 
 #: the transform-level constant c with cosh(c) = e
 JACOBI_C = math.log(E + math.sqrt(E**2 - 1.0))
+
+#: e^-2*c*sinh(c): in population m_tilde[1] = JACOBI_KAPPA * gamma
+JACOBI_KAPPA = math.exp(-2.0) * JACOBI_C * math.sinh(JACOBI_C)
 
 #: smallest sample size accepted
 MIN_SAMPLE = 10
@@ -58,7 +51,7 @@ def jacobi_censoring_point(gamma: float) -> float:
 
 def jacobi_population_m1(gamma: float) -> float:
     """Population first censored moment c*sinh(c)*gamma/(e^2*a_*)."""
-    return JACOBI_C * math.sinh(JACOBI_C) * gamma / (E**2 * jacobi_censoring_point(gamma))
+    return JACOBI_KAPPA * gamma / jacobi_censoring_point(gamma)
 
 
 def jacobi_index(a: float) -> float:
@@ -76,10 +69,9 @@ def fit_jacobi(sample: Sample, alpha: float = 0.05) -> Fit:
     a = moments.a
     gamma_hat = jacobi_index(a)
 
-    # plug-in variance of sqrt(n)*(A - a_*), then the delta method
-    var_a = (float(empirical_laplace(sample, 2.0 * a)) - math.exp(-2.0)) / moments.m(1) ** 2
-    dgamma_da = -math.log(JACOBI_C) / (a * math.log(a) ** 2)
-    cov = np.array([[dgamma_da * max(var_a, 0.0) * dgamma_da]])
+    # the censoring point's influence row through d gamma / d a = -log(c)/(a*log(a)^2)
+    b = -math.log(JACOBI_C) / (math.log(a) ** 2 * moments.m_tilde[1])
+    cov = np.array([[b * moments.cov[0, 0] * b]])
 
     flags = []
     if not 0.0 < gamma_hat <= 0.5:
@@ -89,26 +81,19 @@ def fit_jacobi(sample: Sample, alpha: float = 0.05) -> Fit:
     )
 
 
-def jacobi_gof_gradient(m1: float, a: float) -> np.ndarray:
-    """Gradient of (m1, a) -> m1 - e^-2*c*sinh(c)*log(c)/(a*log(a))."""
-    k = math.exp(-2.0) * JACOBI_C * math.sinh(JACOBI_C) * math.log(JACOBI_C)
-    return np.array([1.0, k * (math.log(a) + 1.0) / (a * math.log(a)) ** 2])
-
-
 def gof_jacobi(sample: Sample, alpha: float = 0.05) -> GofOutcome:
     """Test the cosh-Jacobi hypothesis.
 
     T_n = sqrt(n) * (m_hat[1] - e^-2*c*sinh(c)*gamma_hat/A) vanishes in
-    population via the m_1 identity; its variance comes from the analytic
-    gradient above applied to the 2x2 influence covariance.
+    population via the m_1 identity; its variance applies the gradient of
+    (m_1, A) to the covariance of the influence rows (V_1, W).
     """
     check_regime(sample, MIN_SAMPLE)
     moments = censored_moments(sample)
-    a, m1 = moments.a, moments.m(1)
-    statistic = math.sqrt(sample.n) * (
-        m1 - math.exp(-2.0) * JACOBI_C * math.sinh(JACOBI_C) * jacobi_index(a) / a
-    )
-    grad = jacobi_gof_gradient(m1, a)
-    cov = sample_covariance(influence_rows(sample, moments, k=1))
-    sigma_hat = math.sqrt(max(float(grad @ cov @ grad), 0.0))
+    a = moments.a
+    gamma_hat = jacobi_index(a)
+    statistic = math.sqrt(sample.n) * (moments.m_tilde[1] - JACOBI_KAPPA * gamma_hat) / a
+    lmap, _ = influence_map(moments, k=1)
+    row = np.array([1.0, JACOBI_KAPPA * gamma_hat * (1.0 + 1.0 / math.log(a))]) @ lmap
+    sigma_hat = math.sqrt(max(float(row @ moments.cov @ row), 0.0)) / a
     return make_gof_outcome("jacobi", statistic, sigma_hat, alpha, sample.n)

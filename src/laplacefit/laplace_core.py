@@ -3,9 +3,10 @@
 The censoring point A solves L_n(A) = c on the empirical transform
 L_n(s) = mean(exp(-s*X_i)), where the target level c is exp(-1) unless the
 observed zero fraction reaches 1/e, in which case the zero-adjusted level
-(1 + (e-1)*p_hat)/e is used.  Censored moments, per-observation influence rows
-and their sample covariance feed every estimator and test in the package.
-A sample caches its censored moments, so its fit and test share one solve.
+(1 + (e-1)*p_hat)/e is used.  One statistics pass then takes the censored
+moments and the covariance of the power products in the frame y = A*x; every
+estimator, standard error and test statistic in the package is a small map of
+these.  A sample caches them, so its fit and test share one solve and one pass.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ SOLVER_RTOL = 1e-12
 #: hard cap on safeguarded Newton/bisection iterations
 SOLVER_MAX_ITER = 80
 
-#: highest censored moment order; the Tweedie covariance reads m_hat[4]
+#: highest censored moment order; the Tweedie covariance reads m_tilde[4]
 MAX_ORDER = 4
 
 
@@ -86,10 +87,10 @@ class Sample:
 
     @cached_property
     def moments(self) -> CensoredMomentSet:
-        """Censored moments through r = MAX_ORDER at the solved censoring point.
+        """The statistics pass at the solved censoring point.
 
-        m_hat[0] equals the target level up to the solver tolerance, because
-        the solver and the moments sum exp(-A*X) the same way.
+        m_tilde[0] equals the target level up to the solver tolerance, because
+        the solver and the pass sum exp(-A*X) the same way.
         """
         point = solve_censoring_point(self)
         return replace(censored_moments_at(self, point.a), c_target=point.c_target)
@@ -97,7 +98,13 @@ class Sample:
     def positive_median(self) -> float:
         if self.all_zero:
             raise AllZeroSampleError("no positive observations")
-        return float(np.median(self.values[self.values > 0.0]))
+        # lo/2 + hi/2, unlike (lo + hi)/2, cannot overflow
+        positive = self.values[self.values > 0.0]
+        half = positive.size // 2
+        part = np.partition(positive, (half - 1, half))
+        if positive.size % 2:
+            return float(part[half])
+        return float(part[half - 1] / 2.0 + part[half] / 2.0)
 
 
 def check_regime(sample: Sample, min_n: int) -> None:
@@ -209,8 +216,7 @@ def solve_censoring_point(sample: Sample) -> CensoringPoint:
     bisection whenever a step leaves the bracket or the slope is zero) then
     converge to relative tolerance SOLVER_RTOL on the transform value.  A
     bracket whose midpoint is not a positive finite float raises
-    DegenerateSampleError: subnormal data make 1/median infinite, and a
-    median of two values near the float maximum overflows, making it zero.
+    DegenerateSampleError: subnormal data make 1/median infinite.
     """
     if sample.all_zero:
         raise AllZeroSampleError("all observations are zero; L_n(s) == 1 has no root")
@@ -225,7 +231,7 @@ def solve_censoring_point(sample: Sample) -> CensoringPoint:
     if not 0.0 < a < math.inf:
         raise DegenerateSampleError(
             "censoring point bracket leaves the float range: the positive values "
-            "are too small or too large for 1/median to be a positive finite float"
+            "are too small for 1/median to be a finite float"
         )
 
     f = math.inf
@@ -247,46 +253,53 @@ def solve_censoring_point(sample: Sample) -> CensoringPoint:
 
 
 # ---------------------------------------------------------------------------
-# censored moments
-
-
-def _power_products(x: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
-    """Row r <= order of the result is x**r * weights.
-
-    The rows are built by repeated multiplication from the weights, never
-    from x**r, which may overflow where exp(-a*x) underflows to zero; a zero
-    weight times a finite x stays an exact zero.
-    """
-    out = np.empty((order + 1, x.size))
-    out[0] = weights
-    for r in range(1, order + 1):
-        out[r] = out[r - 1] * x
-    return out
+# censored moments: the one statistics pass
 
 
 @dataclass(frozen=True)
 class CensoredMomentSet:
-    """Censoring point, target level and m_hat[r] = mean(X**r * exp(-a*X))."""
+    """Censoring point, target level and the sample's statistics in the frame y = a*x.
+
+    ``m_tilde[r] = mean(y**r * exp(-y))`` for r <= MAX_ORDER and ``cov`` is the
+    ddof=1 covariance of the power products y**r * exp(-y), r <= MAX_ORDER - 1.
+    Both are unit-free: a map built on them sees the data's scale only through a.
+    """
 
     a: float
     c_target: float
-    m_hat: np.ndarray
+    m_tilde: np.ndarray
+    cov: np.ndarray
 
     def m(self, r: int) -> float:
-        return float(self.m_hat[r])
+        """Raw censored moment m_hat[r] = mean(X**r * exp(-a*X)) = m_tilde[r] / a**r."""
+        value = float(self.m_tilde[r])
+        for _ in range(r):
+            value /= self.a
+        return value
 
 
 def censored_moments_at(sample: Sample, a: float) -> CensoredMomentSet:
-    """Censored empirical moments through r = MAX_ORDER at a fixed censoring point."""
+    """The statistics pass at a fixed censoring point: normalized moments and their covariance.
+
+    The power products are built by repeated multiplication from exp(-y),
+    never from y**r, which may overflow where exp(-y) underflows to zero; a
+    zero weight times a finite y stays an exact zero.  The covariance is the
+    centred two-pass form, which keeps its precision where E[PP^T] - mm^T
+    would cancel.
+    """
     if not a > 0.0:
         raise ValueError("censoring point must be positive")
-    # one n-length term at a time: no (MAX_ORDER + 1, n) block is held
-    term = np.exp(-a * sample.values)
-    m_hat = np.empty(MAX_ORDER + 1)
-    for r in range(MAX_ORDER + 1):
-        m_hat[r] = term.mean()
-        term = term * sample.values
-    return CensoredMomentSet(a=a, c_target=float(m_hat[0]), m_hat=m_hat)
+    y = a * sample.values
+    block = np.empty((MAX_ORDER, sample.n))
+    np.exp(-y, out=block[0])
+    for r in range(1, MAX_ORDER):
+        np.multiply(block[r - 1], y, out=block[r])
+    m_tilde = np.empty(MAX_ORDER + 1)
+    m_tilde[:MAX_ORDER] = block.mean(axis=1)
+    m_tilde[MAX_ORDER] = np.multiply(block[MAX_ORDER - 1], y, out=y).mean()
+    block -= m_tilde[:MAX_ORDER, None]
+    cov = block @ block.T / (sample.n - 1)
+    return CensoredMomentSet(a=a, c_target=float(m_tilde[0]), m_tilde=m_tilde, cov=cov)
 
 
 def censored_moments(sample: Sample) -> CensoredMomentSet:
@@ -294,31 +307,26 @@ def censored_moments(sample: Sample) -> CensoredMomentSet:
     return sample.moments
 
 
-# ---------------------------------------------------------------------------
-# influence rows and covariance
+def influence_map(moments: CensoredMomentSet, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map from the power products to the influence rows, and the rows' scales.
 
-
-def influence_rows(sample: Sample, moments: CensoredMomentSet, k: int) -> np.ndarray:
-    """Per-observation rows (V_1i, ..., V_ki, W_i) of the limit covariance, shape (n, k+1).
-
-    V_ri = exp(-A*X_i) * (X_i**r - m_hat[r+1]/m_hat[1]) captures a censored
-    moment, W_i = exp(-A*X_i)/m_hat[1] captures the censoring point itself.
+    Returns the (k+1) x MAX_ORDER matrix L with (V~_1, ..., V~_k, W~) = L @ P~,
+    where V~_r = P~_r - m_tilde[r+1]/m_tilde[1] * P~_0 captures a censored
+    moment and W~ = P~_0/m_tilde[1] the censoring point, and the scales
+    (a**-1, ..., a**-k, a) that turn them into the raw rows V_r and W.  The
+    covariance of the rows is then diag(scales) @ L @ cov @ L.T @ diag(scales).
     """
     if not 1 <= k <= MAX_ORDER - 1:
         raise ValueError(f"k must be in 1..{MAX_ORDER - 1}")
-    m1 = moments.m(1)
-    if m1 == 0.0:
+    m = moments.m_tilde
+    if m[1] == 0.0:
         raise DegenerateMomentsError("first censored moment is zero")
-    x = sample.values
-    weights = np.exp(-moments.a * x)
-    terms = _power_products(x, weights, k)
-    cols = [terms[r] - moments.m(r + 1) / m1 * weights for r in range(1, k + 1)]
-    cols.append(weights / m1)
-    return np.stack(cols, axis=1)
-
-
-def sample_covariance(rows: np.ndarray) -> np.ndarray:
-    """Unbiased sample covariance of the influence rows (observations in rows)."""
-    if rows.shape[0] < 2:
-        raise ValueError("need at least two observations for a covariance")
-    return np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
+    lmap = np.zeros((k + 1, MAX_ORDER))
+    lmap[:k, 0] = -m[2 : k + 2] / m[1]
+    lmap[:k, 1 : k + 1] = np.eye(k)
+    lmap[k, 0] = 1.0 / m[1]
+    scales = np.empty(k + 1)
+    scales[0], scales[k] = 1.0 / moments.a, moments.a
+    for r in range(1, k):
+        scales[r] = scales[r - 1] / moments.a
+    return lmap, scales

@@ -2,8 +2,11 @@
 
 The censoring point satisfies a_* = lam**(-1/gamma) at the population level,
 which turns the first censored moment into an explicit estimator pair:
-gamma_hat = e * m_hat[1] * A and lambda_hat = A**(-gamma_hat).  The test
-statistic exploits the population identity m_1 = a_* m_2.
+gamma_hat = e * m_hat[1] * A = e * m_tilde[1] and lambda_hat = A**(-gamma_hat).
+The test statistic exploits the population identity m_1 = a_* m_2.  Every
+map below reads the normalized moments m_tilde and their covariance S, so
+gamma_hat, the standard errors relative to the estimates and the test do not
+depend on the data's units.
 """
 
 from __future__ import annotations
@@ -14,13 +17,7 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .laplace_core import (
-    E,
-    CensoredMomentSet,
-    Sample,
-    censored_moments,
-    check_regime,
-)
+from .laplace_core import E, Sample, censored_moments, check_regime
 from .results import Fit, GofOutcome, make_fit, make_gof_outcome
 
 #: smallest sample size accepted by the positive stable fit
@@ -30,18 +27,13 @@ MIN_SAMPLE = 10
 PARAM_NAMES = ("gamma", "lambda")
 
 
-def ps_point_estimates(moments: CensoredMomentSet) -> tuple[float, float]:
-    """Map (m_hat[1], A) to (gamma_hat, lambda_hat)."""
-    gamma_hat = E * moments.m(1) * moments.a
-    return gamma_hat, moments.a**-gamma_hat
-
-
 def fit_ps(sample: Sample, alpha: float = 0.05) -> Fit:
     """Fit the positive stable law by censored moments.
 
-    The covariance estimate is the sample covariance of the per-observation
-    rows (A*X*exp(1-A*X), -lambda_hat*exp(1-A*X)*(X*A*log(A) + 1)); standard
-    errors are sqrt(diag/n) and intervals use the normal quantile.
+    The influence rows of (gamma_hat, lambda_hat) are B @ (P~_0, P~_1) with
+    B = [[0, e], [-e*lambda_hat, -e*lambda_hat*log(A)]], so the covariance
+    estimate is B @ S @ B.T; standard errors are sqrt(diag/n) and intervals
+    use the normal quantile.
 
     A constant sample is the degenerate boundary case gamma = 1: the point
     estimates are still emitted (with a zero covariance and a warning) so that
@@ -51,14 +43,11 @@ def fit_ps(sample: Sample, alpha: float = 0.05) -> Fit:
     # the positive stable law has no atom at zero
     flags = ["zero_values_present"] if sample.zero_count > 0 else []
     moments = censored_moments(sample)
-    gamma_hat, lambda_hat = ps_point_estimates(moments)
+    gamma_hat = E * moments.m_tilde[1]
+    lambda_hat = moments.a**-gamma_hat
     if gamma_hat > 1.0 or gamma_hat <= 0.0:
         flags.append("gamma_out_of_range")
 
-    x = sample.values
-    tilt = np.exp(1.0 - moments.a * x)
-    rows_gamma = moments.a * x * tilt
-    rows_lambda = -lambda_hat * tilt * (x * moments.a * math.log(moments.a) + 1.0)
     if sample.constant:
         flags.append("degenerate_sample")
         warnings.warn(
@@ -68,7 +57,8 @@ def fit_ps(sample: Sample, alpha: float = 0.05) -> Fit:
         )
         cov = np.zeros((2, 2))
     else:
-        cov = np.cov(np.stack([rows_gamma, rows_lambda]), ddof=1)
+        b = np.array([[0.0, E], [-E * lambda_hat, -E * lambda_hat * math.log(moments.a)]])
+        cov = b @ moments.cov[:2, :2] @ b.T
 
     return make_fit(
         "ps", PARAM_NAMES, (gamma_hat, lambda_hat), cov, moments.a, sample.n, alpha, flags
@@ -78,22 +68,16 @@ def fit_ps(sample: Sample, alpha: float = 0.05) -> Fit:
 def gof_ps(sample: Sample, alpha: float = 0.05) -> GofOutcome:
     """Test the positive stable hypothesis via T_n = sqrt(n)*(A*m_hat[2] - m_hat[1]).
 
-    The variance is estimated from the per-observation terms
-    Z_i = exp(-A*X_i) * ((A*m_hat[3] - 2*m_hat[2]) / m_hat[1] + X_i*(1 - A*X_i)).
+    In the normalized frame T_n = sqrt(n)*(m_tilde[2] - m_tilde[1])/A, with
+    influence row b @ (P~_0, P~_1, P~_2)/A,
+    b = ((m_tilde[3] - 2*m_tilde[2])/m_tilde[1], 1, -1).
     """
     check_regime(sample, MIN_SAMPLE)
     if sample.constant:
         raise DegenerateSampleError("constant sample: test variance is zero")
     moments = censored_moments(sample)
-    a, m1, m2, m3 = moments.a, moments.m(1), moments.m(2), moments.m(3)
-    statistic = math.sqrt(sample.n) * (a * m2 - m1)
-
-    x = sample.values
-    weights = np.exp(-a * x)
-    live = weights > 0.0
-    z_terms = np.zeros(sample.n)
-    z_terms[live] = weights[live] * (
-        (a * m3 - 2.0 * m2) / m1 + x[live] * (1.0 - a * x[live])
-    )
-    sigma_hat = float(z_terms.std(ddof=1))
+    a, m = moments.a, moments.m_tilde
+    statistic = math.sqrt(sample.n) * (m[2] - m[1]) / a
+    b = np.array([(m[3] - 2.0 * m[2]) / m[1], 1.0, -1.0])
+    sigma_hat = math.sqrt(max(float(b @ moments.cov[:3, :3] @ b), 0.0)) / a
     return make_gof_outcome("ps", statistic, sigma_hat, alpha, sample.n)

@@ -67,9 +67,12 @@ def make_fit(
     a: float, n: int, alpha: float, diagnostics: Sequence[str],
     constants: dict[str, float] | None = None,
 ) -> Fit:
-    """Standard errors sqrt(cov_hat[i, i] / n) and intervals est +- z_{1-alpha/2} * se."""
+    """Standard errors sqrt(cov_hat[i, i] / n) and intervals est +- z_{1-alpha/2} * se.
+
+    The estimates are stored as plain floats, whatever numeric type the map returned.
+    """
     z = normal_quantile(alpha)
-    estimates = tuple(estimates)
+    estimates = tuple(float(e) for e in estimates)
     se = tuple(math.sqrt(cov_hat[i, i] / n) for i in range(len(param_names)))
     ci = tuple((e - z * s, e + z * s) for e, s in zip(estimates, se))
     return Fit(

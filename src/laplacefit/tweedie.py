@@ -28,8 +28,7 @@ from .laplace_core import (
     Sample,
     censored_moments,
     check_regime,
-    influence_rows,
-    sample_covariance,
+    influence_map,
 )
 from .numdiff import central_diff_gradient, central_diff_jacobian
 from .results import Fit, GofOutcome, make_fit, make_gof_outcome
@@ -170,18 +169,21 @@ def fit_tweedie(sample: Sample, alpha: float = 0.05) -> Fit:
     """Fit the Tweedie law from the first three censored moments.
 
     The covariance estimate transforms the influence rows (V_1, V_2, V_3, W)
-    by the transposed Jacobian of the estimator map at the plug-in point; no
-    estimate is clamped into the parameter space, out-of-range values only set
-    diagnostics flags so that downstream summaries stay unbiased.
+    by the Jacobian J of the estimator map at the plug-in point; with the
+    rows' map L and scales D from :func:`influence_map` it is
+    (J D L) @ S @ (J D L).T.  No estimate is clamped into the parameter
+    space, out-of-range values only set diagnostics flags so that downstream
+    summaries stay unbiased.
     """
     moments, est, flags = _fit_point(sample)
     plug_in = np.array([moments.m(1), moments.m(2), moments.m(3), moments.a])
 
     with np.errstate(invalid="ignore"):
         jac = central_diff_jacobian(_h, plug_in)
-    rows = influence_rows(sample, moments, k=3) @ jac.T
-    if np.isfinite(rows).all():
-        cov = sample_covariance(rows)
+    lmap, scales = influence_map(moments, k=3)
+    rows_map = (jac * scales) @ lmap
+    if np.isfinite(rows_map).all():
+        cov = rows_map @ moments.cov @ rows_map.T
     else:
         cov = np.full((3, 3), np.nan)
         if "nonfinite_estimate" not in flags:
@@ -226,8 +228,9 @@ def gof_tweedie(sample: Sample, alpha: float = 0.05) -> GofOutcome:
     plug_in = np.array([m1, moments.m(2), moments.m(3), a])
     with np.errstate(invalid="ignore"):
         beta = central_diff_gradient(_gof_map, plug_in)
-    z_terms = influence_rows(sample, moments, k=3) @ beta
-    sigma_hat = float(z_terms.std(ddof=1))
+    lmap, scales = influence_map(moments, k=3)
+    row = (beta * scales) @ lmap
+    sigma_hat = math.sqrt(max(float(row @ moments.cov @ row), 0.0))
     if not math.isfinite(statistic) or not math.isfinite(sigma_hat):
         raise ComplexPowerError(
             "test statistic or its variance is not finite at the plug-in point"

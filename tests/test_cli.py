@@ -114,14 +114,32 @@ def test_alpha_outside_unit_interval_exit_1(capsys, stable_data_file, command, a
     assert "error (config): alpha must be in (0, 1)" in err
 
 
-def test_zero_test_variance_exit_2(capsys, tmp_path):
-    # at scale 1e-300 the ps test's variance estimate underflows to zero
+def test_tiny_scale_fit_matches_unscaled(capsys, tmp_path):
+    # at scale 1e-300 the fit and test read unit-free statistics, so gamma_hat
+    # and z equal those of the unscaled sample at the reported A times 1e-300
     values = sample_spec(DistributionSpec.parse("ps:0.5,15"), derive_substream(98), size=500)
     path = tmp_path / "tiny.txt"
     path.write_text("\n".join(repr(float(v) * 1e-300) for v in values) + "\n")
-    code, out, _ = run_cli(capsys, "gof", "ps", str(path))
-    assert code == 2
-    assert json.loads(out) == {"error": "degenerate_sample", "message": "test variance estimate is zero"}
+    code, out, _ = run_cli(capsys, "fit", "ps", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    a = payload["a"] * 1e-300
+    weights = np.exp(-a * values)
+    m1, m2, m3 = (np.mean(values**r * weights) for r in (1, 2, 3))
+    terms = weights * ((a * m3 - 2.0 * m2) / m1 + values * (1.0 - a * values))
+    z = np.sqrt(values.size) * (a * m2 - m1) / terms.std(ddof=1)
+    assert payload["gamma_hat"] == pytest.approx(np.e * a * m1, rel=1e-9)
+    assert payload["z"] == pytest.approx(z, rel=1e-9)
+
+
+@pytest.mark.parametrize("family,spec", [("ps", "ps:0.5,15"), ("tweedie", "tw0:1,1,0.1"), ("jacobi", "ps:0.5,15")])
+def test_fit_human_format_prints_plain_floats(capsys, tmp_path, family, spec):
+    values = sample_spec(DistributionSpec.parse(spec), derive_substream(96), size=500)
+    path = tmp_path / "draws.txt"
+    path.write_text("\n".join(repr(float(v)) for v in values) + "\n")
+    code, out, _ = run_cli(capsys, "fit", family, str(path), "--format", "human")
+    assert code == 0 and "ci_gamma" in out
+    assert "np.float64" not in out
 
 
 def test_subnormal_sample_exit_2(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import argparse
 import math
 
+import numpy as np
 import pytest
 
 from laplacefit import DistributionSpec, Sample, derive_substream, laplace_core, sample_spec
@@ -99,3 +100,17 @@ def test_fit_then_gof_solves_the_censoring_point_once(name, monkeypatch):
     family.gof(sample, alpha=0.05)
     family.gof(sample, alpha=0.05)
     assert len(calls) == 1 and calls[0] is sample
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_fit_and_gof_read_only_the_cached_statistics(name):
+    # after the one solve and statistics pass, no fit or test walks the
+    # sample again: emptying the values leaves every result unchanged
+    spec = DistributionSpec.parse(FAMILY_SAMPLES[name])
+    values = sample_spec(spec, derive_substream(54), size=500)
+    warm, fresh = Sample.from_values(values), Sample.from_values(values)
+    assert warm.moments is not None and not warm.constant
+    object.__setattr__(warm, "values", np.empty(0))
+    family = FAMILIES[name]
+    for run in (family.fit, family.gof):
+        assert run(warm, alpha=0.05).to_dict() == run(fresh, alpha=0.05).to_dict()

@@ -5,6 +5,7 @@ import pytest
 
 from laplacefit import (
     Sample,
+    censored_moments,
     derive_substream,
     fit_jacobi,
     gof_jacobi,
@@ -13,7 +14,6 @@ from laplacefit.errors import LogDomainError, RegimeError
 from laplacefit.jacobi import (
     JACOBI_C,
     jacobi_censoring_point,
-    jacobi_gof_gradient,
     jacobi_population_m1,
 )
 from laplacefit.numdiff import central_diff_gradient
@@ -87,16 +87,24 @@ def test_fit_gradient_matches_finite_differences():
 
 
 def test_gof_gradient_matches_finite_differences():
+    # the test's analytic variance against the delta method with a central
+    # difference gradient of the statistic map and the raw rows (V_1, W)
     def statistic_map(v):
         m1, a = v
         return m1 - math.exp(-2.0) * JACOBI_C * math.sinh(JACOBI_C) * (
             math.log(JACOBI_C) / math.log(a)
         ) / a
 
-    for m1, a in ((0.3, 2.0), (0.1, 5.0), (1.2, 0.4)):
-        analytic = jacobi_gof_gradient(m1, a)
+    x = derive_substream(54).gamma(2.0, 1.0, 400)
+    for scale in (1.0, 0.2, 3.0):
+        s = Sample.from_values(x * scale)
+        ms = censored_moments(s)
+        m1, m2, a = ms.m(1), ms.m(2), ms.a
+        weights = np.exp(-a * s.values)
+        rows = np.stack([weights * (s.values - m2 / m1), weights / m1])
         numeric = central_diff_gradient(statistic_map, np.array([m1, a]))
-        assert np.allclose(analytic, numeric, rtol=1e-5)
+        sigma = math.sqrt(numeric @ np.cov(rows, ddof=1) @ numeric)
+        assert gof_jacobi(s).sigma_hat == pytest.approx(sigma, rel=1e-5)
 
 
 def test_statistic_permutation_invariant():

@@ -13,10 +13,9 @@ from laplacefit import (
     censored_moments_at,
     derive_substream,
     empirical_laplace,
-    influence_rows,
+    influence_map,
     laplace_exact,
     load_sample,
-    sample_covariance,
     sample_spec,
     solve_censoring_point,
 )
@@ -139,12 +138,27 @@ def test_solver_all_zero():
     "values",
     [
         [1e-310, 2e-310, 3e-310],  # 1/median overflows to inf
-        [9e307, 1.7e308, 1e-100, 1.1e308],  # the median overflows, so 1/median is 0
     ],
 )
 def test_solver_bracket_outside_float_range(values):
     with pytest.raises(DegenerateSampleError):
         solve_censoring_point(Sample.from_values(values))
+
+
+def test_solver_median_near_float_maximum():
+    # the two middle positive values sum past the float maximum; their
+    # midpoint lo/2 + hi/2 does not, so the bracket and the root stay finite
+    s = Sample.from_values([9e307, 1.7e308, 1e-100, 1.1e308])
+    assert s.positive_median() == 9e307 / 2 + 1.1e308 / 2
+    point = solve_censoring_point(s)
+    assert 0.0 < point.a < 1e-307
+    assert abs(point.residual) <= SOLVER_RTOL * point.c_target
+
+
+@given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_positive_median_matches_numpy(values):
+    assert Sample.from_values(values).positive_median() == np.median(values)
 
 
 def test_solver_residual_tolerance_across_laws():
@@ -192,13 +206,13 @@ def test_moments_constant_sample():
 
 
 def test_sample_caches_only_scalars():
-    # the cached moments hold A, the target level and five moments; an
-    # n-length array kept on the sample would pin 8n bytes per sample
+    # the cached moments hold A, the target level, five moments and a 4x4
+    # covariance; an n-length array kept on the sample would pin 8n bytes
     s = Sample.from_values(derive_substream(109).gamma(2.0, 1.0, 1000))
     assert censored_moments(s) is censored_moments(s) is s.moments
     assert not s.constant
     ms = s.moments
-    assert ms.m_hat.shape == (5,)
+    assert ms.m_tilde.shape == (5,) and ms.cov.shape == (4, 4)
     assert sorted(vars(s)) == ["constant", "moments", "n", "values", "zero_count"]
     assert all(np.ndim(v) == 0 for v in (ms.a, ms.c_target))
 
@@ -231,11 +245,26 @@ def test_moments_survive_huge_values():
     # exact zero there, so the product must come back as zero, not NaN
     s = Sample.from_values([0.5, 1.0, 2.0, 1e120])
     ms = censored_moments(s)
-    assert np.isfinite(ms.m_hat).all()
+    assert np.isfinite(ms.m_tilde).all() and np.isfinite(ms.cov).all()
+
+
+def test_raw_moments_from_normalized():
+    # m(r) undoes the normalization y = a*x: mean(x**r * exp(-a*x))
+    x = derive_substream(110).gamma(2.0, 1.0, 500)
+    ms = censored_moments_at(Sample.from_values(x), 0.7)
+    for r in range(5):
+        assert ms.m(r) == pytest.approx(np.mean(x**r * np.exp(-0.7 * x)), rel=1e-13)
+    assert ms.m_tilde[0] == ms.m(0) == np.exp(-(0.7 * x)).mean()
 
 
 # ---------------------------------------------------------------------------
 # influence rows and covariance
+
+
+def power_products(x, a):
+    """The per-observation power products (y**r * exp(-y)), r <= 3, y = a*x, shape (4, n)."""
+    y = a * np.asarray(x, dtype=float)
+    return np.stack([y**r * np.exp(-y) for r in range(4)])
 
 
 def test_influence_rows_hand_computed():
@@ -243,8 +272,9 @@ def test_influence_rows_hand_computed():
     ms = censored_moments_at(s, math.log(2.0))
     assert ms.m(1) == pytest.approx(0.25, rel=1e-15)
     assert ms.m(2) == pytest.approx(0.5, rel=1e-15)
-    rows = influence_rows(s, ms, k=1)
-    v1 = rows[:, 0]
+    lmap, scales = influence_map(ms, k=1)
+    rows = scales[:, None] * (lmap @ power_products(s.values, ms.a))
+    v1 = rows[0]
     assert v1[0] == pytest.approx(-2.0, rel=1e-14)
     assert v1[1] == pytest.approx(0.0, abs=1e-14)
 
@@ -253,45 +283,62 @@ def test_influence_point_row_identity():
     rng = derive_substream(106)
     s = Sample.from_values(sample_spec(DistributionSpec.parse("ps:0.4,5"), rng, size=2000))
     ms = censored_moments(s)
-    rows = influence_rows(s, ms, k=3)
-    assert rows[:, 3].mean() == pytest.approx(ms.m(0) / ms.m(1), rel=1e-12)
+    lmap, scales = influence_map(ms, k=3)
+    w_mean = scales[3] * (lmap[3] @ ms.m_tilde[:4])
+    assert w_mean == pytest.approx(ms.m(0) / ms.m(1), rel=1e-12)
 
 
 def test_influence_rows_degenerate_moments():
     s = Sample.from_values([0.0, 2.0])
     ms = censored_moments_at(s, 1.0)
-    forced = type(ms)(a=ms.a, c_target=ms.c_target, m_hat=np.zeros(3))
+    forced = type(ms)(a=ms.a, c_target=ms.c_target, m_tilde=np.zeros(5), cov=ms.cov)
     with pytest.raises(DegenerateMomentsError):
-        influence_rows(s, forced, k=1)
+        influence_map(forced, k=1)
 
 
 def test_covariance_constant_rows():
-    assert np.allclose(sample_covariance(np.ones((10, 2))), 0.0)
+    assert np.allclose(censored_moments(Sample.from_values([2.5] * 10)).cov, 0.0)
 
 
 def test_covariance_two_point_hand_value():
-    cov = sample_covariance(np.array([[-2.0, 4.0], [0.0, 1.0]]))
-    assert cov == pytest.approx(np.array([[2.0, -3.0], [-3.0, 4.5]]))
+    # two observations: cov = d d^T / 2, with d the difference of their power
+    # products (1, 0, 0, 0) at y = 0 and (1, y, y**2, y**3)/4 at y = 2*log(2)
+    ms = censored_moments_at(Sample.from_values([0.0, 2.0]), math.log(2.0))
+    log2 = math.log(2.0)
+    d = np.array([0.75, -log2 / 2.0, -(log2**2), -2.0 * log2**3])
+    assert ms.cov == pytest.approx(np.outer(d, d) / 2.0)
 
 
 def test_covariance_symmetric_psd():
     rng = derive_substream(107)
     s = Sample.from_values(sample_spec(DistributionSpec.parse("tw:0.6,2.5,0.6"), rng, size=3000))
-    cov = sample_covariance(influence_rows(s, censored_moments(s), k=3))
+    ms = censored_moments(s)
+    lmap, scales = influence_map(ms, k=3)
+    rows_map = scales[:, None] * lmap
+    cov = rows_map @ ms.cov @ rows_map.T
     assert np.allclose(cov, cov.T)
     eigenvalues = np.linalg.eigvalsh(cov)
     assert eigenvalues.min() >= -1e-10 * np.trace(cov)
 
 
+def test_covariance_matches_power_product_rows():
+    # the statistics pass equals np.cov of the per-observation power products
+    rng = derive_substream(111)
+    s = Sample.from_values(sample_spec(DistributionSpec.parse("tw0:1,1,0.1"), rng, size=2000))
+    ms = censored_moments(s)
+    assert ms.cov == pytest.approx(np.cov(power_products(s.values, ms.a), ddof=1), rel=1e-12)
+
+
 def test_point_variance_matches_limit_law():
     # Var of sqrt(n)*(A - a_*) is (L(2 a_*) - e^-2)/m_1^2 in the limit; the
-    # W-row variance of the influence matrix estimates it
+    # W-row variance of the influence rows estimates it
     spec = DistributionSpec.parse("ps:0.5,15")
     rng = derive_substream(108)
     s = Sample.from_values(sample_spec(spec, rng, size=10**5))
     ms = censored_moments(s)
-    cov = sample_covariance(influence_rows(s, ms, k=1))
+    lmap, scales = influence_map(ms, k=1)
+    var_w = scales[1] ** 2 * (lmap[1] @ ms.cov @ lmap[1])
     a_star = 15.0**-2.0
     m1 = 0.5 * 225.0 / E
     limit = (laplace_exact(spec, 2.0 * a_star) - math.exp(-2.0)) / m1**2
-    assert cov[1, 1] == pytest.approx(limit, rel=0.10)
+    assert var_w == pytest.approx(limit, rel=0.10)
