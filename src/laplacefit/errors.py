@@ -9,6 +9,10 @@ in which the estimators are defined).
 
 from __future__ import annotations
 
+from typing import Callable
+
+import numpy as np
+
 
 class LaplaceFitError(Exception):
     """Base class for all errors raised by this package."""
@@ -117,6 +121,20 @@ class UnsupportedOperationError(LaplaceFitError):
     """The requested closed form or sampler does not exist for this family."""
 
     code = "unsupported_operation"
+
+
+def refuse(
+    errors: list[LaplaceFitError | None], rows: np.ndarray, make: Callable[[int], LaplaceFitError]
+) -> None:
+    """Give each row ``i`` in ``rows`` that has no error yet the error ``make(i)``.
+
+    ``rows`` is a boolean mask or an array of row indices.  Batched fits and
+    tests keep one error slot per row and call this once per check, in the
+    order the checks are made, so each row keeps its first error.
+    """
+    for i in rows.nonzero()[0] if rows.dtype == bool else rows:
+        if errors[i] is None:
+            errors[i] = make(int(i))
 
 
 #: errors that signal a statistical regime problem rather than bad input

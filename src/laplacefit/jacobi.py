@@ -22,9 +22,9 @@ import math
 
 import numpy as np
 
-from .errors import LogDomainError
-from .laplace_core import E, Sample, censored_moments, check_regime, influence_map
-from .results import Fit, GofOutcome, make_fit, make_gof_outcome
+from .errors import LaplaceFitError, LogDomainError, refuse
+from .laplace_core import E, Batch, Sample, columns, influence_map, quadratic_form, row_errors
+from .results import Fit, FitBatch, GofBatch, GofOutcome, make_fit, make_gof_outcome
 
 #: the transform-level constant c with cosh(c) = e
 JACOBI_C = math.log(E + math.sqrt(E**2 - 1.0))
@@ -54,46 +54,55 @@ def jacobi_population_m1(gamma: float) -> float:
     return JACOBI_KAPPA * gamma / jacobi_censoring_point(gamma)
 
 
-def jacobi_index(a: float) -> float:
-    """Index estimate gamma_hat = log(c)/log(A) at the censoring point A."""
-    log_a = math.log(a)
-    if abs(log_a) < LOG_ATOL:
-        raise LogDomainError(f"censoring point {a!r} equals 1 within tolerance")
-    return math.log(JACOBI_C) / log_a
+def _index(batch: Batch, errors: list[LaplaceFitError | None]) -> tuple[np.ndarray, np.ndarray]:
+    # gamma_hat = log(c)/log(A) and log(A) per row; refuses log(A) near 0
+    log_a = np.log(batch.a)
+    refuse(
+        errors, np.abs(log_a) < LOG_ATOL,
+        lambda i: LogDomainError(f"censoring point {float(batch.a[i])!r} equals 1 within tolerance"),
+    )
+    return math.log(JACOBI_C) / log_a, log_a
 
 
-def fit_jacobi(sample: Sample, alpha: float = 0.05) -> Fit:
-    """Estimate the index as gamma_hat = log(c)/log(A)."""
-    check_regime(sample, MIN_SAMPLE)
-    moments = censored_moments(sample)
-    a = moments.a
-    gamma_hat = jacobi_index(a)
-
-    # the censoring point's influence row through d gamma / d a = -log(c)/(a*log(a)^2)
-    b = -math.log(JACOBI_C) / (math.log(a) ** 2 * moments.m_tilde[1])
-    cov = np.array([[b * moments.cov[0, 0] * b]])
-
-    flags = []
-    if not 0.0 < gamma_hat <= 0.5:
-        flags.append("gamma_out_of_range")
+def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
+    """Estimate the index of every sample of a batch as gamma_hat = log(c)/log(A)."""
+    errors = row_errors(batch, MIN_SAMPLE)
+    with np.errstate(all="ignore"):
+        gamma_hat, log_a = _index(batch, errors)
+        # the censoring point's influence row through d gamma / d a = -log(c)/(a*log(a)^2)
+        b = -math.log(JACOBI_C) / (log_a**2 * batch.m_tilde[:, 1])
+        cov = (b * batch.cov[:, 0, 0] * b)[:, None, None]
+    flags = {"gamma_out_of_range": ~((0.0 < gamma_hat) & (gamma_hat <= 0.5))}
     return make_fit(
-        "jacobi", PARAM_NAMES, (gamma_hat,), cov, a, sample.n, alpha, flags, {"c": JACOBI_C}
+        "jacobi", PARAM_NAMES, gamma_hat[:, None], cov, batch.a, batch.n, alpha, flags, errors,
+        {"c": JACOBI_C},
     )
 
 
-def gof_jacobi(sample: Sample, alpha: float = 0.05) -> GofOutcome:
-    """Test the cosh-Jacobi hypothesis.
+def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
+    """Test the cosh-Jacobi hypothesis on every sample of a batch.
 
     T_n = sqrt(n) * (m_hat[1] - e^-2*c*sinh(c)*gamma_hat/A) vanishes in
     population via the m_1 identity; its variance applies the gradient of
     (m_1, A) to the covariance of the influence rows (V_1, W).
     """
-    check_regime(sample, MIN_SAMPLE)
-    moments = censored_moments(sample)
-    a = moments.a
-    gamma_hat = jacobi_index(a)
-    statistic = math.sqrt(sample.n) * (moments.m_tilde[1] - JACOBI_KAPPA * gamma_hat) / a
-    lmap, _ = influence_map(moments, k=1)
-    row = np.array([1.0, JACOBI_KAPPA * gamma_hat * (1.0 + 1.0 / math.log(a))]) @ lmap
-    sigma_hat = math.sqrt(max(float(row @ moments.cov @ row), 0.0)) / a
-    return make_gof_outcome("jacobi", statistic, sigma_hat, alpha, sample.n)
+    errors = row_errors(batch, MIN_SAMPLE)
+    a = batch.a
+    with np.errstate(all="ignore"):
+        gamma_hat, log_a = _index(batch, errors)
+        statistic = math.sqrt(batch.n) * (batch.m_tilde[:, 1] - JACOBI_KAPPA * gamma_hat) / a
+        lmap, _ = influence_map(batch, k=1)
+        coef = columns(np.ones(a.size), JACOBI_KAPPA * gamma_hat * (1.0 + 1.0 / log_a))
+        row = (coef[:, None, :] @ lmap)[:, 0]
+        sigma_hat = np.sqrt(np.maximum(quadratic_form(row, batch.cov), 0.0)) / a
+    return make_gof_outcome("jacobi", statistic, sigma_hat, alpha, batch.n, errors)
+
+
+def fit_jacobi(sample: Sample, alpha: float = 0.05) -> Fit:
+    """Fit one sample: a batch of one of :func:`fit_batch`."""
+    return fit_batch(Batch.of(sample), alpha).row(0)
+
+
+def gof_jacobi(sample: Sample, alpha: float = 0.05) -> GofOutcome:
+    """Test one sample: a batch of one of :func:`gof_batch`."""
+    return gof_batch(Batch.of(sample), alpha).row(0)

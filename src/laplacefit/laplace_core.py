@@ -6,7 +6,12 @@ observed zero fraction reaches 1/e, in which case the zero-adjusted level
 (1 + (e-1)*p_hat)/e is used.  One statistics pass then takes the censored
 moments and the covariance of the power products in the frame y = A*x; every
 estimator, standard error and test statistic in the package is a small map of
-these.  A sample caches them, so its fit and test share one solve and one pass.
+these.
+
+The solve and the pass work along the last axis of an (R, n) block of R
+samples, and ``summarise`` reduces such a block to a :class:`Batch`, the
+input of every family map.  A single sample is a batch of one: it caches its
+solve and pass, so its fit and test share them.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ from .errors import (
     DegenerateMomentsError,
     DegenerateSampleError,
     InsufficientSampleError,
+    LaplaceFitError,
     RegimeError,
     SampleValidationError,
+    refuse,
 )
 
 E = math.e
@@ -98,31 +105,7 @@ class Sample:
     def positive_median(self) -> float:
         if self.all_zero:
             raise AllZeroSampleError("no positive observations")
-        # lo/2 + hi/2, unlike (lo + hi)/2, cannot overflow
-        positive = self.values[self.values > 0.0]
-        half = positive.size // 2
-        part = np.partition(positive, (half - 1, half))
-        if positive.size % 2:
-            return float(part[half])
-        return float(part[half - 1] / 2.0 + part[half] / 2.0)
-
-
-def check_regime(sample: Sample, min_n: int) -> None:
-    """Refuse samples outside the regime where the estimators and tests are defined.
-
-    Raises on an all-zero sample, on fewer than ``min_n`` observations and on a
-    zero fraction at or above 1/e, where the asymptotic covariance is not
-    available.
-    """
-    if sample.all_zero:
-        raise AllZeroSampleError("all observations are zero")
-    if sample.n < min_n:
-        raise InsufficientSampleError(f"need at least {min_n} observations, got {sample.n}")
-    if sample.p_hat >= 1.0 / E:
-        raise RegimeError(
-            f"zero fraction {sample.p_hat:.3f} >= 1/e; the asymptotic covariance "
-            "is not available in this regime"
-        )
+        return float(positive_medians(self.values[None], np.array([self.zero_count]))[0])
 
 
 def parse_sample_lines(lines: Iterable[str]) -> Sample:
@@ -191,65 +174,148 @@ def empirical_laplace(sample: Sample, s: float | np.ndarray) -> float | np.ndarr
     return np.exp(-np.multiply.outer(s_arr, sample.values)).mean(axis=-1)
 
 
-def zero_adjusted_target(p_hat: float) -> float:
+def zero_adjusted_target(p_hat: float | np.ndarray) -> np.ndarray:
     """Target transform level: 1/e, or the zero-adjusted level when p_hat >= 1/e."""
-    if p_hat < 1.0 / E:
-        return 1.0 / E
-    return (1.0 + (E - 1.0) * p_hat) / E
+    return np.where(p_hat < 1.0 / E, 1.0 / E, (1.0 + (E - 1.0) * p_hat) / E)
+
+
+def _mean(values: np.ndarray) -> np.ndarray:
+    # ndarray.mean along the last axis, bit for bit, without its Python overhead
+    return np.add.reduce(values, axis=-1) / values.shape[-1]
+
+
+def positive_medians(x: np.ndarray, zero_count: np.ndarray) -> np.ndarray:
+    """Median of the positive values of each row of ``x``; each row needs one.
+
+    Sorted, a row's positive values follow its zeros, so one sort of the
+    block gives every row's two middle positive values.  The even-count
+    midpoint is lo/2 + hi/2, which, unlike (lo + hi)/2, cannot overflow.
+    """
+    positive = x.shape[-1] - zero_count
+    hi_index = zero_count + positive // 2
+    lo_index = hi_index - 1 + positive % 2
+    ordered = np.sort(x, axis=-1)
+    rows = np.arange(x.shape[0])
+    lo, hi = ordered[rows, lo_index], ordered[rows, hi_index]
+    return np.where(lo_index == hi_index, hi, lo / 2.0 + hi / 2.0)
 
 
 @dataclass(frozen=True)
 class CensoringPoint:
+    """A solved censoring point; for a batch each field is an (R,) array."""
+
     a: float
     c_target: float
     iterations: int
     residual: float
 
 
-def solve_censoring_point(sample: Sample) -> CensoringPoint:
-    """Solve L_n(A) = c_target for the data-driven censoring point A.
+def _rows(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    # the rows of x at index; x itself, not a copy, when index is every row
+    return x if index.size == x.shape[0] else x[index]
+
+
+def solve_rows(
+    x: np.ndarray, zero_count: np.ndarray
+) -> tuple[CensoringPoint, list[LaplaceFitError | None]]:
+    """Solve L_n(A) = c_target for every row of the (R, n) block ``x``.
 
     L_n is strictly decreasing from 1 to p_hat, and c_target lies strictly
     between them whenever some observation is positive, so the root is unique.
     The bracket starts at [0, 1/median(positive values)] and doubles the upper
     end until it straddles the root; safeguarded Newton steps (falling back to
     bisection whenever a step leaves the bracket or the slope is zero) then
-    converge to relative tolerance SOLVER_RTOL on the transform value.  A
-    bracket whose midpoint is not a positive finite float raises
-    DegenerateSampleError: subnormal data make 1/median infinite.
+    converge to relative tolerance SOLVER_RTOL on the transform value.
+
+    Each row keeps to its own steps, so its result does not depend on the
+    other rows, and records its error instead of raising it: an all-zero row,
+    a bracket whose midpoint is not a positive finite float (subnormal data
+    make 1/median infinite), and a row still unsolved after SOLVER_MAX_ITER
+    iterations.  A row with an error has a NaN censoring point.  The rows in
+    play are carried as one compressed block, which is copied only when a
+    row drops out.
     """
-    if sample.all_zero:
-        raise AllZeroSampleError("all observations are zero; L_n(s) == 1 has no root")
-    x = sample.values
-    c = zero_adjusted_target(sample.p_hat)
+    rows, n = x.shape
+    c = zero_adjusted_target(zero_count / n)
+    errors: list[LaplaceFitError | None] = [None] * rows
+    refuse(
+        errors, zero_count == n,
+        lambda i: AllZeroSampleError("all observations are zero; L_n(s) == 1 has no root"),
+    )
+    a, f = np.full(rows, math.nan), np.full(rows, math.nan)
+    iterations = np.zeros(rows, dtype=int)
+    index = np.flatnonzero(zero_count < n)
+    xs, cs = _rows(x, index), c[index]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lo, hi = np.zeros(index.size), 1.0 / positive_medians(xs, zero_count[index])
+        grow = np.flatnonzero((0.0 < hi) & (hi < math.inf))
+        while grow.size:
+            weights = -hi[grow, None] * _rows(xs, grow)
+            above = _mean(np.exp(weights, out=weights)) - cs[grow] > 0.0
+            grow = grow[above]
+            lo[grow], hi[grow] = hi[grow], 2.0 * hi[grow]
+            grow = grow[hi[grow] < math.inf]
+        ai = 0.5 * (lo + hi)
+        bracketed = (0.0 < ai) & (ai < math.inf)
+        if np.count_nonzero(bracketed) < index.size:
+            refuse(
+                errors, index[~bracketed],
+                lambda i: DegenerateSampleError(
+                    "censoring point bracket leaves the float range: the positive values "
+                    "are too small for 1/median to be a finite float"
+                ),
+            )
+            index, xs, cs, ai, lo, hi = (v[bracketed] for v in (index, xs, cs, ai, lo, hi))
+        tolerance, fi = SOLVER_RTOL * cs, np.full(index.size, math.nan)
+        for it in range(SOLVER_MAX_ITER if index.size else 0):
+            weights = -ai[:, None] * xs
+            fi = _mean(np.exp(weights, out=weights)) - cs
+            done = np.abs(fi) <= tolerance
+            finished = np.count_nonzero(done)
+            if finished == index.size:
+                a[index], f[index], iterations[index] = ai, fi, it
+                index, fi = index[:0], fi[:0]
+                break
+            # mean(x*weights) is taken before the solved rows drop out, so the
+            # weights are never copied with the rows that stay
+            moment = _mean(np.multiply(xs, weights, out=weights))
+            del weights
+            if finished:
+                solved, keep = index[done], ~done
+                a[solved], f[solved], iterations[solved] = ai[done], fi[done], it
+                index, xs, cs, tolerance, fi, ai, lo, hi, moment = (
+                    v[keep] for v in (index, xs, cs, tolerance, fi, ai, lo, hi, moment)
+                )
+            above = fi > 0.0
+            lo, hi = np.where(above, ai, lo), np.where(above, hi, ai)
+            # the Newton step a - f/slope with slope = -moment; a zero slope
+            # gives an infinite step, which falls outside and bisects
+            ai = ai + fi / moment
+            inside = (lo < ai) & (ai < hi)  # NaN excluded: bisect
+            if np.count_nonzero(inside) < inside.size:
+                ai = np.where(inside, ai, 0.5 * (lo + hi))
+    f[index], iterations[index] = fi, SOLVER_MAX_ITER
+    refuse(
+        errors, index,
+        lambda i: DegenerateSampleError(
+            f"censoring point solve stopped after {SOLVER_MAX_ITER} iterations "
+            f"with residual {f[i]:.3g}"
+        ),
+    )
+    return CensoringPoint(a=a, c_target=c, iterations=iterations, residual=f), errors
 
-    lo = 0.0
-    hi = 1.0 / sample.positive_median()
-    while 0.0 < hi < math.inf and float(np.exp(-hi * x).mean()) - c > 0.0:
-        lo, hi = hi, 2.0 * hi
-    a = 0.5 * (lo + hi)
-    if not 0.0 < a < math.inf:
-        raise DegenerateSampleError(
-            "censoring point bracket leaves the float range: the positive values "
-            "are too small for 1/median to be a finite float"
-        )
 
-    f = math.inf
-    for it in range(SOLVER_MAX_ITER):
-        weights = np.exp(-a * x)
-        f = float(weights.mean()) - c
-        if abs(f) <= SOLVER_RTOL * c:
-            return CensoringPoint(a=a, c_target=c, iterations=it, residual=f)
-        if f > 0.0:
-            lo = a
-        else:
-            hi = a
-        slope = -float((x * weights).mean())
-        a_next = a - f / slope if slope != 0.0 else math.nan
-        if not lo < a_next < hi:  # NaN included: bisect
-            a_next = 0.5 * (lo + hi)
-        a = a_next
-    return CensoringPoint(a=a, c_target=c, iterations=SOLVER_MAX_ITER, residual=f)
+def solve_censoring_point(sample: Sample) -> CensoringPoint:
+    """The sample's censoring point: a batch of one of :func:`solve_rows`; raises its error."""
+    point, errors = solve_rows(sample.values[None], np.array([sample.zero_count]))
+    if errors[0] is not None:
+        raise errors[0]
+    return CensoringPoint(
+        a=float(point.a[0]),
+        c_target=float(point.c_target[0]),
+        iterations=int(point.iterations[0]),
+        residual=float(point.residual[0]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,28 +344,37 @@ class CensoredMomentSet:
         return value
 
 
-def censored_moments_at(sample: Sample, a: float) -> CensoredMomentSet:
-    """The statistics pass at a fixed censoring point: normalized moments and their covariance.
+def moments_rows(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The statistics pass for every row of ``x`` at its censoring point ``a[i]``.
 
-    The power products are built by repeated multiplication from exp(-y),
-    never from y**r, which may overflow where exp(-y) underflows to zero; a
-    zero weight times a finite y stays an exact zero.  The covariance is the
-    centred two-pass form, which keeps its precision where E[PP^T] - mm^T
-    would cancel.
+    Returns the normalized moments m_tilde (R, MAX_ORDER + 1) and the power
+    products' covariance (R, MAX_ORDER, MAX_ORDER).  The power products are
+    built by repeated multiplication from exp(-y), never from y**r, which may
+    overflow where exp(-y) underflows to zero; a zero weight times a finite y
+    stays an exact zero.  The covariance is the centred two-pass form, which
+    keeps its precision where E[PP^T] - mm^T would cancel.
     """
+    rows, n = x.shape
+    y = a[:, None] * x
+    block = np.empty((rows, MAX_ORDER, n))
+    np.exp(np.negative(y, out=block[:, 0]), out=block[:, 0])
+    for r in range(1, MAX_ORDER):
+        np.multiply(block[:, r - 1], y, out=block[:, r])
+    m_tilde = np.empty((rows, MAX_ORDER + 1))
+    m_tilde[:, :MAX_ORDER] = _mean(block)
+    m_tilde[:, MAX_ORDER] = _mean(np.multiply(block[:, MAX_ORDER - 1], y, out=y))
+    block -= m_tilde[:, :MAX_ORDER, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # n = 1 has no covariance
+        cov = block @ block.transpose(0, 2, 1) / (n - 1)
+    return m_tilde, cov
+
+
+def censored_moments_at(sample: Sample, a: float) -> CensoredMomentSet:
+    """The statistics pass at a fixed censoring point: a batch of one of :func:`moments_rows`."""
     if not a > 0.0:
         raise ValueError("censoring point must be positive")
-    y = a * sample.values
-    block = np.empty((MAX_ORDER, sample.n))
-    np.exp(-y, out=block[0])
-    for r in range(1, MAX_ORDER):
-        np.multiply(block[r - 1], y, out=block[r])
-    m_tilde = np.empty(MAX_ORDER + 1)
-    m_tilde[:MAX_ORDER] = block.mean(axis=1)
-    m_tilde[MAX_ORDER] = np.multiply(block[MAX_ORDER - 1], y, out=y).mean()
-    block -= m_tilde[:MAX_ORDER, None]
-    cov = block @ block.T / (sample.n - 1)
-    return CensoredMomentSet(a=a, c_target=float(m_tilde[0]), m_tilde=m_tilde, cov=cov)
+    m_tilde, cov = moments_rows(sample.values[None], np.array([a]))
+    return CensoredMomentSet(a=a, c_target=float(m_tilde[0, 0]), m_tilde=m_tilde[0], cov=cov[0])
 
 
 def censored_moments(sample: Sample) -> CensoredMomentSet:
@@ -307,7 +382,115 @@ def censored_moments(sample: Sample) -> CensoredMomentSet:
     return sample.moments
 
 
-def influence_map(moments: CensoredMomentSet, k: int) -> tuple[np.ndarray, np.ndarray]:
+# ---------------------------------------------------------------------------
+# batches: the input of every fit and test
+
+
+@dataclass(frozen=True)
+class Batch:
+    """R samples of n observations each, reduced to what every fit and test reads.
+
+    Row i holds sample i's zero count, whether it is constant, and, as in
+    :class:`CensoredMomentSet`, its censoring point ``a[i]``, normalized
+    moments ``m_tilde[i]`` and power-product covariance ``cov[i]``.  A row
+    whose solve failed has NaN statistics and the error in ``errors[i]``.
+    """
+
+    n: int
+    zero_count: np.ndarray
+    constant: np.ndarray
+    a: np.ndarray
+    m_tilde: np.ndarray
+    cov: np.ndarray
+    errors: list[LaplaceFitError | None]
+
+    @classmethod
+    def of(cls, sample: Sample) -> "Batch":
+        """A batch of one from the sample's cached statistics."""
+        try:
+            ms = sample.moments
+        except LaplaceFitError as exc:
+            a, error = math.nan, exc
+            m_tilde, cov = np.full(MAX_ORDER + 1, math.nan), np.full((MAX_ORDER, MAX_ORDER), math.nan)
+        else:
+            a, m_tilde, cov, error = ms.a, ms.m_tilde, ms.cov, None
+        return cls(
+            sample.n, np.array([sample.zero_count]), np.array([sample.constant]),
+            np.array([a]), m_tilde[None], cov[None], [error],
+        )
+
+    def m(self, r: int) -> np.ndarray:
+        """Raw censored moments m_tilde[:, r] / a**r, row by row, as ``CensoredMomentSet.m``."""
+        value = self.m_tilde[:, r]
+        for _ in range(r):
+            value = value / self.a
+        return value
+
+
+def summarise(x: np.ndarray) -> Batch:
+    """Solve and summarise every row of an (R, n) block of validated samples."""
+    rows, n = x.shape
+    zero_count = np.count_nonzero(x == 0.0, axis=-1)
+    point, errors = solve_rows(x, zero_count)
+    m_tilde = np.full((rows, MAX_ORDER + 1), math.nan)
+    cov = np.full((rows, MAX_ORDER, MAX_ORDER), math.nan)
+    solved = np.flatnonzero([error is None for error in errors])
+    # a quarter of the rows at a time, so that their power products, MAX_ORDER
+    # per observation, take no more memory than x itself
+    step = max(1, -(-solved.size // MAX_ORDER))
+    for start in range(0, solved.size, step):
+        part = solved[start : start + step]
+        m_tilde[part], cov[part] = moments_rows(x[part], point.a[part])
+    constant = x.max(axis=-1) == x.min(axis=-1)
+    return Batch(n, zero_count, constant, point.a, m_tilde, cov, errors)
+
+
+def row_errors(
+    batch: Batch, min_n: int, constant: str | None = None
+) -> list[LaplaceFitError | None]:
+    """Each row's first error, in the order every fit and test checks them.
+
+    First the regime where the estimators and tests are defined: an all-zero
+    sample, fewer than ``min_n`` observations, a zero fraction at or above
+    1/e, where the asymptotic covariance is not available.  Then a constant
+    sample, if ``constant`` gives the message to refuse it with; then the
+    solve's error.
+    """
+    p_hat = batch.zero_count / batch.n
+    errors: list[LaplaceFitError | None] = [None] * p_hat.size
+    zero_heavy = (p_hat >= 1.0 / E).nonzero()[0]
+    refuse(
+        errors, zero_heavy[batch.zero_count[zero_heavy] == batch.n],
+        lambda i: AllZeroSampleError("all observations are zero"),
+    )
+    if batch.n < min_n:
+        refuse(
+            errors, np.arange(p_hat.size),
+            lambda i: InsufficientSampleError(f"need at least {min_n} observations, got {batch.n}"),
+        )
+    refuse(
+        errors, zero_heavy,
+        lambda i: RegimeError(
+            f"zero fraction {p_hat[i]:.3f} >= 1/e; the asymptotic covariance "
+            "is not available in this regime"
+        ),
+    )
+    if constant is not None:
+        refuse(errors, batch.constant, lambda i: DegenerateSampleError(constant))
+    return [mine if mine is not None else solve for mine, solve in zip(errors, batch.errors)]
+
+
+def columns(*values: np.ndarray) -> np.ndarray:
+    """The (R,) arrays ``values`` as the columns of a C-ordered (R, k) array."""
+    return np.array(values).T.copy()
+
+
+def quadratic_form(rows: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """b @ S @ b for each row b of ``rows`` (R, k) and matrix S of ``cov`` (R, k, k)."""
+    return (rows[:, None, :] @ cov @ rows[:, :, None])[:, 0, 0]
+
+
+def influence_map(moments: CensoredMomentSet | Batch, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Map from the power products to the influence rows, and the rows' scales.
 
     Returns the (k+1) x MAX_ORDER matrix L with (V~_1, ..., V~_k, W~) = L @ P~,
@@ -315,18 +498,19 @@ def influence_map(moments: CensoredMomentSet, k: int) -> tuple[np.ndarray, np.nd
     moment and W~ = P~_0/m_tilde[1] the censoring point, and the scales
     (a**-1, ..., a**-k, a) that turn them into the raw rows V_r and W.  The
     covariance of the rows is then diag(scales) @ L @ cov @ L.T @ diag(scales).
+    For a batch, both carry a leading row axis.
     """
     if not 1 <= k <= MAX_ORDER - 1:
         raise ValueError(f"k must be in 1..{MAX_ORDER - 1}")
-    m = moments.m_tilde
-    if m[1] == 0.0:
+    m, a = moments.m_tilde, np.asarray(moments.a)
+    if np.any(m[..., 1] == 0.0):
         raise DegenerateMomentsError("first censored moment is zero")
-    lmap = np.zeros((k + 1, MAX_ORDER))
-    lmap[:k, 0] = -m[2 : k + 2] / m[1]
-    lmap[:k, 1 : k + 1] = np.eye(k)
-    lmap[k, 0] = 1.0 / m[1]
-    scales = np.empty(k + 1)
-    scales[0], scales[k] = 1.0 / moments.a, moments.a
+    lmap = np.zeros((*m.shape[:-1], k + 1, MAX_ORDER))
+    lmap[..., :k, 0] = -m[..., 2 : k + 2] / m[..., 1, None]
+    lmap[..., :k, 1 : k + 1] = np.eye(k)
+    lmap[..., k, 0] = 1.0 / m[..., 1]
+    scales = np.empty((*a.shape, k + 1))
+    scales[..., 0], scales[..., k] = 1.0 / a, a
     for r in range(1, k):
-        scales[r] = scales[r - 1] / moments.a
+        scales[..., r] = scales[..., r - 1] / a
     return lmap, scales

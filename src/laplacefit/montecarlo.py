@@ -2,9 +2,12 @@
 
 Replication is deterministic and embarrassingly parallel: the stream for
 replicate r of cell c is derived from (base_seed, c, r) alone, so reports are
-bitwise identical regardless of worker count or scheduling.  Failed
-replicates are counted by error kind and excluded from metric denominators,
-never resampled (resampling would bias size and power).
+bitwise identical regardless of worker count or scheduling.  Each cell draws
+its replicates one by one, then stacks them into chunks of at most
+CHUNK_VALUES values that are solved, summarised, fitted and tested along the
+last axis, on the same code path as a single fit.  Failed replicates are
+counted by error kind and excluded from metric denominators, never resampled
+(resampling would bias size and power).
 
 The fit targets, their parameter names, null generators, fit and test
 functions come from the family registry ``laplacefit.families.FAMILIES``.
@@ -20,7 +23,6 @@ import hashlib
 import io
 import json
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -31,13 +33,35 @@ from . import __version__
 from .distributions import DistributionSpec, derive_substream, sample_spec
 from .errors import ConfigError, LaplaceFitError
 from .families import FAMILIES
-from .laplace_core import Sample
+from .laplace_core import Sample, summarise
 
 VALID_METRICS = ("rrmse", "coverage", "size", "power")
+
+#: most values a chunk of one cell's replicates stacks: CHUNK_VALUES // n rows, at least one
+CHUNK_VALUES = 2**15
 
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+def _convert(name: str, kind: type, value: Any) -> Any:
+    # int(value) or float(value); anything else is a ConfigError naming the field
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name}: must be {what}, got {value!r}") from None
+
+
+def _items(name: str, value: Any) -> tuple:
+    # the entries of a list field; a bare string or a scalar is a ConfigError
+    if isinstance(value, str):
+        raise ConfigError(f"{name}: must be a list, got the string {value!r}")
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ConfigError(f"{name}: must be a list, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -55,19 +79,29 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.fit_target not in FAMILIES:
             raise ConfigError(f"fit_target: must be one of {tuple(FAMILIES)}, got {self.fit_target!r}")
-        if not self.n_grid:
+        n_grid = tuple(_convert("n_grid", int, n) for n in _items("n_grid", self.n_grid))
+        if not n_grid:
             raise ConfigError("n_grid: must be non-empty")
-        if any(int(n) < 1 for n in self.n_grid):
-            raise ConfigError(f"n_grid: sizes must be >= 1, got {self.n_grid}")
-        if self.replications < 1:
-            raise ConfigError(f"replications: must be >= 1, got {self.replications}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha: must be in (0, 1), got {self.alpha}")
-        unknown = [m for m in self.metrics if m not in VALID_METRICS]
+        if any(n < 1 for n in n_grid):
+            raise ConfigError(f"n_grid: sizes must be >= 1, got {n_grid}")
+        replications = _convert("replications", int, self.replications)
+        if replications < 1:
+            raise ConfigError(f"replications: must be >= 1, got {replications}")
+        alpha = _convert("alpha", float, self.alpha)
+        if not 0.0 < alpha < 1.0:
+            raise ConfigError(f"alpha: must be in (0, 1), got {alpha}")
+        base_seed = _convert("base_seed", int, self.base_seed)
+        if base_seed < 0:
+            raise ConfigError(f"base_seed: must be >= 0, got {base_seed}")
+        metrics = _items("metrics", self.metrics)
+        unknown = [m for m in metrics if m not in VALID_METRICS]
         if unknown:
             raise ConfigError(f"metrics: unknown {unknown}; valid are {VALID_METRICS}")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "metrics", tuple(self.metrics))
+        for name, value in (
+            ("n_grid", n_grid), ("replications", replications), ("alpha", alpha),
+            ("base_seed", base_seed), ("metrics", metrics),
+        ):
+            object.__setattr__(self, name, value)
         if self.needs_fit:
             self.truth()  # raises ConfigError on generator/target mismatch
 
@@ -125,11 +159,11 @@ class ExperimentConfig:
             return cls(
                 generator=generator,
                 fit_target=str(payload["fit_target"]),
-                n_grid=tuple(payload["n_grid"]),
-                replications=int(payload.get("replications", 3500)),
-                alpha=float(payload.get("alpha", 0.05)),
-                base_seed=int(payload.get("base_seed", 0)),
-                metrics=tuple(payload.get("metrics", ("rrmse",))),
+                n_grid=payload["n_grid"],
+                replications=payload.get("replications", 3500),
+                alpha=payload.get("alpha", 0.05),
+                base_seed=payload.get("base_seed", 0),
+                metrics=payload.get("metrics", ("rrmse",)),
             )
         except ConfigError as exc:
             raise ConfigError(f"{path + '.' if path else ''}{exc}") from None
@@ -282,8 +316,41 @@ class _CellTally:
     n_tested: int = 0
     failures: dict[str, int] = field(default_factory=dict)
 
-    def fail(self, kind: str) -> None:
-        self.failures[kind] = self.failures.get(kind, 0) + 1
+    def fail(self, kind: str, count: int = 1) -> None:
+        if count:
+            self.failures[kind] = self.failures.get(kind, 0) + count
+
+    def fail_rows(self, errors: list[LaplaceFitError | None], rows: np.ndarray) -> np.ndarray:
+        """Count the errors of the rows in the mask ``rows``; the mask of those without one."""
+        ok = rows.copy()
+        for i in np.flatnonzero(rows):
+            if errors[i] is not None:
+                self.fail(errors[i].code)
+                ok[i] = False
+        return ok
+
+
+def _draw_chunk(
+    config: ExperimentConfig, cell_index: int, n: int, reps: range, tally: _CellTally
+) -> np.ndarray:
+    # the chunk's valid draws as an (R, n) block; a sampler or validation error
+    # skips its replicate, counted under the scalar API's code
+    x, drawn = np.empty((len(reps), n)), 0
+    for rep in reps:
+        rng = derive_substream(config.base_seed, cell_index, rep)
+        try:
+            x[drawn] = sample_spec(config.generator, rng, size=n)
+            drawn += 1
+        except LaplaceFitError as exc:
+            tally.fail(exc.code)
+    x = x[:drawn]
+    valid = (np.isfinite(x) & (x >= 0.0)).all(axis=-1)
+    for i in np.flatnonzero(~valid):
+        try:
+            Sample.from_values(x[i])
+        except LaplaceFitError as exc:
+            tally.fail(exc.code)
+    return x if valid.all() else x[valid]
 
 
 def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> _CellTally:
@@ -294,49 +361,45 @@ def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> _CellTally:
         tally.covered = np.zeros(truth.size, dtype=int)
     family = FAMILIES[config.fit_target]
 
-    for rep in range(config.replications):
-        rng = derive_substream(config.base_seed, cell_index, rep)
-        try:
-            sample = Sample.from_values(sample_spec(config.generator, rng, size=n))
-        except LaplaceFitError as exc:
-            tally.fail(exc.code)
+    rows = max(1, CHUNK_VALUES // n)
+    for start in range(0, config.replications, rows):
+        reps = range(start, min(start + rows, config.replications))
+        x = _draw_chunk(config, cell_index, n, reps, tally)
+        if not x.shape[0]:
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if config.needs_fit:
-                try:
-                    fit = family.fit(sample, alpha=config.alpha)
-                    est = np.array(fit.estimates)
-                    cis = np.array(fit.ci)
-                    if not (np.isfinite(est).all() and np.isfinite(cis).all()):
-                        tally.fail("nonfinite_estimate")
-                    else:
-                        tally.estimates.append(est)
-                        tally.covered += (cis[:, 0] <= truth) & (truth <= cis[:, 1])
-                except LaplaceFitError as exc:
-                    tally.fail(exc.code)
-                    continue
-            if config.needs_gof:
-                try:
-                    outcome = family.gof(sample, alpha=config.alpha)
-                    tally.rejections += int(outcome.reject)
-                    tally.n_tested += 1
-                except LaplaceFitError as exc:
-                    tally.fail(exc.code)
+        batch = summarise(x)
+        # a fit error skips the replicate's test; a non-finite fit does not
+        tested = np.ones(x.shape[0], dtype=bool)
+        if config.needs_fit:
+            fits = family.fit_batch(batch, config.alpha)
+            tested = tally.fail_rows(fits.errors, tested)
+            finite = np.isfinite(fits.estimates).all(axis=1) & np.isfinite(fits.ci).all(axis=(1, 2))
+            tally.fail("nonfinite_estimate", int(np.count_nonzero(tested & ~finite)))
+            kept = tested & finite
+            tally.estimates.append(fits.estimates[kept])
+            lo, hi = fits.ci[kept, :, 0], fits.ci[kept, :, 1]
+            tally.covered += ((lo <= truth) & (truth <= hi)).sum(axis=0)
+        if config.needs_gof:
+            outcomes = family.gof_batch(batch, config.alpha)
+            ok = tally.fail_rows(outcomes.errors, tested)
+            tally.rejections += int(np.count_nonzero(outcomes.reject[ok]))
+            tally.n_tested += int(np.count_nonzero(ok))
     return tally
 
 
 def _rrmse_and_se(deviations: np.ndarray, truth: float) -> tuple[float, float]:
-    # percent RRMSE with a delta-method Monte Carlo standard error
+    # percent RRMSE with a delta-method Monte Carlo standard error; a moment
+    # that overflows makes them inf or NaN, which the report writes as null
     r = deviations.size
-    m2 = float(np.mean(deviations**2))
-    if m2 == 0.0:
-        return 0.0, 0.0
-    m4 = float(np.mean(deviations**4))
-    rrmse = 100.0 * math.sqrt(m2) / abs(truth)
-    var_m2 = max(m4 - m2**2, 0.0) / r
-    se = 100.0 / (2.0 * math.sqrt(m2) * abs(truth)) * math.sqrt(var_m2)
-    return rrmse, se
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2 = np.mean(deviations**2)
+        if m2 == 0.0:
+            return 0.0, 0.0
+        m4 = np.mean(deviations**4)
+        rrmse = 100.0 * np.sqrt(m2) / abs(truth)
+        var_m2 = np.maximum(m4 - m2**2, 0.0) / r
+        se = 100.0 / (2.0 * np.sqrt(m2) * abs(truth)) * np.sqrt(var_m2)
+    return float(rrmse), float(se)
 
 
 def _proportion_se(p: float, r: int) -> float:
@@ -359,10 +422,8 @@ def _records_for_cell(
     if config.needs_fit:
         truth = config.truth()
         names = list(truth)
-        n_ok = len(tally.estimates)
-        estimates = (
-            np.array(tally.estimates) if n_ok else np.empty((0, len(names)))
-        )
+        estimates = np.concatenate([np.empty((0, len(names))), *tally.estimates])
+        n_ok = len(estimates)
         for j, name in enumerate(names):
             if "rrmse" in wants:
                 if n_ok:

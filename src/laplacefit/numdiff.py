@@ -29,21 +29,23 @@ def central_diff_jacobian(
 ) -> np.ndarray:
     """Jacobian of ``f`` at ``x`` by central differences.
 
-    The step in coordinate j is max(|x_j|, STEP_FLOOR) * step_scale. The
-    result has shape (len(f(x)), len(x)); scalar-valued ``f`` gives one row.
+    The step in coordinate j is max(|x_j|, STEP_FLOOR) * step_scale.  ``f``
+    is called once, on the 2d displaced points stacked along a new axis after
+    the first, so it must map an array of shape (d, ...) to (k, ...), or to
+    (...) when scalar-valued, acting on each point on its own.  For x of
+    shape (d,) the result has shape (k, d); scalar-valued ``f`` gives one
+    row.  ``x`` may carry trailing batch axes, (d, R), and the result is then
+    (k, d, R).
     """
     x = np.asarray(x, dtype=float)
+    d = x.shape[0]
     h = _steps(x, step_scale)
-    f0 = np.atleast_1d(np.asarray(f(x), dtype=float))
-    jac = np.empty((f0.size, x.size))
-    for j in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h[j]
-        xm[j] -= h[j]
-        fp = np.atleast_1d(np.asarray(f(xp), dtype=float))
-        fm = np.atleast_1d(np.asarray(f(xm), dtype=float))
-        jac[:, j] = (fp - fm) / (2.0 * h[j])
-    return jac
+    points = np.repeat(x[:, None], 2 * d, axis=1)
+    for j in range(d):
+        points[j, j] += h[j]
+        points[j, d + j] -= h[j]
+    values = np.asarray(f(points), dtype=float).reshape(-1, 2 * d, *x.shape[1:])
+    return (values[:, :d] - values[:, d:]) / (2.0 * h)
 
 
 def central_diff_gradient(

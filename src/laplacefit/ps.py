@@ -16,9 +16,8 @@ import warnings
 
 import numpy as np
 
-from .errors import DegenerateSampleError
-from .laplace_core import E, Sample, censored_moments, check_regime
-from .results import Fit, GofOutcome, make_fit, make_gof_outcome
+from .laplace_core import E, Batch, Sample, columns, quadratic_form, row_errors
+from .results import Fit, FitBatch, GofBatch, GofOutcome, make_fit, make_gof_outcome
 
 #: smallest sample size accepted by the positive stable fit
 MIN_SAMPLE = 10
@@ -27,8 +26,8 @@ MIN_SAMPLE = 10
 PARAM_NAMES = ("gamma", "lambda")
 
 
-def fit_ps(sample: Sample, alpha: float = 0.05) -> Fit:
-    """Fit the positive stable law by censored moments.
+def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
+    """Fit the positive stable law to every sample of a batch by censored moments.
 
     The influence rows of (gamma_hat, lambda_hat) are B @ (P~_0, P~_1) with
     B = [[0, e], [-e*lambda_hat, -e*lambda_hat*log(A)]], so the covariance
@@ -36,48 +35,59 @@ def fit_ps(sample: Sample, alpha: float = 0.05) -> Fit:
     use the normal quantile.
 
     A constant sample is the degenerate boundary case gamma = 1: the point
-    estimates are still emitted (with a zero covariance and a warning) so that
-    the boundary is visible rather than an error.
+    estimates are still emitted (with a zero covariance and the
+    ``degenerate_sample`` flag) so that the boundary is visible rather than
+    an error.
     """
-    check_regime(sample, MIN_SAMPLE)
-    # the positive stable law has no atom at zero
-    flags = ["zero_values_present"] if sample.zero_count > 0 else []
-    moments = censored_moments(sample)
-    gamma_hat = E * moments.m_tilde[1]
-    lambda_hat = moments.a**-gamma_hat
-    if gamma_hat > 1.0 or gamma_hat <= 0.0:
-        flags.append("gamma_out_of_range")
-
-    if sample.constant:
-        flags.append("degenerate_sample")
-        warnings.warn(
-            "constant sample: point estimates are the gamma = 1 boundary and "
-            "the covariance rows are constant",
-            stacklevel=2,
-        )
-        cov = np.zeros((2, 2))
-    else:
-        b = np.array([[0.0, E], [-E * lambda_hat, -E * lambda_hat * math.log(moments.a)]])
-        cov = b @ moments.cov[:2, :2] @ b.T
-
-    return make_fit(
-        "ps", PARAM_NAMES, (gamma_hat, lambda_hat), cov, moments.a, sample.n, alpha, flags
-    )
+    errors = row_errors(batch, MIN_SAMPLE)
+    a = batch.a
+    with np.errstate(all="ignore"):
+        gamma_hat = E * batch.m_tilde[:, 1]
+        lambda_hat = a**-gamma_hat
+        b = np.zeros((a.size, 2, 2))
+        b[:, 0, 1] = E
+        b[:, 1, 0] = -E * lambda_hat
+        b[:, 1, 1] = -E * lambda_hat * np.log(a)
+        cov = b @ batch.cov[:, :2, :2] @ b.transpose(0, 2, 1)
+    cov[batch.constant] = 0.0
+    flags = {
+        # the positive stable law has no atom at zero
+        "zero_values_present": batch.zero_count > 0,
+        "gamma_out_of_range": (gamma_hat > 1.0) | (gamma_hat <= 0.0),
+        "degenerate_sample": batch.constant,
+    }
+    estimates = columns(gamma_hat, lambda_hat)
+    return make_fit("ps", PARAM_NAMES, estimates, cov, a, batch.n, alpha, flags, errors)
 
 
-def gof_ps(sample: Sample, alpha: float = 0.05) -> GofOutcome:
+def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
     """Test the positive stable hypothesis via T_n = sqrt(n)*(A*m_hat[2] - m_hat[1]).
 
     In the normalized frame T_n = sqrt(n)*(m_tilde[2] - m_tilde[1])/A, with
     influence row b @ (P~_0, P~_1, P~_2)/A,
     b = ((m_tilde[3] - 2*m_tilde[2])/m_tilde[1], 1, -1).
     """
-    check_regime(sample, MIN_SAMPLE)
-    if sample.constant:
-        raise DegenerateSampleError("constant sample: test variance is zero")
-    moments = censored_moments(sample)
-    a, m = moments.a, moments.m_tilde
-    statistic = math.sqrt(sample.n) * (m[2] - m[1]) / a
-    b = np.array([(m[3] - 2.0 * m[2]) / m[1], 1.0, -1.0])
-    sigma_hat = math.sqrt(max(float(b @ moments.cov[:3, :3] @ b), 0.0)) / a
-    return make_gof_outcome("ps", statistic, sigma_hat, alpha, sample.n)
+    errors = row_errors(batch, MIN_SAMPLE, constant="constant sample: test variance is zero")
+    a, m = batch.a, batch.m_tilde
+    with np.errstate(all="ignore"):
+        statistic = math.sqrt(batch.n) * (m[:, 2] - m[:, 1]) / a
+        b = columns((m[:, 3] - 2.0 * m[:, 2]) / m[:, 1], np.ones(a.size), np.full(a.size, -1.0))
+        sigma_hat = np.sqrt(np.maximum(quadratic_form(b, batch.cov[:, :3, :3]), 0.0)) / a
+    return make_gof_outcome("ps", statistic, sigma_hat, alpha, batch.n, errors)
+
+
+def fit_ps(sample: Sample, alpha: float = 0.05) -> Fit:
+    """Fit one sample: a batch of one of :func:`fit_batch`; a constant sample also warns."""
+    fit = fit_batch(Batch.of(sample), alpha).row(0)
+    if "degenerate_sample" in fit.diagnostics:
+        warnings.warn(
+            "constant sample: point estimates are the gamma = 1 boundary and "
+            "the covariance rows are constant",
+            stacklevel=2,
+        )
+    return fit
+
+
+def gof_ps(sample: Sample, alpha: float = 0.05) -> GofOutcome:
+    """Test one sample: a batch of one of :func:`gof_batch`."""
+    return gof_batch(Batch.of(sample), alpha).row(0)

@@ -1,15 +1,15 @@
-"""Shared result containers and JSON helpers."""
+"""Shared result containers, one per sample and one per batch, and JSON helpers."""
 
 from __future__ import annotations
 
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSampleError
+from .errors import ConfigError, DegenerateSampleError, LaplaceFitError, refuse
 
 
 def check_alpha(alpha: float) -> None:
@@ -62,22 +62,59 @@ class Fit:
         return payload
 
 
-def make_fit(
-    family: str, param_names: tuple[str, ...], estimates: Sequence[float], cov_hat: np.ndarray,
-    a: float, n: int, alpha: float, diagnostics: Sequence[str],
-    constants: dict[str, float] | None = None,
-) -> Fit:
-    """Standard errors sqrt(cov_hat[i, i] / n) and intervals est +- z_{1-alpha/2} * se.
+@dataclass(frozen=True)
+class FitBatch:
+    """The fits of a batch of samples; row i of every array belongs to sample i.
 
-    The estimates are stored as plain floats, whatever numeric type the map returned.
+    ``estimates`` and ``se`` are (R, p), ``cov_hat`` (R, p, p), ``ci``
+    (R, p, 2) and ``a`` (R,).  ``flags`` maps each diagnostics flag, in the
+    order a fit lists them, to the (R,) mask of rows that raise it.
+    ``errors[i]`` is the error sample i's fit raises, or None; such a row's
+    numbers are NaN.
     """
+
+    family: str
+    param_names: tuple[str, ...]
+    estimates: np.ndarray
+    cov_hat: np.ndarray
+    se: np.ndarray
+    ci: np.ndarray
+    a: np.ndarray
+    n: int
+    alpha: float
+    flags: dict[str, np.ndarray]
+    constants: dict[str, float]
+    errors: list[LaplaceFitError | None]
+
+    def row(self, i: int) -> Fit:
+        """Sample i's fit as a :class:`Fit` of plain floats; raises the row's error."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return Fit(
+            self.family, self.param_names, tuple(self.estimates[i].tolist()), self.cov_hat[i],
+            tuple(self.se[i].tolist()), tuple(tuple(ci) for ci in self.ci[i].tolist()),
+            float(self.a[i]), self.n, self.alpha,
+            tuple(name for name, mask in self.flags.items() if mask[i]), self.constants,
+        )
+
+
+def make_fit(
+    family: str, param_names: tuple[str, ...], estimates: np.ndarray, cov_hat: np.ndarray,
+    a: np.ndarray, n: int, alpha: float, flags: dict[str, np.ndarray],
+    errors: list[LaplaceFitError | None], constants: dict[str, float] | None = None,
+) -> FitBatch:
+    """Standard errors sqrt(cov_hat[i, i] / n) and intervals est +- z_{1-alpha/2} * se, row by row."""
     z = normal_quantile(alpha)
-    estimates = tuple(float(e) for e in estimates)
-    se = tuple(math.sqrt(cov_hat[i, i] / n) for i in range(len(param_names)))
-    ci = tuple((e - z * s, e + z * s) for e, s in zip(estimates, se))
-    return Fit(
-        family, param_names, estimates, cov_hat, se, ci, a, n, alpha, tuple(diagnostics),
-        constants or {},
+    if any(error is not None for error in errors):
+        failed = np.array([error is not None for error in errors])
+        estimates = np.where(failed[:, None], math.nan, estimates)
+        cov_hat = np.where(failed[:, None, None], math.nan, cov_hat)
+    with np.errstate(invalid="ignore"):
+        se = np.sqrt(np.diagonal(cov_hat, axis1=1, axis2=2) / n)
+    ci = np.empty((*estimates.shape, 2))
+    ci[..., 0], ci[..., 1] = estimates - z * se, estimates + z * se
+    return FitBatch(
+        family, param_names, estimates, cov_hat, se, ci, a, n, alpha, flags, constants or {}, errors
     )
 
 
@@ -112,25 +149,49 @@ class GofOutcome:
         }
 
 
+@dataclass(frozen=True)
+class GofBatch:
+    """The tests of a batch of samples: (R,) arrays of the :class:`GofOutcome` fields.
+
+    ``errors[i]`` is the error sample i's test raises, or None; such a row's
+    numbers are NaN.
+    """
+
+    family: str
+    statistic: np.ndarray
+    sigma_hat: np.ndarray
+    z: np.ndarray
+    p_value: np.ndarray
+    reject: np.ndarray
+    alpha: float
+    n: int
+    errors: list[LaplaceFitError | None]
+
+    def row(self, i: int) -> GofOutcome:
+        """Sample i's test outcome; raises the row's error."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return GofOutcome(
+            self.family, float(self.statistic[i]), float(self.sigma_hat[i]), float(self.z[i]),
+            float(self.p_value[i]), bool(self.reject[i]), self.alpha, self.n,
+        )
+
+
 def make_gof_outcome(
-    family: str, statistic: float, sigma_hat: float, alpha: float, n: int
-) -> GofOutcome:
-    """Standardize the statistic; a zero variance estimate is a degenerate sample."""
+    family: str, statistic: np.ndarray, sigma_hat: np.ndarray, alpha: float, n: int,
+    errors: list[LaplaceFitError | None],
+) -> GofBatch:
+    """Standardize each row's statistic; a zero variance estimate is a degenerate sample."""
     check_alpha(alpha)
-    if sigma_hat == 0.0:
-        raise DegenerateSampleError("test variance estimate is zero")
-    z = statistic / sigma_hat
-    p = two_sided_p_value(z)
-    return GofOutcome(
-        family=family,
-        statistic=statistic,
-        sigma_hat=sigma_hat,
-        z=z,
-        p_value=p,
-        reject=bool(p < alpha),
-        alpha=alpha,
-        n=n,
-    )
+    refuse(errors, sigma_hat == 0.0, lambda i: DegenerateSampleError("test variance estimate is zero"))
+    if any(error is not None for error in errors):
+        failed = np.array([error is not None for error in errors])
+        statistic = np.where(failed, math.nan, statistic)
+        sigma_hat = np.where(failed, math.nan, sigma_hat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = statistic / sigma_hat
+    p = np.array([two_sided_p_value(v) for v in z.tolist()])
+    return GofBatch(family, statistic, sigma_hat, z, p, p < alpha, alpha, n, errors)
 
 
 def json_safe(obj: Any) -> Any:

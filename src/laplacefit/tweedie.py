@@ -21,17 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionSpec, TweedieParams, laplace_exact
-from .errors import ComplexPowerError, DegenerateSampleError, NearSingularError, RegimeError
-from .laplace_core import (
-    E,
-    CensoredMomentSet,
-    Sample,
-    censored_moments,
-    check_regime,
-    influence_map,
-)
+from .errors import ComplexPowerError, LaplaceFitError, NearSingularError, RegimeError, refuse
+from .laplace_core import E, Batch, Sample, influence_map, quadratic_form, row_errors
 from .numdiff import central_diff_gradient, central_diff_jacobian
-from .results import Fit, GofOutcome, make_fit, make_gof_outcome
+from .results import Fit, FitBatch, GofBatch, GofOutcome, make_fit, make_gof_outcome
 
 #: smallest sample size accepted by the Tweedie fit
 MIN_SAMPLE = 50
@@ -111,8 +104,8 @@ def psi_phi(m1: float, m2: float, m3: float) -> PsiPhi:
 
 
 def _h(v: np.ndarray) -> np.ndarray:
-    # raw estimator map (m1, m2, m3, a) -> (gamma, lam, theta); no guards so it
-    # can be finite-differenced
+    # raw estimator map (m1, m2, m3, a) -> (gamma, lam, theta) on the first
+    # axis, any batch axes after it; no guards so it can be finite-differenced
     m1, m2, m3, a = v
     agg = psi_phi(m1, m2, m3)
     gamma = 1.0 - (m2 / m1**2 - E) * agg.phi_inv
@@ -121,52 +114,59 @@ def _h(v: np.ndarray) -> np.ndarray:
     return np.array([gamma, lam, theta])
 
 
-def _singularity_flags(m1: float, m2: float, m3: float) -> list[str]:
-    # denominators of psi: m1*m2 - e*m1^3, and psi itself
+def singular_rows(m_tilde: np.ndarray, errors: list[LaplaceFitError | None]) -> np.ndarray:
+    """Refuse the rows whose moments sit at a pole of the estimator map.
+
+    The poles are those of psi: m1*m2 - e*m1^3 = 0 and psi = 0.  The
+    aggregates m2/m1^2 and (m3 - e^2*m1^3)/(m1*m2 - e*m1^3) do not depend on
+    the data's units, nor do the relative thresholds, so all are taken on the
+    normalized moments ``m_tilde`` (R, 5).  Returns the mask of rows close
+    enough to a pole for the ``near_singular_psi`` flag.
+    """
+    m1, m2, m3 = m_tilde[:, 1], m_tilde[:, 2], m_tilde[:, 3]
     den = m1 * m2 - E * m1**3
-    den_scale = max(abs(m1 * m2), E * abs(m1) ** 3)
-    if abs(den) < SINGULAR_RTOL * den_scale:
-        raise NearSingularError(
-            f"|m1*m2 - e*m1^3| = {abs(den):.3g} below {SINGULAR_RTOL:g} of scale "
-            f"{den_scale:.3g}; estimator map undefined"
-        )
-    psi = (m3 - E**2 * m1**3) / den - 2.0 * E - m2 / m1**2
-    psi_scale = abs((m3 - E**2 * m1**3) / den) + 2.0 * E + abs(m2 / m1**2)
-    if abs(psi) < SINGULAR_RTOL * psi_scale:
-        raise NearSingularError(
-            f"|psi| = {abs(psi):.3g} below {SINGULAR_RTOL:g} of scale {psi_scale:.3g}"
-        )
-    flags = []
-    if abs(den) < SINGULAR_FLAG_RTOL * den_scale or abs(psi) < SINGULAR_FLAG_RTOL * psi_scale:
-        flags.append("near_singular_psi")
-    return flags
+    den_scale = np.maximum(np.abs(m1 * m2), E * np.abs(m1) ** 3)
+    ratio = (m3 - E**2 * m1**3) / den
+    psi = ratio - 2.0 * E - m2 / m1**2
+    psi_scale = np.abs(ratio) + 2.0 * E + np.abs(m2 / m1**2)
+    refuse(
+        errors, np.abs(den) < SINGULAR_RTOL * den_scale,
+        lambda i: NearSingularError(
+            f"|m1*m2 - e*m1^3| = {abs(den[i]):.3g} below {SINGULAR_RTOL:g} of scale "
+            f"{den_scale[i]:.3g} (normalized moments); estimator map undefined"
+        ),
+    )
+    refuse(
+        errors, np.abs(psi) < SINGULAR_RTOL * psi_scale,
+        lambda i: NearSingularError(
+            f"|psi| = {abs(psi[i]):.3g} below {SINGULAR_RTOL:g} of scale {psi_scale[i]:.3g}"
+        ),
+    )
+    return (np.abs(den) < SINGULAR_FLAG_RTOL * den_scale) | (
+        np.abs(psi) < SINGULAR_FLAG_RTOL * psi_scale
+    )
 
 
-def estimates_from_moments(m1: float, m2: float, m3: float, a: float) -> tuple[np.ndarray, list[str]]:
-    """Guarded estimator map and its flags; raises NearSingularError close to its poles."""
-    flags = _singularity_flags(m1, m2, m3)
-    with np.errstate(invalid="ignore"):
-        return _h(np.array([m1, m2, m3, a])), flags
+def _fit_point(
+    batch: Batch,
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray], list[LaplaceFitError | None]]:
+    # the plug-in point (m1, m2, m3, a) and estimates, both (., R), flags and errors
+    errors = row_errors(batch, MIN_SAMPLE, constant="constant sample: moment aggregates are singular")
+    near_singular = singular_rows(batch.m_tilde, errors)
+    plug_in = np.array([batch.m(1), batch.m(2), batch.m(3), batch.a])
+    est = _h(plug_in)
+    gamma_hat, _, theta_hat = est
+    flags = {
+        "near_singular_psi": near_singular,
+        "gamma_out_of_range": (gamma_hat > 1.0) | (gamma_hat == 0.0),
+        "theta_negative": theta_hat < 0.0,
+        "nonfinite_estimate": ~np.isfinite(est).all(axis=0),
+    }
+    return plug_in, est, flags, errors
 
 
-def _fit_point(sample: Sample) -> tuple[CensoredMomentSet, np.ndarray, list[str]]:
-    check_regime(sample, MIN_SAMPLE)
-    if sample.constant:
-        raise DegenerateSampleError("constant sample: moment aggregates are singular")
-    moments = censored_moments(sample)
-    est, flags = estimates_from_moments(moments.m(1), moments.m(2), moments.m(3), moments.a)
-    gamma_hat, lambda_hat, theta_hat = est
-    if gamma_hat > 1.0 or gamma_hat == 0.0:
-        flags.append("gamma_out_of_range")
-    if theta_hat < 0.0:
-        flags.append("theta_negative")
-    if not np.isfinite(est).all():
-        flags.append("nonfinite_estimate")
-    return moments, est, flags
-
-
-def fit_tweedie(sample: Sample, alpha: float = 0.05) -> Fit:
-    """Fit the Tweedie law from the first three censored moments.
+def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
+    """Fit the Tweedie law to every sample of a batch from its first three censored moments.
 
     The covariance estimate transforms the influence rows (V_1, V_2, V_3, W)
     by the Jacobian J of the estimator map at the plug-in point; with the
@@ -175,64 +175,66 @@ def fit_tweedie(sample: Sample, alpha: float = 0.05) -> Fit:
     space, out-of-range values only set diagnostics flags so that downstream
     summaries stay unbiased.
     """
-    moments, est, flags = _fit_point(sample)
-    plug_in = np.array([moments.m(1), moments.m(2), moments.m(3), moments.a])
-
-    with np.errstate(invalid="ignore"):
-        jac = central_diff_jacobian(_h, plug_in)
-    lmap, scales = influence_map(moments, k=3)
-    rows_map = (jac * scales) @ lmap
-    if np.isfinite(rows_map).all():
-        cov = rows_map @ moments.cov @ rows_map.T
-    else:
-        cov = np.full((3, 3), np.nan)
-        if "nonfinite_estimate" not in flags:
-            flags.append("nonfinite_covariance")
-
-    return make_fit("tweedie", PARAM_NAMES, est, cov, moments.a, sample.n, alpha, flags)
+    with np.errstate(all="ignore"):
+        plug_in, est, flags, errors = _fit_point(batch)
+        jac = np.ascontiguousarray(np.moveaxis(central_diff_jacobian(_h, plug_in), -1, 0))
+        lmap, scales = influence_map(batch, k=3)
+        rows_map = (jac * scales[:, None, :]) @ lmap
+        cov = rows_map @ batch.cov @ rows_map.transpose(0, 2, 1)
+    nonfinite = ~np.isfinite(rows_map).all(axis=(1, 2))
+    cov[nonfinite] = np.nan
+    flags["nonfinite_covariance"] = nonfinite & ~flags["nonfinite_estimate"]
+    return make_fit("tweedie", PARAM_NAMES, est.T.copy(), cov, batch.a, batch.n, alpha, flags, errors)
 
 
-def _gof_map(v: np.ndarray) -> float:
+def _gof_map(v: np.ndarray) -> np.ndarray:
     # (m1, m2, m3, a) -> -(1 - a*m1*psi)**phi - (psi - m2/m1^2)/e, which is the
     # centered value whose sqrt(n)-scaled plug-in version is the test statistic
     m1, m2, m3, a = v
     agg = psi_phi(m1, m2, m3)
-    return float(
-        -((1.0 - a * m1 * agg.psi_raw) ** agg.phi_exp)
-        - (agg.psi_raw - m2 / m1**2) / E
-    )
+    return -((1.0 - a * m1 * agg.psi_raw) ** agg.phi_exp) - (agg.psi_raw - m2 / m1**2) / E
 
 
-def gof_tweedie(sample: Sample, alpha: float = 0.05) -> GofOutcome:
-    """Test the Tweedie hypothesis.
+def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
+    """Test the Tweedie hypothesis on every sample of a batch.
 
     The statistic is sqrt(n) * (1 - (theta_hat/(theta_hat+A))**gamma_hat
     - gamma_hat/(e*m_hat[1]*(theta_hat+A))), zero in population by the
     censoring-point identity.  Its variance combines the influence rows with
     the finite-difference gradient of the underlying moment map.
     """
-    moments, est, _ = _fit_point(sample)
-    gamma_hat, _, theta_hat = est
-    a, m1 = moments.a, moments.m(1)
-
-    base = theta_hat / (theta_hat + a)
-    if base < 0.0 and gamma_hat != round(gamma_hat):
-        raise ComplexPowerError(
-            f"power base theta_hat/(theta_hat+A) = {base:.3g} is negative with "
-            f"non-integer exponent {gamma_hat:.3g}"
+    with np.errstate(all="ignore"):
+        plug_in, (gamma_hat, _, theta_hat), _, errors = _fit_point(batch)
+        m1, a = plug_in[0], plug_in[3]
+        base = theta_hat / (theta_hat + a)
+        refuse(
+            errors, (base < 0.0) & (gamma_hat != np.round(gamma_hat)),
+            lambda i: ComplexPowerError(
+                f"power base theta_hat/(theta_hat+A) = {base[i]:.3g} is negative with "
+                f"non-integer exponent {gamma_hat[i]:.3g}"
+            ),
         )
-    statistic = math.sqrt(sample.n) * (
-        1.0 - base**gamma_hat - gamma_hat / (E * m1 * (theta_hat + a))
-    )
-
-    plug_in = np.array([m1, moments.m(2), moments.m(3), a])
-    with np.errstate(invalid="ignore"):
-        beta = central_diff_gradient(_gof_map, plug_in)
-    lmap, scales = influence_map(moments, k=3)
-    row = (beta * scales) @ lmap
-    sigma_hat = math.sqrt(max(float(row @ moments.cov @ row), 0.0))
-    if not math.isfinite(statistic) or not math.isfinite(sigma_hat):
-        raise ComplexPowerError(
+        statistic = math.sqrt(batch.n) * (
+            1.0 - base**gamma_hat - gamma_hat / (E * m1 * (theta_hat + a))
+        )
+        beta = central_diff_gradient(_gof_map, plug_in).T.copy()
+        lmap, scales = influence_map(batch, k=3)
+        row = ((beta * scales)[:, None, :] @ lmap)[:, 0]
+        sigma_hat = np.sqrt(np.maximum(quadratic_form(row, batch.cov), 0.0))
+    refuse(
+        errors, ~(np.isfinite(statistic) & np.isfinite(sigma_hat)),
+        lambda i: ComplexPowerError(
             "test statistic or its variance is not finite at the plug-in point"
-        )
-    return make_gof_outcome("tweedie", statistic, sigma_hat, alpha, sample.n)
+        ),
+    )
+    return make_gof_outcome("tweedie", statistic, sigma_hat, alpha, batch.n, errors)
+
+
+def fit_tweedie(sample: Sample, alpha: float = 0.05) -> Fit:
+    """Fit one sample: a batch of one of :func:`fit_batch`."""
+    return fit_batch(Batch.of(sample), alpha).row(0)
+
+
+def gof_tweedie(sample: Sample, alpha: float = 0.05) -> GofOutcome:
+    """Test one sample: a batch of one of :func:`gof_batch`."""
+    return gof_batch(Batch.of(sample), alpha).row(0)

@@ -1,0 +1,209 @@
+"""One code path: a batch of samples is solved, summarised, fitted and tested row by row.
+
+Each row's results are bitwise the same whatever batch it sits in (chunks of
+1, 7 or all rows, rows in any order), and a Monte Carlo cell run in chunks
+tallies exactly what a loop of single public fits and tests does.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from laplacefit import (
+    DistributionSpec,
+    Sample,
+    derive_substream,
+    fit_ps,
+    jacobi,
+    laplace_core,
+    montecarlo,
+    ps,
+    sample_spec,
+    tweedie,
+)
+from laplacefit.errors import DegenerateSampleError, LaplaceFitError
+from laplacefit.families import FAMILIES
+from laplacefit.laplace_core import summarise
+from laplacefit.montecarlo import ExperimentConfig, run_configs
+
+KINDS = ("gamma", "stable", "few_zeros", "constant", "zero", "subnormal", "zero_heavy")
+
+
+def make_row(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "gamma":
+        return rng.gamma(0.7, 2.0, n)
+    if kind == "stable":
+        return sample_spec(DistributionSpec.parse("ps:0.4,5"), derive_substream(seed), size=n)
+    if kind == "few_zeros":
+        x = rng.gamma(2.0, 1.0, n)
+        x[: n // 4] = 0.0
+        return x
+    if kind == "constant":
+        return np.full(n, 3.5)
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "subnormal":
+        return rng.uniform(1e-315, 1e-310, n)
+    x = rng.gamma(2.0, 1.0, n)  # zero_heavy: a zero fraction of at least 1/e
+    x[: -(-3 * n // 8)] = 0.0
+    return x
+
+
+def bits(value) -> bytes:
+    # exact bits, with every NaN written as the one NaN
+    value = np.asarray(value, dtype=float)
+    return np.where(np.isnan(value), np.nan, value).tobytes()
+
+
+def code(error) -> str | None:
+    return None if error is None else error.code
+
+
+def per_row(x: np.ndarray) -> list[tuple]:
+    """Every per-row result of the batch x: statistics, then each family's fit and test."""
+    batch = summarise(x)
+    rows = [
+        [bits(batch.a[i]), bits(batch.m_tilde[i]), bits(batch.cov[i]), code(batch.errors[i])]
+        for i in range(x.shape[0])
+    ]
+    for family in (ps, tweedie, jacobi):
+        fits, outcomes = family.fit_batch(batch, 0.05), family.gof_batch(batch, 0.05)
+        for i, row in enumerate(rows):
+            flags = tuple(name for name, mask in fits.flags.items() if mask[i])
+            row += [
+                bits(fits.estimates[i]), bits(fits.cov_hat[i]), bits(fits.ci[i]), flags,
+                code(fits.errors[i]), bits(outcomes.statistic[i]), bits(outcomes.sigma_hat[i]),
+                bool(outcomes.reject[i]), code(outcomes.errors[i]),
+            ]
+    return [tuple(row) for row in rows]
+
+
+@pytest.mark.filterwarnings("error")
+@given(
+    n=st.integers(1, 60),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=12),
+    seed=st.integers(0, 2**31),
+    order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_rows_do_not_depend_on_their_batch(n, kinds, seed, order):
+    x = np.array([make_row(kind, n, seed + i) for i, kind in enumerate(kinds)])
+    whole = per_row(x)
+    for size in (1, 7):
+        chunked = [row for start in range(0, len(x), size) for row in per_row(x[start : start + size])]
+        assert chunked == whole
+    perm = list(range(len(x)))
+    order.shuffle(perm)
+    shuffled = per_row(x[perm])
+    assert [shuffled[perm.index(i)] for i in range(len(x))] == whole
+
+
+def test_batch_rows_cover_every_error_kind():
+    # the row kinds above reach the solve's errors and the regime checks
+    batch = summarise(np.array([make_row(kind, 40, 3) for kind in KINDS]))
+    codes = {code(e) for family in (ps, tweedie) for e in family.fit_batch(batch, 0.05).errors}
+    assert {code(e) for e in batch.errors} == {"all_zero_sample", "degenerate_sample", None}
+    assert codes == {"all_zero_sample", "degenerate_sample", "insufficient_sample", "regime", None}
+
+
+# ---------------------------------------------------------------------------
+# the harness against a loop of single fits and tests
+
+
+def reference_tally(config: ExperimentConfig, cell_index: int, n: int) -> dict:
+    """What the harness tallies for one cell, from the public API, one replicate at a time."""
+    family = FAMILIES[config.fit_target]
+    truth = np.array(list(config.truth().values())) if config.needs_fit else None
+    tally = {"estimates": [], "rejections": 0, "n_tested": 0, "failures": Counter()}
+    tally["covered"] = np.zeros(0 if truth is None else truth.size, dtype=int)
+    for rep in range(config.replications):
+        rng = derive_substream(config.base_seed, cell_index, rep)
+        try:
+            sample = Sample.from_values(montecarlo.sample_spec(config.generator, rng, size=n))
+        except LaplaceFitError as exc:
+            tally["failures"][exc.code] += 1
+            continue
+        if config.needs_fit:
+            try:
+                fit = family.fit(sample, alpha=config.alpha)
+            except LaplaceFitError as exc:
+                tally["failures"][exc.code] += 1
+                continue
+            est, ci = np.array(fit.estimates), np.array(fit.ci)
+            if not (np.isfinite(est).all() and np.isfinite(ci).all()):
+                tally["failures"]["nonfinite_estimate"] += 1
+            else:
+                tally["estimates"].append(est)
+                tally["covered"] += (ci[:, 0] <= truth) & (truth <= ci[:, 1])
+        if config.needs_gof:
+            try:
+                outcome = family.gof(sample, alpha=config.alpha)
+            except LaplaceFitError as exc:
+                tally["failures"][exc.code] += 1
+                continue
+            tally["rejections"] += int(outcome.reject)
+            tally["n_tested"] += 1
+    return tally
+
+
+#: (generator, fit target, metrics, n grid): every code path of a cell, including
+#: sampler errors, n below the minimum, regime, complex-power and non-finite rows
+CELLS = [
+    ("ps:0.5,15", "ps", ("rrmse", "coverage", "size"), (5, 60, 150)),
+    ("we0:1,1,0.3", "ps", ("power",), (50,)),
+    ("tw0:1,1,0.1", "tweedie", ("rrmse", "coverage", "size"), (60, 300)),
+    ("tw0:0.75,0.5,0.1", "tweedie", ("rrmse", "coverage", "size"), (50,)),
+    ("lnsqrt:0,1.5", "tweedie", ("power",), (60,)),
+    ("tw:0.5,200,5", "tweedie", ("rrmse",), (60,)),
+    ("pa:5,2", "jacobi", ("power",), (30,)),
+]
+
+
+def poisoned(spec, rng, size):
+    # about one draw in ten carries a NaN or a negative value, so the harness's
+    # validation path runs next to the sampler's
+    values = sample_spec(spec, rng, size=size)
+    k = int(rng.integers(20))
+    if k < 2:
+        values[k] = (np.nan, -1.0)[k]
+    return values
+
+
+@pytest.mark.filterwarnings("ignore:constant sample")
+@pytest.mark.parametrize("generator,target,metrics,n_grid", CELLS)
+def test_cell_tallies_match_single_fits(generator, target, metrics, n_grid, monkeypatch):
+    monkeypatch.setattr(montecarlo, "CHUNK_VALUES", 700)  # several chunks per cell
+    monkeypatch.setattr(montecarlo, "sample_spec", poisoned)
+    config = ExperimentConfig(
+        DistributionSpec.parse(generator), target, n_grid, replications=80, base_seed=11,
+        metrics=metrics,
+    )
+    for cell_index, n in enumerate(n_grid):
+        got = montecarlo._run_cell(config, cell_index, n)
+        want = reference_tally(config, cell_index, n)
+        estimates = np.concatenate([np.empty((0, len(FAMILIES[target].param_names))), *got.estimates])
+        assert np.array_equal(estimates, np.array(want["estimates"]).reshape(estimates.shape))
+        if config.needs_fit:
+            assert np.array_equal(got.covered, want["covered"])
+        assert (got.rejections, got.n_tested) == (want["rejections"], want["n_tested"])
+        assert got.failures == dict(want["failures"])
+    report = run_configs([config])
+    assert report.to_json() == run_configs([config], jobs=2).to_json()
+
+
+def test_solve_at_the_iteration_cap_fails(monkeypatch):
+    # one Newton step cannot reach the tolerance from the bracket midpoint
+    monkeypatch.setattr(laplace_core, "SOLVER_MAX_ITER", 1)
+    sample = Sample.from_values(sample_spec(DistributionSpec.parse("ps:0.5,15"), derive_substream(8), size=200))
+    with pytest.raises(DegenerateSampleError, match=r"stopped after 1 iterations with residual"):
+        fit_ps(sample)
+    config = ExperimentConfig(
+        DistributionSpec.parse("ps:0.5,15"), "ps", (200,), replications=20, base_seed=5,
+        metrics=("rrmse", "size"),
+    )
+    (record, *_) = run_configs([config]).records
+    assert record.n_ok == 0 and record.failures == {"degenerate_sample": 20}

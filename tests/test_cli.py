@@ -222,6 +222,30 @@ def test_experiment_invalid_config_field_path(capsys, tmp_path):
     assert "experiments[0].n_grid" in err
 
 
+@pytest.mark.parametrize(
+    "field,argv,fragment",
+    [
+        ({"replications": "many"}, (), "replications: must be an integer"),
+        ({"n_grid": ["x"]}, (), "n_grid: must be an integer"),
+        ({"n_grid": 100}, (), "n_grid: must be a list"),
+        ({"base_seed": -1}, (), "base_seed: must be >= 0"),
+        ({"metrics": "size"}, (), "metrics: must be a list, got the string"),
+        ({}, ("--seed", "-1"), "base_seed: must be >= 0"),
+        (None, ("--table", "1", "--seed", "-1"), "base_seed: must be >= 0"),
+    ],
+)
+def test_experiment_malformed_config_exit_1(capsys, tmp_path, field, argv, fragment):
+    config = {"generator": "ps:0.5,2", "fit_target": "ps", "n_grid": [60], "replications": 5}
+    source = ()
+    if field is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(config, **field)))
+        source = (str(path),)
+    code, out, err = run_cli(capsys, "experiment", *source, *argv, "--out", str(tmp_path / "r"))
+    assert code == 1 and out == ""
+    assert err.startswith("error (config): ") and fragment in err
+
+
 def test_experiment_requires_exactly_one_source(capsys, tmp_path):
     code, _, err = run_cli(capsys, "experiment")
     assert code == 1

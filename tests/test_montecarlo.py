@@ -86,6 +86,21 @@ def test_parse_config_document_field_paths():
         parse_config_document(
             {"generator": "ps:0.5,2", "fit_target": "ps", "n_grid": [50], "extra": 1}
         )
+    good = {"generator": "ps:0.5,2", "fit_target": "ps", "n_grid": [50]}
+    for field, message in MALFORMED:
+        with pytest.raises(ConfigError, match=message):
+            parse_config_document({"experiments": [good, dict(good, **field)]})
+
+
+#: malformed field values and the coded error each one gets
+MALFORMED = [
+    ({"replications": "many"}, r"experiments\[1\]\.replications: must be an integer, got 'many'"),
+    ({"n_grid": ["x"]}, r"experiments\[1\]\.n_grid: must be an integer, got 'x'"),
+    ({"n_grid": 100}, r"experiments\[1\]\.n_grid: must be a list, got 100"),
+    ({"base_seed": -1}, r"experiments\[1\]\.base_seed: must be >= 0, got -1"),
+    ({"metrics": "size"}, r"experiments\[1\]\.metrics: must be a list, got the string 'size'"),
+]
+
 
 
 def test_tw0_truth_uses_converted_parameters():

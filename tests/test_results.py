@@ -30,7 +30,7 @@ def test_alpha_outside_unit_interval_is_a_config_error(alpha):
     sample = Sample.from_values(derive_substream(62).gamma(2.0, 1.0, 200))
     for call in (
         lambda: normal_quantile(alpha),
-        lambda: make_gof_outcome("ps", 1.0, 1.0, alpha, 100),
+        lambda: make_gof_outcome("ps", np.ones(1), np.ones(1), alpha, 100, [None]),
         lambda: gof_ps(sample, alpha=alpha),
         lambda: gof_tweedie(sample, alpha=alpha),
         lambda: gof_jacobi(sample, alpha=alpha),
@@ -42,10 +42,11 @@ def test_alpha_outside_unit_interval_is_a_config_error(alpha):
 
 
 def test_zero_test_variance_is_degenerate():
+    # the row's error is raised when its outcome is read
     with pytest.raises(DegenerateSampleError, match="test variance estimate is zero"):
-        make_gof_outcome("ps", 1.0, 0.0, 0.05, 100)
+        make_gof_outcome("ps", np.ones(1), np.zeros(1), 0.05, 100, [None]).row(0)
     # a non-finite variance estimate passes through unchanged
-    assert math.isnan(make_gof_outcome("ps", 1.0, float("nan"), 0.05, 100).z)
+    assert math.isnan(make_gof_outcome("ps", np.ones(1), np.full(1, np.nan), 0.05, 100, [None]).row(0).z)
 
 
 def test_import_leaves_scipy_out():

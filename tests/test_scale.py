@@ -4,9 +4,12 @@ Every ps and Jacobi fit and test of a scaled sample returns all-finite floats
 or raises a ``LaplaceFitError``, never a builtin error or a silent NaN or inf;
 here every sample whose values stay finite is fitted and tested.  The ps
 gamma_hat and z equal the unscaled sample's, evaluated from their definitions
-at the scaled censoring point.  Tweedie is left out: its finite-difference
-Jacobian takes an absolute step on the raw moments, so its standard errors
-still depend on the data's units.
+at the scaled censoring point.  Tweedie meets a weaker contract: its
+finite-difference Jacobian takes an absolute step on the raw moments, so its
+standard errors still depend on the data's units, and far from unit scale its
+raw moments leave the float range.  Each Tweedie fit and test returns or
+raises a ``LaplaceFitError``, and a fit with non-finite numbers says so in
+its diagnostics.
 """
 
 import math
@@ -20,11 +23,13 @@ from laplacefit import (
     derive_substream,
     fit_jacobi,
     fit_ps,
+    fit_tweedie,
     gof_jacobi,
     gof_ps,
+    gof_tweedie,
     sample_spec,
 )
-from laplacefit.errors import SampleValidationError
+from laplacefit.errors import LaplaceFitError, SampleValidationError
 
 #: spec -> sample size of the scaled inputs
 INPUTS = {"ps:0.5,15": 500, "tw0:1,1,0.1": 1000}
@@ -81,3 +86,18 @@ def test_ps_gamma_and_z_are_scale_free(spec, k):
     gamma_ref, z_ref = ps_reference(x, fit.a * 10.0**k)
     assert fit.estimates[0] == pytest.approx(gamma_ref, rel=1e-9)
     assert outcome.z == pytest.approx(z_ref, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("spec", list(INPUTS))
+def test_tweedie_returns_or_raises_a_coded_error(spec, k):
+    with np.errstate(over="ignore"):
+        scaled = draw(spec) * 10.0**k
+    for run in (fit_tweedie, gof_tweedie):
+        try:
+            payload = run(Sample.from_values(scaled)).to_dict()
+        except LaplaceFitError:
+            continue
+        if not all(math.isfinite(v) for v in payload_floats(payload)):
+            assert {"nonfinite_estimate", "nonfinite_covariance"} & set(payload["diagnostics"])

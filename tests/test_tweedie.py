@@ -27,7 +27,7 @@ from laplacefit.errors import (
     RegimeError,
 )
 from laplacefit.numdiff import central_diff_jacobian, richardson_jacobian
-from laplacefit.tweedie import _gof_map, _h, estimates_from_moments, psi_phi
+from laplacefit.tweedie import _gof_map, _h, psi_phi, singular_rows
 
 E = math.e
 
@@ -128,7 +128,11 @@ def test_degenerate_point_mass_moments():
 def test_population_round_trip(params):
     a_star = tw_censoring_point(params)
     m1, m2, m3 = tw_theoretical_censored_moments(params, a_star)
-    est, _ = estimates_from_moments(m1, m2, m3, a_star)
+    # the guard, on the normalized moments m_r * a**r, lets the point through
+    errors = [None]
+    singular_rows(np.array([[math.exp(-1.0), m1 * a_star, m2 * a_star**2, m3 * a_star**3, 0.0]]), errors)
+    assert errors == [None]
+    est = _h(np.array([m1, m2, m3, a_star]))
     assert est[0] == pytest.approx(params.gamma, rel=1e-9)
     assert est[1] == pytest.approx(params.lam, rel=1e-9)
     assert est[2] == pytest.approx(params.theta, rel=1e-9, abs=1e-9)
@@ -191,8 +195,9 @@ def test_jacobian_fd_vs_richardson_on_interior_points():
 def test_near_singular_guard():
     # m2 = e*m1**2 zeroes the psi denominator
     m1 = 0.3
-    with pytest.raises(NearSingularError):
-        estimates_from_moments(m1, E * m1**2, 0.5, 1.0)
+    errors = [None]
+    singular_rows(np.array([[math.exp(-1.0), m1, E * m1**2, 0.5, 0.0]]), errors)
+    assert isinstance(errors[0], NearSingularError)
 
 
 # ---------------------------------------------------------------------------
