@@ -30,12 +30,14 @@ print(f"L_n(A) = {empirical_laplace(sample, point.a):.15f} vs target {point.c_ta
 print(f"solver iterations: {point.iterations}, residual {point.residual:.2e}")
 
 # the sample solves for A once and makes one statistics pass in the frame
-# y = A*X; every fit and test of this sample reads this same set
+# y = A*X; every fit and test of this sample reads this same set.  The
+# normalized moments m~_r = A**r * mean(X**r exp(-A X)) do not depend on the
+# data's units; the fits read them and A, never the raw moments
 moments = censored_moments(sample)
-print("\ncensored moments m_r = mean(X**r exp(-A X)) = mean(y**r exp(-y)) / A**r:")
+print("\nnormalized censored moments m~_r = mean(y**r exp(-y)):")
 for r in range(5):
-    print(f"  m_{r} = {moments.m(r):12.6f}")
-print(f"population m_1 = gamma/(e*a*) = {0.5 / (np.e * a_star):12.6f}")
+    print(f"  m~_{r} = {moments.m_tilde[r]:.6f}")
+print(f"population m~_1 = gamma/e = {0.5 / np.e:.6f}")
 
 # the covariance of the power products y**r exp(-y), r <= 3, drives every
 # standard error in the package through a small fixed matrix

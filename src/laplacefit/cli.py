@@ -111,6 +111,10 @@ def _cmd_gof(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ConfigError(f"n: must be >= 1, got {args.n}")
+    if args.seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     spec = DistributionSpec.parse(args.spec)
     rng = derive_substream(args.seed)
     values = sample_spec(spec, rng, size=args.n)

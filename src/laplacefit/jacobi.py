@@ -91,9 +91,8 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
     with np.errstate(all="ignore"):
         gamma_hat, log_a = _index(batch, errors)
         statistic = math.sqrt(batch.n) * (batch.m_tilde[:, 1] - JACOBI_KAPPA * gamma_hat) / a
-        lmap, _ = influence_map(batch, k=1)
         coef = columns(np.ones(a.size), JACOBI_KAPPA * gamma_hat * (1.0 + 1.0 / log_a))
-        row = (coef[:, None, :] @ lmap)[:, 0]
+        row = (coef[:, None, :] @ influence_map(batch, k=1))[:, 0]
         sigma_hat = np.sqrt(np.maximum(quadratic_form(row, batch.cov), 0.0)) / a
     return make_gof_outcome("jacobi", statistic, sigma_hat, alpha, batch.n, errors)
 

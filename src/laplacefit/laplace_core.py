@@ -336,13 +336,6 @@ class CensoredMomentSet:
     m_tilde: np.ndarray
     cov: np.ndarray
 
-    def m(self, r: int) -> float:
-        """Raw censored moment m_hat[r] = mean(X**r * exp(-a*X)) = m_tilde[r] / a**r."""
-        value = float(self.m_tilde[r])
-        for _ in range(r):
-            value /= self.a
-        return value
-
 
 def moments_rows(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The statistics pass for every row of ``x`` at its censoring point ``a[i]``.
@@ -419,13 +412,6 @@ class Batch:
             np.array([a]), m_tilde[None], cov[None], [error],
         )
 
-    def m(self, r: int) -> np.ndarray:
-        """Raw censored moments m_tilde[:, r] / a**r, row by row, as ``CensoredMomentSet.m``."""
-        value = self.m_tilde[:, r]
-        for _ in range(r):
-            value = value / self.a
-        return value
-
 
 def summarise(x: np.ndarray) -> Batch:
     """Solve and summarise every row of an (R, n) block of validated samples."""
@@ -490,27 +476,23 @@ def quadratic_form(rows: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ cov @ rows[:, :, None])[:, 0, 0]
 
 
-def influence_map(moments: CensoredMomentSet | Batch, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map from the power products to the influence rows, and the rows' scales.
+def influence_map(moments: CensoredMomentSet | Batch, k: int) -> np.ndarray:
+    """Map from the power products to the normalized influence rows.
 
     Returns the (k+1) x MAX_ORDER matrix L with (V~_1, ..., V~_k, W~) = L @ P~,
-    where V~_r = P~_r - m_tilde[r+1]/m_tilde[1] * P~_0 captures a censored
-    moment and W~ = P~_0/m_tilde[1] the censoring point, and the scales
-    (a**-1, ..., a**-k, a) that turn them into the raw rows V_r and W.  The
-    covariance of the rows is then diag(scales) @ L @ cov @ L.T @ diag(scales).
-    For a batch, both carry a leading row axis.
+    where V~_r = P~_r - m_tilde[r+1]/m_tilde[1] * P~_0 captures the censored
+    moment m_tilde[r] and W~ = P~_0/m_tilde[1] the censoring point in the
+    frame y = A*x, so the rows' covariance is L @ cov @ L.T.  Every map in the
+    package reads the normalized statistics: the raw rows V_r = V~_r/A**r and
+    W = A*W~ are never formed.  For a batch, L carries a leading row axis.
     """
     if not 1 <= k <= MAX_ORDER - 1:
         raise ValueError(f"k must be in 1..{MAX_ORDER - 1}")
-    m, a = moments.m_tilde, np.asarray(moments.a)
+    m = moments.m_tilde
     if np.any(m[..., 1] == 0.0):
         raise DegenerateMomentsError("first censored moment is zero")
     lmap = np.zeros((*m.shape[:-1], k + 1, MAX_ORDER))
     lmap[..., :k, 0] = -m[..., 2 : k + 2] / m[..., 1, None]
     lmap[..., :k, 1 : k + 1] = np.eye(k)
     lmap[..., k, 0] = 1.0 / m[..., 1]
-    scales = np.empty((*a.shape, k + 1))
-    scales[..., 0], scales[..., k] = 1.0 / a, a
-    for r in range(1, k):
-        scales[..., r] = scales[..., r - 1] / a
-    return lmap, scales
+    return lmap

@@ -598,13 +598,14 @@ def table_configs(
         raise ConfigError("table: 6 is the deterministic conversion table; use run_table")
     design = TABLE_DESIGNS[table]
     seed0 = DEFAULT_TABLE_SEED + 1000 * table if base_seed is None else base_seed
-    reps = replications or (design.desk_replications if desk_scale else design.full_replications)
+    if replications is None:
+        replications = design.desk_replications if desk_scale else design.full_replications
     return [
         ExperimentConfig(
             generator=DistributionSpec.parse(row),
             fit_target=design.fit_target,
             n_grid=design.n_grid,
-            replications=reps,
+            replications=replications,
             alpha=0.05,
             base_seed=seed0 + i,
             metrics=design.metrics,

@@ -2,10 +2,12 @@
 
 Three censored moments and the censoring point determine the parameter triple
 in closed form through the map ``h`` below; its population version recovers
-(gamma, lam, theta) exactly from the theoretical censored moments.  The
-asymptotic covariance uses the 3x4 Jacobian of ``h``, computed by central
-finite differences rather than hand algebra (the Richardson property tests
-bound the error).
+(gamma, lam, theta) exactly from the theoretical censored moments.  Data in
+other units map (m1, m2, m3, a) to (c*m1, c^2*m2, c^3*m3, a/c), which leaves
+gamma and the test statistic unchanged and takes (lam, theta) to
+(lam*c**gamma, theta/c).  So ``h`` and its 3x4 Jacobian, by central finite
+differences (the Richardson property tests bound the error), are taken at the
+unit-free point (m~1, m~2, m~3, 1): no raw moment is formed.
 
 Caveat: at the stable submodel boundary theta = 0 the Jacobian entries that
 involve theta**gamma are singular, so a theta_hat very near zero inflates the
@@ -22,7 +24,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, TweedieParams, laplace_exact
 from .errors import ComplexPowerError, LaplaceFitError, NearSingularError, RegimeError, refuse
-from .laplace_core import E, Batch, Sample, influence_map, quadratic_form, row_errors
+from .laplace_core import E, Batch, Sample, columns, influence_map, quadratic_form, row_errors
 from .numdiff import central_diff_gradient, central_diff_jacobian
 from .results import Fit, FitBatch, GofBatch, GofOutcome, make_fit, make_gof_outcome
 
@@ -149,42 +151,48 @@ def singular_rows(m_tilde: np.ndarray, errors: list[LaplaceFitError | None]) -> 
 
 def _fit_point(
     batch: Batch,
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray], list[LaplaceFitError | None]]:
-    # the plug-in point (m1, m2, m3, a) and estimates, both (., R), flags and errors
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[LaplaceFitError | None]]:
+    # the unit-free point (m~1, m~2, m~3, 1), h there, the near-singular mask, errors
     errors = row_errors(batch, MIN_SAMPLE, constant="constant sample: moment aggregates are singular")
     near_singular = singular_rows(batch.m_tilde, errors)
-    plug_in = np.array([batch.m(1), batch.m(2), batch.m(3), batch.a])
-    est = _h(plug_in)
-    gamma_hat, _, theta_hat = est
-    flags = {
-        "near_singular_psi": near_singular,
-        "gamma_out_of_range": (gamma_hat > 1.0) | (gamma_hat == 0.0),
-        "theta_negative": theta_hat < 0.0,
-        "nonfinite_estimate": ~np.isfinite(est).all(axis=0),
-    }
-    return plug_in, est, flags, errors
+    point = np.array([*batch.m_tilde[:, 1:4].T, np.ones(batch.a.size)])
+    return point, _h(point), near_singular, errors
 
 
 def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
     """Fit the Tweedie law to every sample of a batch from its first three censored moments.
 
-    The covariance estimate transforms the influence rows (V_1, V_2, V_3, W)
-    by the Jacobian J of the estimator map at the plug-in point; with the
-    rows' map L and scales D from :func:`influence_map` it is
-    (J D L) @ S @ (J D L).T.  No estimate is clamped into the parameter
+    At the unit-free point h gives (gamma_hat, lam~, theta~) = (gamma_hat,
+    lambda_hat*A**gamma_hat, theta_hat/A), and its Jacobian J acts on the
+    normalized rows L @ P~ of :func:`influence_map`.  The change of units U
+    subtracts lam~*log(A) times the gamma row from the lambda row and
+    multiplies the rows by (1, A**-gamma_hat, A): the covariance estimate is
+    (U J L) @ S @ (U J L).T.  No estimate is clamped into the parameter
     space, out-of-range values only set diagnostics flags so that downstream
     summaries stay unbiased.
     """
+    a = batch.a
     with np.errstate(all="ignore"):
-        plug_in, est, flags, errors = _fit_point(batch)
-        jac = np.ascontiguousarray(np.moveaxis(central_diff_jacobian(_h, plug_in), -1, 0))
-        lmap, scales = influence_map(batch, k=3)
-        rows_map = (jac * scales[:, None, :]) @ lmap
+        point, (gamma_hat, lam_tilde, theta_tilde), near_singular, errors = _fit_point(batch)
+        jac = np.ascontiguousarray(np.moveaxis(central_diff_jacobian(_h, point), -1, 0))
+        rows_map = jac @ influence_map(batch, k=3)
+        singular = ~np.isfinite(rows_map).all(axis=(1, 2))
+        unit = a**-gamma_hat
+        rows_map[:, 1] -= (lam_tilde * np.log(a))[:, None] * rows_map[:, 0]
+        rows_map[:, 1:] *= columns(unit, a)[:, :, None]
         cov = rows_map @ batch.cov @ rows_map.transpose(0, 2, 1)
-    nonfinite = ~np.isfinite(rows_map).all(axis=(1, 2))
-    cov[nonfinite] = np.nan
-    flags["nonfinite_covariance"] = nonfinite & ~flags["nonfinite_estimate"]
-    return make_fit("tweedie", PARAM_NAMES, est.T.copy(), cov, batch.a, batch.n, alpha, flags, errors)
+        est = columns(gamma_hat, lam_tilde * unit, theta_tilde * a)
+    cov[singular] = np.nan
+    nonfinite_estimate = ~np.isfinite(est).all(axis=1)
+    flags = {
+        "near_singular_psi": near_singular,
+        "gamma_out_of_range": (gamma_hat > 1.0) | (gamma_hat == 0.0),
+        "theta_negative": theta_tilde < 0.0,
+        "nonfinite_estimate": nonfinite_estimate,
+        # U may overflow single entries, e.g. A**2 times theta~'s variance
+        "nonfinite_covariance": ~np.isfinite(cov).all(axis=(1, 2)) & ~nonfinite_estimate,
+    }
+    return make_fit("tweedie", PARAM_NAMES, est, cov, a, batch.n, alpha, flags, errors)
 
 
 def _gof_map(v: np.ndarray) -> np.ndarray:
@@ -200,13 +208,14 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
 
     The statistic is sqrt(n) * (1 - (theta_hat/(theta_hat+A))**gamma_hat
     - gamma_hat/(e*m_hat[1]*(theta_hat+A))), zero in population by the
-    censoring-point identity.  Its variance combines the influence rows with
-    the finite-difference gradient of the underlying moment map.
+    censoring-point identity.  It is unit-free: at the unit-free point it
+    reads sqrt(n) * (1 - (theta~/(theta~+1))**gamma_hat
+    - gamma_hat/(e*m~1*(theta~+1))), and the finite-difference gradient of
+    the underlying moment map there acts on the normalized influence rows.
     """
     with np.errstate(all="ignore"):
-        plug_in, (gamma_hat, _, theta_hat), _, errors = _fit_point(batch)
-        m1, a = plug_in[0], plug_in[3]
-        base = theta_hat / (theta_hat + a)
+        point, (gamma_hat, _, theta_tilde), _, errors = _fit_point(batch)
+        base = theta_tilde / (theta_tilde + 1.0)
         refuse(
             errors, (base < 0.0) & (gamma_hat != np.round(gamma_hat)),
             lambda i: ComplexPowerError(
@@ -215,11 +224,10 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
             ),
         )
         statistic = math.sqrt(batch.n) * (
-            1.0 - base**gamma_hat - gamma_hat / (E * m1 * (theta_hat + a))
+            1.0 - base**gamma_hat - gamma_hat / (E * point[0] * (theta_tilde + 1.0))
         )
-        beta = central_diff_gradient(_gof_map, plug_in).T.copy()
-        lmap, scales = influence_map(batch, k=3)
-        row = ((beta * scales)[:, None, :] @ lmap)[:, 0]
+        beta = central_diff_gradient(_gof_map, point).T.copy()
+        row = (beta[:, None, :] @ influence_map(batch, k=3))[:, 0]
         sigma_hat = np.sqrt(np.maximum(quadratic_form(row, batch.cov), 0.0))
     refuse(
         errors, ~(np.isfinite(statistic) & np.isfinite(sigma_hat)),

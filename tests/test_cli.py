@@ -45,6 +45,20 @@ def test_sample_bad_spec_exit_1(capsys):
     assert "spec_format" in err
 
 
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (("--n", "0"), "n: must be >= 1, got 0"),
+        (("--n", "-1"), "n: must be >= 1, got -1"),
+        (("--n", "5", "--seed", "-1"), "seed: must be >= 0, got -1"),
+    ],
+)
+def test_sample_bad_size_or_seed_exit_1(capsys, argv, fragment):
+    code, out, err = run_cli(capsys, "sample", "ps:0.5,15", *argv)
+    assert code == 1 and out == ""
+    assert f"error (config): {fragment}" in err
+
+
 # ---------------------------------------------------------------------------
 # fit / gof
 
@@ -130,6 +144,22 @@ def test_tiny_scale_fit_matches_unscaled(capsys, tmp_path):
     z = np.sqrt(values.size) * (a * m2 - m1) / terms.std(ddof=1)
     assert payload["gamma_hat"] == pytest.approx(np.e * a * m1, rel=1e-9)
     assert payload["z"] == pytest.approx(z, rel=1e-9)
+
+
+def test_tweedie_fit_in_other_units_matches_unscaled(capsys, tmp_path):
+    # the Tweedie fit and test read the unit-free point (m_tilde, 1), so data
+    # in millionths give the same index and z
+    values = sample_spec(DistributionSpec.parse("tw0:1,1,0.1"), derive_substream(95), size=1000)
+    payloads = []
+    for scale in (1.0, 1e-6):
+        path = tmp_path / f"draws_{scale:g}.txt"
+        path.write_text("\n".join(repr(float(v) * scale) for v in values) + "\n")
+        code, out, _ = run_cli(capsys, "fit", "tweedie", str(path))
+        assert code == 0
+        payloads.append(json.loads(out))
+    unit, micro = payloads
+    assert micro["gamma_hat"] == pytest.approx(unit["gamma_hat"], rel=1e-9)
+    assert micro["z"] == pytest.approx(unit["z"], rel=1e-9)
 
 
 @pytest.mark.parametrize("family,spec", [("ps", "ps:0.5,15"), ("tweedie", "tw0:1,1,0.1"), ("jacobi", "ps:0.5,15")])

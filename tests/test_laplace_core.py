@@ -197,12 +197,17 @@ def test_censoring_point_monotone_consistency():
 # censored moments
 
 
+def raw_moment(ms, r):
+    """The raw censored moment mean(X**r * exp(-A*X)) = m_tilde[r] / A**r."""
+    return ms.m_tilde[r] / ms.a**r
+
+
 def test_moments_constant_sample():
     k = 2.5
     s = Sample.from_values([k] * 50)
     ms = censored_moments(s)
     for r in range(5):
-        assert ms.m(r) == pytest.approx(k**r * math.exp(-1.0), rel=1e-11)
+        assert raw_moment(ms, r) == pytest.approx(k**r * math.exp(-1.0), rel=1e-11)
 
 
 def test_sample_caches_only_scalars():
@@ -221,7 +226,7 @@ def test_moment_zero_equals_target():
     rng = derive_substream(103)
     s = Sample.from_values(sample_spec(DistributionSpec.parse("we:1,1"), rng, size=5000))
     ms = censored_moments(s)
-    assert abs(ms.m(0) - ms.c_target) <= SOLVER_RTOL * ms.c_target
+    assert abs(raw_moment(ms, 0) - ms.c_target) <= SOLVER_RTOL * ms.c_target
 
 
 def test_moments_ps_first_moment():
@@ -229,7 +234,7 @@ def test_moments_ps_first_moment():
     s = Sample.from_values(sample_spec(DistributionSpec.parse("ps:0.5,15"), rng, size=10**5))
     # population m_1 = gamma/(e*a_*) with a_* = 15**-2
     expected = 0.5 * 225.0 / E
-    assert censored_moments(s).m(1) == pytest.approx(expected, rel=0.03)
+    assert raw_moment(censored_moments(s), 1) == pytest.approx(expected, rel=0.03)
 
 
 def test_moments_tw_first_moment():
@@ -237,7 +242,7 @@ def test_moments_tw_first_moment():
     s = Sample.from_values(sample_spec(DistributionSpec.parse("tw:0.5,2,0.5"), rng, size=10**5))
     a_star = (0.5 + 0.5**0.5) ** 2 - 0.5
     expected = 0.5 * 2.0 * math.exp(-1.0) * (0.5 + a_star) ** -0.5
-    assert censored_moments(s).m(1) == pytest.approx(expected, rel=0.03)
+    assert raw_moment(censored_moments(s), 1) == pytest.approx(expected, rel=0.03)
 
 
 def test_moments_survive_huge_values():
@@ -249,12 +254,12 @@ def test_moments_survive_huge_values():
 
 
 def test_raw_moments_from_normalized():
-    # m(r) undoes the normalization y = a*x: mean(x**r * exp(-a*x))
+    # m_tilde[r] / a**r undoes the normalization y = a*x: mean(x**r * exp(-a*x))
     x = derive_substream(110).gamma(2.0, 1.0, 500)
     ms = censored_moments_at(Sample.from_values(x), 0.7)
     for r in range(5):
-        assert ms.m(r) == pytest.approx(np.mean(x**r * np.exp(-0.7 * x)), rel=1e-13)
-    assert ms.m_tilde[0] == ms.m(0) == np.exp(-(0.7 * x)).mean()
+        assert raw_moment(ms, r) == pytest.approx(np.mean(x**r * np.exp(-0.7 * x)), rel=1e-13)
+    assert ms.m_tilde[0] == raw_moment(ms, 0) == np.exp(-(0.7 * x)).mean()
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +272,17 @@ def power_products(x, a):
     return np.stack([y**r * np.exp(-y) for r in range(4)])
 
 
+def raw_scales(a, k):
+    """The factors (a**-1, ..., a**-k, a) from the normalized rows V~_r, W~ to the raw V_r, W."""
+    return np.array([*(a**-r for r in range(1, k + 1)), a])
+
+
 def test_influence_rows_hand_computed():
     s = Sample.from_values([0.0, 2.0])
     ms = censored_moments_at(s, math.log(2.0))
-    assert ms.m(1) == pytest.approx(0.25, rel=1e-15)
-    assert ms.m(2) == pytest.approx(0.5, rel=1e-15)
-    lmap, scales = influence_map(ms, k=1)
+    assert raw_moment(ms, 1) == pytest.approx(0.25, rel=1e-15)
+    assert raw_moment(ms, 2) == pytest.approx(0.5, rel=1e-15)
+    lmap, scales = influence_map(ms, k=1), raw_scales(ms.a, 1)
     rows = scales[:, None] * (lmap @ power_products(s.values, ms.a))
     v1 = rows[0]
     assert v1[0] == pytest.approx(-2.0, rel=1e-14)
@@ -283,9 +293,9 @@ def test_influence_point_row_identity():
     rng = derive_substream(106)
     s = Sample.from_values(sample_spec(DistributionSpec.parse("ps:0.4,5"), rng, size=2000))
     ms = censored_moments(s)
-    lmap, scales = influence_map(ms, k=3)
+    lmap, scales = influence_map(ms, k=3), raw_scales(ms.a, 3)
     w_mean = scales[3] * (lmap[3] @ ms.m_tilde[:4])
-    assert w_mean == pytest.approx(ms.m(0) / ms.m(1), rel=1e-12)
+    assert w_mean == pytest.approx(raw_moment(ms, 0) / raw_moment(ms, 1), rel=1e-12)
 
 
 def test_influence_rows_degenerate_moments():
@@ -313,7 +323,7 @@ def test_covariance_symmetric_psd():
     rng = derive_substream(107)
     s = Sample.from_values(sample_spec(DistributionSpec.parse("tw:0.6,2.5,0.6"), rng, size=3000))
     ms = censored_moments(s)
-    lmap, scales = influence_map(ms, k=3)
+    lmap, scales = influence_map(ms, k=3), raw_scales(ms.a, 3)
     rows_map = scales[:, None] * lmap
     cov = rows_map @ ms.cov @ rows_map.T
     assert np.allclose(cov, cov.T)
@@ -336,7 +346,7 @@ def test_point_variance_matches_limit_law():
     rng = derive_substream(108)
     s = Sample.from_values(sample_spec(spec, rng, size=10**5))
     ms = censored_moments(s)
-    lmap, scales = influence_map(ms, k=1)
+    lmap, scales = influence_map(ms, k=1), raw_scales(ms.a, 1)
     var_w = scales[1] ** 2 * (lmap[1] @ ms.cov @ lmap[1])
     a_star = 15.0**-2.0
     m1 = 0.5 * 225.0 / E

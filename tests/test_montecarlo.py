@@ -231,6 +231,12 @@ def test_table_configs_shapes():
         table_configs(9)
 
 
+def test_table_configs_refuse_zero_replications():
+    # 0 is a value, not a request for the design's default count
+    with pytest.raises(ConfigError, match="replications: must be >= 1, got 0"):
+        table_configs(1, replications=0)
+
+
 def test_table_run_record_shape():
     report = run_table(1, replications=3)
     # 4 models x 3 sizes x 2 parameters

@@ -105,8 +105,8 @@ def test_covariance_rows_match_delta_method():
         g = E * m1 * a
         return np.array([g, a**-g])
 
-    jac = central_diff_jacobian(h, [ms.m(1), ms.a])
-    lmap, scales = influence_map(ms, k=1)
+    jac = central_diff_jacobian(h, [ms.m_tilde[1] / ms.a, ms.a])
+    lmap, scales = influence_map(ms, k=1), np.array([1.0 / ms.a, ms.a])
     generic = (jac * scales) @ lmap
     cov_generic = generic @ ms.cov @ generic.T
     assert np.allclose(fit.cov_hat, cov_generic, rtol=0.05)

@@ -4,12 +4,13 @@ Every ps and Jacobi fit and test of a scaled sample returns all-finite floats
 or raises a ``LaplaceFitError``, never a builtin error or a silent NaN or inf;
 here every sample whose values stay finite is fitted and tested.  The ps
 gamma_hat and z equal the unscaled sample's, evaluated from their definitions
-at the scaled censoring point.  Tweedie meets a weaker contract: its
-finite-difference Jacobian takes an absolute step on the raw moments, so its
-standard errors still depend on the data's units, and far from unit scale its
-raw moments leave the float range.  Each Tweedie fit and test returns or
-raises a ``LaplaceFitError``, and a fit with non-finite numbers says so in
-its diagnostics.
+at the scaled censoring point.  The Tweedie fit and test read the unit-free
+point (m_tilde, 1), so they are equivariant too: gamma_hat, se_gamma,
+theta_hat*10**k, lambda_hat*10**(-k*gamma_hat) and z equal the unscaled
+sample's.  Far from unit scale some of its numbers, such as theta_hat's
+variance, leave the float range; each Tweedie fit and test returns or raises
+a ``LaplaceFitError``, and a fit with non-finite numbers says so in its
+diagnostics.
 """
 
 import math
@@ -35,6 +36,10 @@ from laplacefit.errors import LaplaceFitError, SampleValidationError
 INPUTS = {"ps:0.5,15": 500, "tw0:1,1,0.1": 1000}
 
 SCALES = range(-300, 301, 50)
+
+#: every (spec, k) whose scaled values stay finite: the ps sample times 1e300
+#: overflows to inf and is refused
+FINITE_CASES = [(spec, k) for spec in INPUTS for k in SCALES if (spec, k) != ("ps:0.5,15", 300)]
 
 
 def draw(spec: str) -> np.ndarray:
@@ -74,11 +79,7 @@ def test_ps_and_jacobi_obey_the_error_contract(spec, k):
         assert all(math.isfinite(v) for v in payload_floats(payload)), (run.__name__, payload)
 
 
-@pytest.mark.parametrize(
-    "spec,k",
-    # the ps sample times 1e300 overflows to inf and is refused (above)
-    [(spec, k) for spec in INPUTS for k in SCALES if (spec, k) != ("ps:0.5,15", 300)],
-)
+@pytest.mark.parametrize("spec,k", FINITE_CASES)
 def test_ps_gamma_and_z_are_scale_free(spec, k):
     x = draw(spec)
     sample = Sample.from_values(x * 10.0**k)
@@ -101,3 +102,24 @@ def test_tweedie_returns_or_raises_a_coded_error(spec, k):
             continue
         if not all(math.isfinite(v) for v in payload_floats(payload)):
             assert {"nonfinite_estimate", "nonfinite_covariance"} & set(payload["diagnostics"])
+
+
+def tweedie_unit_free(x: np.ndarray, k: int) -> np.ndarray:
+    """gamma_hat, se_gamma, theta_hat*10**k, lambda_hat*10**(-k*gamma_hat) and z of x*10**k."""
+    sample = Sample.from_values(x * 10.0**k)
+    fit, outcome = fit_tweedie(sample), gof_tweedie(sample)
+    gamma_hat, lambda_hat, theta_hat = fit.estimates
+    return np.array(
+        [gamma_hat, fit.se[0], theta_hat * 10.0**k, lambda_hat * 10.0 ** (-k * gamma_hat), outcome.z]
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec,k", FINITE_CASES)
+def test_tweedie_is_scale_equivariant(spec, k):
+    x = draw(spec)
+    scaled, unscaled = tweedie_unit_free(x, k), tweedie_unit_free(x, 0)
+    # lambda_hat itself may leave the float range; the rest may not
+    finite = np.isfinite(scaled)
+    assert finite[[0, 1, 2, 4]].all() and np.isfinite(unscaled).all()
+    assert scaled[finite] == pytest.approx(unscaled[finite], rel=1e-9)

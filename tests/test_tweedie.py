@@ -106,9 +106,9 @@ def test_theoretical_moments_monte_carlo():
     s = tw_sample(params, 10**6, seed=11)
     ms = censored_moments_at(s, a_star)
     m1, m2, m3 = tw_theoretical_censored_moments(params, a_star)
-    assert ms.m(1) == pytest.approx(m1, rel=0.01)
-    assert ms.m(2) == pytest.approx(m2, rel=0.01)
-    assert ms.m(3) == pytest.approx(m3, rel=0.01)
+    assert ms.m_tilde[1] / ms.a == pytest.approx(m1, rel=0.01)
+    assert ms.m_tilde[2] / ms.a**2 == pytest.approx(m2, rel=0.01)
+    assert ms.m_tilde[3] / ms.a**3 == pytest.approx(m3, rel=0.01)
 
 
 def test_degenerate_point_mass_moments():
