@@ -5,9 +5,11 @@ a result object; ``sample`` draws from a distribution spec; ``convert`` maps
 mean/zero-probability Tweedie triples to native parameters; ``experiment``
 runs a config file or a bundled benchmark table and writes CSV+JSON reports.
 
-Exit codes: 0 success, 1 input problems (I/O, parsing, config), 2 statistical
-regime problems (all-zero sample, excessive zero fraction, degenerate or
-near-singular data).  Statistical errors also emit a machine-readable
+Exit codes: 0 success, 1 input problems (I/O and every ``InputError``:
+parsing, specs, config), 2 every other ``LaplaceFitError``, a statistical
+regime problem (all-zero sample, excessive zero fraction, degenerate or
+near-singular data, no sampler).  Input errors print ``error (code): message``
+on stderr; regime errors emit a machine-readable
 ``{"error": code, "message": ...}`` object on stdout so pipelines can
 distinguish data problems from model-regime problems.
 """
@@ -21,7 +23,7 @@ from dataclasses import replace
 from typing import Any, Sequence
 
 from .distributions import DistributionSpec, Tw0Params, derive_substream, sample_spec, tw0_to_tw
-from .errors import STATISTICAL_ERRORS, ConfigError, LaplaceFitError
+from .errors import ConfigError, InputError, LaplaceFitError
 from .families import FAMILIES
 from .laplace_core import Sample, load_sample
 from .montecarlo import parse_config_document, run_configs, run_table
@@ -177,12 +179,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except STATISTICAL_ERRORS as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}))
-        return 2
-    except LaplaceFitError as exc:
+    except InputError as exc:
         print(f"error ({exc.code}): {exc}", file=sys.stderr)
         return 1
+    except LaplaceFitError as exc:
+        print(json.dumps({"error": exc.code, "message": str(exc)}))
+        return 2
     except OSError as exc:
         print(f"error (io): {exc}", file=sys.stderr)
         return 1

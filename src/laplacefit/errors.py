@@ -2,9 +2,10 @@
 
 Every error carries a short machine-readable ``code`` used by the CLI and by
 the Monte Carlo harness when accounting for failed replicates.  Errors split
-into two groups: input problems (bad files, malformed specs, invalid configs)
-and statistical regime problems (the data or the fitted model leave the domain
-in which the estimators are defined).
+into two groups: input problems (bad files, malformed specs, invalid configs),
+which derive from :class:`InputError`, and statistical regime problems (the
+data or the fitted model leave the domain in which the estimators are
+defined), which are every other error.
 """
 
 from __future__ import annotations
@@ -24,26 +25,30 @@ class LaplaceFitError(Exception):
 # input errors (CLI exit code 1)
 
 
-class SampleValidationError(LaplaceFitError, ValueError):
+class InputError(LaplaceFitError, ValueError):
+    """Base class of the errors in the input itself rather than in the statistical regime."""
+
+
+class SampleValidationError(InputError):
     """A data value is NaN, negative or infinite; message is row-indexed."""
 
     code = "invalid_sample"
 
 
-class SpecFormatError(LaplaceFitError, ValueError):
+class SpecFormatError(InputError):
     """A distribution spec string could not be parsed or validated."""
 
     code = "spec_format"
 
 
-class ConfigError(LaplaceFitError, ValueError):
+class ConfigError(InputError):
     """An experiment configuration is invalid; message carries the field path."""
 
     code = "config"
 
 
 # ---------------------------------------------------------------------------
-# statistical / regime errors (CLI exit code 2)
+# statistical / regime errors (every other error; CLI exit code 2)
 
 
 class AllZeroSampleError(LaplaceFitError):
@@ -136,18 +141,3 @@ def refuse(
         if errors[i] is None:
             errors[i] = make(int(i))
 
-
-#: errors that signal a statistical regime problem rather than bad input
-STATISTICAL_ERRORS = (
-    AllZeroSampleError,
-    RegimeError,
-    DegenerateSampleError,
-    DegenerateMomentsError,
-    InsufficientSampleError,
-    NearSingularError,
-    ComplexPowerError,
-    LogDomainError,
-    TiltedRejectionInfeasibleError,
-    InvalidRegimeError,
-    UnsupportedOperationError,
-)

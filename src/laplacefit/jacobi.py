@@ -74,8 +74,8 @@ def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
         cov = (b * batch.cov[:, 0, 0] * b)[:, None, None]
     flags = {"gamma_out_of_range": ~((0.0 < gamma_hat) & (gamma_hat <= 0.5))}
     return make_fit(
-        "jacobi", PARAM_NAMES, gamma_hat[:, None], cov, batch.a, batch.n, alpha, flags, errors,
-        {"c": JACOBI_C},
+        "jacobi", PARAM_NAMES, gamma_hat[:, None], cov, np.ones((batch.a.size, 1)), batch.a,
+        batch.n, alpha, flags, errors, {"c": JACOBI_C},
     )
 
 

@@ -19,12 +19,13 @@ deterministic mean/zero-probability conversion table.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ from .distributions import DistributionSpec, derive_substream, sample_spec
 from .errors import ConfigError, LaplaceFitError
 from .families import FAMILIES
 from .laplace_core import Sample, summarise
+from .results import json_safe
 
 VALID_METRICS = ("rrmse", "coverage", "size", "power")
 
@@ -77,33 +79,38 @@ class ExperimentConfig:
     metrics: tuple[str, ...] = ("rrmse",)
 
     def __post_init__(self) -> None:
+        def put(name: str, value: Any) -> None:
+            object.__setattr__(self, name, value)
+
         if self.fit_target not in FAMILIES:
             raise ConfigError(f"fit_target: must be one of {tuple(FAMILIES)}, got {self.fit_target!r}")
-        n_grid = tuple(_convert("n_grid", int, n) for n in _items("n_grid", self.n_grid))
-        if not n_grid:
+        put("n_grid", tuple(_convert("n_grid", int, n) for n in _items("n_grid", self.n_grid)))
+        if not self.n_grid:
             raise ConfigError("n_grid: must be non-empty")
-        if any(n < 1 for n in n_grid):
-            raise ConfigError(f"n_grid: sizes must be >= 1, got {n_grid}")
-        replications = _convert("replications", int, self.replications)
-        if replications < 1:
-            raise ConfigError(f"replications: must be >= 1, got {replications}")
-        alpha = _convert("alpha", float, self.alpha)
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError(f"alpha: must be in (0, 1), got {alpha}")
-        base_seed = _convert("base_seed", int, self.base_seed)
-        if base_seed < 0:
-            raise ConfigError(f"base_seed: must be >= 0, got {base_seed}")
-        metrics = _items("metrics", self.metrics)
-        unknown = [m for m in metrics if m not in VALID_METRICS]
+        if any(n < 1 for n in self.n_grid):
+            raise ConfigError(f"n_grid: sizes must be >= 1, got {self.n_grid}")
+        put("replications", _convert("replications", int, self.replications))
+        if self.replications < 1:
+            raise ConfigError(f"replications: must be >= 1, got {self.replications}")
+        put("alpha", _convert("alpha", float, self.alpha))
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha: must be in (0, 1), got {self.alpha}")
+        put("base_seed", _convert("base_seed", int, self.base_seed))
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed: must be >= 0, got {self.base_seed}")
+        put("metrics", _items("metrics", self.metrics))
+        if not self.metrics:
+            raise ConfigError("metrics: must be non-empty")
+        unknown = [m for m in self.metrics if m not in VALID_METRICS]
         if unknown:
             raise ConfigError(f"metrics: unknown {unknown}; valid are {VALID_METRICS}")
-        for name, value in (
-            ("n_grid", n_grid), ("replications", replications), ("alpha", alpha),
-            ("base_seed", base_seed), ("metrics", metrics),
-        ):
-            object.__setattr__(self, name, value)
         if self.needs_fit:
-            self.truth()  # raises ConfigError on generator/target mismatch
+            truth = self.truth()  # raises ConfigError on generator/target mismatch
+            zero = [name for name, value in truth.items() if value == 0.0]
+            if zero and "rrmse" in self.metrics:
+                raise ConfigError(
+                    f"metrics: rrmse divides by the true {zero[0]}, which is 0 for {self.generator.text()!r}"
+                )
 
     @property
     def needs_fit(self) -> bool:
@@ -126,45 +133,27 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "generator": self.generator.text(),
-            "fit_target": self.fit_target,
-            "n_grid": list(self.n_grid),
-            "replications": self.replications,
-            "alpha": self.alpha,
-            "base_seed": self.base_seed,
-            "metrics": list(self.metrics),
-        }
+        """One JSON value per field, the generator as its spec text; ``from_dict`` reads it."""
+        return json_safe({**asdict(self), "generator": self.generator.text()})
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any], path: str = "") -> "ExperimentConfig":
-        def fail(name: str, message: str) -> ConfigError:
-            where = f"{path}.{name}" if path else name
-            return ConfigError(f"{where}: {message}")
-
+        """Read a config object; a field left out takes its default, and every error names its path."""
         if not isinstance(payload, dict):
             raise ConfigError(f"{path or 'config'}: expected an object")
-        known = {"generator", "fit_target", "n_grid", "replications", "alpha", "base_seed", "metrics"}
-        for key in payload:
-            if key not in known:
-                raise fail(key, "unknown field")
-        for name in ("generator", "fit_target", "n_grid"):
-            if name not in payload:
-                raise fail(name, "missing required field")
         try:
-            generator = DistributionSpec.parse(str(payload["generator"]))
-        except LaplaceFitError as exc:
-            raise fail("generator", str(exc)) from None
-        try:
-            return cls(
-                generator=generator,
-                fit_target=str(payload["fit_target"]),
-                n_grid=payload["n_grid"],
-                replications=payload.get("replications", 3500),
-                alpha=payload.get("alpha", 0.05),
-                base_seed=payload.get("base_seed", 0),
-                metrics=payload.get("metrics", ("rrmse",)),
-            )
+            names = [f.name for f in fields(cls)]
+            for key in payload:
+                if key not in names:
+                    raise ConfigError(f"{key}: unknown field")
+            for f in fields(cls):
+                if f.default is MISSING and f.name not in payload:
+                    raise ConfigError(f"{f.name}: missing required field")
+            try:
+                generator = DistributionSpec.parse(str(payload["generator"]))
+            except LaplaceFitError as exc:
+                raise ConfigError(f"generator: {exc}") from None
+            return cls(**dict(payload, generator=generator, fit_target=str(payload["fit_target"])))
         except ConfigError as exc:
             raise ConfigError(f"{path + '.' if path else ''}{exc}") from None
 
@@ -193,6 +182,8 @@ def config_hash(configs: Sequence[ExperimentConfig]) -> str:
 
 @dataclass(frozen=True)
 class CellRecord:
+    """One metric of one cell; ``failures`` counts the failed replicates by error code."""
+
     generator: str
     fit_target: str
     n: int
@@ -202,52 +193,21 @@ class CellRecord:
     mc_se: float
     replications: int
     n_ok: int
+    n_failed: int = field(init=False)
     failures: dict[str, int]
     base_seed: int
 
-    @property
-    def n_failed(self) -> int:
-        return sum(self.failures.values())
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "failures", dict(sorted(self.failures.items())))
+        object.__setattr__(self, "n_failed", sum(self.failures.values()))
 
     @property
     def failure_rate(self) -> float:
         return self.n_failed / self.replications if self.replications else 0.0
 
     def to_dict(self) -> dict[str, Any]:
-        value = self.value if math.isfinite(self.value) else None
-        mc_se = self.mc_se if math.isfinite(self.mc_se) else None
-        return {
-            "generator": self.generator,
-            "fit_target": self.fit_target,
-            "n": self.n,
-            "metric": self.metric,
-            "parameter": self.parameter,
-            "value": value,
-            "mc_se": mc_se,
-            "replications": self.replications,
-            "n_ok": self.n_ok,
-            "n_failed": self.n_failed,
-            "failures": dict(sorted(self.failures.items())),
-            "base_seed": self.base_seed,
-        }
-
-
-_CSV_COLUMNS = (
-    "generator",
-    "fit_target",
-    "n",
-    "metric",
-    "parameter",
-    "value",
-    "mc_se",
-    "replications",
-    "n_ok",
-    "n_failed",
-    "failures",
-    "base_seed",
-    "config_hash",
-    "version",
-)
+        """One JSON value per field, in field order; a non-finite value or mc_se is None."""
+        return json_safe(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -260,26 +220,17 @@ class ExperimentReport:
     version: str = __version__
 
     def to_json(self) -> str:
-        payload = {
-            "version": self.version,
-            "config_hash": self.config_hash,
-            "base_seed": self.base_seed,
-            "records": [r.to_dict() for r in self.records],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(json_safe(asdict(self)), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
-        import csv as _csv
-
+        """One row per record: its fields, then the report's config_hash and version."""
         buffer = io.StringIO()
-        writer = _csv.writer(buffer, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow([f.name for f in fields(CellRecord)] + ["config_hash", "version"])
         for record in self.records:
             row = record.to_dict()
             row["failures"] = json.dumps(row["failures"], sort_keys=True)
-            row["config_hash"] = self.config_hash
-            row["version"] = self.version
-            writer.writerow([row[c] if row[c] is not None else "" for c in _CSV_COLUMNS])
+            writer.writerow([*row.values(), self.config_hash, self.version])
         return buffer.getvalue()
 
     def write(self, prefix: str) -> tuple[str, str]:
@@ -388,9 +339,12 @@ def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> _CellTally:
 
 
 def _rrmse_and_se(deviations: np.ndarray, truth: float) -> tuple[float, float]:
-    # percent RRMSE with a delta-method Monte Carlo standard error; a moment
-    # that overflows makes them inf or NaN, which the report writes as null
+    # percent RRMSE with a delta-method Monte Carlo standard error, NaN for no
+    # replicates; a moment that overflows makes them inf or NaN, which the
+    # report writes as null
     r = deviations.size
+    if not r:
+        return math.nan, math.nan
     with np.errstate(over="ignore", invalid="ignore"):
         m2 = np.mean(deviations**2)
         if m2 == 0.0:
@@ -402,70 +356,40 @@ def _rrmse_and_se(deviations: np.ndarray, truth: float) -> tuple[float, float]:
     return float(rrmse), float(se)
 
 
-def _proportion_se(p: float, r: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / r) if r else float("nan")
+def _proportion_and_se(count: int, r: int) -> tuple[float, float]:
+    # count / r and its binomial standard error, NaN for no replicates
+    if not r:
+        return math.nan, math.nan
+    p = count / r
+    return p, math.sqrt(max(p * (1.0 - p), 0.0) / r)
 
 
 def _records_for_cell(
     config: ExperimentConfig, n: int, tally: _CellTally
 ) -> list[CellRecord]:
+    def record(metric: str, parameter: str, value_and_se: tuple[float, float], n_ok: int) -> CellRecord:
+        return CellRecord(
+            config.generator.text(), config.fit_target, n, metric, parameter, *value_and_se,
+            config.replications, n_ok, tally.failures, config.base_seed,
+        )
+
     records = []
-    common = dict(
-        generator=config.generator.text(),
-        fit_target=config.fit_target,
-        n=n,
-        replications=config.replications,
-        failures=tally.failures,
-        base_seed=config.base_seed,
-    )
-    wants = set(config.metrics)
     if config.needs_fit:
         truth = config.truth()
-        names = list(truth)
-        estimates = np.concatenate([np.empty((0, len(names))), *tally.estimates])
+        estimates = np.concatenate([np.empty((0, len(truth))), *tally.estimates])
         n_ok = len(estimates)
-        for j, name in enumerate(names):
-            if "rrmse" in wants:
-                if n_ok:
-                    value, se = _rrmse_and_se(estimates[:, j] - truth[name], truth[name])
-                else:
-                    value, se = float("nan"), float("nan")
-                records.append(
-                    CellRecord(metric="rrmse", parameter=name, value=value, mc_se=se, n_ok=n_ok, **common)
-                )
-            if "coverage" in wants:
-                cover = tally.covered[j] / n_ok if n_ok else float("nan")
-                records.append(
-                    CellRecord(
-                        metric="coverage",
-                        parameter=name,
-                        value=cover,
-                        mc_se=_proportion_se(cover, n_ok) if n_ok else float("nan"),
-                        n_ok=n_ok,
-                        **common,
-                    )
-                )
+        for j, (name, true) in enumerate(truth.items()):
+            if "rrmse" in config.metrics:
+                records.append(record("rrmse", name, _rrmse_and_se(estimates[:, j] - true, true), n_ok))
+            if "coverage" in config.metrics:
+                records.append(record("coverage", name, _proportion_and_se(tally.covered[j], n_ok), n_ok))
     if config.needs_gof:
         is_null = config.generator.family in FAMILIES[config.fit_target].null_generators and (
             config.generator.p_zero == 0.0
         )
-        label = "size" if is_null else "power"
-        rate = tally.rejections / tally.n_tested if tally.n_tested else float("nan")
-        records.append(
-            CellRecord(
-                metric=label,
-                parameter="",
-                value=rate,
-                mc_se=_proportion_se(rate, tally.n_tested) if tally.n_tested else float("nan"),
-                n_ok=tally.n_tested,
-                **common,
-            )
-        )
+        rate = _proportion_and_se(tally.rejections, tally.n_tested)
+        records.append(record("size" if is_null else "power", "", rate, tally.n_tested))
     return records
-
-
-def _cell_task(args: tuple[ExperimentConfig, int, int]) -> _CellTally:
-    return _run_cell(*args)
 
 
 def run_configs(configs: Sequence[ExperimentConfig], jobs: int = 1) -> ExperimentReport:
@@ -477,9 +401,9 @@ def run_configs(configs: Sequence[ExperimentConfig], jobs: int = 1) -> Experimen
     ]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            tallies = list(pool.map(_cell_task, tasks))
+            tallies = list(pool.map(_run_cell, *zip(*tasks)))
     else:
-        tallies = [_cell_task(task) for task in tasks]
+        tallies = [_run_cell(*task) for task in tasks]
     records: list[CellRecord] = []
     for (config, _, n), tally in zip(tasks, tallies):
         records.extend(_records_for_cell(config, n, tally))
@@ -504,7 +428,7 @@ class TableDesign:
     desk_replications: int = 1000
 
 
-#: benchmark experiment designs, keyed by table number
+#: Monte Carlo benchmark experiment designs, keyed by table number
 TABLE_DESIGNS: dict[int, TableDesign] = {
     1: TableDesign(
         rows=("ps:0.3,2", "ps:0.4,5", "ps:0.5,15", "ps:0.6,20"),
@@ -551,14 +475,6 @@ TABLE_DESIGNS: dict[int, TableDesign] = {
         metrics=("power",),
         n_grid=(100, 200, 300),
     ),
-    6: TableDesign(
-        rows=("tw0:0.75,0.5,0.1", "tw0:1,1,0.1", "tw0:1,1.25,0.2"),
-        fit_target="tweedie",
-        metrics=(),
-        n_grid=(0,),
-        full_replications=1,
-        desk_replications=1,
-    ),
     7: TableDesign(
         rows=(
             "ln:0,1",
@@ -582,6 +498,9 @@ TABLE_DESIGNS: dict[int, TableDesign] = {
     ),
 }
 
+#: table 6, the deterministic one: mean/zero-probability triples to convert to native Tweedie parameters
+CONVERSION_ROWS = ("tw0:0.75,0.5,0.1", "tw0:1,1,0.1", "tw0:1,1.25,0.2")
+
 DEFAULT_TABLE_SEED = 20260809
 
 
@@ -592,10 +511,10 @@ def table_configs(
     replications: int | None = None,
 ) -> list[ExperimentConfig]:
     """Configs for one benchmark table; row i gets base seed base_seed + i."""
-    if table not in TABLE_DESIGNS:
-        raise ConfigError(f"table: must be one of {sorted(TABLE_DESIGNS)}, got {table}")
     if table == 6:
         raise ConfigError("table: 6 is the deterministic conversion table; use run_table")
+    if table not in TABLE_DESIGNS:
+        raise ConfigError(f"table: must be one of {sorted([*TABLE_DESIGNS, 6])}, got {table}")
     design = TABLE_DESIGNS[table]
     seed0 = DEFAULT_TABLE_SEED + 1000 * table if base_seed is None else base_seed
     if replications is None:
@@ -606,7 +525,6 @@ def table_configs(
             fit_target=design.fit_target,
             n_grid=design.n_grid,
             replications=replications,
-            alpha=0.05,
             base_seed=seed0 + i,
             metrics=design.metrics,
         )
@@ -616,29 +534,13 @@ def table_configs(
 
 def conversion_report(base_seed: int = 0) -> ExperimentReport:
     """The deterministic mean/zero-probability conversion table (table 6)."""
-    records = []
-    for row in TABLE_DESIGNS[6].rows:
-        spec = DistributionSpec.parse(row)
-        tw = spec.tweedie_params()
-        for name, value in (("gamma", tw.gamma), ("lambda", tw.lam), ("theta", tw.theta)):
-            records.append(
-                CellRecord(
-                    generator=spec.text(),
-                    fit_target="tweedie",
-                    n=0,
-                    metric="conversion",
-                    parameter=name,
-                    value=value,
-                    mc_se=0.0,
-                    replications=1,
-                    n_ok=1,
-                    failures={},
-                    base_seed=base_seed,
-                )
-            )
-    return ExperimentReport(
-        records=tuple(records), config_hash="conversion", base_seed=base_seed
+    family = FAMILIES["tweedie"]
+    records = tuple(
+        CellRecord(spec.text(), family.name, 0, "conversion", name, value, 0.0, 1, 1, {}, base_seed)
+        for spec in map(DistributionSpec.parse, CONVERSION_ROWS)
+        for name, value in zip(family.param_names, family.truth(spec))
     )
+    return ExperimentReport(records=records, config_hash="conversion", base_seed=base_seed)
 
 
 def run_table(
@@ -676,7 +578,6 @@ def coverage_grid_configs(
                     fit_target="ps",
                     n_grid=tuple(int(n) for n in n_grid),
                     replications=replications,
-                    alpha=0.05,
                     base_seed=base_seed + 100 * i + j,
                     metrics=("coverage",),
                 )

@@ -29,10 +29,11 @@ PARAM_NAMES = ("gamma", "lambda")
 def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
     """Fit the positive stable law to every sample of a batch by censored moments.
 
-    The influence rows of (gamma_hat, lambda_hat) are B @ (P~_0, P~_1) with
-    B = [[0, e], [-e*lambda_hat, -e*lambda_hat*log(A)]], so the covariance
-    estimate is B @ S @ B.T; standard errors are sqrt(diag/n) and intervals
-    use the normal quantile.
+    The influence rows of (gamma_hat, lambda_hat/lambda_hat) are
+    B @ (P~_0, P~_1) with B = [[0, e], [-e, -e*log(A)]], so the unit-free
+    covariance estimate is B @ S @ B.T and the units are (1, lambda_hat);
+    standard errors are units * sqrt(diag/n) and intervals use the normal
+    quantile.
 
     A constant sample is the degenerate boundary case gamma = 1: the point
     estimates are still emitted (with a zero covariance and the
@@ -46,8 +47,8 @@ def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
         lambda_hat = a**-gamma_hat
         b = np.zeros((a.size, 2, 2))
         b[:, 0, 1] = E
-        b[:, 1, 0] = -E * lambda_hat
-        b[:, 1, 1] = -E * lambda_hat * np.log(a)
+        b[:, 1, 0] = -E
+        b[:, 1, 1] = -E * np.log(a)
         cov = b @ batch.cov[:, :2, :2] @ b.transpose(0, 2, 1)
     cov[batch.constant] = 0.0
     flags = {
@@ -56,8 +57,10 @@ def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
         "gamma_out_of_range": (gamma_hat > 1.0) | (gamma_hat <= 0.0),
         "degenerate_sample": batch.constant,
     }
-    estimates = columns(gamma_hat, lambda_hat)
-    return make_fit("ps", PARAM_NAMES, estimates, cov, a, batch.n, alpha, flags, errors)
+    units = columns(np.ones(a.size), lambda_hat)
+    return make_fit(
+        "ps", PARAM_NAMES, columns(gamma_hat, lambda_hat), cov, units, a, batch.n, alpha, flags, errors
+    )
 
 
 def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -99,20 +99,31 @@ class FitBatch:
 
 
 def make_fit(
-    family: str, param_names: tuple[str, ...], estimates: np.ndarray, cov_hat: np.ndarray,
-    a: np.ndarray, n: int, alpha: float, flags: dict[str, np.ndarray],
+    family: str, param_names: tuple[str, ...], estimates: np.ndarray, cov: np.ndarray,
+    units: np.ndarray, a: np.ndarray, n: int, alpha: float, flags: dict[str, np.ndarray],
     errors: list[LaplaceFitError | None], constants: dict[str, float] | None = None,
 ) -> FitBatch:
-    """Standard errors sqrt(cov_hat[i, i] / n) and intervals est +- z_{1-alpha/2} * se, row by row."""
+    """Standard errors and intervals est +- z_{1-alpha/2} * se, row by row.
+
+    ``cov`` (R, p, p) is the covariance estimate in unit-free form and
+    ``units`` (R, p) the factors that take each parameter to its own units:
+    se = units * sqrt(diag(cov) / n), so the units are applied after the
+    square root and a standard error is a float whenever its estimate is,
+    and the reported ``cov_hat`` is cov scaled by units on both sides.  The
+    ``nonfinite_covariance`` flag marks the rows with a standard error that
+    is not finite.
+    """
     z = normal_quantile(alpha)
     if any(error is not None for error in errors):
         failed = np.array([error is not None for error in errors])
         estimates = np.where(failed[:, None], math.nan, estimates)
-        cov_hat = np.where(failed[:, None, None], math.nan, cov_hat)
-    with np.errstate(invalid="ignore"):
-        se = np.sqrt(np.diagonal(cov_hat, axis1=1, axis2=2) / n)
-    ci = np.empty((*estimates.shape, 2))
-    ci[..., 0], ci[..., 1] = estimates - z * se, estimates + z * se
+        cov = np.where(failed[:, None, None], math.nan, cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = units * np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / n)
+        cov_hat = cov * units[:, :, None] * units[:, None, :]
+        ci = np.empty((*estimates.shape, 2))
+        ci[..., 0], ci[..., 1] = estimates - z * se, estimates + z * se
+    flags = {**flags, "nonfinite_covariance": ~np.isfinite(se).all(axis=1)}
     return FitBatch(
         family, param_names, estimates, cov_hat, se, ci, a, n, alpha, flags, constants or {}, errors
     )
@@ -137,16 +148,8 @@ class GofOutcome:
     n: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "family": self.family,
-            "t_stat": self.statistic,
-            "sigma_hat": self.sigma_hat,
-            "z": self.z,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "alpha": self.alpha,
-            "n": self.n,
-        }
+        """The fields in order, ``statistic`` under the key ``t_stat``."""
+        return {"t_stat" if key == "statistic" else key: v for key, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)

@@ -164,10 +164,11 @@ def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
 
     At the unit-free point h gives (gamma_hat, lam~, theta~) = (gamma_hat,
     lambda_hat*A**gamma_hat, theta_hat/A), and its Jacobian J acts on the
-    normalized rows L @ P~ of :func:`influence_map`.  The change of units U
-    subtracts lam~*log(A) times the gamma row from the lambda row and
-    multiplies the rows by (1, A**-gamma_hat, A): the covariance estimate is
-    (U J L) @ S @ (U J L).T.  No estimate is clamped into the parameter
+    normalized rows L @ P~ of :func:`influence_map`.  The shear V subtracts
+    lam~*log(A) times the gamma row from the lambda row: the unit-free
+    covariance estimate is (V J L) @ S @ (V J L).T, and the units that take
+    it to (gamma_hat, lambda_hat, theta_hat) are (1, A**-gamma_hat, A).
+    No estimate is clamped into the parameter
     space, out-of-range values only set diagnostics flags so that downstream
     summaries stay unbiased.
     """
@@ -177,22 +178,18 @@ def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
         jac = np.ascontiguousarray(np.moveaxis(central_diff_jacobian(_h, point), -1, 0))
         rows_map = jac @ influence_map(batch, k=3)
         singular = ~np.isfinite(rows_map).all(axis=(1, 2))
-        unit = a**-gamma_hat
         rows_map[:, 1] -= (lam_tilde * np.log(a))[:, None] * rows_map[:, 0]
-        rows_map[:, 1:] *= columns(unit, a)[:, :, None]
         cov = rows_map @ batch.cov @ rows_map.transpose(0, 2, 1)
-        est = columns(gamma_hat, lam_tilde * unit, theta_tilde * a)
+        units = columns(np.ones(a.size), a**-gamma_hat, a)
+        est = columns(gamma_hat, lam_tilde, theta_tilde) * units
     cov[singular] = np.nan
-    nonfinite_estimate = ~np.isfinite(est).all(axis=1)
     flags = {
         "near_singular_psi": near_singular,
         "gamma_out_of_range": (gamma_hat > 1.0) | (gamma_hat == 0.0),
         "theta_negative": theta_tilde < 0.0,
-        "nonfinite_estimate": nonfinite_estimate,
-        # U may overflow single entries, e.g. A**2 times theta~'s variance
-        "nonfinite_covariance": ~np.isfinite(cov).all(axis=(1, 2)) & ~nonfinite_estimate,
+        "nonfinite_estimate": ~np.isfinite(est).all(axis=1),
     }
-    return make_fit("tweedie", PARAM_NAMES, est, cov, a, batch.n, alpha, flags, errors)
+    return make_fit("tweedie", PARAM_NAMES, est, cov, units, a, batch.n, alpha, flags, errors)
 
 
 def _gof_map(v: np.ndarray) -> np.ndarray:

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from laplacefit import DistributionSpec, derive_substream, sample_spec
+from laplacefit import cli
 from laplacefit.cli import main
+from laplacefit.errors import (
+    ConfigError,
+    InputError,
+    LaplaceFitError,
+    SampleValidationError,
+    SpecFormatError,
+)
 
 
 def run_cli(capsys, *argv):
@@ -262,6 +270,12 @@ def test_experiment_invalid_config_field_path(capsys, tmp_path):
         ({"metrics": "size"}, (), "metrics: must be a list, got the string"),
         ({}, ("--seed", "-1"), "base_seed: must be >= 0"),
         (None, ("--table", "1", "--seed", "-1"), "base_seed: must be >= 0"),
+        ({"metrics": []}, (), "metrics: must be non-empty"),
+        (
+            {"generator": "tw:0.5,2,0", "fit_target": "tweedie", "metrics": ["rrmse"]},
+            (),
+            "metrics: rrmse divides by the true theta, which is 0",
+        ),
     ],
 )
 def test_experiment_malformed_config_exit_1(capsys, tmp_path, field, argv, fragment):
@@ -280,3 +294,34 @@ def test_experiment_requires_exactly_one_source(capsys, tmp_path):
     code, _, err = run_cli(capsys, "experiment")
     assert code == 1
     assert "exactly one" in err
+
+
+# ---------------------------------------------------------------------------
+# error contract
+
+
+def leaf_errors(cls=LaplaceFitError):
+    """Every LaplaceFitError class that has no subclass of its own."""
+    for sub in cls.__subclasses__():
+        yield from (leaf_errors(sub) if sub.__subclasses__() else (sub,))
+
+
+def test_input_errors_are_the_three_input_kinds():
+    inputs = {error for error in leaf_errors() if issubclass(error, InputError)}
+    assert inputs == {SampleValidationError, SpecFormatError, ConfigError}
+
+
+@pytest.mark.parametrize("error", list(leaf_errors()), ids=lambda error: error.__name__)
+def test_every_error_kind_has_its_exit_code(capsys, monkeypatch, error):
+    # an input error is one line on stderr and exit 1; any other is a JSON
+    # object on stdout and exit 2
+    def raise_it(*args):
+        raise error("the message")
+
+    monkeypatch.setattr(cli, "tw0_to_tw", raise_it)
+    code, out, err = run_cli(capsys, "convert", "tw0", "1", "1", "0.1")
+    if issubclass(error, InputError):
+        assert (code, out, err) == (1, "", f"error ({error.code}): the message\n")
+    else:
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {"error": error.code, "message": "the message"}

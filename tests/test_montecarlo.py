@@ -46,6 +46,13 @@ def test_config_validation_errors():
         small_config(alpha=1.5)
     with pytest.raises(ConfigError, match="metrics"):
         small_config(metrics=("nope",))
+    with pytest.raises(ConfigError, match="metrics: must be non-empty"):
+        small_config(metrics=())
+    # rrmse is relative to the true value, so a zero truth has none
+    with pytest.raises(ConfigError, match="rrmse divides by the true theta, which is 0"):
+        small_config(generator=DistributionSpec.parse("tw:0.5,2,0"), fit_target="tweedie")
+    # coverage needs no division by it
+    small_config(generator=DistributionSpec.parse("tw:0.5,2,0"), fit_target="tweedie", metrics=("coverage",))
 
 
 def test_config_truth_mismatch():
@@ -99,6 +106,11 @@ MALFORMED = [
     ({"n_grid": 100}, r"experiments\[1\]\.n_grid: must be a list, got 100"),
     ({"base_seed": -1}, r"experiments\[1\]\.base_seed: must be >= 0, got -1"),
     ({"metrics": "size"}, r"experiments\[1\]\.metrics: must be a list, got the string 'size'"),
+    ({"metrics": []}, r"experiments\[1\]\.metrics: must be non-empty"),
+    (
+        {"generator": "tw:0.5,2,0", "fit_target": "tweedie"},
+        r"experiments\[1\]\.metrics: rrmse divides by the true theta, which is 0 for 'tw:0.5,2,0'",
+    ),
 ]
 
 
@@ -284,6 +296,25 @@ def test_merge_and_lookup():
     assert merged.value("ps:0.3,2", 100, "rrmse", "gamma") > 0.0
     with pytest.raises(KeyError):
         merged.value("ps:0.9,9", 100, "rrmse", "gamma")
+
+
+def test_report_schema_is_pinned():
+    # every replicate fails, so value and mc_se are NaN: null in JSON, empty in CSV
+    report = run_configs([small_config(n_grid=(5,), replications=3)])
+    lines = report.to_csv().splitlines()
+    assert lines[0] == (
+        "generator,fit_target,n,metric,parameter,value,mc_se,replications,n_ok,n_failed,"
+        "failures,base_seed,config_hash,version"
+    )
+    assert lines[1] == (
+        '"ps:0.5,2",ps,5,rrmse,gamma,,,3,0,3,"{""insufficient_sample"": 3}",7,'
+        f"{report.config_hash},{report.version}"
+    )
+    assert json.loads(report.to_json())["records"][0] == {
+        "generator": "ps:0.5,2", "fit_target": "ps", "n": 5, "metric": "rrmse",
+        "parameter": "gamma", "value": None, "mc_se": None, "replications": 3, "n_ok": 0,
+        "n_failed": 3, "failures": {"insufficient_sample": 3}, "base_seed": 7,
+    }
 
 
 def test_report_csv_round_trip():

@@ -10,7 +10,7 @@ from scipy import stats
 
 from laplacefit import Sample, derive_substream, gof_jacobi, gof_ps, gof_tweedie
 from laplacefit.errors import ConfigError, DegenerateSampleError
-from laplacefit.results import make_gof_outcome, normal_quantile, two_sided_p_value
+from laplacefit.results import make_fit, make_gof_outcome, normal_quantile, two_sided_p_value
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,6 +47,24 @@ def test_zero_test_variance_is_degenerate():
         make_gof_outcome("ps", np.ones(1), np.zeros(1), 0.05, 100, [None]).row(0)
     # a non-finite variance estimate passes through unchanged
     assert math.isnan(make_gof_outcome("ps", np.ones(1), np.full(1, np.nan), 0.05, 100, [None]).row(0).z)
+
+
+def test_units_apply_after_the_square_root():
+    # unit-free variances 4 and 9 in units 1e-300 and 1e300: the covariance in
+    # those units leaves the float range, the standard errors do not
+    def fit_in(units):
+        estimates = np.array([[1e-300, 1e300]])
+        return make_fit(
+            "ps", ("a", "b"), estimates, np.diag([4.0, 9.0])[None], units, np.ones(1), 1, 0.05,
+            {}, [None],
+        ).row(0)
+
+    fit = fit_in(np.array([[1e-300, 1e300]]))
+    assert fit.se == pytest.approx((2e-300, 3e300), rel=1e-15)
+    assert fit.cov_hat[0, 0] == 0.0 and fit.cov_hat[1, 1] == math.inf
+    assert fit.diagnostics == ()
+    # a standard error that is not a float is flagged
+    assert fit_in(np.array([[1.0, math.inf]])).diagnostics == ("nonfinite_covariance",)
 
 
 def test_import_leaves_scipy_out():

@@ -7,13 +7,16 @@ gamma_hat and z equal the unscaled sample's, evaluated from their definitions
 at the scaled censoring point.  The Tweedie fit and test read the unit-free
 point (m_tilde, 1), so they are equivariant too: gamma_hat, se_gamma,
 theta_hat*10**k, lambda_hat*10**(-k*gamma_hat) and z equal the unscaled
-sample's.  Far from unit scale some of its numbers, such as theta_hat's
-variance, leave the float range; each Tweedie fit and test returns or raises
-a ``LaplaceFitError``, and a fit with non-finite numbers says so in its
-diagnostics.
+sample's, and so do se_theta*10**k and se_lambda*10**(-k*gamma_hat): the
+units are applied after the square root, so a standard error is a positive
+float wherever its estimate is.  Far from unit scale some of the numbers,
+such as lambda_hat, can leave the float range; each Tweedie fit and test
+returns or raises a ``LaplaceFitError``, and a fit with non-finite numbers
+says so in its diagnostics.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from laplacefit import (
 from laplacefit.errors import LaplaceFitError, SampleValidationError
 
 #: spec -> sample size of the scaled inputs
-INPUTS = {"ps:0.5,15": 500, "tw0:1,1,0.1": 1000}
+INPUTS = {"ps:0.5,15": 500, "tw0:1,1,0.1": 1000, "ps:0.9,3": 500}
 
 SCALES = range(-300, 301, 50)
 
@@ -105,13 +108,20 @@ def test_tweedie_returns_or_raises_a_coded_error(spec, k):
 
 
 def tweedie_unit_free(x: np.ndarray, k: int) -> np.ndarray:
-    """gamma_hat, se_gamma, theta_hat*10**k, lambda_hat*10**(-k*gamma_hat) and z of x*10**k."""
+    """The Tweedie fit and test of x*10**k, each number taken back to the units of x.
+
+    gamma_hat, se_gamma, theta_hat*10**k, se_theta*10**k, z and
+    lambda_hat*10**(-k*gamma_hat).  se_lambda is not among them: the
+    variance of lambda_hat = lam~*A**-gamma_hat carries log(A)**2 times that
+    of gamma_hat, which depends on the units.
+    """
     sample = Sample.from_values(x * 10.0**k)
     fit, outcome = fit_tweedie(sample), gof_tweedie(sample)
     gamma_hat, lambda_hat, theta_hat = fit.estimates
-    return np.array(
-        [gamma_hat, fit.se[0], theta_hat * 10.0**k, lambda_hat * 10.0 ** (-k * gamma_hat), outcome.z]
-    )
+    return np.array([
+        gamma_hat, fit.se[0], theta_hat * 10.0**k, fit.se[2] * 10.0**k, outcome.z,
+        lambda_hat * 10.0 ** (-k * gamma_hat),
+    ])
 
 
 @pytest.mark.filterwarnings("error")
@@ -121,5 +131,25 @@ def test_tweedie_is_scale_equivariant(spec, k):
     scaled, unscaled = tweedie_unit_free(x, k), tweedie_unit_free(x, 0)
     # lambda_hat itself may leave the float range; the rest may not
     finite = np.isfinite(scaled)
-    assert finite[[0, 1, 2, 4]].all() and np.isfinite(unscaled).all()
+    assert finite[:5].all() and np.isfinite(unscaled).all()
     assert scaled[finite] == pytest.approx(unscaled[finite], rel=1e-9)
+
+
+def is_positive_normal(value: float) -> bool:
+    return sys.float_info.min <= value < math.inf
+
+
+@pytest.mark.parametrize("spec,k", FINITE_CASES)
+def test_standard_errors_are_positive_floats(spec, k):
+    # the units multiply the standard errors, not the covariance, so neither
+    # overflows to inf or NaN nor underflows to 0 where its estimate is a float
+    sample = Sample.from_values(draw(spec) * 10.0**k)
+    for run in (fit_ps, fit_tweedie, fit_jacobi):
+        try:
+            fit = run(sample)
+        except LaplaceFitError:
+            continue
+        for name, estimate, se in zip(fit.param_names, fit.estimates, fit.se):
+            if is_positive_normal(abs(estimate)):
+                assert is_positive_normal(se), (run.__name__, name, estimate, se)
+        assert ("nonfinite_covariance" in fit.diagnostics) == (not np.isfinite(fit.se).all())
