@@ -72,7 +72,8 @@ def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
         # the censoring point's influence row through d gamma / d a = -log(c)/(a*log(a)^2)
         b = -math.log(JACOBI_C) / (log_a**2 * batch.m_tilde[:, 1])
         cov = (b * batch.cov[:, 0, 0] * b)[:, None, None]
-    flags = {"gamma_out_of_range": ~((0.0 < gamma_hat) & (gamma_hat <= 0.5))}
+    # 0 < gamma_hat <= 1/2 is A >= c**2, which, unlike log(c)/log(A), is exact at the boundary
+    flags = {"gamma_out_of_range": ~(batch.a >= JACOBI_C**2)}
     return make_fit(
         "jacobi", PARAM_NAMES, gamma_hat[:, None], cov, np.ones((batch.a.size, 1)), batch.a,
         batch.n, alpha, flags, errors, {"c": JACOBI_C},

@@ -41,7 +41,8 @@ E = math.e
 #: relative tolerance on |L_n(A) - c|; the solver iterates until met
 SOLVER_RTOL = 1e-12
 
-#: hard cap on safeguarded Newton/bisection iterations
+#: hard cap on Newton iterations; samples spread across the whole float range
+#: take up to about 40, samples of one law fewer than 10
 SOLVER_MAX_ITER = 80
 
 #: highest censored moment order; the Tweedie covariance reads m_tilde[4]
@@ -222,18 +223,25 @@ def solve_rows(
 
     L_n is strictly decreasing from 1 to p_hat, and c_target lies strictly
     between them whenever some observation is positive, so the root is unique.
-    The bracket starts at [0, 1/median(positive values)] and doubles the upper
-    end until it straddles the root; safeguarded Newton steps (falling back to
-    bisection whenever a step leaves the bracket or the slope is zero) then
-    converge to relative tolerance SOLVER_RTOL on the transform value.
+    L_n is a mean of exp(-s*x), so L_n - c is also convex: each Newton step
+    A <- A + f/mean(x*exp(-A*x)) lands at or left of the root, and from there
+    the steps climb to it without overshooting.  The start A0 = 1/median
+    (positive values) may lie right of the root, but its first step still
+    lands in (0, A]: the step is positive when mean((1 + u)*exp(-u)) > c with
+    u = A0*x, and (1 + u)*exp(-u) >= 2/e at the positive values up to the
+    median, at least half of them, while each zero contributes 1; together
+    these exceed the target level, 1/e or its zero-adjusted form.  Newton
+    stops at relative tolerance SOLVER_RTOL on the transform value.  The slope
+    is summed as sum(x*exp(-A*x)/n): each term is divided before the sum, which
+    therefore stays finite for values near the float maximum.
 
     Each row keeps to its own steps, so its result does not depend on the
     other rows, and records its error instead of raising it: an all-zero row,
-    a bracket whose midpoint is not a positive finite float (subnormal data
-    make 1/median infinite), and a row still unsolved after SOLVER_MAX_ITER
-    iterations.  A row with an error has a NaN censoring point.  The rows in
-    play are carried as one compressed block, which is copied only when a
-    row drops out.
+    an iterate that is not a positive finite float (subnormal data make
+    1/median infinite, and a root may lie beyond the float maximum), and a
+    row still unsolved after SOLVER_MAX_ITER iterations.  A row with an error
+    has a NaN censoring point.  The rows in play are carried as one compressed
+    block, which is copied only when a row drops out.
     """
     rows, n = x.shape
     c = zero_adjusted_target(zero_count / n)
@@ -247,53 +255,35 @@ def solve_rows(
     index = np.flatnonzero(zero_count < n)
     xs, cs = _rows(x, index), c[index]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lo, hi = np.zeros(index.size), 1.0 / positive_medians(xs, zero_count[index])
-        grow = np.flatnonzero((0.0 < hi) & (hi < math.inf))
-        while grow.size:
-            weights = -hi[grow, None] * _rows(xs, grow)
-            above = _mean(np.exp(weights, out=weights)) - cs[grow] > 0.0
-            grow = grow[above]
-            lo[grow], hi[grow] = hi[grow], 2.0 * hi[grow]
-            grow = grow[hi[grow] < math.inf]
-        ai = 0.5 * (lo + hi)
-        bracketed = (0.0 < ai) & (ai < math.inf)
-        if np.count_nonzero(bracketed) < index.size:
-            refuse(
-                errors, index[~bracketed],
-                lambda i: DegenerateSampleError(
-                    "censoring point bracket leaves the float range: the positive values "
-                    "are too small for 1/median to be a finite float"
-                ),
-            )
-            index, xs, cs, ai, lo, hi = (v[bracketed] for v in (index, xs, cs, ai, lo, hi))
-        tolerance, fi = SOLVER_RTOL * cs, np.full(index.size, math.nan)
-        for it in range(SOLVER_MAX_ITER if index.size else 0):
+        ai = 1.0 / positive_medians(xs, zero_count[index])
+        tolerance = SOLVER_RTOL * cs
+        for it in range(SOLVER_MAX_ITER):
             weights = -ai[:, None] * xs
             fi = _mean(np.exp(weights, out=weights)) - cs
-            done = np.abs(fi) <= tolerance
-            finished = np.count_nonzero(done)
-            if finished == index.size:
-                a[index], f[index], iterations[index] = ai, fi, it
+            done, lost = np.abs(fi) <= tolerance, ~((0.0 < ai) & (ai < math.inf))
+            solved = index[done]
+            a[solved], f[solved], iterations[solved] = ai[done], fi[done], it
+            refuse(
+                errors, index[lost],
+                lambda i: DegenerateSampleError(
+                    "censoring point leaves the float range: the positive values are "
+                    "too small for 1/median or the root to be a finite float"
+                ),
+            )
+            keep = ~(done | lost)
+            if not keep.any():
                 index, fi = index[:0], fi[:0]
                 break
-            # mean(x*weights) is taken before the solved rows drop out, so the
+            # the slope is taken before the finished rows drop out, so the
             # weights are never copied with the rows that stay
-            moment = _mean(np.multiply(xs, weights, out=weights))
+            np.multiply(xs, weights, out=weights)
+            moment = np.add.reduce(np.divide(weights, n, out=weights), axis=-1)
             del weights
-            if finished:
-                solved, keep = index[done], ~done
-                a[solved], f[solved], iterations[solved] = ai[done], fi[done], it
-                index, xs, cs, tolerance, fi, ai, lo, hi, moment = (
-                    v[keep] for v in (index, xs, cs, tolerance, fi, ai, lo, hi, moment)
+            if not keep.all():
+                index, xs, cs, tolerance, fi, ai, moment = (
+                    v[keep] for v in (index, xs, cs, tolerance, fi, ai, moment)
                 )
-            above = fi > 0.0
-            lo, hi = np.where(above, ai, lo), np.where(above, hi, ai)
-            # the Newton step a - f/slope with slope = -moment; a zero slope
-            # gives an infinite step, which falls outside and bisects
             ai = ai + fi / moment
-            inside = (lo < ai) & (ai < hi)  # NaN excluded: bisect
-            if np.count_nonzero(inside) < inside.size:
-                ai = np.where(inside, ai, 0.5 * (lo + hi))
     f[index], iterations[index] = fi, SOLVER_MAX_ITER
     refuse(
         errors, index,

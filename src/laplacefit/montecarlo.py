@@ -48,12 +48,24 @@ CHUNK_VALUES = 2**15
 
 
 def _convert(name: str, kind: type, value: Any) -> Any:
-    # int(value) or float(value); anything else is a ConfigError naming the field
+    # int(value) or float(value); anything else, and a bool or a number with a
+    # fractional part where an integer is due, is a ConfigError naming the field
+    fractional = isinstance(value, (float, np.floating)) and not float(value).is_integer()
     try:
+        if kind is int and (fractional or isinstance(value, (bool, np.bool_))):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name}: must be {what}, got {value!r}") from None
+
+
+def _base_seed(value: Any) -> int:
+    # a seed for derive_substream: a non-negative integer
+    seed = _convert("base_seed", int, value)
+    if seed < 0:
+        raise ConfigError(f"base_seed: must be >= 0, got {seed}")
+    return seed
 
 
 def _items(name: str, value: Any) -> tuple:
@@ -95,9 +107,7 @@ class ExperimentConfig:
         put("alpha", _convert("alpha", float, self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha: must be in (0, 1), got {self.alpha}")
-        put("base_seed", _convert("base_seed", int, self.base_seed))
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed: must be >= 0, got {self.base_seed}")
+        put("base_seed", _base_seed(self.base_seed))
         put("metrics", _items("metrics", self.metrics))
         if not self.metrics:
             raise ConfigError("metrics: must be non-empty")
@@ -534,7 +544,7 @@ def table_configs(
 
 def conversion_report(base_seed: int = 0) -> ExperimentReport:
     """The deterministic mean/zero-probability conversion table (table 6)."""
-    family = FAMILIES["tweedie"]
+    base_seed, family = _base_seed(base_seed), FAMILIES["tweedie"]
     records = tuple(
         CellRecord(spec.text(), family.name, 0, "conversion", name, value, 0.0, 1, 1, {}, base_seed)
         for spec in map(DistributionSpec.parse, CONVERSION_ROWS)

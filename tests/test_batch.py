@@ -196,7 +196,8 @@ def test_cell_tallies_match_single_fits(generator, target, metrics, n_grid, monk
 
 
 def test_solve_at_the_iteration_cap_fails(monkeypatch):
-    # one Newton step cannot reach the tolerance from the bracket midpoint
+    # the start 1/median misses the tolerance, and a cap of one iteration
+    # stops the solve before its first Newton step is checked
     monkeypatch.setattr(laplace_core, "SOLVER_MAX_ITER", 1)
     sample = Sample.from_values(sample_spec(DistributionSpec.parse("ps:0.5,15"), derive_substream(8), size=200))
     with pytest.raises(DegenerateSampleError, match=r"stopped after 1 iterations with residual"):

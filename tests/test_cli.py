@@ -276,6 +276,7 @@ def test_experiment_invalid_config_field_path(capsys, tmp_path):
             (),
             "metrics: rrmse divides by the true theta, which is 0",
         ),
+        (None, ("--table", "6", "--seed", "-1"), "base_seed: must be >= 0"),
     ],
 )
 def test_experiment_malformed_config_exit_1(capsys, tmp_path, field, argv, fragment):

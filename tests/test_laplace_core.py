@@ -117,6 +117,7 @@ def test_solver_constant_sample():
     point = solve_censoring_point(s)
     assert point.c_target == 1.0 / E
     assert point.a == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert point.iterations == 0  # the start 1/median is the root
 
 
 def test_solver_zero_adjusted_target():
@@ -127,6 +128,7 @@ def test_solver_zero_adjusted_target():
     point = solve_censoring_point(s)
     assert point.c_target == pytest.approx((1.0 + (E - 1.0) * 0.9) / E, rel=1e-15)
     assert point.a == pytest.approx(1.0, rel=1e-9)
+    assert point.iterations == 0  # the start 1/median is the root
 
 
 def test_solver_all_zero():
@@ -138,6 +140,7 @@ def test_solver_all_zero():
     "values",
     [
         [1e-310, 2e-310, 3e-310],  # 1/median overflows to inf
+        [1e-308, 1e-308, 1e-310],  # the root lies near 3e308, beyond the float maximum
     ],
 )
 def test_solver_bracket_outside_float_range(values):
@@ -147,12 +150,43 @@ def test_solver_bracket_outside_float_range(values):
 
 def test_solver_median_near_float_maximum():
     # the two middle positive values sum past the float maximum; their
-    # midpoint lo/2 + hi/2 does not, so the bracket and the root stay finite
+    # midpoint lo/2 + hi/2 does not, so the start 1/median and the root stay finite
     s = Sample.from_values([9e307, 1.7e308, 1e-100, 1.1e308])
     assert s.positive_median() == 9e307 / 2 + 1.1e308 / 2
     point = solve_censoring_point(s)
     assert 0.0 < point.a < 1e-307
     assert abs(point.residual) <= SOLVER_RTOL * point.c_target
+
+
+@pytest.mark.parametrize(
+    "values,a",
+    [
+        # the root lies just below the float maximum
+        ([2e-308, 2e-308, 1e-310], 1.4164e308),
+        # sum(x*exp(-A*x)) overflows here, so the slope divides each term by n first
+        ([0.0, 0.0, *[1.3170533935270959e308] * 3, 1.5375862431968216e308], 2.1715e-308),
+    ],
+)
+def test_solver_at_the_ends_of_the_float_range(values, a):
+    point = solve_censoring_point(Sample.from_values(values))
+    assert point.a == pytest.approx(a, rel=1e-4)
+    assert abs(point.residual) <= SOLVER_RTOL * point.c_target
+
+
+@given(st.lists(st.just(0.0) | st.floats(5e-324, 1.7e308), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_solver_meets_the_tolerance_or_leaves_the_float_range(values):
+    # Newton on the convex transform never stops at the iteration cap: it
+    # solves, or the sample is all zero, or an iterate leaves the positive floats
+    try:
+        point = solve_censoring_point(Sample.from_values(values))
+    except AllZeroSampleError:
+        assert not any(values)
+    except DegenerateSampleError as exc:
+        assert "leaves the float range" in str(exc)
+    else:
+        assert 0.0 < point.a < math.inf
+        assert abs(point.residual) <= SOLVER_RTOL * point.c_target
 
 
 @given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=12))

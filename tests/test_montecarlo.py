@@ -97,6 +97,10 @@ def test_parse_config_document_field_paths():
     for field, message in MALFORMED:
         with pytest.raises(ConfigError, match=message):
             parse_config_document({"experiments": [good, dict(good, **field)]})
+    # an integral float is an integer
+    (config,) = parse_config_document(dict(good, n_grid=[50.0], replications=200.0, base_seed=3.0))
+    assert (config.n_grid, config.replications, config.base_seed) == ((50,), 200, 3)
+    assert all(type(v) is int for v in (*config.n_grid, config.replications, config.base_seed))
 
 
 #: malformed field values and the coded error each one gets
@@ -104,6 +108,10 @@ MALFORMED = [
     ({"replications": "many"}, r"experiments\[1\]\.replications: must be an integer, got 'many'"),
     ({"n_grid": ["x"]}, r"experiments\[1\]\.n_grid: must be an integer, got 'x'"),
     ({"n_grid": 100}, r"experiments\[1\]\.n_grid: must be a list, got 100"),
+    ({"replications": 3.7}, r"experiments\[1\]\.replications: must be an integer, got 3\.7"),
+    ({"replications": True}, r"experiments\[1\]\.replications: must be an integer, got True"),
+    ({"n_grid": [100.9]}, r"experiments\[1\]\.n_grid: must be an integer, got 100\.9"),
+    ({"base_seed": 2.5}, r"experiments\[1\]\.base_seed: must be an integer, got 2\.5"),
     ({"base_seed": -1}, r"experiments\[1\]\.base_seed: must be >= 0, got -1"),
     ({"metrics": "size"}, r"experiments\[1\]\.metrics: must be a list, got the string 'size'"),
     ({"metrics": []}, r"experiments\[1\]\.metrics: must be non-empty"),
