@@ -17,7 +17,6 @@ from .distributions import (
     TweedieParams,
     derive_substream,
     laplace_exact,
-    sample_alternative,
     sample_positive_stable,
     sample_spec,
     sample_tweedie,
@@ -71,7 +70,6 @@ __all__ = [
     "influence_map",
     "laplace_exact",
     "load_sample",
-    "sample_alternative",
     "sample_positive_stable",
     "sample_spec",
     "sample_tweedie",

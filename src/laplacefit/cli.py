@@ -119,7 +119,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     spec = DistributionSpec.parse(args.spec)
     rng = derive_substream(args.seed)
-    values = sample_spec(spec, rng, size=args.n)
+    values = Sample.from_values(sample_spec(spec, rng, size=args.n)).values
     sys.stdout.write("\n".join(repr(float(v)) for v in values) + "\n")
     return 0
 

@@ -1,9 +1,10 @@
-"""Samplers, exact Laplace transforms and parameter conversions.
+"""Generator laws: samplers, exact Laplace transforms and parameter conversions.
 
-Covers the target families (positive stable, Tweedie and its mean/zero
-reparametrization, cosh-Jacobi) and the alternative laws used by the Monte
-Carlo harness (positive Linnik, Pareto, Weibull, log-normal, exp-square
-log-normal, zero-inflated wrappers).
+``LAWS`` holds one record per spec tag: the target families (positive
+stable, Tweedie and its mean/zero reparametrization, cosh-Jacobi) and the
+alternative laws used by the Monte Carlo harness (positive Linnik, Pareto,
+Weibull, log-normal, exp-square log-normal), the last five also with a
+zero-inflated wrapper.  Specs, draws and exact transforms read only it.
 
 Linnik convention: ``LI(gamma, lam, delta)`` is the gamma scale mixture
 ``V**(1/gamma) * Z`` with ``V ~ Gamma(shape=delta, scale=lam)`` and
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -156,110 +158,6 @@ def tw_to_tw0(params: TweedieParams) -> Tw0Params:
 
 
 # ---------------------------------------------------------------------------
-# tagged distribution specs
-
-#: family tag -> number of positional parameters
-_FAMILY_ARITY = {
-    "ps": 2,
-    "tw": 3,
-    "tw0": 3,
-    "li": 3,
-    "pa": 2,
-    "we": 2,
-    "ln": 2,
-    "lnsqrt": 2,
-    "jacobi": 1,
-}
-
-#: families that accept the zero-inflation suffix in text form
-_ZERO_INFLATABLE = ("li", "pa", "we", "ln", "lnsqrt")
-
-
-@dataclass(frozen=True)
-class DistributionSpec:
-    """Tagged description of a generating law.
-
-    ``p_zero > 0`` wraps the base law in a zero-inflated mixture that emits an
-    exact zero with probability ``p_zero``.  Canonical text form is
-    ``family:p1,p2,...`` with a ``0`` suffix on the family for zero inflation,
-    e.g. ``ps:0.5,15``, ``tw0:1,1,0.1``, ``pa0:5,2,0.1``.
-    """
-
-    family: str
-    params: tuple[float, ...]
-    p_zero: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILY_ARITY:
-            raise SpecFormatError(f"unknown family {self.family!r}")
-        if len(self.params) != _FAMILY_ARITY[self.family]:
-            raise SpecFormatError(
-                f"{self.family} takes {_FAMILY_ARITY[self.family]} parameters, "
-                f"got {len(self.params)}"
-            )
-        if not 0.0 <= self.p_zero < 1.0:
-            raise SpecFormatError(f"zero-inflation must be in [0, 1), got {self.p_zero}")
-        object.__setattr__(self, "params", tuple(float(v) for v in self.params))
-        self._validate_params()
-
-    def _validate_params(self) -> None:
-        fam, p = self.family, self.params
-        if fam == "ps":
-            PsParams(*p)
-        elif fam == "tw":
-            TweedieParams(*p)
-        elif fam == "tw0":
-            Tw0Params(*p)
-        elif fam == "jacobi":
-            if not 0.0 < p[0] <= 0.5:
-                raise SpecFormatError(f"jacobi index must be in (0, 0.5], got {p[0]}")
-        elif fam == "li":
-            if not (0.0 < p[0] <= 1.0 and p[1] > 0.0 and p[2] > 0.0):
-                raise SpecFormatError(f"invalid li parameters {p}")
-        elif fam in ("pa", "we"):
-            if not (p[0] > 0.0 and p[1] > 0.0):
-                raise SpecFormatError(f"invalid {fam} parameters {p}")
-        else:  # ln, lnsqrt: any mu, sigma > 0
-            if not p[1] > 0.0:
-                raise SpecFormatError(f"{fam} sigma must be positive, got {p[1]}")
-
-    @classmethod
-    def parse(cls, text: str) -> "DistributionSpec":
-        """Parse the canonical ``family:p1,p2,...`` text form."""
-        head, sep, tail = text.strip().partition(":")
-        if not sep or not tail:
-            raise SpecFormatError(f"expected 'family:p1,p2,...', got {text!r}")
-        fam = head.strip().lower()
-        try:
-            values = tuple(float(tok) for tok in tail.split(","))
-        except ValueError as exc:
-            raise SpecFormatError(f"bad number in spec {text!r}: {exc}") from None
-        if fam in _FAMILY_ARITY:
-            return cls(fam, values)
-        if fam.endswith("0") and fam[:-1] in _ZERO_INFLATABLE:
-            if len(values) != _FAMILY_ARITY[fam[:-1]] + 1:
-                raise SpecFormatError(
-                    f"{fam} takes {_FAMILY_ARITY[fam[:-1]] + 1} parameters "
-                    f"(last one is the zero probability), got {len(values)}"
-                )
-            return cls(fam[:-1], values[:-1], p_zero=values[-1])
-        raise SpecFormatError(f"unknown family {head!r}")
-
-    def text(self) -> str:
-        fam = self.family + "0" if self.p_zero > 0.0 else self.family
-        values = self.params + ((self.p_zero,) if self.p_zero > 0.0 else ())
-        return fam + ":" + ",".join(format(v, "g") for v in values)
-
-    def tweedie_params(self) -> TweedieParams:
-        """Native Tweedie parameters for the tw/tw0 families."""
-        if self.family == "tw":
-            return TweedieParams(*self.params)
-        if self.family == "tw0":
-            return tw0_to_tw(Tw0Params(*self.params))
-        raise SpecFormatError(f"{self.family} is not a Tweedie spec")
-
-
-# ---------------------------------------------------------------------------
 # samplers
 
 
@@ -275,22 +173,15 @@ def _standard_one_sided_stable(gamma: float, rng: RngStream, size: int) -> np.nd
     return np.sin(gamma * u) / su * (np.sin((1.0 - gamma) * u) / (w * su)) ** ratio
 
 
-def sample_positive_stable(
-    params: PsParams, rng: RngStream, size: int | None = None
-) -> float | np.ndarray:
+def sample_positive_stable(params: PsParams, rng: RngStream, size: int) -> np.ndarray:
     """Draw from the positive stable law with transform exp(-lam * s**gamma).
 
     For ``gamma == 1`` the law is the point mass at ``lam`` and no random
     numbers are consumed.
     """
-    n = 1 if size is None else int(size)
     if params.gamma == 1.0:
-        out = np.full(n, params.lam)
-    else:
-        out = params.lam ** (1.0 / params.gamma) * _standard_one_sided_stable(
-            params.gamma, rng, n
-        )
-    return float(out[0]) if size is None else out
+        return np.full(size, params.lam)
+    return params.lam ** (1.0 / params.gamma) * _standard_one_sided_stable(params.gamma, rng, size)
 
 
 def tilt_acceptance_rate(params: TweedieParams) -> float:
@@ -298,9 +189,7 @@ def tilt_acceptance_rate(params: TweedieParams) -> float:
     return math.exp(-params.lam * params.theta**params.gamma)
 
 
-def sample_tweedie(
-    params: TweedieParams, rng: RngStream, size: int | None = None
-) -> float | np.ndarray:
+def sample_tweedie(params: TweedieParams, rng: RngStream, size: int) -> np.ndarray:
     """Draw from the Tweedie law.
 
     Branches: ``gamma == 1`` is the point mass at ``lam`` (tilting a constant
@@ -310,114 +199,226 @@ def sample_tweedie(
     N ~ Poisson(lam*theta**gamma) and then a Gamma(-gamma*N, rate theta) total,
     using the additivity of gamma shapes in place of an explicit sum.
     """
-    n = 1 if size is None else int(size)
     g, lam, th = params.gamma, params.lam, params.theta
     if g == 1.0:
-        out = np.full(n, lam)
-    elif g < 0.0:
-        counts = rng.poisson(lam * th**g, n)
-        out = np.zeros(n)
+        return np.full(size, lam)
+    if g < 0.0:
+        counts = rng.poisson(lam * th**g, size)
+        out = np.zeros(size)
         pos = counts > 0
         if pos.any():
             out[pos] = rng.gamma(-g * counts[pos], 1.0 / th)
-    elif th == 0.0:
-        out = np.asarray(sample_positive_stable(PsParams(g, lam), rng, n))
-    else:
-        accept = tilt_acceptance_rate(params)
-        if accept < MIN_TILT_ACCEPTANCE:
-            raise TiltedRejectionInfeasibleError(
-                f"acceptance rate {accept:.3g} below {MIN_TILT_ACCEPTANCE:g}; "
-                "expected proposals per draw exceed 1e6"
-            )
-        stable = PsParams(g, lam)
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            batch = int((n - filled) / accept * 1.2) + 16
-            z = np.asarray(sample_positive_stable(stable, rng, batch))
-            kept = z[rng.random(batch) < np.exp(-th * z)]
-            take = min(kept.size, n - filled)
-            out[filled : filled + take] = kept[:take]
-            filled += take
-    return float(out[0]) if size is None else out
+        return out
+    if th == 0.0:
+        return sample_positive_stable(PsParams(g, lam), rng, size)
+    accept = tilt_acceptance_rate(params)
+    if accept < MIN_TILT_ACCEPTANCE:
+        raise TiltedRejectionInfeasibleError(
+            f"acceptance rate {accept:.3g} below {MIN_TILT_ACCEPTANCE:g}; "
+            "expected proposals per draw exceed 1e6"
+        )
+    stable = PsParams(g, lam)
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        batch = int((size - filled) / accept * 1.2) + 16
+        z = sample_positive_stable(stable, rng, batch)
+        kept = z[rng.random(batch) < np.exp(-th * z)]
+        take = min(kept.size, size - filled)
+        out[filled : filled + take] = kept[:take]
+        filled += take
+    return out
 
 
-def sample_alternative(
-    spec: DistributionSpec, rng: RngStream, size: int | None = None
-) -> float | np.ndarray:
-    """Draw from one of the alternative laws (li, pa, we, ln, lnsqrt).
-
-    Zero inflation, when present, is applied after the base draw: a uniform
-    per element decides whether the value is replaced by an exact zero.
-    """
-    n = 1 if size is None else int(size)
-    fam, p = spec.family, spec.params
-    if fam == "li":
-        g, lam, delta = p
-        v = rng.gamma(delta, lam, n)
-        z = np.asarray(sample_positive_stable(PsParams(g, 1.0), rng, n))
-        out = v ** (1.0 / g) * z
-    elif fam == "pa":
-        alpha, beta = p
-        out = beta * rng.random(n) ** (-1.0 / alpha)
-    elif fam == "we":
-        k, lam = p
-        out = lam * (-np.log(rng.random(n))) ** (1.0 / k)
-    elif fam == "ln":
-        out = np.exp(rng.normal(p[0], p[1], n))
-    elif fam == "lnsqrt":
-        out = np.exp(rng.normal(p[0], p[1], n) ** 2)
-    else:
-        raise UnsupportedOperationError(f"no alternative sampler for family {fam!r}")
-    if spec.p_zero > 0.0:
-        out = np.where(rng.random(n) < spec.p_zero, 0.0, out)
-    return float(out[0]) if size is None else out
+def _sample_linnik(p: tuple[float, ...], rng: RngStream, size: int) -> np.ndarray:
+    g, lam, delta = p
+    v = rng.gamma(delta, lam, size)
+    return v ** (1.0 / g) * sample_positive_stable(PsParams(g, 1.0), rng, size)
 
 
-def sample_spec(
-    spec: DistributionSpec, rng: RngStream, size: int | None = None
-) -> float | np.ndarray:
-    """Draw from any sampleable spec (dispatch by family)."""
-    if spec.family == "ps":
-        return sample_positive_stable(PsParams(*spec.params), rng, size)
-    if spec.family in ("tw", "tw0"):
-        return sample_tweedie(spec.tweedie_params(), rng, size)
-    if spec.family == "jacobi":
-        raise UnsupportedOperationError("no exact sampler for the cosh-Jacobi law")
-    return sample_alternative(spec, rng, size)
+def _tweedie_transform(p: TweedieParams, s: np.ndarray) -> np.ndarray:
+    sign = math.copysign(1.0, p.gamma)
+    return np.exp(sign * p.lam * (p.theta**p.gamma - (p.theta + s) ** p.gamma))
 
 
 # ---------------------------------------------------------------------------
-# exact transforms
+# the registry of generator laws
+
+
+@dataclass(frozen=True)
+class Law:
+    """One generator law, keyed by its spec tag in ``LAWS``.
+
+    ``params(*values)`` validates a spec's ``arity`` values, raising
+    :class:`SpecFormatError`, and returns what ``draw`` and ``transform``
+    read.  ``draw(params, rng, size)`` is the exact sampler and
+    ``transform(params, s)`` the closed-form Laplace transform; either is None
+    where the law has none.  Only a ``zero_inflatable`` law takes ``p_zero > 0``.
+    """
+
+    arity: int
+    zero_inflatable: bool
+    params: Callable[..., Any]
+    draw: Callable[[Any, RngStream, int], np.ndarray] | None
+    transform: Callable[[Any, np.ndarray], np.ndarray] | None
+
+
+def _rule(test: Callable[..., bool], rule: str) -> Callable[..., tuple[float, ...]]:
+    # params of a law that the samplers read as the plain tuple
+    def params(*values: float) -> tuple[float, ...]:
+        if not test(*values):
+            raise SpecFormatError(f"{rule}, got {values}")
+        return values
+
+    return params
+
+
+def _tw0_native(mu: float, w: float, p: float) -> TweedieParams:
+    try:
+        return tw0_to_tw(Tw0Params(mu, w, p))
+    except InvalidRegimeError as exc:
+        raise SpecFormatError(
+            f"mean/zero-probability triple ({mu:g}, {w:g}, {p:g}) has no native form: {exc}"
+        ) from None
+
+
+_log_normal = _rule(lambda mu, sigma: sigma > 0.0, "the log-normal sigma must be positive")
+
+#: spec tag -> law; the zero-inflated text form appends ``0`` to the tag
+LAWS: dict[str, Law] = {
+    "ps": Law(
+        2, False, PsParams, sample_positive_stable, lambda p, s: np.exp(-p.lam * s**p.gamma)
+    ),
+    "tw": Law(3, False, TweedieParams, sample_tweedie, _tweedie_transform),
+    "tw0": Law(3, False, _tw0_native, sample_tweedie, _tweedie_transform),
+    "jacobi": Law(
+        1, False, _rule(lambda g: 0.0 < g <= 0.5, "the cosh-Jacobi index must be in (0, 0.5]"),
+        None, lambda p, s: 1.0 / np.cosh(s ** p[0]),
+    ),
+    "li": Law(
+        3, True,
+        _rule(lambda g, lam, d: 0.0 < g <= 1.0 and lam > 0.0 and d > 0.0,
+              "the Linnik law needs 0 < gamma <= 1, lam > 0 and delta > 0"),
+        _sample_linnik, lambda p, s: (1.0 + p[1] * s ** p[0]) ** -p[2],
+    ),
+    "pa": Law(
+        2, True, _rule(lambda a, b: a > 0.0 and b > 0.0, "the Pareto law needs alpha, beta > 0"),
+        lambda p, rng, size: p[1] * rng.random(size) ** (-1.0 / p[0]), None,
+    ),
+    "we": Law(
+        2, True, _rule(lambda k, lam: k > 0.0 and lam > 0.0, "the Weibull law needs k, lam > 0"),
+        lambda p, rng, size: p[1] * (-np.log(rng.random(size))) ** (1.0 / p[0]), None,
+    ),
+    "ln": Law(
+        2, True, _log_normal, lambda p, rng, size: np.exp(rng.normal(p[0], p[1], size)), None
+    ),
+    "lnsqrt": Law(
+        2, True, _log_normal,
+        lambda p, rng, size: np.exp(rng.normal(p[0], p[1], size) ** 2), None,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# tagged distribution specs
+
+
+@dataclass(frozen=True)
+class DistributionSpec:
+    """Tagged description of a generating law, one of ``LAWS``.
+
+    ``p_zero > 0`` wraps a zero-inflatable base law in a mixture that emits
+    an exact zero with probability ``p_zero``.  Canonical text form is
+    ``family:p1,p2,...`` with a ``0`` suffix on the family for zero inflation,
+    e.g. ``ps:0.5,15``, ``tw0:1,1,0.1``, ``pa0:5,2,0.1``.  Parameters must be
+    finite and pass the law's own checks.
+    """
+
+    family: str
+    params: tuple[float, ...]
+    p_zero: float = 0.0
+
+    def __post_init__(self) -> None:
+        law = LAWS.get(self.family)
+        if law is None:
+            raise SpecFormatError(f"unknown family {self.family!r}")
+        if len(self.params) != law.arity:
+            raise SpecFormatError(
+                f"{self.family} takes {law.arity} parameters, got {len(self.params)}"
+            )
+        if not 0.0 <= self.p_zero < 1.0:
+            raise SpecFormatError(f"zero-inflation must be in [0, 1), got {self.p_zero}")
+        if self.p_zero > 0.0 and not law.zero_inflatable:
+            raise SpecFormatError(f"{self.family} takes no zero inflation, got {self.p_zero}")
+        object.__setattr__(self, "params", tuple(float(v) for v in self.params))
+        if not all(map(math.isfinite, self.params)):
+            raise SpecFormatError(f"{self.family} parameters must be finite, got {self.params}")
+        law.params(*self.params)
+
+    @classmethod
+    def parse(cls, text: str) -> "DistributionSpec":
+        """Parse the canonical ``family:p1,p2,...`` text form."""
+        head, sep, tail = text.strip().partition(":")
+        if not sep or not tail:
+            raise SpecFormatError(f"expected 'family:p1,p2,...', got {text!r}")
+        fam = head.strip().lower()
+        try:
+            values = tuple(float(tok) for tok in tail.split(","))
+        except ValueError as exc:
+            raise SpecFormatError(f"bad number in spec {text!r}: {exc}") from None
+        if fam in LAWS:
+            return cls(fam, values)
+        base = LAWS.get(fam[:-1]) if fam.endswith("0") else None
+        if base is not None and base.zero_inflatable:
+            if len(values) != base.arity + 1:
+                raise SpecFormatError(
+                    f"{fam} takes {base.arity + 1} parameters "
+                    f"(last one is the zero probability), got {len(values)}"
+                )
+            return cls(fam[:-1], values[:-1], p_zero=values[-1])
+        raise SpecFormatError(f"unknown family {head!r}")
+
+    def text(self) -> str:
+        fam = self.family + "0" if self.p_zero > 0.0 else self.family
+        values = self.params + ((self.p_zero,) if self.p_zero > 0.0 else ())
+        return fam + ":" + ",".join(format(v, "g") for v in values)
+
+    def tweedie_params(self) -> TweedieParams:
+        """Native Tweedie parameters of a spec of a Tweedie law."""
+        params = LAWS[self.family].params(*self.params)
+        if not isinstance(params, TweedieParams):
+            raise SpecFormatError(f"{self.family} is not a Tweedie spec")
+        return params
+
+
+def sample_spec(spec: DistributionSpec, rng: RngStream, size: int) -> np.ndarray:
+    """Draw ``size`` values from a spec's law.
+
+    Zero inflation, when present, is applied after the base draw: a uniform
+    per element decides whether the value is replaced by an exact zero.  A
+    draw that overflows is inf, without a warning; ``Sample.from_values``
+    refuses it.
+    """
+    law = LAWS[spec.family]
+    if law.draw is None:
+        raise UnsupportedOperationError(f"no exact sampler for {spec.text()!r}")
+    with np.errstate(over="ignore"):
+        out = law.draw(law.params(*spec.params), rng, size)
+        if spec.p_zero > 0.0:
+            out = np.where(rng.random(size) < spec.p_zero, 0.0, out)
+    return out
 
 
 def laplace_exact(spec: DistributionSpec, s: float | np.ndarray) -> float | np.ndarray:
-    """Exact Laplace transform E[exp(-s X)] for the closed-form families.
+    """Exact Laplace transform E[exp(-s X)] of a spec whose law has a ``transform``.
 
-    Supports ps, tw, tw0, li and jacobi, plus zero-inflated wrappers of these;
-    raises for the families whose transform has no closed form here (pa, we,
-    ln, lnsqrt).
+    Zero inflation gives p_zero + (1 - p_zero) times the base transform.
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0.0):
         raise ValueError("transform argument must be >= 0")
-    fam, p = spec.family, spec.params
-    if fam == "ps":
-        g, lam = p
-        base = np.exp(-lam * s_arr**g)
-    elif fam in ("tw", "tw0"):
-        tw = spec.tweedie_params()
-        base = np.exp(
-            math.copysign(1.0, tw.gamma)
-            * tw.lam
-            * (tw.theta**tw.gamma - (tw.theta + s_arr) ** tw.gamma)
-        )
-    elif fam == "li":
-        g, lam, delta = p
-        base = (1.0 + lam * s_arr**g) ** -delta
-    elif fam == "jacobi":
-        base = 1.0 / np.cosh(s_arr ** p[0])
-    else:
-        raise UnsupportedOperationError(f"no closed-form transform for family {fam!r}")
-    out = spec.p_zero + (1.0 - spec.p_zero) * base
+    law = LAWS[spec.family]
+    if law.transform is None:
+        raise UnsupportedOperationError(f"no closed-form transform for {spec.text()!r}")
+    out = spec.p_zero + (1.0 - spec.p_zero) * law.transform(law.params(*spec.params), s_arr)
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out

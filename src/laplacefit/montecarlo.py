@@ -48,11 +48,12 @@ CHUNK_VALUES = 2**15
 
 
 def _convert(name: str, kind: type, value: Any) -> Any:
-    # int(value) or float(value); anything else, and a bool or a number with a
-    # fractional part where an integer is due, is a ConfigError naming the field
+    # int(value) or float(value) of a number; a string, anything else, and a bool
+    # or a number with a fractional part where an integer is due, is a ConfigError
+    # naming the field
     fractional = isinstance(value, (float, np.floating)) and not float(value).is_integer()
     try:
-        if kind is int and (fractional or isinstance(value, (bool, np.bool_))):
+        if isinstance(value, str) or (kind is int and (fractional or isinstance(value, (bool, np.bool_)))):
             raise ValueError
         return kind(value)
     except (TypeError, ValueError):

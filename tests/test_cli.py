@@ -47,10 +47,22 @@ def test_sample_zero_inflated_fraction(capsys):
     assert abs((values == 0.0).mean() - 0.1) < 0.006
 
 
-def test_sample_bad_spec_exit_1(capsys):
-    code, out, err = run_cli(capsys, "sample", "bogus:1", "--n", "5")
-    assert code == 1
+@pytest.mark.parametrize("spec", ["bogus:1", "ln:nan,1", "tw0:1,1,0.5"])
+def test_sample_bad_spec_exit_1(capsys, spec):
+    code, out, err = run_cli(capsys, "sample", spec, "--n", "5")
+    assert code == 1 and out == ""
     assert "spec_format" in err
+
+
+@pytest.mark.parametrize(
+    "argv,row",
+    [(("lnsqrt:30,1", "--n", "2"), 1), (("pa:0.01,1", "--n", "20000", "--seed", "1"), 1330)],
+)
+def test_sample_overflow_exit_1(capsys, argv, row):
+    # a draw that overflows is refused like an inf in a data file, never printed
+    code, out, err = run_cli(capsys, "sample", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error (invalid_sample): row {row}: non-finite value")
 
 
 @pytest.mark.parametrize(

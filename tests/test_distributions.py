@@ -13,7 +13,6 @@ from laplacefit import (
     TweedieParams,
     derive_substream,
     laplace_exact,
-    sample_alternative,
     sample_positive_stable,
     sample_spec,
     sample_tweedie,
@@ -121,9 +120,10 @@ def test_tw_to_tw0_needs_negative_index():
 
 def test_ps_gamma_one_is_point_mass():
     rng = derive_substream(1)
-    assert sample_positive_stable(PsParams(1.0, 3.0), rng) == 3.0
+    state = rng.bit_generator.state
     draws = sample_positive_stable(PsParams(1.0, 3.0), rng, size=5)
     assert np.all(draws == 3.0)
+    assert rng.bit_generator.state == state  # no random numbers consumed
 
 
 def test_ps_empirical_transform_in_band():
@@ -175,7 +175,7 @@ def test_tw_tilted_mean():
 
 def test_tw_gamma_one_degenerate():
     rng = derive_substream(23)
-    assert sample_tweedie(TweedieParams(1.0, 4.0, 2.0), rng) == 4.0
+    assert np.all(sample_tweedie(TweedieParams(1.0, 4.0, 2.0), rng, size=5) == 4.0)
 
 
 def test_tw_rejection_infeasible_guard():
@@ -191,20 +191,20 @@ def test_tw_rejection_infeasible_guard():
 
 def test_pareto_support():
     rng = derive_substream(31)
-    x = sample_alternative(DistributionSpec("pa", (5.0, 2.0)), rng, size=10000)
+    x = sample_spec(DistributionSpec("pa", (5.0, 2.0)), rng, size=10000)
     assert x.min() >= 2.0
 
 
 def test_weibull_unit_exponential_mean():
     rng = derive_substream(32)
-    x = sample_alternative(DistributionSpec("we", (1.0, 1.0)), rng, size=N_BAND)
+    x = sample_spec(DistributionSpec("we", (1.0, 1.0)), rng, size=N_BAND)
     assert x.mean() == pytest.approx(1.0, rel=0.01)
 
 
 def test_linnik_transform_in_band():
     rng = derive_substream(33)
     spec = DistributionSpec("li", (0.5, 2.0, 0.5))
-    x = sample_alternative(spec, rng, size=N_BAND)
+    x = sample_spec(spec, rng, size=N_BAND)
     exact = (1.0 + 2.0) ** -0.5
     assert abs(float(np.exp(-x).mean()) - exact) < DKW_BAND
 
@@ -213,14 +213,14 @@ def test_zero_inflated_frequency():
     rng = derive_substream(34)
     spec = DistributionSpec("we", (1.0, 1.0), p_zero=0.3)
     n = 50000
-    x = sample_alternative(spec, rng, size=n)
+    x = sample_spec(spec, rng, size=n)
     band = 4.0 * math.sqrt(0.3 * 0.7 / n)
     assert abs((x == 0.0).mean() - 0.3) < band
 
 
 def test_lnsqrt_is_exp_of_squared_normal():
     rng = derive_substream(35)
-    x = sample_alternative(DistributionSpec("lnsqrt", (0.0, 1.0)), rng, size=20000)
+    x = sample_spec(DistributionSpec("lnsqrt", (0.0, 1.0)), rng, size=20000)
     assert x.min() >= 1.0  # exp(X**2) >= 1
 
 
@@ -256,7 +256,7 @@ def test_laplace_exact_unsupported():
 
 @pytest.mark.parametrize(
     "text",
-    ["ps:0.5,15", "tw:0.5,2,0.5", "tw0:1,1,0.1", "li:0.5,2,0.5"],
+    ["ps:0.5,15", "tw:0.5,2,0.5", "tw0:1,1,0.1", "li:0.5,2,0.5", "li0:0.5,2,0.5,0.2"],
 )
 def test_sampler_transform_band_on_grid(text):
     spec = DistributionSpec.parse(text)
@@ -290,13 +290,56 @@ def test_spec_parse_zero_inflated():
     ["", "ps", "ps:", "ps:1", "ps:0.5,15,3", "nope:1,2", "ps:0.5,abc", "tw00:1,1,0.1,0.1",
      "ps:1.5,2", "tw:0.5,-1,0", "tw0:1,1,1.5", "jacobi:0.9",
      # theta**gamma, or lam*theta**gamma, overflows
-     "tw:-2000,1,0.5", "tw:-2,1e308,0.5"],
+     "tw:-2000,1,0.5", "tw:-2,1e308,0.5",
+     # a parameter that is not finite
+     "ln:nan,1", "we:1,inf", "ps:0.5,inf", "li:0.5,inf,1",
+     # mu + w*log(p) >= 0: the triple has no native form
+     "tw0:1,1,0.5"],
 )
 def test_spec_parse_errors(bad):
     with pytest.raises(SpecFormatError):
         DistributionSpec.parse(bad)
 
 
+@pytest.mark.parametrize(
+    "family,params",
+    [("ps", (0.5, 15.0)), ("tw", (0.5, 2.0, 0.5)), ("tw0", (1.0, 1.0, 0.1)), ("jacobi", (0.5,))],
+)
+def test_zero_inflation_refused_where_text_form_lacks_it(family, params):
+    DistributionSpec(family, params)
+    with pytest.raises(SpecFormatError, match="takes no zero inflation"):
+        DistributionSpec(family, params, p_zero=0.2)
+
+
 def test_no_sampler_for_jacobi():
     with pytest.raises(UnsupportedOperationError):
         sample_spec(DistributionSpec("jacobi", (0.5,)), derive_substream(1), size=3)
+
+
+# ---------------------------------------------------------------------------
+# pinned streams
+
+
+#: the first four draws of sample_spec(spec, derive_substream(7, 1), size=64),
+#: one spec per law and sampler branch; a change to any stream shows here
+PINNED_STREAMS = [
+    ("ps:0.5,15", (208.5611337681103, 86.74463370674245, 327.22922610897575, 39.65958091982558)),
+    ("ps:1,3", (3.0, 3.0, 3.0, 3.0)),
+    ("tw:0.5,2,0.5", (0.675092337881483, 0.6374537472077618, 2.7309795448468024, 0.5161245015365132)),
+    ("tw:0.5,2,0", (3.7077534892108495, 1.5421268214531991, 5.817408464159569, 0.7050592163524547)),
+    ("tw:-1,2,1", (0.3204274318546232, 0.5109480521964466, 0.0, 1.185584855773421)),
+    ("tw0:1,1,0.1", (0.48338199534850296, 0.25752949738539527, 0.0, 0.7676099572669752)),
+    ("li:0.5,2,0.5", (0.11233334057229682, 0.001595489307056536, 0.06958962521785682, 0.0002880535951646887)),
+    ("li0:0.5,2,0.5,0.2", (0.0, 0.0, 0.06958962521785682, 0.0002880535951646887)),
+    ("pa0:5,2,0.1", (2.315669068114327, 3.516135427474063, 2.7007865743127804, 2.9916244183626866)),
+    ("we:5,1", (0.9397060919502859, 1.2305038450275945, 1.0847578295855167, 1.1502274138296327)),
+    ("ln:0,1.5", (8.189601018166016, 3.5971090995267487, 97.94965238939828, 0.9180207638933676)),
+    ("lnsqrt:0,1.5", (83.26613877588913, 5.1486476301770265, 1341715383.988963, 1.0073431117982141)),
+]
+
+
+@pytest.mark.parametrize("text,head", PINNED_STREAMS)
+def test_streams_are_pinned(text, head):
+    x = sample_spec(DistributionSpec.parse(text), derive_substream(7, 1), size=64)
+    assert x.shape == (64,)
+    assert tuple(x[:4].tolist()) == head

@@ -115,6 +115,9 @@ MALFORMED = [
     ({"base_seed": -1}, r"experiments\[1\]\.base_seed: must be >= 0, got -1"),
     ({"metrics": "size"}, r"experiments\[1\]\.metrics: must be a list, got the string 'size'"),
     ({"metrics": []}, r"experiments\[1\]\.metrics: must be non-empty"),
+    ({"replications": "7"}, r"experiments\[1\]\.replications: must be an integer, got '7'"),
+    ({"alpha": "0.1"}, r"experiments\[1\]\.alpha: must be a number, got '0\.1'"),
+    ({"generator": "tw0:1,1,0.5"}, r"experiments\[1\]\.generator: .* has no native form"),
     (
         {"generator": "tw:0.5,2,0", "fit_target": "tweedie"},
         r"experiments\[1\]\.metrics: rrmse divides by the true theta, which is 0 for 'tw:0.5,2,0'",
