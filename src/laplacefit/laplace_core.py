@@ -17,7 +17,9 @@ solve and pass, so its fit and test share them.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -71,11 +73,11 @@ class Sample:
         bad = ~np.isfinite(arr)
         if bad.any():
             i = int(np.argmax(bad))
-            raise SampleValidationError(f"row {i + 1}: non-finite value {arr[i]!r}")
+            raise SampleValidationError(f"row {i + 1}: non-finite value {float(arr[i])!r}")
         neg = arr < 0.0
         if neg.any():
             i = int(np.argmax(neg))
-            raise SampleValidationError(f"row {i + 1}: negative value {arr[i]!r}")
+            raise SampleValidationError(f"row {i + 1}: negative value {float(arr[i])!r}")
         arr = arr.copy()
         arr.flags.writeable = False
         return cls(values=arr, n=int(arr.size), zero_count=int(np.count_nonzero(arr == 0.0)))
@@ -151,14 +153,44 @@ def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sampl
     """Load a sample from a path or open text stream.
 
     Plain text means one decimal float per line; passing ``column`` switches
-    to CSV mode and reads that column.
+    to CSV mode and reads that column (the last one of that name, as
+    ``csv.DictReader`` would).  One ``np.loadtxt`` pass reads the values.
+    Input that this pass or ``Sample.from_values`` refuses is read again from
+    its start by the row parsers, which give the error with its row number.
+    A stream that cannot seek, such as a stdin pipe, is first buffered in
+    memory.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_sample(fh, column=column)
+    if not source.seekable():
+        source = io.StringIO(source.read())
+    start = source.tell()
+    try:
+        return Sample.from_values(_load_column(source, column))
+    except (ValueError, csv.Error):
+        source.seek(start)
     if column is not None:
         return parse_sample_csv(source, column)
     return parse_sample_lines(source)
+
+
+def _load_column(stream: TextIO, column: str | None) -> np.ndarray:
+    """One column of floats read by ``np.loadtxt``; ValueError on any doubt."""
+    options = {}
+    if column is not None:
+        header = next(csv.reader(stream), [])
+        if column not in header:
+            raise ValueError(f"column {column!r} not found")
+        last = len(header) - 1 - header[::-1].index(column)
+        options = {"delimiter": ",", "quotechar": '"', "usecols": last}
+    with warnings.catch_warnings():
+        # an empty input is refused by the row parser with its own message
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        arr = np.loadtxt(stream, comments=None, ndmin=2, **options)
+    if arr.shape[1] != 1:
+        raise ValueError("more than one value on a line")
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def test_sample_overflow_exit_1(capsys, argv, row):
     # a draw that overflows is refused like an inf in a data file, never printed
     code, out, err = run_cli(capsys, "sample", *argv)
     assert (code, out) == (1, "")
-    assert err.startswith(f"error (invalid_sample): row {row}: non-finite value")
+    assert err == f"error (invalid_sample): row {row}: non-finite value inf\n"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
+import csv
 import io
 import math
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from laplacefit.errors import (
     DegenerateSampleError,
     SampleValidationError,
 )
+from laplacefit import laplace_core
 from laplacefit.laplace_core import SOLVER_RTOL, parse_sample_csv, parse_sample_lines
 
 E = math.e
@@ -41,12 +46,18 @@ def test_sample_summaries():
 
 
 @pytest.mark.parametrize(
-    "values,fragment",
-    [([1.0, -2.0], "row 2"), ([float("nan")], "row 1"), ([1.0, 2.0, float("inf")], "row 3")],
+    "values,message",
+    [
+        ([1.0, -2.0], "row 2: negative value -2.0"),
+        ([float("nan")], "row 1: non-finite value nan"),
+        ([1.0, 2.0, float("inf")], "row 3: non-finite value inf"),
+    ],
+    ids=["values0-row 2", "values1-row 1", "values2-row 3"],
 )
-def test_sample_rejects_bad_values(values, fragment):
-    with pytest.raises(SampleValidationError, match=fragment):
-        Sample.from_values(values)
+def test_sample_rejects_bad_values(values, message):
+    with pytest.raises(SampleValidationError) as excinfo:
+        Sample.from_values(np.array(values))
+    assert str(excinfo.value) == message
 
 
 def test_parse_lines_row_indexed_errors():
@@ -72,6 +83,147 @@ def test_load_plain_text(tmp_path):
     path = tmp_path / "data.txt"
     path.write_text("1.0\n\n2.5\n")
     assert load_sample(path).n == 2
+
+
+class Unseekable(io.StringIO):
+    """A text stream that cannot seek, like a stdin pipe."""
+
+    def seekable(self) -> bool:
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("not seekable")
+
+    def tell(self):
+        raise io.UnsupportedOperation("not seekable")
+
+
+def read_outcome(read):
+    """The values of one read as bytes, or the type and message of its error."""
+    try:
+        return read().values.tobytes()
+    except (ValueError, csv.Error) as exc:  # csv.Error is not a ValueError
+        return type(exc), str(exc)
+
+
+def assert_same_as_row_parser(text, column=None):
+    """``load_sample`` on ``text`` matches the row parser bit for bit, error
+    for error, and warns nothing, whether or not the stream can seek."""
+    if column is None:
+        expected = read_outcome(lambda: parse_sample_lines(io.StringIO(text)))
+    else:
+        expected = read_outcome(lambda: parse_sample_csv(io.StringIO(text), column))
+    for stream in (io.StringIO(text), Unseekable(text)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_outcome(lambda: load_sample(stream, column=column)) == expected
+
+
+LINE_TOKENS = [
+    "", " ", "\t", "1 2", "1,2", "-0.0", "-1", "0", "1.5", " 7 ", "2.5e-320",
+    "inf", "1e500", "nan", "1_000", "١٢", "0x1p3", "﻿1",
+]
+CSV_CELLS = [*LINE_TOKENS, '"2"', '"1,5"', '" 3 "', '""', '"4\n"']
+NEWLINES = st.sampled_from(["\n", "\r\n"])
+
+
+@given(st.lists(st.sampled_from(LINE_TOKENS), max_size=6), NEWLINES, st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_load_text_matches_row_parser(lines, newline, bom, last_newline):
+    text = ("﻿" if bom else "") + newline.join(lines) + (newline if last_newline else "")
+    assert_same_as_row_parser(text)
+
+
+@given(
+    st.lists(st.sampled_from(["v", "w", " v", '"v"']), max_size=4),
+    st.lists(st.lists(st.sampled_from(CSV_CELLS), max_size=4), max_size=5),
+    NEWLINES,
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_load_csv_matches_row_parser(header, rows, newline, last_newline):
+    # rows of any length (short, long, blank or whitespace-only), a header
+    # that may name "v" twice or not at all, and header-only files
+    text = newline.join(",".join(cells) for cells in [header, *rows]) + (newline if last_newline else "")
+    assert_same_as_row_parser(text, column="v")
+
+
+@pytest.mark.parametrize(
+    "text,column",
+    [
+        ("3 4\n5 6\n", None),
+        ("1\n-0.0\n\n2.5\n", None),
+        ("1\r\n2\r\n\r\noops\r\n", None),
+        ("", None),
+        ("\n  \n", None),
+        ("v,w\n", "v"),
+        ("", "v"),
+        ("v,w,v\n1,2,3\n4,5\n", "v"),
+        ('w,v\n1,"2"\n3,"4,5"\n', "v"),
+        ("w,v\n1,2,9\n\n3,4\n", "v"),
+    ],
+    ids=[
+        "two-columns", "negative-zero", "crlf-bad-row", "empty", "blank-lines",
+        "header-only", "empty-csv", "duplicate-name-short-row", "quoted-comma", "long-row-blank-row",
+    ],
+)
+def test_load_named_cases_match_row_parser(text, column):
+    assert_same_as_row_parser(text, column)
+
+
+def test_load_refuses_two_tokens_on_one_line():
+    with pytest.raises(SampleValidationError) as excinfo:
+        load_sample(io.StringIO("3 4\n"))
+    assert str(excinfo.value) == "row 1: cannot parse '3 4'"
+
+
+def test_load_unseekable_stream_both_paths():
+    assert np.array_equal(load_sample(Unseekable("1.5\n\n2\n")).values, [1.5, 2.0])
+    assert np.array_equal(load_sample(Unseekable("w,v\n1,2\n"), column="v").values, [2.0])
+    with pytest.raises(SampleValidationError) as excinfo:
+        load_sample(Unseekable("1.5\n\n-2\n"))
+    assert str(excinfo.value) == "row 3: negative value '-2'"
+    with pytest.raises(SampleValidationError) as excinfo:
+        load_sample(Unseekable("w,v\n1,2\n3,\n"), column="v")
+    assert str(excinfo.value) == "row 3: empty cell in column 'v'"
+
+
+def test_load_crlf_file_names_its_row(tmp_path):
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(b"1.0\r\n\r\n2.0\r\nnan\r\n")
+    with pytest.raises(SampleValidationError) as excinfo:
+        load_sample(path)
+    assert str(excinfo.value) == "row 4: non-finite value 'nan'"
+
+
+def test_valid_input_never_reaches_row_parser(tmp_path, monkeypatch):
+    def refuse_row_parser(*args, **kwargs):
+        raise AssertionError("valid input went through the row parser")
+
+    monkeypatch.setattr(laplace_core, "parse_sample_lines", refuse_row_parser)
+    monkeypatch.setattr(laplace_core, "parse_sample_csv", refuse_row_parser)
+    values = derive_substream(110).gamma(0.5, 2.0, 10**4)
+    values[::10] = 0.0
+    text = "".join(f"{v!r}\n" for v in values.tolist())
+    txt, csv_path = tmp_path / "draws.txt", tmp_path / "draws.csv"
+    txt.write_text(text)
+    csv_path.write_text("id,amount\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist())))
+
+    read_fd, write_fd = os.pipe()
+
+    def write_pipe():
+        with open(write_fd, "w", encoding="utf-8") as sink:
+            sink.write(text)
+
+    writer = threading.Thread(target=write_pipe)
+    writer.start()
+    with open(read_fd, encoding="utf-8") as pipe:
+        piped = load_sample(pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+    for sample in (load_sample(txt), load_sample(csv_path, column="amount"), piped):
+        assert sample.values.tobytes() == values.tobytes()
 
 
 # ---------------------------------------------------------------------------
