@@ -12,7 +12,6 @@ import numpy as np
 from laplacefit import (
     DistributionSpec,
     Sample,
-    censored_moments,
     derive_substream,
     empirical_laplace,
     sample_spec,
@@ -29,20 +28,21 @@ print(f"solved A = {point.a:.6f}  (population a* = {a_star:.6f})")
 print(f"L_n(A) = {empirical_laplace(sample, point.a):.15f} vs target {point.c_target:.15f}")
 print(f"solver iterations: {point.iterations}, residual {point.residual:.2e}")
 
-# the sample solves for A once and makes one statistics pass in the frame
-# y = A*X; every fit and test of this sample reads this same set.  The
-# normalized moments m~_r = A**r * mean(X**r exp(-A X)) do not depend on the
-# data's units; the fits read them and A, never the raw moments
-moments = censored_moments(sample)
+# the sample is a batch of one: it solves for A once and makes one statistics
+# pass in the frame y = A*X, and every fit and test of this sample reads
+# this same row.  The normalized moments m~_r = A**r * mean(X**r exp(-A X))
+# do not depend on the data's units; the fits read them and A, never the raw
+# moments
+batch = sample.batch
 print("\nnormalized censored moments m~_r = mean(y**r exp(-y)):")
 for r in range(5):
-    print(f"  m~_{r} = {moments.m_tilde[r]:.6f}")
+    print(f"  m~_{r} = {batch.m_tilde[0, r]:.6f}")
 print(f"population m~_1 = gamma/e = {0.5 / np.e:.6f}")
 
 # the covariance of the power products y**r exp(-y), r <= 3, drives every
 # standard error in the package through a small fixed matrix
 print("\npower-product covariance (r = 0..3, frame y = A*X):")
-print(np.array2string(moments.cov, precision=4, suppress_small=True))
+print(np.array2string(batch.cov[0], precision=4, suppress_small=True))
 
 # zero-heavy data switch to the adjusted target level
 zeros = Sample.from_values(np.where(rng.random(1000) < 0.45, 0.0, rng.gamma(2.0, 1.0, 1000)))

@@ -26,11 +26,8 @@ from .distributions import (
 from .errors import LaplaceFitError
 from .jacobi import fit_jacobi, gof_jacobi
 from .laplace_core import (
-    CensoredMomentSet,
     CensoringPoint,
     Sample,
-    censored_moments,
-    censored_moments_at,
     empirical_laplace,
     influence_map,
     load_sample,
@@ -46,7 +43,6 @@ from .tweedie import (
 )
 
 __all__ = [
-    "CensoredMomentSet",
     "CensoringPoint",
     "DistributionSpec",
     "Fit",
@@ -57,8 +53,6 @@ __all__ = [
     "Sample",
     "Tw0Params",
     "TweedieParams",
-    "censored_moments",
-    "censored_moments_at",
     "derive_substream",
     "empirical_laplace",
     "fit_jacobi",

@@ -23,6 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InvalidRegimeError,
     SpecFormatError,
     TiltedRejectionInfeasibleError,
@@ -415,8 +416,8 @@ def laplace_exact(spec: DistributionSpec, s: float | np.ndarray) -> float | np.n
     Zero inflation gives p_zero + (1 - p_zero) times the base transform.
     """
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0.0):
-        raise ValueError("transform argument must be >= 0")
+    if not np.all(s_arr >= 0.0):
+        raise ConfigError(f"transform argument must be >= 0, got {s!r}")
     law = LAWS[spec.family]
     if law.transform is None:
         raise UnsupportedOperationError(f"no closed-form transform for {spec.text()!r}")

@@ -42,7 +42,7 @@ class SpecFormatError(InputError):
 
 
 class ConfigError(InputError):
-    """An experiment configuration is invalid; message carries the field path."""
+    """A function argument or an experiment configuration (message: its field path) is invalid."""
 
     code = "config"
 

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import LaplaceFitError, LogDomainError, refuse
+from .errors import ConfigError, LaplaceFitError, LogDomainError, refuse
 from .laplace_core import E, Batch, Sample, columns, influence_map, quadratic_form, row_errors
 from .results import Fit, FitBatch, GofBatch, GofOutcome, make_fit, make_gof_outcome
 
@@ -45,7 +45,7 @@ LOG_ATOL = 1e-9
 def jacobi_censoring_point(gamma: float) -> float:
     """Population censoring point c**(1/gamma)."""
     if not 0.0 < gamma <= 0.5:
-        raise ValueError(f"index must be in (0, 0.5], got {gamma}")
+        raise ConfigError(f"index must be in (0, 0.5], got {gamma}")
     return JACOBI_C ** (1.0 / gamma)
 
 
@@ -93,16 +93,16 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
         gamma_hat, log_a = _index(batch, errors)
         statistic = math.sqrt(batch.n) * (batch.m_tilde[:, 1] - JACOBI_KAPPA * gamma_hat) / a
         coef = columns(np.ones(a.size), JACOBI_KAPPA * gamma_hat * (1.0 + 1.0 / log_a))
-        row = (coef[:, None, :] @ influence_map(batch, k=1))[:, 0]
+        row = (coef[:, None, :] @ influence_map(batch.m_tilde, k=1))[:, 0]
         sigma_hat = np.sqrt(np.maximum(quadratic_form(row, batch.cov), 0.0)) / a
     return make_gof_outcome("jacobi", statistic, sigma_hat, alpha, batch.n, errors)
 
 
 def fit_jacobi(sample: Sample, alpha: float = 0.05) -> Fit:
     """Fit one sample: a batch of one of :func:`fit_batch`."""
-    return fit_batch(Batch.of(sample), alpha).row(0)
+    return fit_batch(sample.batch, alpha).row(0)
 
 
 def gof_jacobi(sample: Sample, alpha: float = 0.05) -> GofOutcome:
     """Test one sample: a batch of one of :func:`gof_batch`."""
-    return gof_batch(Batch.of(sample), alpha).row(0)
+    return gof_batch(sample.batch, alpha).row(0)

@@ -11,7 +11,7 @@ these.
 The solve and the pass work along the last axis of an (R, n) block of R
 samples, and ``summarise`` reduces such a block to a :class:`Batch`, the
 input of every family map.  A single sample is a batch of one: it caches its
-solve and pass, so its fit and test share them.
+``summarise`` row, so its fit and test share one solve and one pass.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     AllZeroSampleError,
+    ConfigError,
     DegenerateMomentsError,
     DegenerateSampleError,
     InsufficientSampleError,
@@ -53,10 +54,11 @@ MAX_ORDER = 4
 
 @dataclass(frozen=True)
 class Sample:
-    """Validated vector of non-negative observations with cached summaries.
+    """Validated vector of non-negative observations and its cached statistics.
 
-    Frozen with a read-only array, so the caches (no n-length arrays) cannot
-    go stale.
+    ``batch`` is the sample as a batch of one, :func:`summarise` of its
+    values, which every fit and test of the sample reads.  Frozen with a
+    read-only array, so the cache (no n-length arrays) cannot go stale.
     """
 
     values: np.ndarray
@@ -65,9 +67,7 @@ class Sample:
 
     @classmethod
     def from_values(cls, values: Iterable[float] | np.ndarray) -> "Sample":
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
+        arr = np.asarray(values, dtype=float).reshape(-1)
         if arr.size == 0:
             raise SampleValidationError("sample is empty")
         bad = ~np.isfinite(arr)
@@ -87,34 +87,21 @@ class Sample:
         """Observed fraction of exact zeros."""
         return self.zero_count / self.n
 
-    @property
-    def all_zero(self) -> bool:
-        return self.zero_count == self.n
-
     @cached_property
-    def constant(self) -> bool:
-        return bool(self.values.max() == self.values.min())
-
-    @cached_property
-    def moments(self) -> CensoredMomentSet:
-        """The statistics pass at the solved censoring point.
-
-        m_tilde[0] equals the target level up to the solver tolerance, because
-        the solver and the pass sum exp(-A*X) the same way.
-        """
-        point = solve_censoring_point(self)
-        return replace(censored_moments_at(self, point.a), c_target=point.c_target)
-
-    def positive_median(self) -> float:
-        if self.all_zero:
-            raise AllZeroSampleError("no positive observations")
-        return float(positive_medians(self.values[None], np.array([self.zero_count]))[0])
+    def batch(self) -> Batch:
+        """The sample's row of :func:`summarise`, with the solve's error in ``errors[0]``."""
+        return summarise(self.values[None])
 
 
 def parse_sample_lines(lines: Iterable[str]) -> Sample:
     """Parse newline-delimited decimal floats; blank lines are skipped."""
+    return _parse_numbered(enumerate(lines, start=1))
+
+
+def _parse_numbered(rows: Iterable[tuple[int, str]]) -> Sample:
+    # each (line number, text) row holds one float or nothing; errors name the line
     out: list[float] = []
-    for i, raw in enumerate(lines, start=1):
+    for i, raw in rows:
         token = raw.strip()
         if not token:
             continue
@@ -140,13 +127,13 @@ def parse_sample_csv(stream: TextIO, column: str) -> Sample:
             f"column {column!r} not found (have {reader.fieldnames})"
         )
     cells = []
-    for i, row in enumerate(reader, start=2):  # row 1 is the header
+    for row in reader:
+        # errors name the file line where the record ends, blank lines included
         cell = (row.get(column) or "").strip()
         if not cell:
-            raise SampleValidationError(f"row {i}: empty cell in column {column!r}")
-        cells.append(cell)
-    # the blank first line stands in for the header, so errors name CSV rows
-    return parse_sample_lines(["", *cells])
+            raise SampleValidationError(f"row {reader.line_num}: empty cell in column {column!r}")
+        cells.append((reader.line_num, cell))
+    return _parse_numbered(cells)
 
 
 def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sample:
@@ -198,13 +185,14 @@ def _load_column(stream: TextIO, column: str | None) -> np.ndarray:
 
 
 def empirical_laplace(sample: Sample, s: float | np.ndarray) -> float | np.ndarray:
-    """Empirical Laplace transform mean(exp(-s * X_i)); equals 1 at s = 0."""
+    """Empirical Laplace transform mean(exp(-s * X_i)); 1 at s = 0 and p_hat at s = inf."""
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0.0):
-        raise ValueError("transform argument must be >= 0")
-    if s_arr.ndim == 0:
-        return float(np.exp(-float(s_arr) * sample.values).mean())
-    return np.exp(-np.multiply.outer(s_arr, sample.values)).mean(axis=-1)
+    if not np.all(s_arr >= 0.0):
+        raise ConfigError(f"transform argument must be >= 0, got {s!r}")
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN; its limit exp(-0) is 1
+        terms = np.exp(-np.multiply.outer(s_arr, sample.values))
+    out = _mean(np.nan_to_num(terms, copy=False, nan=1.0))
+    return float(out) if s_arr.ndim == 0 else out
 
 
 def zero_adjusted_target(p_hat: float | np.ndarray) -> np.ndarray:
@@ -333,30 +321,12 @@ def solve_censoring_point(sample: Sample) -> CensoringPoint:
     if errors[0] is not None:
         raise errors[0]
     return CensoringPoint(
-        a=float(point.a[0]),
-        c_target=float(point.c_target[0]),
-        iterations=int(point.iterations[0]),
-        residual=float(point.residual[0]),
+        float(point.a[0]), float(point.c_target[0]), int(point.iterations[0]), float(point.residual[0])
     )
 
 
 # ---------------------------------------------------------------------------
 # censored moments: the one statistics pass
-
-
-@dataclass(frozen=True)
-class CensoredMomentSet:
-    """Censoring point, target level and the sample's statistics in the frame y = a*x.
-
-    ``m_tilde[r] = mean(y**r * exp(-y))`` for r <= MAX_ORDER and ``cov`` is the
-    ddof=1 covariance of the power products y**r * exp(-y), r <= MAX_ORDER - 1.
-    Both are unit-free: a map built on them sees the data's scale only through a.
-    """
-
-    a: float
-    c_target: float
-    m_tilde: np.ndarray
-    cov: np.ndarray
 
 
 def moments_rows(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -384,19 +354,6 @@ def moments_rows(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m_tilde, cov
 
 
-def censored_moments_at(sample: Sample, a: float) -> CensoredMomentSet:
-    """The statistics pass at a fixed censoring point: a batch of one of :func:`moments_rows`."""
-    if not a > 0.0:
-        raise ValueError("censoring point must be positive")
-    m_tilde, cov = moments_rows(sample.values[None], np.array([a]))
-    return CensoredMomentSet(a=a, c_target=float(m_tilde[0, 0]), m_tilde=m_tilde[0], cov=cov[0])
-
-
-def censored_moments(sample: Sample) -> CensoredMomentSet:
-    """The sample's cached censored moments (``Sample.moments``), solved on first use."""
-    return sample.moments
-
-
 # ---------------------------------------------------------------------------
 # batches: the input of every fit and test
 
@@ -405,10 +362,13 @@ def censored_moments(sample: Sample) -> CensoredMomentSet:
 class Batch:
     """R samples of n observations each, reduced to what every fit and test reads.
 
-    Row i holds sample i's zero count, whether it is constant, and, as in
-    :class:`CensoredMomentSet`, its censoring point ``a[i]``, normalized
-    moments ``m_tilde[i]`` and power-product covariance ``cov[i]``.  A row
-    whose solve failed has NaN statistics and the error in ``errors[i]``.
+    Row i holds sample i's ``zero_count[i]``, whether its values are all
+    equal (``constant[i]``), its censoring point ``a[i]`` and, in the frame
+    y = a[i]*x, the normalized moments ``m_tilde[i, r] = mean(y**r * exp(-y))``
+    for r <= MAX_ORDER and the ddof=1 covariance ``cov[i]`` of the power
+    products y**r * exp(-y), r < MAX_ORDER.  Both are unit-free: a map built
+    on them sees the data's scale only through a.  A row whose solve failed
+    has NaN statistics and the error in ``errors[i]``.
     """
 
     n: int
@@ -418,21 +378,6 @@ class Batch:
     m_tilde: np.ndarray
     cov: np.ndarray
     errors: list[LaplaceFitError | None]
-
-    @classmethod
-    def of(cls, sample: Sample) -> "Batch":
-        """A batch of one from the sample's cached statistics."""
-        try:
-            ms = sample.moments
-        except LaplaceFitError as exc:
-            a, error = math.nan, exc
-            m_tilde, cov = np.full(MAX_ORDER + 1, math.nan), np.full((MAX_ORDER, MAX_ORDER), math.nan)
-        else:
-            a, m_tilde, cov, error = ms.a, ms.m_tilde, ms.cov, None
-        return cls(
-            sample.n, np.array([sample.zero_count]), np.array([sample.constant]),
-            np.array([a]), m_tilde[None], cov[None], [error],
-        )
 
 
 def summarise(x: np.ndarray) -> Batch:
@@ -444,11 +389,12 @@ def summarise(x: np.ndarray) -> Batch:
     cov = np.full((rows, MAX_ORDER, MAX_ORDER), math.nan)
     solved = np.flatnonzero([error is None for error in errors])
     # a quarter of the rows at a time, so that their power products, MAX_ORDER
-    # per observation, take no more memory than x itself
+    # per observation, take no more memory than x itself; a batch of one is
+    # not copied
     step = max(1, -(-solved.size // MAX_ORDER))
     for start in range(0, solved.size, step):
         part = solved[start : start + step]
-        m_tilde[part], cov[part] = moments_rows(x[part], point.a[part])
+        m_tilde[part], cov[part] = moments_rows(_rows(x, part), point.a[part])
     constant = x.max(axis=-1) == x.min(axis=-1)
     return Batch(n, zero_count, constant, point.a, m_tilde, cov, errors)
 
@@ -498,7 +444,7 @@ def quadratic_form(rows: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ cov @ rows[:, :, None])[:, 0, 0]
 
 
-def influence_map(moments: CensoredMomentSet | Batch, k: int) -> np.ndarray:
+def influence_map(m_tilde: np.ndarray, k: int) -> np.ndarray:
     """Map from the power products to the normalized influence rows.
 
     Returns the (k+1) x MAX_ORDER matrix L with (V~_1, ..., V~_k, W~) = L @ P~,
@@ -506,15 +452,16 @@ def influence_map(moments: CensoredMomentSet | Batch, k: int) -> np.ndarray:
     moment m_tilde[r] and W~ = P~_0/m_tilde[1] the censoring point in the
     frame y = A*x, so the rows' covariance is L @ cov @ L.T.  Every map in the
     package reads the normalized statistics: the raw rows V_r = V~_r/A**r and
-    W = A*W~ are never formed.  For a batch, L carries a leading row axis.
+    W = A*W~ are never formed.  ``m_tilde`` holds the normalized moments on
+    its last axis; for a batch's (R, MAX_ORDER + 1) array, L carries a
+    leading row axis.
     """
-    if not 1 <= k <= MAX_ORDER - 1:
-        raise ValueError(f"k must be in 1..{MAX_ORDER - 1}")
-    m = moments.m_tilde
-    if np.any(m[..., 1] == 0.0):
+    if not isinstance(k, int) or not 1 <= k <= MAX_ORDER - 1:
+        raise ConfigError(f"k must be in 1..{MAX_ORDER - 1}, got {k!r}")
+    if np.any(m_tilde[..., 1] == 0.0):
         raise DegenerateMomentsError("first censored moment is zero")
-    lmap = np.zeros((*m.shape[:-1], k + 1, MAX_ORDER))
-    lmap[..., :k, 0] = -m[..., 2 : k + 2] / m[..., 1, None]
+    lmap = np.zeros((*m_tilde.shape[:-1], k + 1, MAX_ORDER))
+    lmap[..., :k, 0] = -m_tilde[..., 2 : k + 2] / m_tilde[..., 1, None]
     lmap[..., :k, 1 : k + 1] = np.eye(k)
-    lmap[..., k, 0] = 1.0 / m[..., 1]
+    lmap[..., k, 0] = 1.0 / m_tilde[..., 1]
     return lmap

@@ -81,7 +81,7 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
 
 def fit_ps(sample: Sample, alpha: float = 0.05) -> Fit:
     """Fit one sample: a batch of one of :func:`fit_batch`; a constant sample also warns."""
-    fit = fit_batch(Batch.of(sample), alpha).row(0)
+    fit = fit_batch(sample.batch, alpha).row(0)
     if "degenerate_sample" in fit.diagnostics:
         warnings.warn(
             "constant sample: point estimates are the gamma = 1 boundary and "
@@ -93,4 +93,4 @@ def fit_ps(sample: Sample, alpha: float = 0.05) -> Fit:
 
 def gof_ps(sample: Sample, alpha: float = 0.05) -> GofOutcome:
     """Test one sample: a batch of one of :func:`gof_batch`."""
-    return gof_batch(Batch.of(sample), alpha).row(0)
+    return gof_batch(sample.batch, alpha).row(0)

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionSpec, TweedieParams, laplace_exact
-from .errors import ComplexPowerError, LaplaceFitError, NearSingularError, RegimeError, refuse
+from .errors import (
+    ComplexPowerError, ConfigError, LaplaceFitError, NearSingularError, RegimeError, refuse,
+)
 from .laplace_core import E, Batch, Sample, columns, influence_map, quadratic_form, row_errors
 from .numdiff import central_diff_gradient, central_diff_jacobian
 from .results import Fit, FitBatch, GofBatch, GofOutcome, make_fit, make_gof_outcome
@@ -72,7 +74,7 @@ def tw_theoretical_censored_moments(
     m3 = m1**3/L**2 + m1*(1-gamma)/(theta+a) * (3*m1/L + (2-gamma)/(theta+a)).
     """
     if not a > 0.0:
-        raise ValueError("censoring point must be positive")
+        raise ConfigError(f"censoring point must be positive, got {a!r}")
     g, lam, th = params.gamma, params.lam, params.theta
     lap = float(tw_laplace(params, a))
     m1 = abs(g) * lam * lap * (th + a) ** (g - 1.0)
@@ -176,7 +178,7 @@ def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
     with np.errstate(all="ignore"):
         point, (gamma_hat, lam_tilde, theta_tilde), near_singular, errors = _fit_point(batch)
         jac = np.ascontiguousarray(np.moveaxis(central_diff_jacobian(_h, point), -1, 0))
-        rows_map = jac @ influence_map(batch, k=3)
+        rows_map = jac @ influence_map(batch.m_tilde, k=3)
         singular = ~np.isfinite(rows_map).all(axis=(1, 2))
         rows_map[:, 1] -= (lam_tilde * np.log(a))[:, None] * rows_map[:, 0]
         cov = rows_map @ batch.cov @ rows_map.transpose(0, 2, 1)
@@ -224,7 +226,7 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
             1.0 - base**gamma_hat - gamma_hat / (E * point[0] * (theta_tilde + 1.0))
         )
         beta = central_diff_gradient(_gof_map, point).T.copy()
-        row = (beta[:, None, :] @ influence_map(batch, k=3))[:, 0]
+        row = (beta[:, None, :] @ influence_map(batch.m_tilde, k=3))[:, 0]
         sigma_hat = np.sqrt(np.maximum(quadratic_form(row, batch.cov), 0.0))
     refuse(
         errors, ~(np.isfinite(statistic) & np.isfinite(sigma_hat)),
@@ -237,9 +239,9 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
 
 def fit_tweedie(sample: Sample, alpha: float = 0.05) -> Fit:
     """Fit one sample: a batch of one of :func:`fit_batch`."""
-    return fit_batch(Batch.of(sample), alpha).row(0)
+    return fit_batch(sample.batch, alpha).row(0)
 
 
 def gof_tweedie(sample: Sample, alpha: float = 0.05) -> GofOutcome:
     """Test one sample: a batch of one of :func:`gof_batch`."""
-    return gof_batch(Batch.of(sample), alpha).row(0)
+    return gof_batch(sample.batch, alpha).row(0)

@@ -2,8 +2,9 @@
 
 ``bench/tracing.py`` reports a span it cannot find as 0 calls, so a rename in
 ``laplacefit`` would silently zero a per-layer metric; this test catches it.
-The spans in ``RETIRED`` name functions the statistics pass replaced; they
-must stay absent until the benchmark's ``SPANS`` drops them.  A short traced
+The spans in ``RETIRED`` name functions that the statistics pass and
+``Sample.batch`` replaced; they must stay absent until the benchmark's
+``SPANS`` drops them.  A short traced
 run of each Monte Carlo workload checks the tracer's contract with the
 program, ``solve_censoring_point`` and its ``CensoringPoint.iterations``
 included.
@@ -21,8 +22,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
 
-#: spans whose functions were folded into ``laplace_core.censored_moments_at``
-RETIRED = ("laplace_core.influence_rows", "laplace_core.sample_covariance")
+#: spans whose functions were folded into the statistics pass, and the
+#: per-sample moment functions that ``Sample.batch`` replaced
+RETIRED = (
+    "laplace_core.influence_rows",
+    "laplace_core.sample_covariance",
+    "laplace_core.censored_moments",
+    "laplace_core.censored_moments_at",
+)
 
 
 def load_spans() -> tuple:

@@ -22,6 +22,7 @@ from laplacefit import (
 )
 from laplacefit.distributions import tilt_acceptance_rate
 from laplacefit.errors import (
+    ConfigError,
     InvalidRegimeError,
     SpecFormatError,
     TiltedRejectionInfeasibleError,
@@ -253,6 +254,15 @@ def test_laplace_exact_jacobi():
 def test_laplace_exact_unsupported():
     with pytest.raises(UnsupportedOperationError):
         laplace_exact(DistributionSpec("pa", (5.0, 2.0)), 1.0)
+
+
+@pytest.mark.parametrize(
+    "s", [-0.5, math.nan, np.array([1.0, math.nan])], ids=["negative", "nan", "nan-in-array"]
+)
+def test_laplace_exact_refuses_argument(s):
+    with pytest.raises(ConfigError, match="transform argument must be >= 0") as excinfo:
+        laplace_exact(DistributionSpec("ps", (0.5, 2.0)), s)
+    assert isinstance(excinfo.value, ValueError)
 
 
 @pytest.mark.parametrize(

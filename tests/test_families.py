@@ -85,21 +85,28 @@ FAMILY_SAMPLES = {"ps": "ps:0.5,15", "tweedie": "tw0:1,1,0.1", "jacobi": "ps:0.4
 
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_fit_then_gof_solves_the_censoring_point_once(name, monkeypatch):
+    # the sample's batch of one is summarised once, also when its solve fails
     calls = []
-    solve = laplace_core.solve_censoring_point
+    summarise = laplace_core.summarise
 
-    def counting_solve(sample):
-        calls.append(sample)
-        return solve(sample)
+    def counting_summarise(x):
+        calls.append(x)
+        return summarise(x)
 
-    monkeypatch.setattr(laplace_core, "solve_censoring_point", counting_solve)
+    monkeypatch.setattr(laplace_core, "summarise", counting_summarise)
     spec = DistributionSpec.parse(FAMILY_SAMPLES[name])
     sample = Sample.from_values(sample_spec(spec, derive_substream(54), size=500))
     family = FAMILIES[name]
     family.fit(sample, alpha=0.05)
     family.gof(sample, alpha=0.05)
     family.gof(sample, alpha=0.05)
-    assert len(calls) == 1 and calls[0] is sample
+    assert len(calls) == 1 and calls[0].shape == (1, 500)
+    assert np.shares_memory(calls[0], sample.values)
+    subnormal = Sample.from_values([1e-310, 2e-310, 3e-310] * 20)
+    for run in (family.fit, family.gof):
+        with pytest.raises(DegenerateSampleError, match="leaves the float range"):
+            run(subnormal, alpha=0.05)
+    assert len(calls) == 2 and np.shares_memory(calls[1], subnormal.values)
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -109,7 +116,7 @@ def test_fit_and_gof_read_only_the_cached_statistics(name):
     spec = DistributionSpec.parse(FAMILY_SAMPLES[name])
     values = sample_spec(spec, derive_substream(54), size=500)
     warm, fresh = Sample.from_values(values), Sample.from_values(values)
-    assert warm.moments is not None and not warm.constant
+    assert warm.batch.errors == [None] and not warm.batch.constant[0]
     object.__setattr__(warm, "values", np.empty(0))
     family = FAMILIES[name]
     for run in (family.fit, family.gof):

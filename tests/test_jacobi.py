@@ -5,12 +5,11 @@ import pytest
 
 from laplacefit import (
     Sample,
-    censored_moments,
     derive_substream,
     fit_jacobi,
     gof_jacobi,
 )
-from laplacefit.errors import LogDomainError, RegimeError
+from laplacefit.errors import ConfigError, LogDomainError, RegimeError
 from laplacefit.jacobi import (
     JACOBI_C,
     jacobi_censoring_point,
@@ -24,6 +23,13 @@ E = math.e
 def test_constant_value_of_c():
     assert JACOBI_C == pytest.approx(1.657454, abs=1e-6)
     assert math.cosh(JACOBI_C) == pytest.approx(E, rel=1e-14)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.6, math.nan])
+def test_censoring_point_refuses_index(gamma):
+    with pytest.raises(ConfigError, match="index must be in") as excinfo:
+        jacobi_censoring_point(gamma)
+    assert isinstance(excinfo.value, ValueError)
 
 
 def test_fit_at_half_index():
@@ -98,8 +104,8 @@ def test_gof_gradient_matches_finite_differences():
     x = derive_substream(54).gamma(2.0, 1.0, 400)
     for scale in (1.0, 0.2, 3.0):
         s = Sample.from_values(x * scale)
-        ms = censored_moments(s)
-        m1, m2, a = ms.m_tilde[1] / ms.a, ms.m_tilde[2] / ms.a**2, ms.a
+        a, m_tilde = s.batch.a[0], s.batch.m_tilde[0]
+        m1, m2 = m_tilde[1] / a, m_tilde[2] / a**2
         weights = np.exp(-a * s.values)
         rows = np.stack([weights * (s.values - m2 / m1), weights / m1])
         numeric = central_diff_gradient(statistic_map, np.array([m1, a]))

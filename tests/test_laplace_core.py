@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from laplacefit import (
     DistributionSpec,
     Sample,
-    censored_moments,
-    censored_moments_at,
     derive_substream,
     empirical_laplace,
     influence_map,
@@ -25,12 +23,19 @@ from laplacefit import (
 )
 from laplacefit.errors import (
     AllZeroSampleError,
+    ConfigError,
     DegenerateMomentsError,
     DegenerateSampleError,
     SampleValidationError,
 )
 from laplacefit import laplace_core
-from laplacefit.laplace_core import SOLVER_RTOL, parse_sample_csv, parse_sample_lines
+from laplacefit.laplace_core import (
+    SOLVER_RTOL,
+    moments_rows,
+    parse_sample_csv,
+    parse_sample_lines,
+    positive_medians,
+)
 
 E = math.e
 
@@ -39,10 +44,15 @@ E = math.e
 # Sample construction and ingestion
 
 
+def positive_median(s):
+    """The median of the sample's positive values: its row of ``positive_medians``."""
+    return float(positive_medians(s.values[None], np.array([s.zero_count]))[0])
+
+
 def test_sample_summaries():
     s = Sample.from_values([0.0, 1.5, 0.0, 2.0])
     assert s.n == 4 and s.zero_count == 2 and s.p_hat == 0.5
-    assert s.positive_median() == 1.75
+    assert positive_median(s) == 1.75
 
 
 @pytest.mark.parametrize(
@@ -149,26 +159,40 @@ def test_load_csv_matches_row_parser(header, rows, newline, last_newline):
 
 
 @pytest.mark.parametrize(
-    "text,column",
+    "text,column,message",
     [
-        ("3 4\n5 6\n", None),
-        ("1\n-0.0\n\n2.5\n", None),
-        ("1\r\n2\r\n\r\noops\r\n", None),
-        ("", None),
-        ("\n  \n", None),
-        ("v,w\n", "v"),
-        ("", "v"),
-        ("v,w,v\n1,2,3\n4,5\n", "v"),
-        ('w,v\n1,"2"\n3,"4,5"\n', "v"),
-        ("w,v\n1,2,9\n\n3,4\n", "v"),
+        ("3 4\n5 6\n", None, "row 1: cannot parse '3 4'"),
+        ("1\n-0.0\n\n2.5\n", None, None),
+        ("1\r\n2\r\n\r\noops\r\n", None, "row 4: cannot parse 'oops'"),
+        ("", None, "no data rows found"),
+        ("\n  \n", None, "no data rows found"),
+        ("v,w\n", "v", "no data rows found"),
+        ("", "v", "column 'v' not found (have None)"),
+        ("v,w,v\n1,2,3\n4,5\n", "v", "row 3: empty cell in column 'v'"),
+        ('w,v\n1,"2"\n3,"4,5"\n', "v", "row 3: cannot parse '4,5'"),
+        ("w,v\n1,2,9\n\n3,4\n", "v", None),
+        # CSV errors name file lines: a blank line and a quoted cell that
+        # spans two lines count as they do in the file
+        ("w,v\n1,2\n\n3,\n", "v", "row 4: empty cell in column 'v'"),
+        ("w,v\n1,2\n\n3,-1\n", "v", "row 4: negative value '-1'"),
+        ('w,v\n1,"2\n"\n3,x\n', "v", "row 4: cannot parse 'x'"),
+        ('w,v\n1,"oops\nmore"\n', "v", "row 3: cannot parse 'oops\\nmore'"),
     ],
     ids=[
         "two-columns", "negative-zero", "crlf-bad-row", "empty", "blank-lines",
         "header-only", "empty-csv", "duplicate-name-short-row", "quoted-comma", "long-row-blank-row",
+        "blank-line-empty-cell", "blank-line-bad-value", "quoted-newline-then-bad-row",
+        "quoted-newline-bad-cell",
     ],
 )
-def test_load_named_cases_match_row_parser(text, column):
+def test_load_named_cases_match_row_parser(text, column, message):
     assert_same_as_row_parser(text, column)
+    if message is None:
+        load_sample(io.StringIO(text), column=column)
+    else:
+        with pytest.raises(SampleValidationError) as excinfo:
+            load_sample(io.StringIO(text), column=column)
+        assert str(excinfo.value) == message
 
 
 def test_load_refuses_two_tokens_on_one_line():
@@ -234,6 +258,26 @@ def test_empirical_laplace_basics():
     s = Sample.from_values([1.0, 1.0, 1.0, 1.0])
     assert empirical_laplace(s, 0.0) == 1.0
     assert empirical_laplace(s, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "s", [-1.0, math.nan, np.array([0.5, math.nan]), np.array([[0.0], [-0.5]])],
+    ids=["negative", "nan", "nan-in-array", "negative-in-array"],
+)
+def test_empirical_laplace_refuses_argument(s):
+    with pytest.raises(ConfigError, match="transform argument must be >= 0") as excinfo:
+        empirical_laplace(Sample.from_values([0.0, 1.0]), s)
+    assert isinstance(excinfo.value, ValueError) and excinfo.value.code == "config"
+
+
+def test_empirical_laplace_at_infinity_is_the_zero_fraction():
+    # exp(-s*0) is 1 for every s, so the limit at s = inf is p_hat, as
+    # laplace_exact gives P(X = 0); no 0*inf NaN and no warning
+    s = Sample.from_values([0.0, 0.0, 1.0, 2.0, 1e-300])
+    assert empirical_laplace(s, math.inf) == s.p_hat == 0.4
+    grid = empirical_laplace(s, np.array([0.0, math.inf]))
+    assert grid.tolist() == [1.0, 0.4]
+    assert empirical_laplace(Sample.from_values([1e-300, 3.0]), math.inf) == 0.0
 
 
 def test_empirical_laplace_hand_value():
@@ -304,7 +348,7 @@ def test_solver_median_near_float_maximum():
     # the two middle positive values sum past the float maximum; their
     # midpoint lo/2 + hi/2 does not, so the start 1/median and the root stay finite
     s = Sample.from_values([9e307, 1.7e308, 1e-100, 1.1e308])
-    assert s.positive_median() == 9e307 / 2 + 1.1e308 / 2
+    assert positive_median(s) == 9e307 / 2 + 1.1e308 / 2
     point = solve_censoring_point(s)
     assert 0.0 < point.a < 1e-307
     assert abs(point.residual) <= SOLVER_RTOL * point.c_target
@@ -344,7 +388,7 @@ def test_solver_meets_the_tolerance_or_leaves_the_float_range(values):
 @given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=12))
 @settings(max_examples=200, deadline=None)
 def test_positive_median_matches_numpy(values):
-    assert Sample.from_values(values).positive_median() == np.median(values)
+    assert positive_median(Sample.from_values(values)) == np.median(values)
 
 
 def test_solver_residual_tolerance_across_laws():
@@ -383,36 +427,49 @@ def test_censoring_point_monotone_consistency():
 # censored moments
 
 
-def raw_moment(ms, r):
+def solved(s):
+    """The censoring point, normalized moments and covariance of the sample's cached row."""
+    batch = s.batch
+    assert batch.errors == [None]
+    return batch.a[0], batch.m_tilde[0], batch.cov[0]
+
+
+def moments_at(s, a):
+    """The statistics pass over the sample at a fixed censoring point: (m_tilde, cov)."""
+    m_tilde, cov = moments_rows(s.values[None], np.array([a]))
+    return m_tilde[0], cov[0]
+
+
+def raw_moment(m_tilde, a, r):
     """The raw censored moment mean(X**r * exp(-A*X)) = m_tilde[r] / A**r."""
-    return ms.m_tilde[r] / ms.a**r
+    return m_tilde[r] / a**r
 
 
 def test_moments_constant_sample():
     k = 2.5
-    s = Sample.from_values([k] * 50)
-    ms = censored_moments(s)
+    a, m_tilde, _ = solved(Sample.from_values([k] * 50))
     for r in range(5):
-        assert raw_moment(ms, r) == pytest.approx(k**r * math.exp(-1.0), rel=1e-11)
+        assert raw_moment(m_tilde, a, r) == pytest.approx(k**r * math.exp(-1.0), rel=1e-11)
 
 
 def test_sample_caches_only_scalars():
-    # the cached moments hold A, the target level, five moments and a 4x4
-    # covariance; an n-length array kept on the sample would pin 8n bytes
+    # the cached batch of one holds A, five moments and a 4x4 covariance; an
+    # n-length array kept on the sample would pin 8n bytes
     s = Sample.from_values(derive_substream(109).gamma(2.0, 1.0, 1000))
-    assert censored_moments(s) is censored_moments(s) is s.moments
-    assert not s.constant
-    ms = s.moments
-    assert ms.m_tilde.shape == (5,) and ms.cov.shape == (4, 4)
-    assert sorted(vars(s)) == ["constant", "moments", "n", "values", "zero_count"]
-    assert all(np.ndim(v) == 0 for v in (ms.a, ms.c_target))
+    batch = s.batch
+    assert s.batch is batch and batch.errors == [None] and not batch.constant[0]
+    assert batch.m_tilde.shape == (1, 5) and batch.cov.shape == (1, 4, 4)
+    assert sorted(vars(s)) == ["batch", "n", "values", "zero_count"]
+    arrays = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 5 and all(v.size <= 16 for v in arrays)
 
 
 def test_moment_zero_equals_target():
     rng = derive_substream(103)
     s = Sample.from_values(sample_spec(DistributionSpec.parse("we:1,1"), rng, size=5000))
-    ms = censored_moments(s)
-    assert abs(raw_moment(ms, 0) - ms.c_target) <= SOLVER_RTOL * ms.c_target
+    c_target = solve_censoring_point(s).c_target
+    _, m_tilde, _ = solved(s)
+    assert abs(m_tilde[0] - c_target) <= SOLVER_RTOL * c_target
 
 
 def test_moments_ps_first_moment():
@@ -420,7 +477,8 @@ def test_moments_ps_first_moment():
     s = Sample.from_values(sample_spec(DistributionSpec.parse("ps:0.5,15"), rng, size=10**5))
     # population m_1 = gamma/(e*a_*) with a_* = 15**-2
     expected = 0.5 * 225.0 / E
-    assert raw_moment(censored_moments(s), 1) == pytest.approx(expected, rel=0.03)
+    a, m_tilde, _ = solved(s)
+    assert raw_moment(m_tilde, a, 1) == pytest.approx(expected, rel=0.03)
 
 
 def test_moments_tw_first_moment():
@@ -428,24 +486,24 @@ def test_moments_tw_first_moment():
     s = Sample.from_values(sample_spec(DistributionSpec.parse("tw:0.5,2,0.5"), rng, size=10**5))
     a_star = (0.5 + 0.5**0.5) ** 2 - 0.5
     expected = 0.5 * 2.0 * math.exp(-1.0) * (0.5 + a_star) ** -0.5
-    assert raw_moment(censored_moments(s), 1) == pytest.approx(expected, rel=0.03)
+    a, m_tilde, _ = solved(s)
+    assert raw_moment(m_tilde, a, 1) == pytest.approx(expected, rel=0.03)
 
 
 def test_moments_survive_huge_values():
     # x**4 overflows for the largest entry but exp(-a*x) underflows to an
     # exact zero there, so the product must come back as zero, not NaN
-    s = Sample.from_values([0.5, 1.0, 2.0, 1e120])
-    ms = censored_moments(s)
-    assert np.isfinite(ms.m_tilde).all() and np.isfinite(ms.cov).all()
+    _, m_tilde, cov = solved(Sample.from_values([0.5, 1.0, 2.0, 1e120]))
+    assert np.isfinite(m_tilde).all() and np.isfinite(cov).all()
 
 
 def test_raw_moments_from_normalized():
     # m_tilde[r] / a**r undoes the normalization y = a*x: mean(x**r * exp(-a*x))
     x = derive_substream(110).gamma(2.0, 1.0, 500)
-    ms = censored_moments_at(Sample.from_values(x), 0.7)
+    m_tilde, _ = moments_at(Sample.from_values(x), 0.7)
     for r in range(5):
-        assert raw_moment(ms, r) == pytest.approx(np.mean(x**r * np.exp(-0.7 * x)), rel=1e-13)
-    assert ms.m_tilde[0] == raw_moment(ms, 0) == np.exp(-(0.7 * x)).mean()
+        assert raw_moment(m_tilde, 0.7, r) == pytest.approx(np.mean(x**r * np.exp(-0.7 * x)), rel=1e-13)
+    assert m_tilde[0] == raw_moment(m_tilde, 0.7, 0) == np.exp(-(0.7 * x)).mean()
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +522,12 @@ def raw_scales(a, k):
 
 
 def test_influence_rows_hand_computed():
-    s = Sample.from_values([0.0, 2.0])
-    ms = censored_moments_at(s, math.log(2.0))
-    assert raw_moment(ms, 1) == pytest.approx(0.25, rel=1e-15)
-    assert raw_moment(ms, 2) == pytest.approx(0.5, rel=1e-15)
-    lmap, scales = influence_map(ms, k=1), raw_scales(ms.a, 1)
-    rows = scales[:, None] * (lmap @ power_products(s.values, ms.a))
+    s, a = Sample.from_values([0.0, 2.0]), math.log(2.0)
+    m_tilde, _ = moments_at(s, a)
+    assert raw_moment(m_tilde, a, 1) == pytest.approx(0.25, rel=1e-15)
+    assert raw_moment(m_tilde, a, 2) == pytest.approx(0.5, rel=1e-15)
+    lmap, scales = influence_map(m_tilde, k=1), raw_scales(a, 1)
+    rows = scales[:, None] * (lmap @ power_products(s.values, a))
     v1 = rows[0]
     assert v1[0] == pytest.approx(-2.0, rel=1e-14)
     assert v1[1] == pytest.approx(0.0, abs=1e-14)
@@ -478,40 +536,43 @@ def test_influence_rows_hand_computed():
 def test_influence_point_row_identity():
     rng = derive_substream(106)
     s = Sample.from_values(sample_spec(DistributionSpec.parse("ps:0.4,5"), rng, size=2000))
-    ms = censored_moments(s)
-    lmap, scales = influence_map(ms, k=3), raw_scales(ms.a, 3)
-    w_mean = scales[3] * (lmap[3] @ ms.m_tilde[:4])
-    assert w_mean == pytest.approx(raw_moment(ms, 0) / raw_moment(ms, 1), rel=1e-12)
+    a, m_tilde, _ = solved(s)
+    lmap, scales = influence_map(m_tilde, k=3), raw_scales(a, 3)
+    w_mean = scales[3] * (lmap[3] @ m_tilde[:4])
+    assert w_mean == pytest.approx(raw_moment(m_tilde, a, 0) / raw_moment(m_tilde, a, 1), rel=1e-12)
 
 
 def test_influence_rows_degenerate_moments():
-    s = Sample.from_values([0.0, 2.0])
-    ms = censored_moments_at(s, 1.0)
-    forced = type(ms)(a=ms.a, c_target=ms.c_target, m_tilde=np.zeros(5), cov=ms.cov)
     with pytest.raises(DegenerateMomentsError):
-        influence_map(forced, k=1)
+        influence_map(np.zeros(5), k=1)
+
+
+@pytest.mark.parametrize("k", [0, 4, 1.5])
+def test_influence_map_refuses_order(k):
+    with pytest.raises(ConfigError, match="k must be in 1..3"):
+        influence_map(np.full(5, 0.5), k=k)
 
 
 def test_covariance_constant_rows():
-    assert np.allclose(censored_moments(Sample.from_values([2.5] * 10)).cov, 0.0)
+    assert np.allclose(Sample.from_values([2.5] * 10).batch.cov, 0.0)
 
 
 def test_covariance_two_point_hand_value():
     # two observations: cov = d d^T / 2, with d the difference of their power
     # products (1, 0, 0, 0) at y = 0 and (1, y, y**2, y**3)/4 at y = 2*log(2)
-    ms = censored_moments_at(Sample.from_values([0.0, 2.0]), math.log(2.0))
     log2 = math.log(2.0)
+    _, cov = moments_at(Sample.from_values([0.0, 2.0]), log2)
     d = np.array([0.75, -log2 / 2.0, -(log2**2), -2.0 * log2**3])
-    assert ms.cov == pytest.approx(np.outer(d, d) / 2.0)
+    assert cov == pytest.approx(np.outer(d, d) / 2.0)
 
 
 def test_covariance_symmetric_psd():
     rng = derive_substream(107)
     s = Sample.from_values(sample_spec(DistributionSpec.parse("tw:0.6,2.5,0.6"), rng, size=3000))
-    ms = censored_moments(s)
-    lmap, scales = influence_map(ms, k=3), raw_scales(ms.a, 3)
+    a, m_tilde, s_cov = solved(s)
+    lmap, scales = influence_map(m_tilde, k=3), raw_scales(a, 3)
     rows_map = scales[:, None] * lmap
-    cov = rows_map @ ms.cov @ rows_map.T
+    cov = rows_map @ s_cov @ rows_map.T
     assert np.allclose(cov, cov.T)
     eigenvalues = np.linalg.eigvalsh(cov)
     assert eigenvalues.min() >= -1e-10 * np.trace(cov)
@@ -521,8 +582,8 @@ def test_covariance_matches_power_product_rows():
     # the statistics pass equals np.cov of the per-observation power products
     rng = derive_substream(111)
     s = Sample.from_values(sample_spec(DistributionSpec.parse("tw0:1,1,0.1"), rng, size=2000))
-    ms = censored_moments(s)
-    assert ms.cov == pytest.approx(np.cov(power_products(s.values, ms.a), ddof=1), rel=1e-12)
+    a, _, cov = solved(s)
+    assert cov == pytest.approx(np.cov(power_products(s.values, a), ddof=1), rel=1e-12)
 
 
 def test_point_variance_matches_limit_law():
@@ -531,9 +592,9 @@ def test_point_variance_matches_limit_law():
     spec = DistributionSpec.parse("ps:0.5,15")
     rng = derive_substream(108)
     s = Sample.from_values(sample_spec(spec, rng, size=10**5))
-    ms = censored_moments(s)
-    lmap, scales = influence_map(ms, k=1), raw_scales(ms.a, 1)
-    var_w = scales[1] ** 2 * (lmap[1] @ ms.cov @ lmap[1])
+    a, m_tilde, cov = solved(s)
+    lmap, scales = influence_map(m_tilde, k=1), raw_scales(a, 1)
+    var_w = scales[1] ** 2 * (lmap[1] @ cov @ lmap[1])
     a_star = 15.0**-2.0
     m1 = 0.5 * 225.0 / E
     limit = (laplace_exact(spec, 2.0 * a_star) - math.exp(-2.0)) / m1**2

@@ -7,7 +7,6 @@ import pytest
 from laplacefit import (
     DistributionSpec,
     Sample,
-    censored_moments,
     derive_substream,
     fit_ps,
     gof_ps,
@@ -47,10 +46,10 @@ def test_constant_sample_degenerate_boundary():
 def test_construction_identities_exact():
     s = ps_sample(0.5, 15.0, 500, seed=1)
     fit = fit_ps(s)
-    ms = censored_moments(s)
+    a, m_tilde = s.batch.a[0], s.batch.m_tilde[0]
     gamma_hat, lambda_hat = fit.estimates
-    assert gamma_hat == E * ms.m_tilde[1]
-    assert lambda_hat == ms.a**-gamma_hat
+    assert gamma_hat == E * m_tilde[1]
+    assert lambda_hat == a**-gamma_hat
 
 
 def test_population_round_trip():
@@ -98,17 +97,17 @@ def test_covariance_rows_match_delta_method():
     # construction once n is large (they coincide through m_1 = A m_2)
     s = ps_sample(0.5, 2.0, 10**5, seed=5)
     fit = fit_ps(s)
-    ms = censored_moments(s)
+    a, m_tilde, cov = s.batch.a[0], s.batch.m_tilde[0], s.batch.cov[0]
 
     def h(v):
         m1, a = v
         g = E * m1 * a
         return np.array([g, a**-g])
 
-    jac = central_diff_jacobian(h, [ms.m_tilde[1] / ms.a, ms.a])
-    lmap, scales = influence_map(ms, k=1), np.array([1.0 / ms.a, ms.a])
+    jac = central_diff_jacobian(h, [m_tilde[1] / a, a])
+    lmap, scales = influence_map(m_tilde, k=1), np.array([1.0 / a, a])
     generic = (jac * scales) @ lmap
-    cov_generic = generic @ ms.cov @ generic.T
+    cov_generic = generic @ cov @ generic.T
     assert np.allclose(fit.cov_hat, cov_generic, rtol=0.05)
 
 

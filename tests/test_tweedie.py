@@ -9,7 +9,6 @@ from laplacefit import (
     Sample,
     Tw0Params,
     TweedieParams,
-    censored_moments_at,
     derive_substream,
     fit_tweedie,
     gof_tweedie,
@@ -21,11 +20,13 @@ from laplacefit import (
     tw_theoretical_censored_moments,
 )
 from laplacefit.errors import (
+    ConfigError,
     DegenerateSampleError,
     InsufficientSampleError,
     NearSingularError,
     RegimeError,
 )
+from laplacefit.laplace_core import moments_rows
 from laplacefit.numdiff import central_diff_jacobian, richardson_jacobian
 from laplacefit.tweedie import _gof_map, _h, psi_phi, singular_rows
 
@@ -100,15 +101,22 @@ def test_theoretical_moments_against_derivative_oracle(params):
             assert c == pytest.approx(o, rel=1e-9)
 
 
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
+def test_theoretical_moments_refuse_censoring_point(a):
+    with pytest.raises(ConfigError, match="censoring point must be positive") as excinfo:
+        tw_theoretical_censored_moments(TweedieParams(0.5, 2.0, 0.5), a)
+    assert isinstance(excinfo.value, ValueError)
+
+
 def test_theoretical_moments_monte_carlo():
     params = TweedieParams(0.6, 2.5, 0.6)
     a_star = tw_censoring_point(params)
     s = tw_sample(params, 10**6, seed=11)
-    ms = censored_moments_at(s, a_star)
+    m_tilde = moments_rows(s.values[None], np.array([a_star]))[0][0]
     m1, m2, m3 = tw_theoretical_censored_moments(params, a_star)
-    assert ms.m_tilde[1] / ms.a == pytest.approx(m1, rel=0.01)
-    assert ms.m_tilde[2] / ms.a**2 == pytest.approx(m2, rel=0.01)
-    assert ms.m_tilde[3] / ms.a**3 == pytest.approx(m3, rel=0.01)
+    assert m_tilde[1] / a_star == pytest.approx(m1, rel=0.01)
+    assert m_tilde[2] / a_star**2 == pytest.approx(m2, rel=0.01)
+    assert m_tilde[3] / a_star**3 == pytest.approx(m3, rel=0.01)
 
 
 def test_degenerate_point_mass_moments():
