@@ -5,9 +5,11 @@ in closed form through the map ``h`` below; its population version recovers
 (gamma, lam, theta) exactly from the theoretical censored moments.  Data in
 other units map (m1, m2, m3, a) to (c*m1, c^2*m2, c^3*m3, a/c), which leaves
 gamma and the test statistic unchanged and takes (lam, theta) to
-(lam*c**gamma, theta/c).  So ``h`` and its 3x4 Jacobian, by central finite
-differences (the Richardson property tests bound the error), are taken at the
-unit-free point (m~1, m~2, m~3, 1): no raw moment is formed.
+(lam*c**gamma, theta/c).  So ``h`` and its 3x4 Jacobian are taken at the
+unit-free point (m~1, m~2, m~3, 1): no raw moment is formed.  The Jacobian is
+the complex step Im h(v + i*t*e_j)/t (Squire & Trapp 1998): with no
+subtraction there is no cancellation, so a tiny fixed t gives every entry to
+working precision and there is no step to tune.
 
 Caveat: at the stable submodel boundary theta = 0 the Jacobian entries that
 involve theta**gamma are singular, so a theta_hat very near zero inflates the
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .errors import (
     ComplexPowerError, ConfigError, LaplaceFitError, NearSingularError, RegimeError, refuse,
 )
 from .laplace_core import E, Batch, Sample, columns, influence_map, quadratic_form, row_errors
-from .numdiff import central_diff_gradient, central_diff_jacobian
 from .results import Fit, FitBatch, GofBatch, GofOutcome, make_fit, make_gof_outcome
 
 #: smallest sample size accepted by the Tweedie fit
@@ -41,6 +43,9 @@ SINGULAR_RTOL = 1e-8
 
 #: relative threshold below which a near-singular diagnostic flag is set
 SINGULAR_FLAG_RTOL = 1e-6
+
+#: imaginary step of the complex-step derivatives
+COMPLEX_STEP = 1e-100
 
 
 def tw_laplace(params: TweedieParams, s: float | np.ndarray) -> float | np.ndarray:
@@ -109,13 +114,24 @@ def psi_phi(m1: float, m2: float, m3: float) -> PsiPhi:
 
 def _h(v: np.ndarray) -> np.ndarray:
     # raw estimator map (m1, m2, m3, a) -> (gamma, lam, theta) on the first
-    # axis, any batch axes after it; no guards so it can be finite-differenced
+    # axis, any batch axes after it; no guards, and analytic so that it takes
+    # complex steps: |gamma| is gamma times the sign of its real part
     m1, m2, m3, a = v
     agg = psi_phi(m1, m2, m3)
     gamma = 1.0 - (m2 / m1**2 - E) * agg.phi_inv
     theta = -a + agg.phi_inv / m1
-    lam = E * m1 / abs(gamma) * (theta + a) ** (1.0 - gamma)
+    lam = E * m1 / (gamma * np.copysign(1.0, gamma.real)) * (theta + a) ** (1.0 - gamma)
     return np.array([gamma, lam, theta])
+
+
+def _complex_step(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray, value: np.ndarray) -> np.ndarray:
+    # derivative of f at point (4, R) along each coordinate, on a new axis
+    # after f's value axes: Im f(point + i*t*e_j)/t, one call on the 4 points.
+    # Where value (f's real value at point, or a multiple of it) is not finite
+    # the derivative is NaN: complex powers take a finite branch value there
+    displaced = point[:, None] + 1j * COMPLEX_STEP * np.eye(4)[..., None]
+    slope = f(displaced).imag / COMPLEX_STEP
+    return np.where(np.isfinite(value)[..., None, :], slope, np.nan)
 
 
 def singular_rows(m_tilde: np.ndarray, errors: list[LaplaceFitError | None]) -> np.ndarray:
@@ -176,8 +192,9 @@ def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
     """
     a = batch.a
     with np.errstate(all="ignore"):
-        point, (gamma_hat, lam_tilde, theta_tilde), near_singular, errors = _fit_point(batch)
-        jac = np.ascontiguousarray(np.moveaxis(central_diff_jacobian(_h, point), -1, 0))
+        point, value, near_singular, errors = _fit_point(batch)
+        gamma_hat, lam_tilde, theta_tilde = value
+        jac = np.ascontiguousarray(np.moveaxis(_complex_step(_h, point, value), -1, 0))
         rows_map = jac @ influence_map(batch.m_tilde, k=3)
         singular = ~np.isfinite(rows_map).all(axis=(1, 2))
         rows_map[:, 1] -= (lam_tilde * np.log(a))[:, None] * rows_map[:, 0]
@@ -209,8 +226,8 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
     - gamma_hat/(e*m_hat[1]*(theta_hat+A))), zero in population by the
     censoring-point identity.  It is unit-free: at the unit-free point it
     reads sqrt(n) * (1 - (theta~/(theta~+1))**gamma_hat
-    - gamma_hat/(e*m~1*(theta~+1))), and the finite-difference gradient of
-    the underlying moment map there acts on the normalized influence rows.
+    - gamma_hat/(e*m~1*(theta~+1))), and the complex-step gradient of the
+    underlying moment map there acts on the normalized influence rows.
     """
     with np.errstate(all="ignore"):
         point, (gamma_hat, _, theta_tilde), _, errors = _fit_point(batch)
@@ -225,7 +242,8 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
         statistic = math.sqrt(batch.n) * (
             1.0 - base**gamma_hat - gamma_hat / (E * point[0] * (theta_tilde + 1.0))
         )
-        beta = central_diff_gradient(_gof_map, point).T.copy()
+        # the statistic is sqrt(n) times _gof_map at the point
+        beta = _complex_step(_gof_map, point, statistic).T.copy()
         row = (beta[:, None, :] @ influence_map(batch.m_tilde, k=3))[:, 0]
         sigma_hat = np.sqrt(np.maximum(quadratic_form(row, batch.cov), 0.0))
     refuse(

@@ -1,8 +1,8 @@
-"""Central-difference Jacobians with a Richardson-extrapolated variant.
+"""Central-difference Jacobians with a Richardson-extrapolated variant: a test oracle.
 
-Used for the delta method wherever writing out a Jacobian by hand would be
-error-prone; the Richardson variant exists so tests can check the plain
-central differences against a higher-order estimate.
+The tests check closed-form and complex-step derivatives of the library
+against these independent estimates; ``test_numdiff`` checks the plain
+central differences against the higher-order Richardson estimate.
 """
 
 from __future__ import annotations

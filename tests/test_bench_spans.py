@@ -2,9 +2,9 @@
 
 ``bench/tracing.py`` reports a span it cannot find as 0 calls, so a rename in
 ``laplacefit`` would silently zero a per-layer metric; this test catches it.
-The spans in ``RETIRED`` name functions that the statistics pass and
-``Sample.batch`` replaced; they must stay absent until the benchmark's
-``SPANS`` drops them.  A short traced
+The spans in ``RETIRED`` name functions that the statistics pass,
+``Sample.batch`` and the complex-step derivative replaced; they must stay
+absent until the benchmark's ``SPANS`` drops them.  A short traced
 run of each Monte Carlo workload checks the tracer's contract with the
 program, ``solve_censoring_point`` and its ``CensoringPoint.iterations``
 included.
@@ -22,13 +22,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
 
-#: spans whose functions were folded into the statistics pass, and the
-#: per-sample moment functions that ``Sample.batch`` replaced
+#: spans whose functions were folded into the statistics pass, the
+#: per-sample moment functions that ``Sample.batch`` replaced, and the
+#: central-difference Jacobian that the Tweedie complex step replaced
 RETIRED = (
     "laplace_core.influence_rows",
     "laplace_core.sample_covariance",
     "laplace_core.censored_moments",
     "laplace_core.censored_moments_at",
+    "numdiff.central_diff_jacobian",
 )
 
 
@@ -41,7 +43,10 @@ def load_spans() -> tuple:
 
 def resolves(span: str) -> bool:
     mod_name, func_name = span.split(".")
-    owner = importlib.import_module(f"laplacefit.{mod_name}")
+    try:
+        owner = importlib.import_module(f"laplacefit.{mod_name}")
+    except ModuleNotFoundError:
+        return False
     if func_name == "from_values":
         owner = owner.Sample
     return callable(getattr(owner, func_name, None))

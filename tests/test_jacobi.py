@@ -15,7 +15,8 @@ from laplacefit.jacobi import (
     jacobi_censoring_point,
     jacobi_population_m1,
 )
-from laplacefit.numdiff import central_diff_gradient
+
+from numdiff_oracle import central_diff_gradient
 
 E = math.e
 

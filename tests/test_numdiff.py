@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from laplacefit.numdiff import (
+from numdiff_oracle import (
     central_diff_gradient,
     central_diff_jacobian,
     richardson_jacobian,

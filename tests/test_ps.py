@@ -18,7 +18,8 @@ from laplacefit.errors import (
     InsufficientSampleError,
     RegimeError,
 )
-from laplacefit.numdiff import central_diff_jacobian
+
+from numdiff_oracle import central_diff_jacobian
 
 E = math.e
 

@@ -26,9 +26,11 @@ from laplacefit.errors import (
     NearSingularError,
     RegimeError,
 )
-from laplacefit.laplace_core import moments_rows
-from laplacefit.numdiff import central_diff_jacobian, richardson_jacobian
-from laplacefit.tweedie import _gof_map, _h, psi_phi, singular_rows
+from laplacefit.laplace_core import moments_rows, summarise
+from laplacefit.tweedie import _complex_step, _gof_map, _h, psi_phi, singular_rows
+from laplacefit.tweedie import fit_batch as tweedie_fit_batch
+
+from numdiff_oracle import central_diff_jacobian, richardson_jacobian
 
 E = math.e
 
@@ -170,12 +172,13 @@ def test_gof_population_identity(params):
 
 
 def test_jacobian_fd_vs_richardson_on_interior_points():
-    # interior points drawn at moment scales where the absolute step floor is
-    # inactive (a_star <= 10 keeps every moment coordinate well above 1e-3)
-    # and away from the index boundary gamma -> 1 where the psi denominator
-    # degenerates like (1 - gamma); entries below 1e-4 of the dominant one are
-    # analytically zero and carry only float jitter, so they are compared on
-    # that absolute scale
+    # the shipped complex-step derivative against the Richardson oracle, at
+    # interior points drawn at moment scales where the oracle's absolute step
+    # floor is inactive (a_star <= 10 keeps every moment coordinate well above
+    # 1e-3) and away from the index boundary gamma -> 1 where the psi
+    # denominator degenerates like (1 - gamma); entries below 1e-4 of the
+    # dominant one are analytically zero and carry only the oracle's float
+    # jitter, so they are compared on that absolute scale
     rng = np.random.default_rng(13)
     checked = 0
     while checked < 100:
@@ -193,11 +196,69 @@ def test_jacobian_fd_vs_richardson_on_interior_points():
             continue
         point = np.array([*tw_theoretical_censored_moments(params, a_star), a_star])
         for fn in (_h, _gof_map):
-            coarse = central_diff_jacobian(fn, point)
+            shipped = _complex_step(fn, point[:, None], fn(point[:, None]))[..., 0]
             fine = richardson_jacobian(fn, point)
             scale = np.maximum(np.abs(fine), 1e-4 * np.abs(fine).max())
-            assert np.all(np.abs(coarse - fine) / scale < 1e-5), params
+            assert np.all(np.abs(shipped - fine) / scale < 1e-5), params
         checked += 1
+
+
+#: laws whose unit-free points have a finite estimator map, nulls and alternatives
+STEP_LAWS = (
+    "tw0:1,1,0.1", "tw0:0.75,0.5,0.1", "tw0:1,1.25,0.2", "tw:0.5,2,0.5", "tw:0.6,2.5,0.6",
+    "ln0:5,1,0.1", "ln0:1,0.75,0.1", "ps:0.5,15", "ln:0,1.5", "ln:0,1", "pa:5,2",
+    "li:0.5,2,0.5", "pa:10,2",
+)
+
+
+def draw_batch(spec_text, n=300, reps=20):
+    spec = DistributionSpec.parse(spec_text)
+    return summarise(np.stack([sample_spec(spec, derive_substream(31, n, r), size=n) for r in range(reps)]))
+
+
+def unit_free_points(batch):
+    return np.array([*batch.m_tilde[:, 1:4].T, np.ones(batch.a.size)])
+
+
+@pytest.mark.parametrize("spec_text", STEP_LAWS)
+def test_complex_step_does_not_depend_on_its_step(spec_text):
+    # Im f(v + i*t*e_j)/t has no subtraction, so any tiny t gives the same
+    # derivative: t = 1e-150 and t = 1e-20 agree with the shipped step to
+    # 1e-10 of each row's largest entry.  A row whose real value is NaN (a
+    # negative power base) has no derivative to compare
+    point = unit_free_points(draw_batch(spec_text))
+    with np.errstate(invalid="ignore"):
+        for fn in (_h, _gof_map):
+            value = fn(point)
+            shipped = _complex_step(fn, point, value).reshape(-1, 4, point.shape[1])
+            rows = np.isfinite(value).reshape(-1, point.shape[1]).all(axis=0)
+            assert rows.sum() >= 5
+            scale = np.abs(shipped[..., rows]).max(axis=(0, 1))
+            for step in (1e-150, 1e-20):
+                displaced = point[:, None] + 1j * step * np.eye(4)[..., None]
+                other = (fn(displaced).imag / step).reshape(shipped.shape)
+                gap = np.abs(other - shipped)[..., rows].max(axis=(0, 1))
+                assert np.all(gap <= 1e-10 * scale), (step, (gap / scale).max())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_complex_step_keeps_nan_rows_nan():
+    # we:5,1 puts theta~ + 1 below zero, so lambda = ...*(theta~ + 1)**(1 - gamma)
+    # is NaN in real arithmetic; complex arithmetic takes a finite branch value
+    # there, which the derivative must not report.  The NaN entries are those
+    # of the central differences, and every fit says its covariance is not finite
+    batch = draw_batch("we:5,1")
+    point = unit_free_points(batch)
+    value = _h(point)
+    assert np.isnan(value[1]).all() and np.isfinite(value[[0, 2]]).all()
+    assert np.isfinite(_complex_step(_h, point, np.zeros_like(value))).all()
+    shipped = _complex_step(_h, point, value)
+    assert np.array_equal(np.isnan(shipped), np.isnan(central_diff_jacobian(_h, point)))
+    assert np.isnan(shipped[1]).all() and np.isfinite(shipped[[0, 2]]).all()
+    fits = tweedie_fit_batch(batch)
+    assert all(error is None for error in fits.errors)
+    assert np.isnan(fits.se).all()
+    assert fits.flags["nonfinite_covariance"].all() and fits.flags["nonfinite_estimate"].all()
 
 
 def test_near_singular_guard():
