@@ -2,9 +2,10 @@
 
 The harness replays the estimator-quality and test-calibration benchmarks:
 RRMSE tables for both families, empirical size and power of the tests, and
-confidence-interval coverage.  Replicate r of cell c is seeded from
-(base_seed, c, r), so any slice is reproducible bit for bit, serial or
-parallel.  Full-scale runs use `run_table(k)` or the CLI
+confidence-interval coverage.  Replicate r of cell c at sample size n is
+row r mod B of block r // B, one draw of B = max(1, 2**12 // n) samples from
+the stream (base_seed, c, r // B), so any slice is reproducible bit for bit,
+serial or parallel, whatever its replication count.  Full-scale runs use `run_table(k)` or the CLI
 (`laplacefit experiment --table k`).
 """
 

@@ -137,6 +137,8 @@ def refuse(
     tests keep one error slot per row and call this once per check, in the
     order the checks are made, so each row keeps its first error.
     """
+    if not rows.size or (rows.dtype == bool and not rows.any()):
+        return
     for i in rows.nonzero()[0] if rows.dtype == bool else rows:
         if errors[i] is None:
             errors[i] = make(int(i))

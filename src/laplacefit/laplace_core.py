@@ -200,6 +200,11 @@ def zero_adjusted_target(p_hat: float | np.ndarray) -> np.ndarray:
     return np.where(p_hat < 1.0 / E, 1.0 / E, (1.0 + (E - 1.0) * p_hat) / E)
 
 
+#: scale of a slope sum that overflows: fewer than 2**64 finite terms, each
+#: times it, sum to a finite float
+_SLOPE_SCALE = 2.0**-64
+
+
 def _mean(values: np.ndarray) -> np.ndarray:
     # ndarray.mean along the last axis, bit for bit, without its Python overhead
     return np.add.reduce(values, axis=-1) / values.shape[-1]
@@ -252,8 +257,10 @@ def solve_rows(
     median, at least half of them, while each zero contributes 1; together
     these exceed the target level, 1/e or its zero-adjusted form.  Newton
     stops at relative tolerance SOLVER_RTOL on the transform value.  The slope
-    is summed as sum(x*exp(-A*x)/n): each term is divided before the sum, which
-    therefore stays finite for values near the float maximum.
+    is sum(x*exp(-A*x))/n: the terms are summed undivided, so data far below
+    unit scale do not turn them subnormal.  A row whose sum overflows, which
+    takes terms near the float maximum, is summed again with its terms scaled
+    by an exact power of two.
 
     Each row keeps to its own steps, so its result does not depend on the
     other rows, and records its error instead of raising it: an all-zero row,
@@ -297,7 +304,10 @@ def solve_rows(
             # the slope is taken before the finished rows drop out, so the
             # weights are never copied with the rows that stay
             np.multiply(xs, weights, out=weights)
-            moment = np.add.reduce(np.divide(weights, n, out=weights), axis=-1)
+            moment = _mean(weights)
+            big = np.flatnonzero(moment == math.inf)
+            if big.size:
+                moment[big] = _mean(weights[big] * _SLOPE_SCALE) / _SLOPE_SCALE
             del weights
             if not keep.all():
                 index, xs, cs, tolerance, fi, ai, moment = (

@@ -1,13 +1,23 @@
 """Monte Carlo harness: RRMSE, coverage, and empirical size/power experiments.
 
-Replication is deterministic and embarrassingly parallel: the stream for
-replicate r of cell c is derived from (base_seed, c, r) alone, so reports are
-bitwise identical regardless of worker count or scheduling.  Each cell draws
-its replicates one by one, then stacks them into chunks of at most
-CHUNK_VALUES values that are solved, summarised, fitted and tested along the
-last axis, on the same code path as a single fit.  Failed replicates are
-counted by error kind and excluded from metric denominators, never resampled
-(resampling would bias size and power).
+Replication is deterministic and embarrassingly parallel.  The replicates of
+cell c at sample size n are drawn in blocks of B = max(1, BLOCK_VALUES // n)
+rows: block k is one flat draw of B*n values from the stream
+derive_substream(base_seed, c, k), and replicate r is row r mod B of block
+r // B.  Every block is drawn whole and the rows past the replication count
+are dropped, so a replicate depends on (base_seed, c, n, r) alone, not on the
+replication count, the chunking or the worker count.  To reproduce replicate
+r::
+
+    B = max(1, BLOCK_VALUES // n)
+    x = sample_spec(generator, derive_substream(base_seed, c, r // B), size=B * n)
+    x = x.reshape(B, n)[r % B]
+
+A chunk of whole blocks, at most CHUNK_VALUES values (at least one block), is
+solved, summarised, fitted and tested along the last axis, on the same code
+path as a single fit.  Failed replicates are counted by error kind and
+excluded from metric denominators, never resampled (resampling would bias
+size and power); a sampler error fails every replicate of its block.
 
 The fit targets, their parameter names, null generators, fit and test
 functions come from the family registry ``laplacefit.families.FAMILIES``.
@@ -24,7 +34,6 @@ import hashlib
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Sequence
 
@@ -39,8 +48,10 @@ from .results import json_safe
 
 VALID_METRICS = ("rrmse", "coverage", "size", "power")
 
-#: most values a chunk of one cell's replicates stacks: CHUNK_VALUES // n rows, at least one
+#: most values a chunk of one cell's replicates stacks, in whole blocks, at least one
 CHUNK_VALUES = 2**15
+#: values one stream draws for a block of replicates: BLOCK_VALUES // n rows, at least one
+BLOCK_VALUES = 2**12
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +304,21 @@ class _CellTally:
 
 
 def _draw_chunk(
-    config: ExperimentConfig, cell_index: int, n: int, reps: range, tally: _CellTally
+    config: ExperimentConfig, cell_index: int, n: int, blocks: range, tally: _CellTally
 ) -> np.ndarray:
-    # the chunk's valid draws as an (R, n) block; a sampler or validation error
-    # skips its replicate, counted under the scalar API's code
-    x, drawn = np.empty((len(reps), n)), 0
-    for rep in reps:
-        rng = derive_substream(config.base_seed, cell_index, rep)
+    # the valid replicates of the chunk's blocks, below the replication count,
+    # as an (R, n) block; a sampler error fails the replicates of its block and
+    # a validation error its row, each counted under the scalar API's code
+    rows = max(1, BLOCK_VALUES // n)
+    drawn = []
+    for block in blocks:
+        kept = min(rows, config.replications - block * rows)
+        rng = derive_substream(config.base_seed, cell_index, block)
         try:
-            x[drawn] = sample_spec(config.generator, rng, size=n)
-            drawn += 1
+            drawn.append(sample_spec(config.generator, rng, size=rows * n).reshape(rows, n)[:kept])
         except LaplaceFitError as exc:
-            tally.fail(exc.code)
-    x = x[:drawn]
+            tally.fail(exc.code, kept)
+    x = np.concatenate(drawn) if drawn else np.empty((0, n))
     valid = (np.isfinite(x) & (x >= 0.0)).all(axis=-1)
     for i in np.flatnonzero(~valid):
         try:
@@ -323,10 +336,11 @@ def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> _CellTally:
         tally.covered = np.zeros(truth.size, dtype=int)
     family = FAMILIES[config.fit_target]
 
-    rows = max(1, CHUNK_VALUES // n)
-    for start in range(0, config.replications, rows):
-        reps = range(start, min(start + rows, config.replications))
-        x = _draw_chunk(config, cell_index, n, reps, tally)
+    rows = max(1, BLOCK_VALUES // n)
+    blocks = -(-config.replications // rows)
+    per_chunk = max(1, CHUNK_VALUES // (rows * n))
+    for start in range(0, blocks, per_chunk):
+        x = _draw_chunk(config, cell_index, n, range(start, min(start + per_chunk, blocks)), tally)
         if not x.shape[0]:
             continue
         batch = summarise(x)
@@ -411,6 +425,8 @@ def run_configs(configs: Sequence[ExperimentConfig], jobs: int = 1) -> Experimen
         for cell_index, n in enumerate(config.n_grid)
     ]
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only here
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             tallies = list(pool.map(_run_cell, *zip(*tasks)))
     else:

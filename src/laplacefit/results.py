@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import asdict, dataclass
@@ -18,6 +19,7 @@ def check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
 
 
+@functools.cache
 def normal_quantile(alpha: float) -> float:
     """Two-sided standard normal critical value z_{1 - alpha/2}."""
     check_alpha(alpha)

@@ -2,7 +2,9 @@
 
 Each row's results are bitwise the same whatever batch it sits in (chunks of
 1, 7 or all rows, rows in any order), and a Monte Carlo cell run in chunks
-tallies exactly what a loop of single public fits and tests does.
+tallies exactly what a loop of single public fits and tests does on the
+replicates of its blocks: replicate r is row r mod B of block r // B, one
+flat draw of B*n values with B = max(1, BLOCK_VALUES // n).
 """
 
 from collections import Counter
@@ -24,7 +26,7 @@ from laplacefit import (
     sample_spec,
     tweedie,
 )
-from laplacefit.errors import DegenerateSampleError, LaplaceFitError
+from laplacefit.errors import DegenerateSampleError, LaplaceFitError, TiltedRejectionInfeasibleError
 from laplacefit.families import FAMILIES
 from laplacefit.laplace_core import summarise
 from laplacefit.montecarlo import ExperimentConfig, run_configs
@@ -115,15 +117,28 @@ def test_batch_rows_cover_every_error_kind():
 
 
 def reference_tally(config: ExperimentConfig, cell_index: int, n: int) -> dict:
-    """What the harness tallies for one cell, from the public API, one replicate at a time."""
+    """What the harness tallies for one cell, from the public API, one replicate at a time.
+
+    Block k is drawn flat and replicate r is its row r mod B; a sampler error
+    fails every replicate of its block.
+    """
     family = FAMILIES[config.fit_target]
     truth = np.array(list(config.truth().values())) if config.needs_fit else None
     tally = {"estimates": [], "rejections": 0, "n_tested": 0, "failures": Counter()}
     tally["covered"] = np.zeros(0 if truth is None else truth.size, dtype=int)
+    rows = max(1, montecarlo.BLOCK_VALUES // n)
     for rep in range(config.replications):
-        rng = derive_substream(config.base_seed, cell_index, rep)
+        if rep % rows == 0:
+            rng = derive_substream(config.base_seed, cell_index, rep // rows)
+            try:
+                block = montecarlo.sample_spec(config.generator, rng, size=rows * n).reshape(rows, n)
+            except LaplaceFitError as exc:
+                block = exc
+        if isinstance(block, LaplaceFitError):
+            tally["failures"][block.code] += 1
+            continue
         try:
-            sample = Sample.from_values(montecarlo.sample_spec(config.generator, rng, size=n))
+            sample = Sample.from_values(block[rep % rows])
         except LaplaceFitError as exc:
             tally["failures"][exc.code] += 1
             continue
@@ -164,12 +179,14 @@ CELLS = [
 
 
 def poisoned(spec, rng, size):
-    # about one draw in ten carries a NaN or a negative value, so the harness's
-    # validation path runs next to the sampler's
+    # about one block in four fails in the sampler, and about one value in a
+    # thousand is a NaN or a negative value, so the harness's block failure and
+    # row validation paths run next to the sampler's own
+    if rng.random() < 0.25:
+        raise TiltedRejectionInfeasibleError("poisoned block")
     values = sample_spec(spec, rng, size=size)
-    k = int(rng.integers(20))
-    if k < 2:
-        values[k] = (np.nan, -1.0)[k]
+    bad = np.flatnonzero(rng.random(size) < 1e-3)
+    values[bad] = np.where(rng.random(bad.size) < 0.5, np.nan, -1.0)
     return values
 
 
@@ -193,6 +210,68 @@ def test_cell_tallies_match_single_fits(generator, target, metrics, n_grid, monk
         assert got.failures == dict(want["failures"])
     report = run_configs([config])
     assert report.to_json() == run_configs([config], jobs=2).to_json()
+
+
+def test_sampler_error_fails_its_block(monkeypatch):
+    # blocks 1 and 6 of 7 fail: 13 replicates of a whole block, then the 2 of
+    # the last block below the count; every block is drawn with all its rows
+    sizes = []
+
+    def failing(spec, rng, size):
+        sizes.append(size)
+        if len(sizes) - 1 in (1, 6):
+            raise TiltedRejectionInfeasibleError("failing block")
+        return sample_spec(spec, rng, size=size)
+
+    monkeypatch.setattr(montecarlo, "sample_spec", failing)
+    config = ExperimentConfig(
+        DistributionSpec.parse("ps:0.5,15"), "ps", (300,), replications=80, base_seed=11,
+        metrics=("size",),
+    )
+    tally = montecarlo._run_cell(config, 0, 300)
+    assert montecarlo.BLOCK_VALUES // 300 == 13 and sizes == [13 * 300] * 7
+    assert tally.failures == {"tilted_rejection_infeasible": 15} and tally.n_tested == 65
+
+
+#: a report of two configs and three sizes, with rows failing in validation and in the fit
+REPORT_CONFIGS = [
+    ExperimentConfig(
+        DistributionSpec.parse("ps:0.5,15"), "ps", (5, 90, 700), replications=37, base_seed=3,
+        metrics=("rrmse", "coverage", "size"),
+    ),
+    ExperimentConfig(
+        DistributionSpec.parse("tw0:1,1,0.1"), "tweedie", (300,), replications=30, base_seed=4,
+        metrics=("size",),
+    ),
+]
+
+
+@pytest.mark.filterwarnings("ignore:constant sample")
+def test_reports_do_not_depend_on_chunking_or_jobs(monkeypatch):
+    reports = set()
+    for chunk in (1, 700, 2**15):
+        monkeypatch.setattr(montecarlo, "CHUNK_VALUES", chunk)
+        reports |= {run_configs(REPORT_CONFIGS, jobs=jobs).to_json() for jobs in (1, 2)}
+    assert len(reports) == 1
+
+
+@pytest.mark.parametrize("n, replications", [(60, 50), (150, 25), (700, 3)])
+def test_replicates_do_not_depend_on_the_replication_count(n, replications, monkeypatch):
+    # the estimates of R replicates are the first R of R + 7's, across block
+    # and chunk boundaries
+    monkeypatch.setattr(montecarlo, "CHUNK_VALUES", 5000)
+
+    def estimates(count: int) -> np.ndarray:
+        config = ExperimentConfig(
+            DistributionSpec.parse("ps:0.5,15"), "ps", (n,), replications=count, base_seed=9
+        )
+        tally = montecarlo._run_cell(config, 0, n)
+        assert not tally.failures
+        return np.concatenate(tally.estimates)
+
+    shorter, longer = estimates(replications), estimates(replications + 7)
+    assert len(longer) == replications + 7
+    assert np.array_equal(shorter, longer[:replications])
 
 
 def test_solve_at_the_iteration_cap_fails(monkeypatch):

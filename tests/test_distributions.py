@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from laplacefit import (
     DistributionSpec,
+    montecarlo,
     PsParams,
     Tw0Params,
     TweedieParams,
@@ -276,6 +277,27 @@ def test_sampler_transform_band_on_grid(text):
     grid = np.arange(0.1, 5.01, 0.1)
     gap = np.abs(empirical_transform(x, grid) - laplace_exact(spec, grid))
     assert float(gap.max()) < DKW_BAND
+
+
+@pytest.mark.parametrize("text", ["tw:0.5,2,0.5", "tw0:1,1,0.1", "li0:0.5,2,0.5,0.2"])
+def test_rows_of_a_harness_block_in_band(text):
+    # a Monte Carlo block is one flat draw cut into rows; each row is a sample
+    # of the law: tilted rejection and zero inflation fill the rows in order
+    n = 512
+    rows = montecarlo.BLOCK_VALUES // n
+    config = montecarlo.ExperimentConfig(
+        DistributionSpec.parse(text), "tweedie", (n,), replications=rows, base_seed=42,
+        metrics=("power",),
+    )
+    tally = montecarlo._CellTally()
+    x = montecarlo._draw_chunk(config, 0, n, range(1), tally)
+    assert x.shape == (rows, n) and not tally.failures
+    grid = np.arange(0.1, 5.01, 0.1)
+    # Hoeffding on each of the rows x grid points, 1e-3 in all
+    band = math.sqrt(math.log(2.0 * rows * grid.size / 1e-3) / (2.0 * n))
+    exact = laplace_exact(config.generator, grid)
+    for row in x:
+        assert float(np.abs(empirical_transform(row, grid) - exact).max()) < band
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,10 @@ def test_units_apply_after_the_square_root():
     assert fit_in(np.array([[1.0, math.inf]])).diagnostics == ("nonfinite_covariance",)
 
 
-def test_import_leaves_scipy_out():
+def loaded_by_import(module: str) -> bool:
+    """Whether ``import laplacefit, laplacefit.cli`` in a fresh interpreter loads ``module``."""
     pythonpath = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-    code = "import sys, laplacefit, laplacefit.cli; print('scipy' in sys.modules)"
+    code = f"import sys, laplacefit, laplacefit.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=pythonpath),
@@ -77,4 +78,13 @@ def test_import_leaves_scipy_out():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_out():
+    assert not loaded_by_import("scipy")
+
+
+def test_import_leaves_multiprocessing_out():
+    # the process pool is imported only when run_configs runs jobs > 1
+    assert not loaded_by_import("multiprocessing")
