@@ -33,7 +33,7 @@ from .errors import (
 #: deterministic pseudo-random stream; one per Monte Carlo replicate
 RngStream = np.random.Generator
 
-#: minimum acceptance rate before tilted rejection is declared infeasible
+#: minimum acceptance rate before tilted rejection (gamma != 1/2) is declared infeasible
 MIN_TILT_ACCEPTANCE = 1e-6
 
 
@@ -186,7 +186,11 @@ def sample_positive_stable(params: PsParams, rng: RngStream, size: int) -> np.nd
 
 
 def tilt_acceptance_rate(params: TweedieParams) -> float:
-    """Expected acceptance rate exp(-lam*theta**gamma) of tilted-stable rejection."""
+    """Expected acceptance rate exp(-lam*theta**gamma) of tilted-stable rejection.
+
+    ``sample_tweedie`` rejects only for gamma != 1/2; gamma = 1/2 draws the
+    inverse Gaussian directly, whatever this rate.
+    """
     return math.exp(-params.lam * params.theta**params.gamma)
 
 
@@ -195,8 +199,10 @@ def sample_tweedie(params: TweedieParams, rng: RngStream, size: int) -> np.ndarr
 
     Branches: ``gamma == 1`` is the point mass at ``lam`` (tilting a constant
     changes nothing); ``theta == 0`` reduces to the positive stable sampler
-    and consumes the identical stream; ``0 < gamma < 1`` uses rejection of
-    stable proposals with acceptance weight exp(-theta*Z); ``gamma < 0`` draws
+    and consumes the identical stream; ``gamma == 1/2`` is the inverse
+    Gaussian with mean lam/(2*sqrt(theta)) and shape lam**2/2, drawn exactly
+    without rejection; any other ``0 < gamma < 1`` uses rejection of stable
+    proposals with acceptance weight exp(-theta*Z); ``gamma < 0`` draws
     N ~ Poisson(lam*theta**gamma) and then a Gamma(-gamma*N, rate theta) total,
     using the additivity of gamma shapes in place of an explicit sum.
     """
@@ -212,6 +218,24 @@ def sample_tweedie(params: TweedieParams, rng: RngStream, size: int) -> np.ndarr
         return out
     if th == 0.0:
         return sample_positive_stable(PsParams(g, lam), rng, size)
+    if g == 0.5:
+        # Michael, Schucany & Haas (1976): X = mu*W with W ~ IG(1, phi),
+        # phi = lam*sqrt(theta).  With Z ~ N(0, 1) the smaller root of
+        # (W - 1)**2 / W = Z**2 / phi, 1 + (Z**2 - |Z|*sqrt(Z**2 + 4*phi))/(2*phi),
+        # is taken in the cancellation-free form 4*phi/(|Z| + sqrt(Z**2 + 4*phi))**2
+        # and kept with probability 1/(1 + W1), else replaced by 1/W1.
+        phi = lam * math.sqrt(th)
+        z = np.abs(rng.standard_normal(size))
+        w = np.multiply(z, z)
+        w += 4.0 * phi
+        np.sqrt(w, out=w)
+        w += z
+        w *= w
+        np.divide(4.0 * phi, w, out=w)
+        flip = rng.random(size) * (1.0 + w) > 1.0
+        np.divide(1.0, w, out=w, where=flip)
+        w *= lam / (2.0 * math.sqrt(th))
+        return w
     accept = tilt_acceptance_rate(params)
     if accept < MIN_TILT_ACCEPTANCE:
         raise TiltedRejectionInfeasibleError(
@@ -398,15 +422,19 @@ def sample_spec(spec: DistributionSpec, rng: RngStream, size: int) -> np.ndarray
     Zero inflation, when present, is applied after the base draw: a uniform
     per element decides whether the value is replaced by an exact zero.  A
     draw that overflows is inf, without a warning; ``Sample.from_values``
-    refuses it.
+    refuses it.  A ``size`` whose arrays cannot be allocated raises
+    :class:`ConfigError`.
     """
     law = LAWS[spec.family]
     if law.draw is None:
         raise UnsupportedOperationError(f"no exact sampler for {spec.text()!r}")
-    with np.errstate(over="ignore"):
-        out = law.draw(law.params(*spec.params), rng, size)
-        if spec.p_zero > 0.0:
-            out = np.where(rng.random(size) < spec.p_zero, 0.0, out)
+    try:
+        with np.errstate(over="ignore"):
+            out = law.draw(law.params(*spec.params), rng, size)
+            if spec.p_zero > 0.0:
+                out = np.where(rng.random(size) < spec.p_zero, 0.0, out)
+    except MemoryError as exc:
+        raise ConfigError(f"size: {size} values cannot be allocated ({exc})") from None
     return out
 
 

@@ -111,7 +111,7 @@ class LogDomainError(LaplaceFitError):
 
 
 class TiltedRejectionInfeasibleError(LaplaceFitError):
-    """Tilted-stable rejection sampling would need more than ~1e6 proposals per draw."""
+    """Tilted-stable rejection (gamma != 1/2) would need more than ~1e6 proposals per draw."""
 
     code = "tilted_rejection_infeasible"
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -346,11 +347,15 @@ def moments_rows(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     products' covariance (R, MAX_ORDER, MAX_ORDER).  The power products are
     built by repeated multiplication from exp(-y), never from y**r, which may
     overflow where exp(-y) underflows to zero; a zero weight times a finite y
-    stays an exact zero.  The covariance is the centred two-pass form, which
-    keeps its precision where E[PP^T] - mm^T would cancel.
+    stays an exact zero.  A y = a*x that overflows is clamped to the largest
+    float, which is exact: such an observation adds 0 to every moment.  The
+    covariance is the centred two-pass form, which keeps its precision where
+    E[PP^T] - mm^T would cancel.
     """
     rows, n = x.shape
-    y = a[:, None] * x
+    with np.errstate(over="ignore"):
+        y = a[:, None] * x
+    np.minimum(y, sys.float_info.max, out=y)
     block = np.empty((rows, MAX_ORDER, n))
     np.exp(np.negative(y, out=block[:, 0]), out=block[:, 0])
     for r in range(1, MAX_ORDER):

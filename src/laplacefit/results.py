@@ -112,8 +112,9 @@ def make_fit(
     se = units * sqrt(diag(cov) / n), so the units are applied after the
     square root and a standard error is a float whenever its estimate is,
     and the reported ``cov_hat`` is cov scaled by units on both sides.  The
-    ``nonfinite_covariance`` flag marks the rows with a standard error that
-    is not finite.
+    ``nonfinite_covariance`` flag marks the rows with an interval bound that
+    is not finite: a standard error that is not finite makes one, and so does
+    est +- z*se past the float maximum.
     """
     z = normal_quantile(alpha)
     if any(error is not None for error in errors):
@@ -125,7 +126,7 @@ def make_fit(
         cov_hat = cov * units[:, :, None] * units[:, None, :]
         ci = np.empty((*estimates.shape, 2))
         ci[..., 0], ci[..., 1] = estimates - z * se, estimates + z * se
-    flags = {**flags, "nonfinite_covariance": ~np.isfinite(se).all(axis=1)}
+    flags = {**flags, "nonfinite_covariance": ~np.isfinite(ci).all(axis=(1, 2))}
     return FitBatch(
         family, param_names, estimates, cov_hat, se, ci, a, n, alpha, flags, constants or {}, errors
     )

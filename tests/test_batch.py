@@ -173,7 +173,7 @@ CELLS = [
     ("tw0:1,1,0.1", "tweedie", ("rrmse", "coverage", "size"), (60, 300)),
     ("tw0:0.75,0.5,0.1", "tweedie", ("rrmse", "coverage", "size"), (50,)),
     ("lnsqrt:0,1.5", "tweedie", ("power",), (60,)),
-    ("tw:0.5,200,5", "tweedie", ("rrmse",), (60,)),
+    ("tw:0.6,200,5", "tweedie", ("rrmse",), (60,)),
     ("pa:5,2", "jacobi", ("power",), (30,)),
 ]
 

@@ -79,6 +79,14 @@ def test_sample_bad_size_or_seed_exit_1(capsys, argv, fragment):
     assert f"error (config): {fragment}" in err
 
 
+def test_sample_unallocatable_size_exit_1(capsys):
+    # 10**14 values are beyond the address space, so numpy refuses the array
+    # before it allocates anything
+    code, out, err = run_cli(capsys, "sample", "ps:0.5,1", "--n", str(10**14))
+    assert code == 1 and out == ""
+    assert err.startswith("error (config): size: 100000000000000 values cannot be allocated")
+
+
 # ---------------------------------------------------------------------------
 # fit / gof
 
@@ -106,6 +114,20 @@ def test_fit_reads_stdin(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "fit", "tweedie", "-")
     assert code == 2
     assert json.loads(out)["error"] == "all_zero_sample"
+
+
+@pytest.mark.parametrize("family", ["ps", "jacobi"])
+def test_fit_value_where_a_x_overflows(capsys, monkeypatch, family):
+    # A*1.7e308 overflows; the observation adds 0 to every censored moment, so
+    # the fit and test stay finite
+    text = "0.5\n10\n0.5\n1e-20\n2\n1.7e308\n1e-310\n1e-200\n3\n4\n5\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "fit", family, "-")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert "nonfinite_covariance" not in payload["diagnostics"]
+    numbers = [v for k, v in payload.items() if k not in ("family", "diagnostics", "reject")]
+    assert np.isfinite(np.hstack(numbers)).all()
 
 
 def test_fit_rejects_bad_rows(capsys, tmp_path):

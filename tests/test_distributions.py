@@ -182,10 +182,34 @@ def test_tw_gamma_one_degenerate():
 
 
 def test_tw_rejection_infeasible_guard():
-    params = TweedieParams(0.5, 200.0, 0.01)
+    params = TweedieParams(0.6, 400.0, 0.01)
     assert tilt_acceptance_rate(params) < 1e-6
     with pytest.raises(TiltedRejectionInfeasibleError):
         sample_tweedie(params, derive_substream(1), size=10)
+
+
+@pytest.mark.parametrize(
+    "lam,theta",
+    [(2.0, 0.5), (2.0, 1e-30), (200.0, 0.01), (1e-8, 1e8), (1e-8, 1e-300), (1e3, 1e-12),
+     (0.05, 3.0), (50.0, 1e4),
+     # acceptance exp(-200*sqrt(5)) ~ 1e-194: infeasible for tilted rejection
+     (200.0, 5.0)],
+)
+def test_tw_half_inverse_gaussian_precision(lam, theta):
+    # at theta = 1e-30 the variance ratio mu/xi is 5e14 and the inverse
+    # Gaussian is almost the Levy law: the small root must not cancel to 0
+    spec = DistributionSpec("tw", (0.5, lam, theta))
+    x = sample_spec(spec, derive_substream(25, zlib.crc32(spec.text().encode())), size=N_BAND)
+    assert np.isfinite(x).all() and (x > 0.0).all()
+    # sup |L_n - L| on a grid scaled to the law's median, where the transform
+    # runs from near 1 to near 0 whatever the law's scale
+    grid = np.geomspace(0.01, 100.0, 41) / np.median(x)
+    assert np.abs(empirical_transform(x, grid) - laplace_exact(spec, grid)).max() < DKW_BAND
+    phi = lam * math.sqrt(theta)  # mean**2 / variance
+    if phi >= 1.0:
+        # the mean's standard error is mean/sqrt(phi*n); 5 of them
+        mean = lam / (2.0 * math.sqrt(theta))
+        assert x.mean() == pytest.approx(mean, rel=5.0 / math.sqrt(phi * N_BAND))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +292,8 @@ def test_laplace_exact_refuses_argument(s):
 
 @pytest.mark.parametrize(
     "text",
-    ["ps:0.5,15", "tw:0.5,2,0.5", "tw0:1,1,0.1", "li:0.5,2,0.5", "li0:0.5,2,0.5,0.2"],
+    ["ps:0.5,15", "tw:0.5,2,0.5", "tw:0.6,2.5,0.6", "tw0:1,1,0.1", "li:0.5,2,0.5",
+     "li0:0.5,2,0.5,0.2"],
 )
 def test_sampler_transform_band_on_grid(text):
     spec = DistributionSpec.parse(text)
@@ -358,7 +383,7 @@ def test_no_sampler_for_jacobi():
 PINNED_STREAMS = [
     ("ps:0.5,15", (208.5611337681103, 86.74463370674245, 327.22922610897575, 39.65958091982558)),
     ("ps:1,3", (3.0, 3.0, 3.0, 3.0)),
-    ("tw:0.5,2,0.5", (0.675092337881483, 0.6374537472077618, 2.7309795448468024, 0.5161245015365132)),
+    ("tw:0.5,2,0.5", (0.46166875639203087, 0.7001264154435415, 0.1666280166016961, 1.3480071478169957)),
     ("tw:0.5,2,0", (3.7077534892108495, 1.5421268214531991, 5.817408464159569, 0.7050592163524547)),
     ("tw:-1,2,1", (0.3204274318546232, 0.5109480521964466, 0.0, 1.185584855773421)),
     ("tw0:1,1,0.1", (0.48338199534850296, 0.25752949738539527, 0.0, 0.7676099572669752)),
@@ -368,6 +393,7 @@ PINNED_STREAMS = [
     ("we:5,1", (0.9397060919502859, 1.2305038450275945, 1.0847578295855167, 1.1502274138296327)),
     ("ln:0,1.5", (8.189601018166016, 3.5971090995267487, 97.94965238939828, 0.9180207638933676)),
     ("lnsqrt:0,1.5", (83.26613877588913, 5.1486476301770265, 1341715383.988963, 1.0073431117982141)),
+    ("tw:0.6,2.5,0.6", (0.5979556665021118, 2.1639312416872256, 1.866868651719409, 1.2675408327894246)),
 ]
 
 

@@ -1,12 +1,27 @@
 import argparse
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from laplacefit import DistributionSpec, Sample, derive_substream, laplace_core, sample_spec
+from laplacefit import (
+    DistributionSpec,
+    Sample,
+    derive_substream,
+    fit_jacobi,
+    fit_ps,
+    fit_tweedie,
+    gof_jacobi,
+    gof_ps,
+    gof_tweedie,
+    laplace_core,
+    sample_spec,
+)
 from laplacefit.cli import _build_parser
-from laplacefit.errors import DegenerateSampleError
+from laplacefit.errors import DegenerateSampleError, LaplaceFitError
 from laplacefit.families import FAMILIES
 from laplacefit.montecarlo import ExperimentConfig
 
@@ -121,3 +136,48 @@ def test_fit_and_gof_read_only_the_cached_statistics(name):
     family = FAMILIES[name]
     for run in (family.fit, family.gof):
         assert run(warm, alpha=0.05).to_dict() == run(fresh, alpha=0.05).to_dict()
+
+
+#: values at the ends of the float range, mixed into every drawn sample
+EXTREMES = (0.0, 5e-324, 1e-310, 1.7e308, sys.float_info.max)
+
+
+@st.composite
+def mixed_scale_samples(draw):
+    # log-normals with a large sigma or zero-inflated Paretos at any scale, both
+    # clamped to the float range, plus a few values from its ends
+    n = draw(st.integers(10, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    with np.errstate(over="ignore", under="ignore"):
+        if draw(st.booleans()):
+            x = np.exp(rng.normal(0.0, draw(st.floats(1.0, 300.0)), n))
+        else:
+            scale = 10.0 ** draw(st.integers(-320, 300))
+            x = scale * (1.0 + rng.pareto(draw(st.floats(0.05, 3.0)), n))
+            x[rng.random(n) < draw(st.floats(0.0, 0.5))] = 0.0
+    x = np.minimum(x, sys.float_info.max)
+    return np.concatenate([x, draw(st.lists(st.sampled_from(EXTREMES), max_size=6))])
+
+
+@given(mixed_scale_samples())
+@settings(max_examples=150, deadline=None)
+def test_every_fit_and_test_is_finite_or_a_coded_error(values):
+    # under tier-1's error::RuntimeWarning, so an overflow warning fails too;
+    # a fit's non-finite estimate, standard error or interval must carry its flag
+    sample = Sample.from_values(values)
+    for fit in (fit_ps, fit_tweedie, fit_jacobi):
+        try:
+            result = fit(sample)
+        except LaplaceFitError:
+            continue
+        assert math.isfinite(result.a)
+        flagged = {"nonfinite_estimate", "nonfinite_covariance"} & set(result.diagnostics)
+        if not flagged:
+            assert np.isfinite([result.estimates, result.se]).all()
+            assert np.isfinite(result.ci).all()
+    for gof in (gof_ps, gof_tweedie, gof_jacobi):
+        try:
+            outcome = gof(sample)
+        except LaplaceFitError:
+            continue
+        assert np.isfinite([outcome.statistic, outcome.sigma_hat, outcome.z, outcome.p_value]).all()

@@ -199,7 +199,7 @@ def test_failure_accounting_without_silent_drops():
     "generator, fit_target, metric, code",
     [
         ("jacobi:0.3", "jacobi", "size", "unsupported_operation"),
-        ("tw:0.5,200,5", "tweedie", "rrmse", "tilted_rejection_infeasible"),
+        ("tw:0.6,200,5", "tweedie", "rrmse", "tilted_rejection_infeasible"),
     ],
 )
 def test_sampler_error_counts_as_failed_replicates(generator, fit_target, metric, code):
@@ -216,6 +216,14 @@ def test_sampler_error_counts_as_failed_replicates(generator, fit_target, metric
     assert kept == [r.to_dict() for r in alone.records]
     failed = [r for r in report.records if r.generator == failing.generator.text()]
     assert failed and all(r.n_ok == 0 and r.failures == {code: 4} for r in failed)
+
+
+def test_unallocatable_size_counts_as_failed_replicates():
+    # 10**14 values are beyond the address space: numpy refuses them before it
+    # allocates anything, and each replicate fails under the config code
+    report = run_configs([small_config(n_grid=(10**14,), replications=3, metrics=("size",))])
+    (record,) = report.records
+    assert record.n_ok == 0 and record.failures == {"config": 3}
 
 
 def test_determinism_byte_for_byte():

@@ -65,6 +65,10 @@ def test_units_apply_after_the_square_root():
     assert fit.diagnostics == ()
     # a standard error that is not a float is flagged
     assert fit_in(np.array([[1.0, math.inf]])).diagnostics == ("nonfinite_covariance",)
+    # so is an interval bound that overflows although its standard error is a float
+    fit = fit_in(np.array([[1.0, 5e307]]))
+    assert math.isfinite(fit.se[1]) and fit.ci[1][1] == math.inf
+    assert fit.diagnostics == ("nonfinite_covariance",)
 
 
 def loaded_by_import(module: str) -> bool:

@@ -152,4 +152,5 @@ def test_standard_errors_are_positive_floats(spec, k):
         for name, estimate, se in zip(fit.param_names, fit.estimates, fit.se):
             if is_positive_normal(abs(estimate)):
                 assert is_positive_normal(se), (run.__name__, name, estimate, se)
-        assert ("nonfinite_covariance" in fit.diagnostics) == (not np.isfinite(fit.se).all())
+        finite = np.isfinite(fit.se).all() and np.isfinite(fit.ci).all()
+        assert ("nonfinite_covariance" in fit.diagnostics) == (not finite)
