@@ -5,71 +5,71 @@ Laplace transforms but intractable densities: the positive stable family, the
 Tweedie family (including its structural-zero compound-Poisson branch) and
 the cosh-type generalized Jacobi law.  Exact samplers, a deterministic Monte
 Carlo harness and a small CLI round out the package.
+
+The exported names and the submodules load on first use (Scientific Python
+SPEC 1), so ``import laplacefit`` costs only this module, and a
+``laplacefit fit`` run never loads the samplers or the Monte Carlo harness.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .distributions import (
-    DistributionSpec,
-    PsParams,
-    RngStream,
-    Tw0Params,
-    TweedieParams,
-    derive_substream,
-    laplace_exact,
-    sample_positive_stable,
-    sample_spec,
-    sample_tweedie,
-    tw0_to_tw,
-    tw_to_tw0,
-)
-from .errors import LaplaceFitError
-from .jacobi import fit_jacobi, gof_jacobi
-from .laplace_core import (
-    CensoringPoint,
-    Sample,
-    empirical_laplace,
-    influence_map,
-    load_sample,
-    solve_censoring_point,
-)
-from .ps import fit_ps, gof_ps
-from .results import Fit, GofOutcome
-from .tweedie import (
-    fit_tweedie,
-    gof_tweedie,
-    tw_censoring_point,
-    tw_theoretical_censored_moments,
+_SUBMODULES = (
+    "cli",
+    "distributions",
+    "errors",
+    "families",
+    "jacobi",
+    "laplace_core",
+    "montecarlo",
+    "ps",
+    "results",
+    "tweedie",
 )
 
-__all__ = [
-    "CensoringPoint",
-    "DistributionSpec",
-    "Fit",
-    "GofOutcome",
-    "LaplaceFitError",
-    "PsParams",
-    "RngStream",
-    "Sample",
-    "Tw0Params",
-    "TweedieParams",
-    "derive_substream",
-    "empirical_laplace",
-    "fit_jacobi",
-    "fit_ps",
-    "fit_tweedie",
-    "gof_jacobi",
-    "gof_ps",
-    "gof_tweedie",
-    "influence_map",
-    "laplace_exact",
-    "load_sample",
-    "sample_positive_stable",
-    "sample_spec",
-    "sample_tweedie",
-    "solve_censoring_point",
-    "tw0_to_tw",
-    "tw_censoring_point",
-    "tw_theoretical_censored_moments",
-    "tw_to_tw0",
-]
+#: submodule -> the names it exports
+_SUBMODULE_EXPORTS = {
+    "distributions": (
+        "DistributionSpec",
+        "PsParams",
+        "RngStream",
+        "Tw0Params",
+        "TweedieParams",
+        "derive_substream",
+        "laplace_exact",
+        "sample_positive_stable",
+        "sample_spec",
+        "sample_tweedie",
+        "tw0_to_tw",
+        "tw_to_tw0",
+    ),
+    "errors": ("LaplaceFitError",),
+    "jacobi": ("fit_jacobi", "gof_jacobi"),
+    "laplace_core": (
+        "CensoringPoint",
+        "Sample",
+        "empirical_laplace",
+        "influence_map",
+        "load_sample",
+        "solve_censoring_point",
+    ),
+    "ps": ("fit_ps", "gof_ps"),
+    "results": ("Fit", "GofOutcome"),
+    "tweedie": ("fit_tweedie", "gof_tweedie", "tw_censoring_point", "tw_theoretical_censored_moments"),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

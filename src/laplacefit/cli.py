@@ -22,12 +22,13 @@ import sys
 from dataclasses import replace
 from typing import Any, Sequence
 
-from .distributions import DistributionSpec, Tw0Params, derive_substream, sample_spec, tw0_to_tw
 from .errors import ConfigError, InputError, LaplaceFitError
 from .families import FAMILIES
 from .laplace_core import Sample, load_sample
-from .montecarlo import parse_config_document, run_configs, run_table
 from .results import json_safe
+
+# the samplers (distributions) and the harness (montecarlo) are imported in
+# the subcommands that run them, so ``fit`` and ``gof`` start without them
 
 DEFAULT_SEED = 123456789
 
@@ -113,6 +114,8 @@ def _cmd_gof(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from .distributions import DistributionSpec, derive_substream, sample_spec
+
     if args.n < 1:
         raise ConfigError(f"n: must be >= 1, got {args.n}")
     if args.seed < 0:
@@ -125,6 +128,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
+    from .distributions import Tw0Params, tw0_to_tw
+
     tw = tw0_to_tw(Tw0Params(*args.values))
     payload = {"gamma": tw.gamma, "lambda": tw.lam, "theta": tw.theta}
     if args.fmt == "human":
@@ -135,6 +140,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .montecarlo import parse_config_document, run_configs, run_table
+
     if (args.config is None) == (args.table is None):
         raise ConfigError("experiment: pass exactly one of CONFIG or --table N")
     if args.table is not None:

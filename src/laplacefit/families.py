@@ -7,12 +7,14 @@ each one's parameters and null generators are, only from ``FAMILIES``.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import jacobi, ps, tweedie
-from .distributions import DistributionSpec
 from .laplace_core import Batch
 from .results import Fit, FitBatch, GofBatch, GofOutcome
+
+if TYPE_CHECKING:  # the samplers stay unloaded until a command draws
+    from .distributions import DistributionSpec
 
 
 @dataclass(frozen=True)

@@ -72,12 +72,12 @@ def _convert(name: str, kind: type, value: Any) -> Any:
         raise ConfigError(f"{name}: must be {what}, got {value!r}") from None
 
 
-def _base_seed(value: Any) -> int:
-    # a seed for derive_substream: a non-negative integer
-    seed = _convert("base_seed", int, value)
-    if seed < 0:
-        raise ConfigError(f"base_seed: must be >= 0, got {seed}")
-    return seed
+def _at_least(name: str, value: Any, low: int) -> int:
+    # an integer field with a lower bound: a base seed >= 0, a jobs count >= 1
+    number = _convert(name, int, value)
+    if number < low:
+        raise ConfigError(f"{name}: must be >= {low}, got {number}")
+    return number
 
 
 def _items(name: str, value: Any) -> tuple:
@@ -119,7 +119,7 @@ class ExperimentConfig:
         put("alpha", _convert("alpha", float, self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha: must be in (0, 1), got {self.alpha}")
-        put("base_seed", _base_seed(self.base_seed))
+        put("base_seed", _at_least("base_seed", self.base_seed, 0))
         put("metrics", _items("metrics", self.metrics))
         if not self.metrics:
             raise ConfigError("metrics: must be non-empty")
@@ -419,6 +419,7 @@ def _records_for_cell(
 
 def run_configs(configs: Sequence[ExperimentConfig], jobs: int = 1) -> ExperimentReport:
     """Run a list of configs; cells from all configs share one worker pool."""
+    jobs = _at_least("jobs", jobs, 1)
     tasks = [
         (config, cell_index, n)
         for config in configs
@@ -561,7 +562,7 @@ def table_configs(
 
 def conversion_report(base_seed: int = 0) -> ExperimentReport:
     """The deterministic mean/zero-probability conversion table (table 6)."""
-    base_seed, family = _base_seed(base_seed), FAMILIES["tweedie"]
+    base_seed, family = _at_least("base_seed", base_seed, 0), FAMILIES["tweedie"]
     records = tuple(
         CellRecord(spec.text(), family.name, 0, "conversion", name, value, 0.0, 1, 1, {}, base_seed)
         for spec in map(DistributionSpec.parse, CONVERSION_ROWS)
@@ -578,6 +579,7 @@ def run_table(
     jobs: int = 1,
 ) -> ExperimentReport:
     """Run one benchmark table end to end."""
+    jobs = _at_least("jobs", jobs, 1)
     if table == 6:
         return conversion_report(base_seed=base_seed or 0)
     configs = table_configs(

@@ -21,16 +21,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .distributions import DistributionSpec, TweedieParams, laplace_exact
 from .errors import (
     ComplexPowerError, ConfigError, LaplaceFitError, NearSingularError, RegimeError, refuse,
 )
 from .laplace_core import E, Batch, Sample, columns, influence_map, quadratic_form, row_errors
 from .results import Fit, FitBatch, GofBatch, GofOutcome, make_fit, make_gof_outcome
+
+if TYPE_CHECKING:  # fit and test never draw, so the samplers stay unloaded
+    from .distributions import TweedieParams
 
 #: smallest sample size accepted by the Tweedie fit
 MIN_SAMPLE = 50
@@ -49,6 +51,8 @@ COMPLEX_STEP = 1e-100
 
 
 def tw_laplace(params: TweedieParams, s: float | np.ndarray) -> float | np.ndarray:
+    from .distributions import DistributionSpec, laplace_exact
+
     return laplace_exact(DistributionSpec("tw", (params.gamma, params.lam, params.theta)), s)
 
 

@@ -246,7 +246,8 @@ def test_criterion_4_power_cells():
     reason=(
         "published Linnik power values are not reproducible under the "
         "documented gamma-mixture convention L(s) = (1 + lam*s**gamma)**-delta "
-        "at any mixing shape; see the decisions ledger"
+        "at any mixing shape; see the Linnik paragraph of README.md, "
+        "'Tests and the acceptance suite'"
     ),
 )
 def test_criterion_4_linnik_power_cell():

@@ -1,11 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from laplacefit import DistributionSpec, derive_substream, sample_spec
-from laplacefit import cli
+from laplacefit import distributions
 from laplacefit.cli import main
 from laplacefit.errors import (
     ConfigError,
@@ -14,6 +18,8 @@ from laplacefit.errors import (
     SampleValidationError,
     SpecFormatError,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +113,22 @@ def test_fit_ps_from_file(capsys, stable_data_file):
     assert 0.48 <= payload["gamma_hat"] <= 0.52
     for key in ("lambda_hat", "se_gamma", "ci_lambda", "a", "t_stat", "sigma_hat", "p_value"):
         assert key in payload
+
+
+def test_python_dash_m_runs_the_cli(stable_data_file):
+    # ``python -m laplacefit`` prints the bytes ``python -m laplacefit.cli`` prints
+    pythonpath = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "fit", "ps", str(stable_data_file)],
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            capture_output=True,
+            check=True,
+        ).stdout
+        for module in ("laplacefit", "laplacefit.cli")
+    ]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["family"] == "ps"
 
 
 def test_fit_reads_stdin(capsys, monkeypatch):
@@ -311,6 +333,9 @@ def test_experiment_invalid_config_field_path(capsys, tmp_path):
             "metrics: rrmse divides by the true theta, which is 0",
         ),
         (None, ("--table", "6", "--seed", "-1"), "base_seed: must be >= 0"),
+        (None, ("--table", "3", "--jobs", "0"), "jobs: must be >= 1, got 0"),
+        (None, ("--table", "3", "--jobs", "-3"), "jobs: must be >= 1, got -3"),
+        ({}, ("--jobs", "0"), "jobs: must be >= 1, got 0"),
     ],
 )
 def test_experiment_malformed_config_exit_1(capsys, tmp_path, field, argv, fragment):
@@ -353,7 +378,7 @@ def test_every_error_kind_has_its_exit_code(capsys, monkeypatch, error):
     def raise_it(*args):
         raise error("the message")
 
-    monkeypatch.setattr(cli, "tw0_to_tw", raise_it)
+    monkeypatch.setattr(distributions, "tw0_to_tw", raise_it)
     code, out, err = run_cli(capsys, "convert", "tw0", "1", "1", "0.1")
     if issubclass(error, InputError):
         assert (code, out, err) == (1, "", f"error ({error.code}): the message\n")

@@ -226,6 +226,26 @@ def test_unallocatable_size_counts_as_failed_replicates():
     assert record.n_ok == 0 and record.failures == {"config": 3}
 
 
+@pytest.mark.parametrize(
+    "jobs, fragment",
+    [
+        (0, "must be >= 1, got 0"),
+        (-3, "must be >= 1, got -3"),
+        (2.5, "must be an integer, got 2.5"),
+        ("2", "must be an integer, got '2'"),
+    ],
+)
+def test_jobs_must_be_a_positive_integer(jobs, fragment):
+    # a refused count is a ConfigError before any cell runs, never a silent serial run
+    for run in (
+        lambda: run_configs([small_config()], jobs=jobs),
+        lambda: run_table(3, desk_scale=True, jobs=jobs),
+        lambda: run_table(6, jobs=jobs),
+    ):
+        with pytest.raises(ConfigError, match=f"^jobs: {fragment}$"):
+            run()
+
+
 def test_determinism_byte_for_byte():
     cfg = small_config(replications=25, n_grid=(80, 120))
     a = run_configs([cfg])

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +7,6 @@ from scipy import stats
 from laplacefit import Sample, derive_substream, gof_jacobi, gof_ps, gof_tweedie
 from laplacefit.errors import ConfigError, DegenerateSampleError
 from laplacefit.results import make_fit, make_gof_outcome, normal_quantile, two_sided_p_value
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_normal_quantile_matches_scipy():
@@ -69,26 +63,3 @@ def test_units_apply_after_the_square_root():
     fit = fit_in(np.array([[1.0, 5e307]]))
     assert math.isfinite(fit.se[1]) and fit.ci[1][1] == math.inf
     assert fit.diagnostics == ("nonfinite_covariance",)
-
-
-def loaded_by_import(module: str) -> bool:
-    """Whether ``import laplacefit, laplacefit.cli`` in a fresh interpreter loads ``module``."""
-    pythonpath = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-    code = f"import sys, laplacefit, laplacefit.cli; print({module!r} in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return out.stdout.strip() == "True"
-
-
-def test_import_leaves_scipy_out():
-    assert not loaded_by_import("scipy")
-
-
-def test_import_leaves_multiprocessing_out():
-    # the process pool is imported only when run_configs runs jobs > 1
-    assert not loaded_by_import("multiprocessing")
