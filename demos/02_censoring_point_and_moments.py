@@ -15,25 +15,23 @@ from laplacefit import (
     derive_substream,
     empirical_laplace,
     sample_spec,
-    solve_censoring_point,
 )
 
 rng = derive_substream(7)
 spec = DistributionSpec.parse("ps:0.5,15")
 sample = Sample.from_values(sample_spec(spec, rng, size=50_000))
 
-point = solve_censoring_point(sample)
-a_star = 15.0**-2  # population point lam**(-1/gamma)
-print(f"solved A = {point.a:.6f}  (population a* = {a_star:.6f})")
-print(f"L_n(A) = {empirical_laplace(sample, point.a):.15f} vs target {point.c_target:.15f}")
-print(f"solver iterations: {point.iterations}, residual {point.residual:.2e}")
-
-# the sample is a batch of one: it solves for A once and makes one statistics
-# pass in the frame y = A*X, and every fit and test of this sample reads
-# this same row.  The normalized moments m~_r = A**r * mean(X**r exp(-A X))
-# do not depend on the data's units; the fits read them and A, never the raw
-# moments
+# the sample is a batch of one: it solves for A once, keeps the record of the
+# solve and makes one statistics pass in the frame y = A*X, and every fit and
+# test of this sample reads this same row
 batch = sample.batch
+a_star = 15.0**-2  # population point lam**(-1/gamma)
+print(f"solved A = {batch.a[0]:.6f}  (population a* = {a_star:.6f})")
+print(f"L_n(A) = {empirical_laplace(sample, batch.a[0]):.15f} vs target {batch.c_target[0]:.15f}")
+print(f"solver iterations: {batch.iterations[0]}, residual {batch.residual[0]:.2e}")
+
+# the normalized moments m~_r = A**r * mean(X**r exp(-A X)) do not depend on
+# the data's units; the fits read them and A, never the raw moments
 print("\nnormalized censored moments m~_r = mean(y**r exp(-y)):")
 for r in range(5):
     print(f"  m~_{r} = {batch.m_tilde[0, r]:.6f}")
@@ -46,5 +44,4 @@ print(np.array2string(batch.cov[0], precision=4, suppress_small=True))
 
 # zero-heavy data switch to the adjusted target level
 zeros = Sample.from_values(np.where(rng.random(1000) < 0.45, 0.0, rng.gamma(2.0, 1.0, 1000)))
-adjusted = solve_censoring_point(zeros)
-print(f"\nzero fraction {zeros.p_hat:.3f} >= 1/e: adjusted target {adjusted.c_target:.6f}")
+print(f"\nzero fraction {zeros.p_hat:.3f} >= 1/e: adjusted target {zeros.batch.c_target[0]:.6f}")

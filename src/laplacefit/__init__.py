@@ -46,14 +46,7 @@ _SUBMODULE_EXPORTS = {
     ),
     "errors": ("LaplaceFitError",),
     "jacobi": ("fit_jacobi", "gof_jacobi"),
-    "laplace_core": (
-        "CensoringPoint",
-        "Sample",
-        "empirical_laplace",
-        "influence_map",
-        "load_sample",
-        "solve_censoring_point",
-    ),
+    "laplace_core": ("Sample", "empirical_laplace", "influence_map", "load_sample"),
     "ps": ("fit_ps", "gof_ps"),
     "results": ("Fit", "GofOutcome"),
     "tweedie": ("fit_tweedie", "gof_tweedie", "tw_censoring_point", "tw_theoretical_censored_moments"),

@@ -23,8 +23,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError, LaplaceFitError, LogDomainError, refuse
-from .laplace_core import E, Batch, Sample, columns, influence_map, quadratic_form, row_errors
-from .results import Fit, FitBatch, GofBatch, GofOutcome, make_fit, make_gof_outcome
+from .laplace_core import E, Batch, columns, influence_map, quadratic_form, row_errors
+from .results import Family, FitBatch, GofBatch, make_fit, make_gof_outcome
 
 #: the transform-level constant c with cosh(c) = e
 JACOBI_C = math.log(E + math.sqrt(E**2 - 1.0))
@@ -87,7 +87,7 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
     population via the m_1 identity; its variance applies the gradient of
     (m_1, A) to the covariance of the influence rows (V_1, W).
     """
-    errors = row_errors(batch, MIN_SAMPLE)
+    errors = row_errors(batch, MIN_SAMPLE, constant="constant sample: test variance is zero")
     a = batch.a
     with np.errstate(all="ignore"):
         gamma_hat, log_a = _index(batch, errors)
@@ -98,11 +98,7 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
     return make_gof_outcome("jacobi", statistic, sigma_hat, alpha, batch.n, errors)
 
 
-def fit_jacobi(sample: Sample, alpha: float = 0.05) -> Fit:
-    """Fit one sample: a batch of one of :func:`fit_batch`."""
-    return fit_batch(sample.batch, alpha).row(0)
+FAMILY = Family("jacobi", PARAM_NAMES, ("jacobi",), fit_batch, gof_batch, None)
 
-
-def gof_jacobi(sample: Sample, alpha: float = 0.05) -> GofOutcome:
-    """Test one sample: a batch of one of :func:`gof_batch`."""
-    return gof_batch(sample.batch, alpha).row(0)
+#: one sample's fit and test
+fit_jacobi, gof_jacobi = FAMILY.fit, FAMILY.gof

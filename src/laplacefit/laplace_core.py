@@ -227,16 +227,6 @@ def positive_medians(x: np.ndarray, zero_count: np.ndarray) -> np.ndarray:
     return np.where(lo_index == hi_index, hi, lo / 2.0 + hi / 2.0)
 
 
-@dataclass(frozen=True)
-class CensoringPoint:
-    """A solved censoring point; for a batch each field is an (R,) array."""
-
-    a: float
-    c_target: float
-    iterations: int
-    residual: float
-
-
 def _rows(x: np.ndarray, index: np.ndarray) -> np.ndarray:
     # the rows of x at index; x itself, not a copy, when index is every row
     return x if index.size == x.shape[0] else x[index]
@@ -244,8 +234,12 @@ def _rows(x: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def solve_rows(
     x: np.ndarray, zero_count: np.ndarray
-) -> tuple[CensoringPoint, list[LaplaceFitError | None]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[LaplaceFitError | None]]:
     """Solve L_n(A) = c_target for every row of the (R, n) block ``x``.
+
+    Returns the (R,) arrays of each row's censoring point A, target level
+    c_target, Newton iterations and residual L_n(A) - c_target, and the
+    rows' errors; :func:`summarise` keeps all of them in the :class:`Batch`.
 
     L_n is strictly decreasing from 1 to p_hat, and c_target lies strictly
     between them whenever some observation is positive, so the root is unique.
@@ -323,17 +317,7 @@ def solve_rows(
             f"with residual {f[i]:.3g}"
         ),
     )
-    return CensoringPoint(a=a, c_target=c, iterations=iterations, residual=f), errors
-
-
-def solve_censoring_point(sample: Sample) -> CensoringPoint:
-    """The sample's censoring point: a batch of one of :func:`solve_rows`; raises its error."""
-    point, errors = solve_rows(sample.values[None], np.array([sample.zero_count]))
-    if errors[0] is not None:
-        raise errors[0]
-    return CensoringPoint(
-        float(point.a[0]), float(point.c_target[0]), int(point.iterations[0]), float(point.residual[0])
-    )
+    return a, c, iterations, f, errors
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +362,9 @@ class Batch:
     """R samples of n observations each, reduced to what every fit and test reads.
 
     Row i holds sample i's ``zero_count[i]``, whether its values are all
-    equal (``constant[i]``), its censoring point ``a[i]`` and, in the frame
+    equal (``constant[i]``), the record of its solve (the censoring point
+    ``a[i]``, the target level ``c_target[i]``, the Newton ``iterations[i]``
+    and the ``residual[i]`` L_n(A) - c_target) and, in the frame
     y = a[i]*x, the normalized moments ``m_tilde[i, r] = mean(y**r * exp(-y))``
     for r <= MAX_ORDER and the ddof=1 covariance ``cov[i]`` of the power
     products y**r * exp(-y), r < MAX_ORDER.  Both are unit-free: a map built
@@ -390,6 +376,9 @@ class Batch:
     zero_count: np.ndarray
     constant: np.ndarray
     a: np.ndarray
+    c_target: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
     m_tilde: np.ndarray
     cov: np.ndarray
     errors: list[LaplaceFitError | None]
@@ -399,7 +388,7 @@ def summarise(x: np.ndarray) -> Batch:
     """Solve and summarise every row of an (R, n) block of validated samples."""
     rows, n = x.shape
     zero_count = np.count_nonzero(x == 0.0, axis=-1)
-    point, errors = solve_rows(x, zero_count)
+    a, c_target, iterations, residual, errors = solve_rows(x, zero_count)
     m_tilde = np.full((rows, MAX_ORDER + 1), math.nan)
     cov = np.full((rows, MAX_ORDER, MAX_ORDER), math.nan)
     solved = np.flatnonzero([error is None for error in errors])
@@ -409,9 +398,9 @@ def summarise(x: np.ndarray) -> Batch:
     step = max(1, -(-solved.size // MAX_ORDER))
     for start in range(0, solved.size, step):
         part = solved[start : start + step]
-        m_tilde[part], cov[part] = moments_rows(_rows(x, part), point.a[part])
+        m_tilde[part], cov[part] = moments_rows(_rows(x, part), a[part])
     constant = x.max(axis=-1) == x.min(axis=-1)
-    return Batch(n, zero_count, constant, point.a, m_tilde, cov, errors)
+    return Batch(n, zero_count, constant, a, c_target, iterations, residual, m_tilde, cov, errors)
 
 
 def row_errors(

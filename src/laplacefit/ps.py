@@ -12,12 +12,11 @@ depend on the data's units.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
-from .laplace_core import E, Batch, Sample, columns, quadratic_form, row_errors
-from .results import Fit, FitBatch, GofBatch, GofOutcome, make_fit, make_gof_outcome
+from .laplace_core import E, Batch, columns, quadratic_form, row_errors
+from .results import Family, FitBatch, GofBatch, make_fit, make_gof_outcome
 
 #: smallest sample size accepted by the positive stable fit
 MIN_SAMPLE = 10
@@ -79,18 +78,7 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
     return make_gof_outcome("ps", statistic, sigma_hat, alpha, batch.n, errors)
 
 
-def fit_ps(sample: Sample, alpha: float = 0.05) -> Fit:
-    """Fit one sample: a batch of one of :func:`fit_batch`; a constant sample also warns."""
-    fit = fit_batch(sample.batch, alpha).row(0)
-    if "degenerate_sample" in fit.diagnostics:
-        warnings.warn(
-            "constant sample: point estimates are the gamma = 1 boundary and "
-            "the covariance rows are constant",
-            stacklevel=2,
-        )
-    return fit
+FAMILY = Family("ps", PARAM_NAMES, ("ps",), fit_batch, gof_batch, lambda spec: spec.params)
 
-
-def gof_ps(sample: Sample, alpha: float = 0.05) -> GofOutcome:
-    """Test one sample: a batch of one of :func:`gof_batch`."""
-    return gof_batch(sample.batch, alpha).row(0)
+#: one sample's fit and test; a constant sample's fit also warns
+fit_ps, gof_ps = FAMILY.fit, FAMILY.gof

@@ -1,16 +1,21 @@
-"""Shared result containers, one per sample and one per batch, and JSON helpers."""
+"""Result containers, one per sample and one per batch, the ``Family`` record, JSON helpers."""
 
 from __future__ import annotations
 
 import functools
 import math
 import statistics
+import warnings
 from dataclasses import asdict, dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateSampleError, LaplaceFitError, refuse
+
+if TYPE_CHECKING:
+    from .distributions import DistributionSpec
+    from .laplace_core import Batch, Sample
 
 
 def check_alpha(alpha: float) -> None:
@@ -198,6 +203,45 @@ def make_gof_outcome(
         z = statistic / sigma_hat
     p = np.array([two_sided_p_value(v) for v in z.tolist()])
     return GofBatch(family, statistic, sigma_hat, z, p, p < alpha, alpha, n, errors)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One fitted law: the record each family module declares as ``FAMILY``.
+
+    ``fit_batch(batch, alpha)`` fits every sample of a
+    :class:`~laplacefit.laplace_core.Batch` and ``gof_batch(batch, alpha)``
+    tests them; the methods :meth:`fit` and :meth:`gof` are their batches of
+    one.  ``null_generators`` are the spec families that draw from the law
+    itself, and ``truth`` maps such a spec to its parameter values in
+    ``param_names`` order, or is None when the law has no sampler.
+    """
+
+    name: str
+    param_names: tuple[str, ...]
+    null_generators: tuple[str, ...]
+    fit_batch: Callable[[Batch, float], FitBatch]
+    gof_batch: Callable[[Batch, float], GofBatch]
+    truth: Callable[[DistributionSpec], tuple[float, ...]] | None
+
+    def fit(self, sample: Sample, alpha: float = 0.05) -> Fit:
+        """Fit one sample: row 0 of :attr:`fit_batch` on ``sample.batch``; raises its error.
+
+        A fit flagged ``degenerate_sample`` (the positive stable law on a
+        constant sample) also warns.
+        """
+        fit = self.fit_batch(sample.batch, alpha).row(0)
+        if "degenerate_sample" in fit.diagnostics:
+            warnings.warn(
+                "constant sample: point estimates are the gamma = 1 boundary and "
+                "the covariance rows are constant",
+                stacklevel=2,
+            )
+        return fit
+
+    def gof(self, sample: Sample, alpha: float = 0.05) -> GofOutcome:
+        """Test one sample: row 0 of :attr:`gof_batch` on ``sample.batch``; raises its error."""
+        return self.gof_batch(sample.batch, alpha).row(0)
 
 
 def json_safe(obj: Any) -> Any:

@@ -14,13 +14,13 @@ working precision and there is no step to tune.
 Caveat: at the stable submodel boundary theta = 0 the Jacobian entries that
 involve theta**gamma are singular, so a theta_hat very near zero inflates the
 variance estimates.  That submodel is exactly the positive stable family;
-prefer :func:`laplacefit.ps.fit_ps` there.
+prefer :func:`laplacefit.fit_ps` there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -28,8 +28,8 @@ import numpy as np
 from .errors import (
     ComplexPowerError, ConfigError, LaplaceFitError, NearSingularError, RegimeError, refuse,
 )
-from .laplace_core import E, Batch, Sample, columns, influence_map, quadratic_form, row_errors
-from .results import Fit, FitBatch, GofBatch, GofOutcome, make_fit, make_gof_outcome
+from .laplace_core import E, Batch, columns, influence_map, quadratic_form, row_errors
+from .results import Family, FitBatch, GofBatch, make_fit, make_gof_outcome
 
 if TYPE_CHECKING:  # fit and test never draw, so the samplers stay unloaded
     from .distributions import TweedieParams
@@ -48,12 +48,6 @@ SINGULAR_FLAG_RTOL = 1e-6
 
 #: imaginary step of the complex-step derivatives
 COMPLEX_STEP = 1e-100
-
-
-def tw_laplace(params: TweedieParams, s: float | np.ndarray) -> float | np.ndarray:
-    from .distributions import DistributionSpec, laplace_exact
-
-    return laplace_exact(DistributionSpec("tw", (params.gamma, params.lam, params.theta)), s)
 
 
 def tw_censoring_point(params: TweedieParams) -> float:
@@ -82,10 +76,12 @@ def tw_theoretical_censored_moments(
     the recursion m2 = m1**2/L + m1*(1-gamma)/(theta+a),
     m3 = m1**3/L**2 + m1*(1-gamma)/(theta+a) * (3*m1/L + (2-gamma)/(theta+a)).
     """
+    from .distributions import DistributionSpec, laplace_exact
+
     if not a > 0.0:
         raise ConfigError(f"censoring point must be positive, got {a!r}")
     g, lam, th = params.gamma, params.lam, params.theta
-    lap = float(tw_laplace(params, a))
+    lap = float(laplace_exact(DistributionSpec("tw", (g, lam, th)), a))
     m1 = abs(g) * lam * lap * (th + a) ** (g - 1.0)
     m2 = m1**2 / lap + m1 * (1.0 - g) / (th + a)
     m3 = m1**3 / lap**2 + m1 * (1.0 - g) / (th + a) * (3.0 * m1 / lap + (2.0 - g) / (th + a))
@@ -259,11 +255,10 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
     return make_gof_outcome("tweedie", statistic, sigma_hat, alpha, batch.n, errors)
 
 
-def fit_tweedie(sample: Sample, alpha: float = 0.05) -> Fit:
-    """Fit one sample: a batch of one of :func:`fit_batch`."""
-    return fit_batch(sample.batch, alpha).row(0)
+FAMILY = Family(
+    "tweedie", PARAM_NAMES, ("tw", "tw0"), fit_batch, gof_batch,
+    lambda spec: astuple(spec.tweedie_params()),
+)
 
-
-def gof_tweedie(sample: Sample, alpha: float = 0.05) -> GofOutcome:
-    """Test one sample: a batch of one of :func:`gof_batch`."""
-    return gof_batch(sample.batch, alpha).row(0)
+#: one sample's fit and test
+fit_tweedie, gof_tweedie = FAMILY.fit, FAMILY.gof

@@ -3,11 +3,10 @@
 ``bench/tracing.py`` reports a span it cannot find as 0 calls, so a rename in
 ``laplacefit`` would silently zero a per-layer metric; this test catches it.
 The spans in ``RETIRED`` name functions that the statistics pass,
-``Sample.batch`` and the complex-step derivative replaced; they must stay
-absent until the benchmark's ``SPANS`` drops them.  A short traced
-run of each Monte Carlo workload checks the tracer's contract with the
-program, ``solve_censoring_point`` and its ``CensoringPoint.iterations``
-included.
+``Sample.batch``, the solve record kept in ``Batch`` and the complex-step
+derivative replaced; they must stay absent until the benchmark's ``SPANS``
+drops them.  A short traced run of each Monte Carlo workload checks that
+the tracer still installs and that the runs pass their checks.
 """
 
 import importlib
@@ -23,9 +22,11 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
 
 #: spans whose functions were folded into the statistics pass, the
-#: per-sample moment functions that ``Sample.batch`` replaced, and the
-#: central-difference Jacobian that the Tweedie complex step replaced
+#: per-sample moment functions that ``Sample.batch`` replaced, the one-sample
+#: solve whose record ``Batch`` now keeps, and the central-difference
+#: Jacobian that the Tweedie complex step replaced
 RETIRED = (
+    "laplace_core.solve_censoring_point",
     "laplace_core.influence_rows",
     "laplace_core.sample_covariance",
     "laplace_core.censored_moments",

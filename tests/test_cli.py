@@ -152,6 +152,16 @@ def test_fit_value_where_a_x_overflows(capsys, monkeypatch, family):
     assert np.isfinite(np.hstack(numbers)).all()
 
 
+@pytest.mark.parametrize("n", [12, 20, 30, 50])
+def test_gof_jacobi_constant_sample_exit_2(capsys, monkeypatch, n):
+    monkeypatch.setattr("sys.stdin", io.StringIO("2\n" * n))
+    code, out, _ = run_cli(capsys, "gof", "jacobi", "-")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "degenerate_sample", "message": "constant sample: test variance is zero"
+    }
+
+
 def test_fit_rejects_bad_rows(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1.0\n-2.0\n")

@@ -9,7 +9,7 @@ from laplacefit import (
     fit_jacobi,
     gof_jacobi,
 )
-from laplacefit.errors import ConfigError, LogDomainError, RegimeError
+from laplacefit.errors import ConfigError, DegenerateSampleError, LogDomainError, RegimeError
 from laplacefit.jacobi import (
     JACOBI_C,
     jacobi_censoring_point,
@@ -76,6 +76,14 @@ def test_log_domain_error():
     # constant sample at 1 puts the censoring point exactly at 1
     with pytest.raises(LogDomainError):
         fit_jacobi(Sample.from_values([1.0] * 20))
+
+
+@pytest.mark.parametrize("n", [12, 20, 30, 50])
+def test_gof_refuses_a_constant_sample(n):
+    # the test variance of a constant sample is zero; its round-off in the
+    # centred covariance must not decide between an error and a z of 1e16
+    with pytest.raises(DegenerateSampleError, match="^constant sample: test variance is zero$"):
+        gof_jacobi(Sample.from_values([2.0] * n))
 
 
 def test_regime_error_on_zero_inflation():

@@ -19,7 +19,6 @@ from laplacefit import (
     laplace_exact,
     load_sample,
     sample_spec,
-    solve_censoring_point,
 )
 from laplacefit.errors import (
     AllZeroSampleError,
@@ -309,27 +308,28 @@ def test_empirical_laplace_never_increases(values):
 
 
 def test_solver_constant_sample():
-    s = Sample.from_values([3.0] * 20)
-    point = solve_censoring_point(s)
-    assert point.c_target == 1.0 / E
-    assert point.a == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert point.iterations == 0  # the start 1/median is the root
+    batch = Sample.from_values([3.0] * 20).batch
+    assert batch.errors == [None]
+    assert batch.c_target[0] == 1.0 / E
+    assert batch.a[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert batch.iterations[0] == 0  # the start 1/median is the root
 
 
 def test_solver_zero_adjusted_target():
     # nine zeros and one positive value: c = (1 + (e-1)*0.9)/e and the
     # two-atom transform solves in closed form, 0.1*exp(-A) = c - 0.9 = 0.1/e,
     # so A = 1 exactly
-    s = Sample.from_values([0.0] * 9 + [1.0])
-    point = solve_censoring_point(s)
-    assert point.c_target == pytest.approx((1.0 + (E - 1.0) * 0.9) / E, rel=1e-15)
-    assert point.a == pytest.approx(1.0, rel=1e-9)
-    assert point.iterations == 0  # the start 1/median is the root
+    batch = Sample.from_values([0.0] * 9 + [1.0]).batch
+    assert batch.errors == [None]
+    assert batch.c_target[0] == pytest.approx((1.0 + (E - 1.0) * 0.9) / E, rel=1e-15)
+    assert batch.a[0] == pytest.approx(1.0, rel=1e-9)
+    assert batch.iterations[0] == 0  # the start 1/median is the root
 
 
 def test_solver_all_zero():
-    with pytest.raises(AllZeroSampleError):
-        solve_censoring_point(Sample.from_values([0.0, 0.0]))
+    (error,) = Sample.from_values([0.0, 0.0]).batch.errors
+    assert type(error) is AllZeroSampleError
+    assert str(error) == "all observations are zero; L_n(s) == 1 has no root"
 
 
 @pytest.mark.parametrize(
@@ -340,8 +340,9 @@ def test_solver_all_zero():
     ],
 )
 def test_solver_bracket_outside_float_range(values):
-    with pytest.raises(DegenerateSampleError):
-        solve_censoring_point(Sample.from_values(values))
+    (error,) = Sample.from_values(values).batch.errors
+    assert type(error) is DegenerateSampleError
+    assert str(error).startswith("censoring point leaves the float range")
 
 
 def test_solver_median_near_float_maximum():
@@ -349,9 +350,10 @@ def test_solver_median_near_float_maximum():
     # midpoint lo/2 + hi/2 does not, so the start 1/median and the root stay finite
     s = Sample.from_values([9e307, 1.7e308, 1e-100, 1.1e308])
     assert positive_median(s) == 9e307 / 2 + 1.1e308 / 2
-    point = solve_censoring_point(s)
-    assert 0.0 < point.a < 1e-307
-    assert abs(point.residual) <= SOLVER_RTOL * point.c_target
+    batch = s.batch
+    assert batch.errors == [None]
+    assert 0.0 < batch.a[0] < 1e-307
+    assert abs(batch.residual[0]) <= SOLVER_RTOL * batch.c_target[0]
 
 
 @pytest.mark.parametrize(
@@ -364,9 +366,10 @@ def test_solver_median_near_float_maximum():
     ],
 )
 def test_solver_at_the_ends_of_the_float_range(values, a):
-    point = solve_censoring_point(Sample.from_values(values))
-    assert point.a == pytest.approx(a, rel=1e-4)
-    assert abs(point.residual) <= SOLVER_RTOL * point.c_target
+    batch = Sample.from_values(values).batch
+    assert batch.errors == [None]
+    assert batch.a[0] == pytest.approx(a, rel=1e-4)
+    assert abs(batch.residual[0]) <= SOLVER_RTOL * batch.c_target[0]
 
 
 @given(st.lists(st.just(0.0) | st.floats(5e-324, 1.7e308), min_size=1, max_size=20))
@@ -374,15 +377,16 @@ def test_solver_at_the_ends_of_the_float_range(values, a):
 def test_solver_meets_the_tolerance_or_leaves_the_float_range(values):
     # Newton on the convex transform never stops at the iteration cap: it
     # solves, or the sample is all zero, or an iterate leaves the positive floats
-    try:
-        point = solve_censoring_point(Sample.from_values(values))
-    except AllZeroSampleError:
+    batch = Sample.from_values(values).batch
+    (error,) = batch.errors
+    if isinstance(error, AllZeroSampleError):
         assert not any(values)
-    except DegenerateSampleError as exc:
-        assert "leaves the float range" in str(exc)
+    elif isinstance(error, DegenerateSampleError):
+        assert "leaves the float range" in str(error)
     else:
-        assert 0.0 < point.a < math.inf
-        assert abs(point.residual) <= SOLVER_RTOL * point.c_target
+        assert error is None
+        assert 0.0 < batch.a[0] < math.inf
+        assert abs(batch.residual[0]) <= SOLVER_RTOL * batch.c_target[0]
 
 
 @given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=12))
@@ -397,16 +401,16 @@ def test_solver_residual_tolerance_across_laws():
         spec = DistributionSpec.parse(text)
         for rep in range(40):
             rng = derive_substream(100, i, rep)
-            s = Sample.from_values(sample_spec(spec, rng, size=200))
-            point = solve_censoring_point(s)
-            assert abs(point.residual) <= SOLVER_RTOL * point.c_target
+            batch = Sample.from_values(sample_spec(spec, rng, size=200)).batch
+            assert batch.errors == [None]
+            assert abs(batch.residual[0]) <= SOLVER_RTOL * batch.c_target[0]
 
 
 def test_censoring_point_consistency_ps():
     rng = derive_substream(101)
     s = Sample.from_values(sample_spec(DistributionSpec.parse("ps:0.5,15"), rng, size=10**5))
     a_star = 15.0**-2.0
-    assert solve_censoring_point(s).a == pytest.approx(a_star, rel=0.03)
+    assert s.batch.a[0] == pytest.approx(a_star, rel=0.03)
 
 
 def test_censoring_point_monotone_consistency():
@@ -418,8 +422,8 @@ def test_censoring_point_monotone_consistency():
     for rep in range(200):
         rng = derive_substream(102, rep)
         x = sample_spec(spec, rng, size=1200)
-        small.append(abs(solve_censoring_point(Sample.from_values(x[:300])).a - a_star))
-        large.append(abs(solve_censoring_point(Sample.from_values(x)).a - a_star))
+        small.append(abs(Sample.from_values(x[:300]).batch.a[0] - a_star))
+        large.append(abs(Sample.from_values(x).batch.a[0] - a_star))
     assert np.median(large) < np.median(small)
 
 
@@ -453,21 +457,22 @@ def test_moments_constant_sample():
 
 
 def test_sample_caches_only_scalars():
-    # the cached batch of one holds A, five moments and a 4x4 covariance; an
-    # n-length array kept on the sample would pin 8n bytes
+    # the cached batch of one holds the solve record (A, target level,
+    # iterations, residual), five moments and a 4x4 covariance; an n-length
+    # array kept on the sample would pin 8n bytes
     s = Sample.from_values(derive_substream(109).gamma(2.0, 1.0, 1000))
     batch = s.batch
     assert s.batch is batch and batch.errors == [None] and not batch.constant[0]
     assert batch.m_tilde.shape == (1, 5) and batch.cov.shape == (1, 4, 4)
     assert sorted(vars(s)) == ["batch", "n", "values", "zero_count"]
     arrays = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 5 and all(v.size <= 16 for v in arrays)
+    assert len(arrays) == 8 and all(v.size <= 16 for v in arrays)
 
 
 def test_moment_zero_equals_target():
     rng = derive_substream(103)
     s = Sample.from_values(sample_spec(DistributionSpec.parse("we:1,1"), rng, size=5000))
-    c_target = solve_censoring_point(s).c_target
+    c_target = s.batch.c_target[0]
     _, m_tilde, _ = solved(s)
     assert abs(m_tilde[0] - c_target) <= SOLVER_RTOL * c_target
 
