@@ -36,6 +36,9 @@ RngStream = np.random.Generator
 #: minimum acceptance rate before tilted rejection (gamma != 1/2) is declared infeasible
 MIN_TILT_ACCEPTANCE = 1e-6
 
+#: most stable proposals tilted rejection draws in one pass; it loops for more
+MAX_TILT_PROPOSALS = 2**16
+
 
 def derive_substream(base_seed: int, *key: int) -> RngStream:
     """Derive an independent reproducible stream from a base seed and a key.
@@ -166,12 +169,29 @@ def _standard_one_sided_stable(gamma: float, rng: RngStream, size: int) -> np.nd
     # Kanter's rejection-free representation, requires 0 < gamma < 1:
     # with U ~ Uniform(0, pi) and W ~ Exp(1),
     #   sin(gamma*U)/sin(U) * (sin((1-gamma)*U)/(W*sin(U)))**((1-gamma)/gamma)
-    # has Laplace transform exp(-s**gamma).
-    u = rng.uniform(0.0, np.pi, size)
+    # has Laplace transform exp(-s**gamma).  It is taken here in tangent
+    # half-angle form, sin(2x) = 2*tan(x)/(1 + tan(x)**2): with h = U/2 drawn
+    # as Uniform(0, pi/2) (the same value halved, the same stream position),
+    # t = tan(h) and t_a = tan(gamma*h), sin(gamma*U)/sin(U) is
+    # t_a*(1 + t**2)/(t*(1 + t_a**2)), and likewise with t_b = tan((1-gamma)*h).
+    # numpy vectorises float64 tan but not sin, so on a host with its AVX-512
+    # tan loop this costs about half the sine form; elsewhere about the same.
+    h = rng.uniform(0.0, 0.5 * np.pi, size)
     w = rng.standard_exponential(size)
-    su = np.sin(u)
-    ratio = (1.0 - gamma) / gamma
-    return np.sin(gamma * u) / su * (np.sin((1.0 - gamma) * u) / (w * su)) ** ratio
+    t = np.tan(h)
+    q = np.multiply(t, t)
+    q += 1.0
+    q /= t  # (1 + t**2)/t
+    a = np.tan(np.multiply(gamma, h, out=t), out=t)
+    b = np.tan(np.multiply(1.0 - gamma, h, out=h), out=h)
+    a /= a * a + 1.0
+    a *= q  # sin(gamma*U)/sin(U)
+    b /= b * b + 1.0
+    b *= q
+    b /= w  # sin((1-gamma)*U)/(W*sin(U))
+    b **= (1.0 - gamma) / gamma
+    b *= a
+    return b
 
 
 def sample_positive_stable(params: PsParams, rng: RngStream, size: int) -> np.ndarray:
@@ -202,7 +222,8 @@ def sample_tweedie(params: TweedieParams, rng: RngStream, size: int) -> np.ndarr
     and consumes the identical stream; ``gamma == 1/2`` is the inverse
     Gaussian with mean lam/(2*sqrt(theta)) and shape lam**2/2, drawn exactly
     without rejection; any other ``0 < gamma < 1`` uses rejection of stable
-    proposals with acceptance weight exp(-theta*Z); ``gamma < 0`` draws
+    proposals with acceptance weight exp(-theta*Z), in passes of at most
+    ``MAX_TILT_PROPOSALS`` proposals; ``gamma < 0`` draws
     N ~ Poisson(lam*theta**gamma) and then a Gamma(-gamma*N, rate theta) total,
     using the additivity of gamma shapes in place of an explicit sum.
     """
@@ -246,7 +267,7 @@ def sample_tweedie(params: TweedieParams, rng: RngStream, size: int) -> np.ndarr
     out = np.empty(size)
     filled = 0
     while filled < size:
-        batch = int((size - filled) / accept * 1.2) + 16
+        batch = min(int((size - filled) / accept * 1.2) + 16, MAX_TILT_PROPOSALS)
         z = sample_positive_stable(stable, rng, batch)
         kept = z[rng.random(batch) < np.exp(-th * z)]
         take = min(kept.size, size - filled)
