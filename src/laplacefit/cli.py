@@ -11,7 +11,10 @@ regime problem (all-zero sample, excessive zero fraction, degenerate or
 near-singular data, no sampler).  Input errors print ``error (code): message``
 on stderr; regime errors emit a machine-readable
 ``{"error": code, "message": ...}`` object on stdout so pipelines can
-distinguish data problems from model-regime problems.
+distinguish data problems from model-regime problems.  When ``fit`` fits the
+sample but the test raises a regime error, the one object holds the fit's
+fields and the error's, and the exit code is 2.  Warnings print one
+``warning: message`` line each on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 from typing import Any, Sequence
 
@@ -102,7 +106,16 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     family = FAMILIES[args.family]
     sample = _read_sample(args)
     payload = family.fit(sample, alpha=args.alpha).to_dict()
-    payload.update(family.gof(sample, alpha=args.alpha).to_dict())
+    try:
+        payload.update(family.gof(sample, alpha=args.alpha).to_dict())
+    except InputError:
+        raise
+    except LaplaceFitError as exc:
+        # the fit stands (a constant sample's gamma = 1 boundary, say), so the
+        # test's regime error rides along in the same object
+        payload.update(error=exc.code, message=str(exc))
+        _emit(payload, args.fmt)
+        return 2
     _emit(payload, args.fmt)
     return 0
 
@@ -174,6 +187,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # one line per warning, without the source line Python would echo
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -185,7 +203,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         "experiment": _cmd_experiment,
     }
     try:
-        return handlers[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return handlers[args.command](args)
     except InputError as exc:
         print(f"error ({exc.code}): {exc}", file=sys.stderr)
         return 1

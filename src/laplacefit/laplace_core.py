@@ -18,8 +18,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import os
+import stat
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -95,46 +99,93 @@ class Sample:
 
 
 def parse_sample_lines(lines: Iterable[str]) -> Sample:
-    """Parse newline-delimited decimal floats; blank lines are skipped."""
+    """Parse newline-delimited decimal floats; blank lines are skipped.
+
+    A byte that is not UTF-8, whether the stream cannot decode it or decoded
+    it to an escape, is refused with the number of its row.
+    """
     return _parse_numbered(enumerate(lines, start=1))
+
+
+def _not_utf8(exc: UnicodeDecodeError, rows_read: int) -> SampleValidationError:
+    """The error of a byte that a text stream could not decode after ``rows_read`` lines.
+
+    A text stream decodes its bytes from the end of its last line read: the
+    whole rest at once for ``read()``, and the next chunk only when the text
+    already decoded holds no line break when iterated.  So the bad byte's
+    row is ``rows_read + 1`` plus the line breaks before it in the bytes
+    handed to the decoder.
+    """
+    before = exc.object[: exc.start]
+    breaks = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+    return SampleValidationError(f"row {rows_read + 1 + breaks}: not UTF-8 text")
 
 
 def _parse_numbered(rows: Iterable[tuple[int, str]]) -> Sample:
     # each (line number, text) row holds one float or nothing; errors name the line
     out: list[float] = []
-    for i, raw in rows:
-        token = raw.strip()
-        if not token:
-            continue
-        try:
-            value = float(token)
-        except ValueError:
-            raise SampleValidationError(f"row {i}: cannot parse {token!r}") from None
-        if math.isnan(value) or math.isinf(value):
-            raise SampleValidationError(f"row {i}: non-finite value {token!r}")
-        if value < 0.0:
-            raise SampleValidationError(f"row {i}: negative value {token!r}")
-        out.append(value)
+    i = 0
+    try:
+        for i, raw in rows:
+            token = raw.strip()
+            if not token:
+                continue
+            try:
+                value = float(token)
+            except ValueError:
+                # a stream decoding with errors="surrogateescape" (stdin under a
+                # POSIX locale) turns a byte that is not UTF-8 into a lone surrogate
+                problem = "not UTF-8 text" if _escaped(token) else f"cannot parse {token!r}"
+                raise SampleValidationError(f"row {i}: {problem}") from None
+            if math.isnan(value) or math.isinf(value):
+                raise SampleValidationError(f"row {i}: non-finite value {token!r}")
+            if value < 0.0:
+                raise SampleValidationError(f"row {i}: negative value {token!r}")
+            out.append(value)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc, i) from None
     if not out:
         raise SampleValidationError("no data rows found")
     return Sample.from_values(out)
 
 
+def _escaped(token: str) -> bool:
+    """Whether ``token`` holds a lone surrogate, which no UTF-8 text decodes to."""
+    try:
+        token.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def parse_sample_csv(stream: TextIO, column: str) -> Sample:
-    """Extract a named column from CSV text and validate it as a sample."""
+    """Extract a named column from CSV text and validate it as a sample.
+
+    Bytes that are not UTF-8 are refused as :func:`parse_sample_lines` refuses them.
+    """
     reader = csv.DictReader(stream)
-    if reader.fieldnames is None or column not in reader.fieldnames:
-        raise SampleValidationError(
-            f"column {column!r} not found (have {reader.fieldnames})"
-        )
     cells = []
-    for row in reader:
-        # errors name the file line where the record ends, blank lines included
-        cell = (row.get(column) or "").strip()
-        if not cell:
-            raise SampleValidationError(f"row {reader.line_num}: empty cell in column {column!r}")
-        cells.append((reader.line_num, cell))
+    try:
+        if reader.fieldnames is None or column not in reader.fieldnames:
+            raise SampleValidationError(
+                f"column {column!r} not found (have {reader.fieldnames})"
+            )
+        for row in reader:
+            # errors name the file line where the record ends, blank lines included
+            cell = (row.get(column) or "").strip()
+            if not cell:
+                raise SampleValidationError(f"row {reader.line_num}: empty cell in column {column!r}")
+            cells.append((reader.line_num, cell))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc, reader.line_num) from None
     return _parse_numbered(cells)
+
+
+#: least size in bytes of each part of a split read (see :func:`load_sample`)
+SPLIT_BYTES = 4 * 2**20
+
+#: the suffixes numpy's path reader decompresses; such files are read as streams
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma", ".zip")
 
 
 def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sample:
@@ -142,43 +193,202 @@ def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sampl
 
     Plain text means one decimal float per line; passing ``column`` switches
     to CSV mode and reads that column (the last one of that name, as
-    ``csv.DictReader`` would).  One ``np.loadtxt`` pass reads the values.
-    Input that this pass or ``Sample.from_values`` refuses is read again from
-    its start by the row parsers, which give the error with its row number.
-    A stream that cannot seek, such as a stdin pipe, is first buffered in
-    memory.
+    ``csv.DictReader`` would).  Text is UTF-8; a byte that is not is refused
+    with its row.
+
+    ``np.loadtxt`` reads the values.  A regular file is handed to it by its
+    path, so its C reader takes the text in chunks rather than one Python
+    line object at a time; a file whose name numpy would decompress
+    (``.gz``, ``.bz2``, ``.xz``, ``.lzma`` or ``.zip``, whatever it holds)
+    is read as a stream instead.  A file of at least ``2 * SPLIT_BYTES``,
+    in a process with one thread that can fork and may run on two or more
+    CPUs, is cut at newlines into min(CPUs, size // SPLIT_BYTES) parts, and
+    each part after the first is parsed at the same time in a forked child
+    (``np.loadtxt(path, skiprows=lines_before, max_rows=lines_in_part)``)
+    that writes its floats into shared memory.  ``max_rows`` counts rows
+    with content but ``skiprows`` counts lines, so the split needs one row
+    per line: a file with a part that holds a byte outside printable ASCII
+    other than the newline (``\\r``, a space or tab, non-ASCII text), an
+    empty line or, in CSV mode, a quote is read in one process instead, as
+    it is when a child fails or reads a different shape.  Every child is
+    reaped before this returns or raises.
+
+    A stream, stdin included, is read in one process: numpy reads it a line
+    at a time and there is no path for a child to open.  A stream that
+    cannot seek, such as a stdin pipe, is first buffered in memory.
+
+    Input that these reads or ``Sample.from_values`` refuse is read again
+    from its start by the row parsers, which give the error with its row
+    number.
     """
     if isinstance(source, (str, Path)):
+        path = _numpy_path(source)
+        if path is not None:
+            try:
+                return Sample.from_values(_load_path(path, column))
+            except (ValueError, csv.Error, OSError):
+                pass  # an OSError is raised again, as it was, by open below
         with open(source, "r", encoding="utf-8") as fh:
-            return load_sample(fh, column=column)
+            if path is None:
+                return load_sample(fh, column=column)
+            return _parse_rows(fh, column)
     if not source.seekable():
-        source = io.StringIO(source.read())
+        try:
+            source = io.StringIO(source.read())
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc, 0) from None
     start = source.tell()
     try:
-        return Sample.from_values(_load_column(source, column))
+        options = {} if column is None else _csv_options(next(csv.reader(source), []), column)
+        return Sample.from_values(_loadtxt(source, **options))
     except (ValueError, csv.Error):
         source.seek(start)
-    if column is not None:
-        return parse_sample_csv(source, column)
-    return parse_sample_lines(source)
+    return _parse_rows(source, column)
 
 
-def _load_column(stream: TextIO, column: str | None) -> np.ndarray:
-    """One column of floats read by ``np.loadtxt``; ValueError on any doubt."""
-    options = {}
-    if column is not None:
-        header = next(csv.reader(stream), [])
-        if column not in header:
-            raise ValueError(f"column {column!r} not found")
-        last = len(header) - 1 - header[::-1].index(column)
-        options = {"delimiter": ",", "quotechar": '"', "usecols": last}
+def _parse_rows(stream: TextIO, column: str | None) -> Sample:
+    return parse_sample_lines(stream) if column is None else parse_sample_csv(stream, column)
+
+
+def _numpy_path(source: str | Path) -> str | None:
+    """The absolute path of a regular file that numpy reads as it is, else None.
+
+    Absolute, so numpy cannot take it for a URL.
+    """
+    if Path(source).suffix.lower() in _COMPRESSED_SUFFIXES:
+        return None
+    try:
+        if not stat.S_ISREG(os.stat(source).st_mode):
+            return None
+    except OSError:
+        return None  # raised again, as it was, by open
+    return os.path.abspath(source)
+
+
+def _csv_options(header: list[str], column: str) -> dict:
+    """``np.loadtxt`` options reading ``column`` below ``header``; ValueError if absent."""
+    if column not in header:
+        raise ValueError(f"column {column!r} not found")
+    last = len(header) - 1 - header[::-1].index(column)
+    return {"delimiter": ",", "quotechar": '"', "usecols": last}
+
+
+def _loadtxt(source: str | TextIO, **options) -> np.ndarray:
+    """One (rows, 1) column of floats read by ``np.loadtxt``; ValueError on any doubt."""
     with warnings.catch_warnings():
         # an empty input is refused by the row parser with its own message
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        arr = np.loadtxt(stream, comments=None, ndmin=2, **options)
+        arr = np.loadtxt(source, comments=None, ndmin=2, **options)
     if arr.shape[1] != 1:
         raise ValueError("more than one value on a line")
     return arr
+
+
+def _load_path(path: str, column: str | None) -> np.ndarray:
+    """The floats of a regular file, read by path, in parts when it is large."""
+    options = {"encoding": "utf-8", "skiprows": 0}
+    if column is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            options.update(_csv_options(next(reader, []), column), skiprows=reader.line_num)
+    try:
+        values = _load_parts(path, options)
+    except OSError:  # no fork or shared memory to be had, say
+        values = None
+    return _loadtxt(path, **options) if values is None else values
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _load_parts(path: str, options: dict) -> np.ndarray | None:
+    """The floats of a large file, each part after the first parsed in a
+    forked child; None when the file is small or any part is in doubt."""
+    parts = min(_usable_cpus(), os.path.getsize(path) // SPLIT_BYTES)
+    if parts < 2 or threading.active_count() != 1:
+        return None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # cut after the first newline at or past each 1/parts of the file
+    cuts = {data.find(b"\n", len(data) * j // parts) + 1 for j in range(1, parts)}
+    bounds = [0, *sorted(c for c in cuts if 0 < c < len(data)), len(data)]
+    text = np.frombuffer(data, dtype=np.uint8)
+    spans = [text[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    newlines = [int(np.count_nonzero(span == 10)) for span in spans]
+    # part j skips the lines before it; its rows are its lines, less the
+    # header's in the first part, plus an unterminated last line in the last
+    skips = [options["skiprows"], *itertools.accumulate(newlines[:-1])]
+    rows = [*newlines]
+    rows[0] -= options["skiprows"]
+    rows[-1] += not data.endswith(b"\n")
+    if len(spans) < 2 or min(rows) < 1:
+        return None
+    del data, text  # so that clearing spans frees the file's bytes
+    # imported here, so that starting the CLI loads neither
+    import mmap
+    import signal
+
+    ends = [0, *itertools.accumulate(rows)]
+    out = np.frombuffer(mmap.mmap(-1, ends[-1] * 8), dtype=float)
+
+    def read(j: int) -> bool:
+        # part j into its rows of out; the last part reads to the end of the file
+        if not _one_row_per_line(spans[j], newlines[j], "quotechar" in options):
+            return False
+        spans.clear()
+        max_rows = rows[j] if j < len(rows) - 1 else None
+        try:
+            values = _loadtxt(path, **{**options, "skiprows": skips[j], "max_rows": max_rows})
+        except ValueError:
+            return False
+        if values.size != rows[j]:
+            return False
+        out[ends[j] : ends[j + 1]] = values[:, 0]
+        return True
+
+    children = []
+    try:
+        for j in range(1, len(rows)):
+            pid = os.fork()
+            if pid == 0:
+                # the child never returns into the caller
+                ok = False
+                try:
+                    warnings.simplefilter("error")  # so a child writes nothing to stderr
+                    ok = read(j)
+                finally:
+                    os._exit(0 if ok else 1)
+            children.append(pid)
+        if not read(0):
+            return None
+        while children:
+            _, status = os.waitpid(children[-1], 0)
+            children.pop()
+            if status != 0:
+                return None
+        return out
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _one_row_per_line(span: np.ndarray, newlines: int, quotes: bool) -> bool:
+    """Whether each line of a part's bytes ``span`` is one row to ``np.loadtxt``."""
+    return not (
+        # every byte below 33 is a newline (no \r, space or tab), and none is above 127
+        np.count_nonzero(span < 33) != newlines
+        or span.max() > 127
+        # no empty line
+        or span[0] == 10
+        or np.any((span[1:] == 10) & (span[:-1] == 10))
+        # no CSV quote
+        or (quotes and np.any(span == 34))
+    )
 
 
 # ---------------------------------------------------------------------------

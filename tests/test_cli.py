@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -160,6 +161,72 @@ def test_gof_jacobi_constant_sample_exit_2(capsys, monkeypatch, n):
     assert json.loads(out) == {
         "error": "degenerate_sample", "message": "constant sample: test variance is zero"
     }
+
+
+CONSTANT_WARNING = (
+    "warning: constant sample: point estimates are the gamma = 1 boundary "
+    "and the covariance rows are constant\n"
+)
+
+
+def test_fit_constant_sample_shows_the_boundary_fit_and_the_test_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("3\n" * 40))
+    code, out, err = run_cli(capsys, "fit", "ps", "-")
+    assert code == 2
+    assert err == CONSTANT_WARNING
+    payload = json.loads(out)
+    assert payload["gamma_hat"] == 1.0 and payload["lambda_hat"] == 3.0
+    assert payload["se_gamma"] == 0.0 and payload["diagnostics"] == ["degenerate_sample"]
+    assert payload["error"] == "degenerate_sample"
+    assert payload["message"] == "constant sample: test variance is zero"
+    assert "t_stat" not in payload
+
+
+@pytest.mark.parametrize("fmt", ["csv", "human"])
+def test_fit_constant_sample_other_formats(capsys, monkeypatch, fmt):
+    monkeypatch.setattr("sys.stdin", io.StringIO("3\n" * 40))
+    code, out, err = run_cli(capsys, "fit", "ps", "-", "--format", fmt)
+    assert code == 2
+    assert err == CONSTANT_WARNING
+    if fmt == "csv":
+        row = dict(zip(*csv.reader(io.StringIO(out))))
+    else:
+        row = dict(line.split(None, 1) for line in out.splitlines())
+    assert row["gamma_hat"] == "1.0" and row["error"] == "degenerate_sample"
+    assert row["message"] == "constant sample: test variance is zero"
+
+
+@pytest.mark.parametrize(
+    "data,column,row",
+    [(b"1.5\n\xff2\n", None, 2), (b"w,v\n1,1.5\n2,\xff2\n", "v", 3)],
+    ids=["text", "csv"],
+)
+def test_fit_refuses_a_file_that_is_not_utf8(capsys, tmp_path, data, column, row):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    argv = ["fit", "ps", str(path)] + (["--column", column] if column else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error (invalid_sample): row {row}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+@pytest.mark.parametrize(
+    "data,column,row",
+    [(b"1.5\n\xff2\n", None, 2), (b"w,v\n1,1.5\n2,\xff2\n", "v", 3)],
+    ids=["text", "csv"],
+)
+def test_fit_refuses_stdin_that_is_not_utf8(data, column, row, errors):
+    # stdin decodes strictly under a UTF-8 locale and escapes bad bytes under a POSIX one
+    pythonpath = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "laplacefit", "fit", "ps", "-"] + (["--column", column] if column else []),
+        input=data,
+        env=dict(os.environ, PYTHONPATH=pythonpath, PYTHONIOENCODING=f"utf-8:{errors}"),
+        capture_output=True,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == f"error (invalid_sample): row {row}: not UTF-8 text\n".encode()
 
 
 def test_fit_rejects_bad_rows(capsys, tmp_path):

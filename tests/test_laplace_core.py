@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import io
 import math
 import os
+import tempfile
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,6 +110,16 @@ class Unseekable(io.StringIO):
         raise io.UnsupportedOperation("not seekable")
 
 
+class UnseekableBytes(io.TextIOWrapper):
+    """A UTF-8 text stream over ``data`` that cannot seek, like a stdin pipe."""
+
+    def __init__(self, data: bytes):
+        super().__init__(io.BytesIO(data), encoding="utf-8")
+
+    def seekable(self) -> bool:
+        return False
+
+
 def read_outcome(read):
     """The values of one read as bytes, or the type and message of its error."""
     try:
@@ -115,17 +128,59 @@ def read_outcome(read):
         return type(exc), str(exc)
 
 
+@contextlib.contextmanager
+def forced_split(parts=3):
+    """Path reads split into ``parts`` parts however small the file; yields
+    the list that gains an entry per fork."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    with mock.patch.object(laplace_core, "SPLIT_BYTES", 1), \
+            mock.patch.object(laplace_core, "_usable_cpus", lambda: parts), \
+            mock.patch.object(os, "fork", fork):
+        yield forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_outcome(path, column=None):
+    """The outcome of reading ``path`` split three ways, and how many children it forked."""
+    with forced_split() as forks:
+        outcome = read_outcome(lambda: load_sample(path, column=column))
+    assert_no_child_left()
+    return outcome, len(forks)
+
+
 def assert_same_as_row_parser(text, column=None):
     """``load_sample`` on ``text`` matches the row parser bit for bit, error
-    for error, and warns nothing, whether or not the stream can seek."""
+    for error, and warns nothing: from a stream that can seek or not, and
+    from a file read by path in one process or split; no read leaves a
+    child process behind."""
     if column is None:
         expected = read_outcome(lambda: parse_sample_lines(io.StringIO(text)))
     else:
         expected = read_outcome(lambda: parse_sample_csv(io.StringIO(text), column))
-    for stream in (io.StringIO(text), Unseekable(text)):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sample.csv" if column else "sample.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        reads = [
+            lambda: load_sample(io.StringIO(text), column=column),
+            lambda: load_sample(Unseekable(text), column=column),
+            lambda: load_sample(path, column=column),
+        ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert read_outcome(lambda: load_sample(stream, column=column)) == expected
+            for read in reads:
+                assert read_outcome(read) == expected
+            assert split_outcome(path, column)[0] == expected
 
 
 LINE_TOKENS = [
@@ -192,6 +247,186 @@ def test_load_named_cases_match_row_parser(text, column, message):
         with pytest.raises(SampleValidationError) as excinfo:
             load_sample(io.StringIO(text), column=column)
         assert str(excinfo.value) == message
+
+
+def numbered_values(n, start=1):
+    return [f"{i}.25" for i in range(start, start + n)]
+
+
+@pytest.mark.parametrize(
+    "lines,column,message",
+    [
+        # later parts of a three-way split: the row parser's message and row
+        (numbered_values(20) + ["inf"] + numbered_values(9), None, "row 21: non-finite value 'inf'"),
+        (numbered_values(25) + ["1 2"] + numbered_values(4), None, "row 26: cannot parse '1 2'"),
+        (numbered_values(24) + ["1.0x"] + numbered_values(5), None, "row 25: cannot parse '1.0x'"),
+        (["v"] + numbered_values(25) + ["-3"] + numbered_values(4), "v", "row 27: negative value '-3'"),
+        # a blank and a whitespace-only line in each part
+        (numbered_values(4) + [""] + numbered_values(5) + [" \t"] + numbered_values(10) + [""] + numbered_values(9), None, None),
+        (["v"] + numbered_values(4) + [""] + numbered_values(5) + ["  "] + numbered_values(10) + [""] + numbered_values(9), "v", "row 12: empty cell in column 'v'"),
+        # a quoted CSV cell holding a newline, in the middle part and in the last
+        (["w,v"] + [f"{i},{i}.5" for i in range(14)] + ['14,"15\n"'] + [f"{i},{i}.5" for i in range(16, 30)], "v", None),
+        (["w,v"] + [f"{i},{i}.5" for i in range(20)] + ['20,"2\n1"'] + [f"{i},{i}.5" for i in range(22, 30)], "v", "row 23: cannot parse '2\\n1'"),
+    ],
+    ids=["inf", "two-tokens", "bad-token", "csv-negative", "blank-lines", "csv-blank-lines", "quoted-newline", "quoted-newline-bad-cell"],
+)
+def test_split_read_matches_row_parser(lines, column, message):
+    text = "\n".join(lines) + "\n"
+    assert_same_as_row_parser(text, column)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sample.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        outcome, forks = split_outcome(path, column)
+    assert forks == 2
+    if message is None:
+        assert isinstance(outcome, bytes)
+    else:
+        assert outcome == (SampleValidationError, message)
+
+
+@pytest.mark.parametrize(
+    "data,name",
+    [
+        (b"1.5\r\n2\r\n\r\n3.25\r\n" * 10, "crlf.txt"),
+        (b"1.5\r2\r3.25\r" * 10, "cr.txt"),
+        ("\ufeff1.5\n2\n".encode() + b"3.25\n" * 20, "bom.txt"),
+        ("1.5\n2\n3.25\n\u00a0\n".encode() * 10, "nbsp.txt"),
+        (b"1.5\n2\n3.25\n" * 10, "plain.gz"),
+        (b"1.5\n2\n3.25\n" * 10, "plain.XZ"),
+    ],
+    ids=["crlf", "cr", "bom", "nbsp-line", "plain-text-gz", "plain-text-xz"],
+)
+def test_file_reads_match_row_parser(tmp_path, data, name):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as fh:
+        expected = read_outcome(lambda: parse_sample_lines(fh))
+    assert read_outcome(lambda: load_sample(path)) == expected
+    assert split_outcome(path)[0] == expected
+
+
+def test_split_read_is_the_one_process_read(tmp_path):
+    values = derive_substream(211).gamma(0.5, 2.0, 3000)
+    values[::7] = 0.0
+    txt, csv_path = tmp_path / "draws.txt", tmp_path / "draws.csv"
+    txt.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    csv_path.write_text("id,amount\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist())))
+    for path, column in ((txt, None), (csv_path, "amount")):
+        for parts in (2, 3, 5):
+            with forced_split(parts) as forks:
+                sample = load_sample(path, column=column)
+            assert_no_child_left()
+            assert len(forks) == parts - 1
+            assert sample.values.tobytes() == values.tobytes()
+
+
+def test_split_falls_back_when_a_child_fails(tmp_path):
+    path = tmp_path / "draws.txt"
+    values = derive_substream(212).gamma(0.5, 2.0, 500)
+    path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    parent, real_check = os.getpid(), laplace_core._one_row_per_line
+
+    def fail_in_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("child fails")
+        return real_check(*args)
+
+    reads = []
+    real_loadtxt = laplace_core._loadtxt
+
+    def count_loadtxt(source, **options):
+        reads.append(options.get("max_rows"))
+        return real_loadtxt(source, **options)
+
+    with mock.patch.object(laplace_core, "_one_row_per_line", fail_in_child), \
+            mock.patch.object(laplace_core, "_loadtxt", count_loadtxt), forced_split() as forks:
+        sample = load_sample(path)
+    assert_no_child_left()
+    assert len(forks) == 2
+    # the parent read its own part, then the whole file
+    assert reads[-1] is None and len(reads) == 2
+    assert sample.values.tobytes() == values.tobytes()
+
+
+def test_split_reaps_children_when_the_parent_raises(tmp_path):
+    path = tmp_path / "draws.txt"
+    path.write_text("1.5\n" * 300)
+    parent, real_check = os.getpid(), laplace_core._one_row_per_line
+
+    def fail_in_parent(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real_check(*args)
+
+    with mock.patch.object(laplace_core, "_one_row_per_line", fail_in_parent), forced_split() as forks:
+        with pytest.raises(KeyboardInterrupt):
+            load_sample(path)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_split_needs_one_thread_and_a_large_file(tmp_path):
+    path = tmp_path / "draws.txt"
+    path.write_text("1.5\n2\n" * 300)
+    with forced_split() as forks:
+        with mock.patch.object(laplace_core, "SPLIT_BYTES", path.stat().st_size // 2 + 1):
+            load_sample(path)
+        assert forks == []
+        stop = threading.Event()
+        worker = threading.Thread(target=stop.wait)
+        worker.start()
+        try:
+            load_sample(path)
+        finally:
+            stop.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert forks == []
+        load_sample(path)
+        assert len(forks) == 2
+
+
+@pytest.mark.parametrize(
+    "data,column,row",
+    [
+        (b"1.5\n\xff2\n", None, 2),
+        (b"1.5\r\n2\r\n\r\n\xff\r\n", None, 4),
+        (b"1.5\r2\r\xff3\r", None, 3),
+        (b"1.5\n" * 5000 + b"2\xe9\n", None, 5001),
+        (b"w,v\n1,1.5\n2,\xff2\n", "v", 3),
+        # a byte that is not UTF-8 in another column is refused too
+        (b"w,v\n1,1.5\n\xff,2\n", "v", 3),
+        (b"w,\xffv\n1,1.5\n", "v", 1),
+    ],
+    ids=["text", "crlf", "cr", "past-a-chunk", "csv", "csv-other-column", "csv-header"],
+)
+def test_load_refuses_text_that_is_not_utf8(tmp_path, data, column, row):
+    expected = (SampleValidationError, f"row {row}: not UTF-8 text")
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    assert read_outcome(lambda: load_sample(path, column=column)) == expected
+    assert split_outcome(path, column)[0] == expected
+    for stream in (io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), UnseekableBytes(data)):
+        with stream:
+            assert read_outcome(lambda: load_sample(stream, column=column)) == expected
+    with open(path, encoding="utf-8") as fh:
+        if column is None:
+            assert read_outcome(lambda: parse_sample_lines(fh)) == expected
+        else:
+            assert read_outcome(lambda: parse_sample_csv(fh, column)) == expected
+
+
+def test_row_parser_refuses_escaped_bytes():
+    # a stream decoding with errors="surrogateescape", as stdin under a POSIX locale
+    data = b"1.5\n\xff2\n"
+    escaped = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    with pytest.raises(SampleValidationError) as excinfo:
+        load_sample(escaped)
+    assert str(excinfo.value) == "row 2: not UTF-8 text"
+    with pytest.raises(SampleValidationError) as excinfo:
+        parse_sample_csv(io.StringIO("w,v\n1,\udcff\n"), "v")
+    assert str(excinfo.value) == "row 2: not UTF-8 text"
 
 
 def test_load_refuses_two_tokens_on_one_line():
