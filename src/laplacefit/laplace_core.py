@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -161,18 +161,17 @@ def _escaped(token: str) -> bool:
 def parse_sample_csv(stream: TextIO, column: str) -> Sample:
     """Extract a named column from CSV text and validate it as a sample.
 
-    Bytes that are not UTF-8 are refused as :func:`parse_sample_lines` refuses them.
+    Each row's cell at the column's index (see :func:`_csv_options`) is
+    read; a blank row is skipped and a row too short for the index has an
+    empty cell.  Errors name the file line where the record ends.  Bytes
+    that are not UTF-8 are refused as :func:`parse_sample_lines` refuses them.
     """
-    reader = csv.DictReader(stream)
+    reader = csv.reader(stream)
     cells = []
     try:
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            raise SampleValidationError(
-                f"column {column!r} not found (have {reader.fieldnames})"
-            )
-        for row in reader:
-            # errors name the file line where the record ends, blank lines included
-            cell = (row.get(column) or "").strip()
+        index = _csv_options(reader, column)["usecols"]
+        for row in filter(None, reader):  # a blank row is skipped
+            cell = row[index].strip() if index < len(row) else ""
             if not cell:
                 raise SampleValidationError(f"row {reader.line_num}: empty cell in column {column!r}")
             cells.append((reader.line_num, cell))
@@ -192,9 +191,9 @@ def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sampl
     """Load a sample from a path or open text stream.
 
     Plain text means one decimal float per line; passing ``column`` switches
-    to CSV mode and reads that column (the last one of that name, as
-    ``csv.DictReader`` would).  Text is UTF-8; a byte that is not is refused
-    with its row.
+    to CSV mode and reads that column (the last one of that name in the
+    header, see :func:`_csv_options`).  Text is UTF-8; a byte that is not is
+    refused with its row.
 
     ``np.loadtxt`` reads the values.  A regular file is handed to it by its
     path, so its C reader takes the text in chunks rather than one Python
@@ -210,8 +209,10 @@ def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sampl
     per line: a file with a part that holds a byte outside printable ASCII
     other than the newline (``\\r``, a space or tab, non-ASCII text), an
     empty line or, in CSV mode, a quote is read in one process instead, as
-    it is when a child fails or reads a different shape.  Every child is
-    reaped before this returns or raises.
+    it is when a child fails or reads a different shape.  When every part
+    is one row per line and numpy refuses one of them, the file goes
+    straight to the row parser below, with no read in one process.  Every
+    child is reaped before this returns or raises.
 
     A stream, stdin included, is read in one process: numpy reads it a line
     at a time and there is no path for a child to open.  A stream that
@@ -239,7 +240,7 @@ def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sampl
             raise _not_utf8(exc, 0) from None
     start = source.tell()
     try:
-        options = {} if column is None else _csv_options(next(csv.reader(source), []), column)
+        options = {} if column is None else _csv_options(csv.reader(source), column)
         return Sample.from_values(_loadtxt(source, **options))
     except (ValueError, csv.Error):
         source.seek(start)
@@ -265,10 +266,13 @@ def _numpy_path(source: str | Path) -> str | None:
     return os.path.abspath(source)
 
 
-def _csv_options(header: list[str], column: str) -> dict:
-    """``np.loadtxt`` options reading ``column`` below ``header``; ValueError if absent."""
-    if column not in header:
-        raise ValueError(f"column {column!r} not found")
+def _csv_options(reader: Iterator[list[str]], column: str) -> dict:
+    """``np.loadtxt`` options reading ``column``, the last cell of that name
+    in the header, the first row of the CSV ``reader``; every CSV reader
+    finds its column, or is refused, here."""
+    header = next(reader, None)
+    if header is None or column not in header:
+        raise SampleValidationError(f"column {column!r} not found (have {header})")
     last = len(header) - 1 - header[::-1].index(column)
     return {"delimiter": ",", "quotechar": '"', "usecols": last}
 
@@ -290,7 +294,7 @@ def _load_path(path: str, column: str | None) -> np.ndarray:
     if column is not None:
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            options.update(_csv_options(next(reader, []), column), skiprows=reader.line_num)
+            options.update(_csv_options(reader, column), skiprows=reader.line_num)
     try:
         values = _load_parts(path, options)
     except OSError:  # no fork or shared memory to be had, say
@@ -305,9 +309,15 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+#: the exit statuses of a part's read; the file's is the highest of its parts'
+_PART_READ, _PART_REFUSED, _PART_IN_DOUBT = 0, 1, 2
+
+
 def _load_parts(path: str, options: dict) -> np.ndarray | None:
     """The floats of a large file, each part after the first parsed in a
-    forked child; None when the file is small or any part is in doubt."""
+    forked child; None when the file is small or a part is in doubt.
+    ValueError when numpy refuses a part and none is in doubt: each part's
+    lines are then its rows, so numpy refuses the whole file as well."""
     parts = min(_usable_cpus(), os.path.getsize(path) // SPLIT_BYTES)
     if parts < 2 or threading.active_count() != 1:
         return None
@@ -335,20 +345,20 @@ def _load_parts(path: str, options: dict) -> np.ndarray | None:
     ends = [0, *itertools.accumulate(rows)]
     out = np.frombuffer(mmap.mmap(-1, ends[-1] * 8), dtype=float)
 
-    def read(j: int) -> bool:
+    def read(j: int) -> int:
         # part j into its rows of out; the last part reads to the end of the file
         if not _one_row_per_line(spans[j], newlines[j], "quotechar" in options):
-            return False
+            return _PART_IN_DOUBT
         spans.clear()
         max_rows = rows[j] if j < len(rows) - 1 else None
         try:
             values = _loadtxt(path, **{**options, "skiprows": skips[j], "max_rows": max_rows})
         except ValueError:
-            return False
+            return _PART_REFUSED
         if values.size != rows[j]:
-            return False
+            return _PART_IN_DOUBT
         out[ends[j] : ends[j + 1]] = values[:, 0]
-        return True
+        return _PART_READ
 
     children = []
     try:
@@ -356,21 +366,22 @@ def _load_parts(path: str, options: dict) -> np.ndarray | None:
             pid = os.fork()
             if pid == 0:
                 # the child never returns into the caller
-                ok = False
+                status = _PART_IN_DOUBT
                 try:
                     warnings.simplefilter("error")  # so a child writes nothing to stderr
-                    ok = read(j)
+                    status = read(j)
                 finally:
-                    os._exit(0 if ok else 1)
+                    os._exit(status)
             children.append(pid)
-        if not read(0):
-            return None
-        while children:
-            _, status = os.waitpid(children[-1], 0)
+        status = read(0)
+        while children and status != _PART_IN_DOUBT:
+            _, wait = os.waitpid(children[-1], 0)
             children.pop()
-            if status != 0:
-                return None
-        return out
+            code = os.waitstatus_to_exitcode(wait)  # negative for a child a signal ended
+            status = max(status, code if code >= 0 else _PART_IN_DOUBT)
+        if status == _PART_REFUSED:
+            raise ValueError("numpy refuses a part of the file")
+        return None if status == _PART_IN_DOUBT else out
     finally:
         for pid in children:
             os.kill(pid, signal.SIGKILL)

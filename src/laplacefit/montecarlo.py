@@ -533,20 +533,20 @@ DEFAULT_TABLE_SEED = 20260809
 
 
 def table_configs(
-    table: int,
-    desk_scale: bool = False,
-    base_seed: int | None = None,
-    replications: int | None = None,
+    table: int, desk_scale: bool = False, base_seed: int | None = None
 ) -> list[ExperimentConfig]:
-    """Configs for one benchmark table; row i gets base seed base_seed + i."""
+    """Configs for one benchmark table; row i gets base seed base_seed + i.
+
+    Each config runs the design's full replication count, or its desk-scale
+    count when ``desk_scale`` is set; ``dataclasses.replace`` sets any other.
+    """
     if table == 6:
         raise ConfigError("table: 6 is the deterministic conversion table; use run_table")
     if table not in TABLE_DESIGNS:
         raise ConfigError(f"table: must be one of {sorted([*TABLE_DESIGNS, 6])}, got {table}")
     design = TABLE_DESIGNS[table]
     seed0 = DEFAULT_TABLE_SEED + 1000 * table if base_seed is None else base_seed
-    if replications is None:
-        replications = design.desk_replications if desk_scale else design.full_replications
+    replications = design.desk_replications if desk_scale else design.full_replications
     return [
         ExperimentConfig(
             generator=DistributionSpec.parse(row),
@@ -572,20 +572,13 @@ def conversion_report(base_seed: int = 0) -> ExperimentReport:
 
 
 def run_table(
-    table: int,
-    desk_scale: bool = False,
-    base_seed: int | None = None,
-    replications: int | None = None,
-    jobs: int = 1,
+    table: int, desk_scale: bool = False, base_seed: int | None = None, jobs: int = 1
 ) -> ExperimentReport:
-    """Run one benchmark table end to end."""
+    """Run one benchmark table end to end, as :func:`table_configs` sets it up."""
     jobs = _at_least("jobs", jobs, 1)
     if table == 6:
         return conversion_report(base_seed=base_seed or 0)
-    configs = table_configs(
-        table, desk_scale=desk_scale, base_seed=base_seed, replications=replications
-    )
-    return run_configs(configs, jobs=jobs)
+    return run_configs(table_configs(table, desk_scale=desk_scale, base_seed=base_seed), jobs=jobs)
 
 
 def coverage_grid_configs(

@@ -105,6 +105,14 @@ class FitBatch:
         )
 
 
+def _blank_failed(errors: list[LaplaceFitError | None], *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, each with NaN in the rows (first axis) that have an error."""
+    if all(error is None for error in errors):
+        return arrays
+    failed = np.array([error is not None for error in errors])
+    return tuple(np.where(failed.reshape(-1, *[1] * (a.ndim - 1)), math.nan, a) for a in arrays)
+
+
 def make_fit(
     family: str, param_names: tuple[str, ...], estimates: np.ndarray, cov: np.ndarray,
     units: np.ndarray, a: np.ndarray, n: int, alpha: float, flags: dict[str, np.ndarray],
@@ -122,10 +130,7 @@ def make_fit(
     est +- z*se past the float maximum.
     """
     z = normal_quantile(alpha)
-    if any(error is not None for error in errors):
-        failed = np.array([error is not None for error in errors])
-        estimates = np.where(failed[:, None], math.nan, estimates)
-        cov = np.where(failed[:, None, None], math.nan, cov)
+    estimates, cov = _blank_failed(errors, estimates, cov)
     with np.errstate(over="ignore", invalid="ignore"):
         se = units * np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / n)
         cov_hat = cov * units[:, :, None] * units[:, None, :]
@@ -195,10 +200,7 @@ def make_gof_outcome(
     """Standardize each row's statistic; a zero variance estimate is a degenerate sample."""
     check_alpha(alpha)
     refuse(errors, sigma_hat == 0.0, lambda i: DegenerateSampleError("test variance estimate is zero"))
-    if any(error is not None for error in errors):
-        failed = np.array([error is not None for error in errors])
-        statistic = np.where(failed, math.nan, statistic)
-        sigma_hat = np.where(failed, math.nan, sigma_hat)
+    statistic, sigma_hat = _blank_failed(errors, statistic, sigma_hat)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = statistic / sigma_hat
     p = np.array([two_sided_p_value(v) for v in z.tolist()])

@@ -20,7 +20,7 @@ prefer :func:`laplacefit.fit_ps` there.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -92,24 +92,15 @@ def tw_theoretical_censored_moments(
 # the estimator map
 
 
-@dataclass(frozen=True)
-class PsiPhi:
-    """The two moment aggregates, disambiguated.
+def psi_phi(m1: float, m2: float, m3: float) -> tuple[float, float, float]:
+    """The moment aggregates (psi, phi_inv, phi_exp).
 
-    ``psi_raw`` is the raw aggregate
-    (m3 - e^2 m1^3)/(m1 m2 - e m1^3) - 2e - m2/m1^2; ``phi_inv`` is its
-    reciprocal (the factor appearing in the estimators) and ``phi_exp`` is the
-    exponent 1 - (m2/m1^2 - e)/psi_raw, which equals the fitted index.
+    ``psi`` is the raw aggregate (m3 - e^2 m1^3)/(m1 m2 - e m1^3) - 2e - m2/m1^2,
+    ``phi_inv`` its reciprocal (the factor in the estimators) and ``phi_exp``
+    the exponent 1 - (m2/m1^2 - e)/psi, which equals the fitted index.
     """
-
-    psi_raw: float
-    phi_inv: float
-    phi_exp: float
-
-
-def psi_phi(m1: float, m2: float, m3: float) -> PsiPhi:
     psi = (m3 - E**2 * m1**3) / (m1 * m2 - E * m1**3) - 2.0 * E - m2 / m1**2
-    return PsiPhi(psi_raw=psi, phi_inv=1.0 / psi, phi_exp=1.0 - (m2 / m1**2 - E) / psi)
+    return psi, 1.0 / psi, 1.0 - (m2 / m1**2 - E) / psi
 
 
 def _h(v: np.ndarray) -> np.ndarray:
@@ -117,9 +108,9 @@ def _h(v: np.ndarray) -> np.ndarray:
     # axis, any batch axes after it; no guards, and analytic so that it takes
     # complex steps: |gamma| is gamma times the sign of its real part
     m1, m2, m3, a = v
-    agg = psi_phi(m1, m2, m3)
-    gamma = 1.0 - (m2 / m1**2 - E) * agg.phi_inv
-    theta = -a + agg.phi_inv / m1
+    _, phi_inv, _ = psi_phi(m1, m2, m3)
+    gamma = 1.0 - (m2 / m1**2 - E) * phi_inv
+    theta = -a + phi_inv / m1
     lam = E * m1 / (gamma * np.copysign(1.0, gamma.real)) * (theta + a) ** (1.0 - gamma)
     return np.array([gamma, lam, theta])
 
@@ -215,8 +206,8 @@ def _gof_map(v: np.ndarray) -> np.ndarray:
     # (m1, m2, m3, a) -> -(1 - a*m1*psi)**phi - (psi - m2/m1^2)/e, which is the
     # centered value whose sqrt(n)-scaled plug-in version is the test statistic
     m1, m2, m3, a = v
-    agg = psi_phi(m1, m2, m3)
-    return -((1.0 - a * m1 * agg.psi_raw) ** agg.phi_exp) - (agg.psi_raw - m2 / m1**2) / E
+    psi, _, phi_exp = psi_phi(m1, m2, m3)
+    return -((1.0 - a * m1 * psi) ** phi_exp) - (psi - m2 / m1**2) / E
 
 
 def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:

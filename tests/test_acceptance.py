@@ -356,9 +356,9 @@ def test_criterion_7b_gof_population_identities():
     for params in (TweedieParams(0.5, 2.0, 0.5), TweedieParams(-1.0, 3.0, 1.2)):
         a_star = tw_censoring_point(params)
         m1, m2, m3 = tw_theoretical_censored_moments(params, a_star)
-        agg = psi_phi(m1, m2, m3)
-        lhs = (1.0 - a_star * m1 * agg.psi_raw) ** agg.phi_exp
-        rhs = -(agg.psi_raw - m2 / m1**2) / E
+        psi, _, phi_exp = psi_phi(m1, m2, m3)
+        lhs = (1.0 - a_star * m1 * psi) ** phi_exp
+        rhs = -(psi - m2 / m1**2) / E
         if abs(lhs - rhs) > 1e-9 or abs(_gof_map(np.array([m1, m2, m3, a_star]))) > 1e-9:
             violations.append(("tw", params))
     check("criterion 7b (gof identities)", violations, "statistic numerators vanish to 1e-9")

@@ -39,6 +39,8 @@ from laplacefit.laplace_core import (
     positive_medians,
 )
 
+from csv_oracle import dict_reader_csv
+
 E = math.e
 
 
@@ -198,18 +200,45 @@ def test_load_text_matches_row_parser(lines, newline, bom, last_newline):
     assert_same_as_row_parser(text)
 
 
-@given(
+#: CSV text as (header, rows, newline, last_newline): rows of any length
+#: (short, long, blank or whitespace-only), a header that may name "v"
+#: twice or not at all, and header-only files
+CSV_TEXTS = (
     st.lists(st.sampled_from(["v", "w", " v", '"v"']), max_size=4),
     st.lists(st.lists(st.sampled_from(CSV_CELLS), max_size=4), max_size=5),
     NEWLINES,
     st.booleans(),
 )
+
+
+def csv_text(header, rows, newline, last_newline):
+    return newline.join(",".join(cells) for cells in [header, *rows]) + (newline if last_newline else "")
+
+
+@given(*CSV_TEXTS)
 @settings(max_examples=300, deadline=None)
 def test_load_csv_matches_row_parser(header, rows, newline, last_newline):
-    # rows of any length (short, long, blank or whitespace-only), a header
-    # that may name "v" twice or not at all, and header-only files
-    text = newline.join(",".join(cells) for cells in [header, *rows]) + (newline if last_newline else "")
-    assert_same_as_row_parser(text, column="v")
+    assert_same_as_row_parser(csv_text(header, rows, newline, last_newline), column="v")
+
+
+@given(*CSV_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_csv_row_parser_matches_dict_reader(header, rows, newline, last_newline):
+    # the cell read by index is the cell csv.DictReader's record holds
+    text = csv_text(header, rows, newline, last_newline)
+    assert read_outcome(lambda: parse_sample_csv(io.StringIO(text), "v")) == read_outcome(
+        lambda: dict_reader_csv(io.StringIO(text), "v")
+    )
+
+
+def test_csv_row_parser_names_a_bad_byte_after_blank_lines():
+    # blank lines that end just before the decoder's chunk with a bad byte:
+    # the row counts every line read, the blank ones included (csv.DictReader's
+    # line count stops at the first blank line of a run, row 1304 here)
+    data = b"w,v\n" + b"1,2.5\n" * 1300 + b"1," + b"9" * 380 + b"\n" + b"\n\n\n" + b"1,\xff\n"
+    with pytest.raises(SampleValidationError) as excinfo:
+        parse_sample_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), "v")
+    assert str(excinfo.value) == "row 1306: not UTF-8 text"
 
 
 @pytest.mark.parametrize(
@@ -319,6 +348,38 @@ def test_split_read_is_the_one_process_read(tmp_path):
             assert_no_child_left()
             assert len(forks) == parts - 1
             assert sample.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "values,column,whole_reads",
+    [
+        (numbered_values(29) + ["oops"], None, 0),
+        (numbered_values(29) + ["oops"], "v", 0),
+        # a part in doubt (a space in the last) still sends the file to the
+        # one-process read, whatever numpy made of the other parts
+        (["1.25", "oops"] + numbered_values(26) + [" 3", "4"], None, 1),
+    ],
+    ids=["text", "csv", "refused-and-in-doubt"],
+)
+def test_split_read_refused_goes_to_row_parser(tmp_path, values, column, whole_reads):
+    # numpy refuses a part and no part is in doubt: the row parser reads the
+    # file next, with no read of the whole file by numpy in one process
+    lines = values if column is None else [column, *values]
+    bad = 1 + lines.index("oops")
+    path = tmp_path / "sample.txt"
+    path.write_text("\n".join(lines) + "\n")
+    reads, real_loadtxt = [], np.loadtxt
+
+    def count_loadtxt(*args, **options):
+        reads.append(options.get("max_rows"))
+        return real_loadtxt(*args, **options)
+
+    with mock.patch.object(np, "loadtxt", count_loadtxt):
+        outcome, forks = split_outcome(path, column)
+    assert forks == 2
+    # the parent's loadtxt calls: its own part, then any whole-file read
+    assert reads.count(None) == whole_reads and len(reads) == 1 + whole_reads
+    assert outcome == (SampleValidationError, f"row {bad}: cannot parse 'oops'")
 
 
 def test_split_falls_back_when_a_child_fails(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -283,13 +284,13 @@ def test_table_configs_shapes():
 
 
 def test_table_configs_refuse_zero_replications():
-    # 0 is a value, not a request for the design's default count
+    # a table's config set to 0 replications is refused, not run at a default count
     with pytest.raises(ConfigError, match="replications: must be >= 1, got 0"):
-        table_configs(1, replications=0)
+        replace(table_configs(1)[0], replications=0)
 
 
 def test_table_run_record_shape():
-    report = run_table(1, replications=3)
+    report = run_configs([replace(c, replications=3) for c in table_configs(1)])
     # 4 models x 3 sizes x 2 parameters
     assert len(report.records) == 24
     rows = {(r.generator, r.n, r.parameter) for r in report.records}

@@ -152,10 +152,10 @@ def test_population_round_trip(params):
 def test_psi_phi_consistency(params):
     a_star = tw_censoring_point(params)
     m1, m2, m3 = tw_theoretical_censored_moments(params, a_star)
-    agg = psi_phi(m1, m2, m3)
-    assert agg.phi_inv * agg.psi_raw == pytest.approx(1.0, abs=1e-10)
-    gamma_via_inv = 1.0 - (m2 / m1**2 - E) * agg.phi_inv
-    assert agg.phi_exp == pytest.approx(gamma_via_inv, abs=1e-10)
+    psi, phi_inv, phi_exp = psi_phi(m1, m2, m3)
+    assert phi_inv * psi == pytest.approx(1.0, abs=1e-10)
+    gamma_via_inv = 1.0 - (m2 / m1**2 - E) * phi_inv
+    assert phi_exp == pytest.approx(gamma_via_inv, abs=1e-10)
 
 
 @pytest.mark.parametrize("params", PARAM_GRID)
@@ -164,9 +164,9 @@ def test_gof_population_identity(params):
     # makes the centered statistic vanish
     a_star = tw_censoring_point(params)
     m1, m2, m3 = tw_theoretical_censored_moments(params, a_star)
-    agg = psi_phi(m1, m2, m3)
-    lhs = (1.0 - a_star * m1 * agg.psi_raw) ** agg.phi_exp
-    rhs = -(agg.psi_raw - m2 / m1**2) / E
+    psi, _, phi_exp = psi_phi(m1, m2, m3)
+    lhs = (1.0 - a_star * m1 * psi) ** phi_exp
+    rhs = -(psi - m2 / m1**2) / E
     assert lhs == pytest.approx(rhs, rel=1e-9)
     assert _gof_map(np.array([m1, m2, m3, a_star])) == pytest.approx(0.0, abs=1e-9)
 
