@@ -448,11 +448,6 @@ def positive_medians(x: np.ndarray, zero_count: np.ndarray) -> np.ndarray:
     return np.where(lo_index == hi_index, hi, lo / 2.0 + hi / 2.0)
 
 
-def _rows(x: np.ndarray, index: np.ndarray) -> np.ndarray:
-    # the rows of x at index; x itself, not a copy, when index is every row
-    return x if index.size == x.shape[0] else x[index]
-
-
 def solve_rows(
     x: np.ndarray, zero_count: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[LaplaceFitError | None]]:
@@ -496,7 +491,7 @@ def solve_rows(
     a, f = np.full(rows, math.nan), np.full(rows, math.nan)
     iterations = np.zeros(rows, dtype=int)
     index = np.flatnonzero(zero_count < n)
-    xs, cs = _rows(x, index), c[index]
+    xs, cs = x if index.size == rows else x[index], c[index]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ai = 1.0 / positive_medians(xs, zero_count[index])
         tolerance = SOLVER_RTOL * cs
@@ -555,7 +550,9 @@ def moments_rows(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stays an exact zero.  A y = a*x that overflows is clamped to the largest
     float, which is exact: such an observation adds 0 to every moment.  The
     covariance is the centred two-pass form, which keeps its precision where
-    E[PP^T] - mm^T would cancel.
+    E[PP^T] - mm^T would cancel.  The pass holds MAX_ORDER floats per value
+    of ``x``.  A NaN ``a[i]`` carries through every step without a
+    floating-point warning, so a row whose solve failed gets NaN statistics.
     """
     rows, n = x.shape
     with np.errstate(over="ignore"):
@@ -590,7 +587,8 @@ class Batch:
     for r <= MAX_ORDER and the ddof=1 covariance ``cov[i]`` of the power
     products y**r * exp(-y), r < MAX_ORDER.  Both are unit-free: a map built
     on them sees the data's scale only through a.  A row whose solve failed
-    has NaN statistics and the error in ``errors[i]``.
+    has the error in ``errors[i]`` and a NaN ``a[i]``, so its statistics are
+    NaN.
     """
 
     n: int
@@ -606,22 +604,17 @@ class Batch:
 
 
 def summarise(x: np.ndarray) -> Batch:
-    """Solve and summarise every row of an (R, n) block of validated samples."""
-    rows, n = x.shape
+    """Solve and summarise every row of an (R, n) block of validated samples.
+
+    One :func:`solve_rows` call and one :func:`moments_rows` pass over the
+    whole block, which holds MAX_ORDER floats per value of ``x``.  A row whose
+    solve failed has a NaN censoring point, so its statistics come out NaN.
+    """
     zero_count = np.count_nonzero(x == 0.0, axis=-1)
     a, c_target, iterations, residual, errors = solve_rows(x, zero_count)
-    m_tilde = np.full((rows, MAX_ORDER + 1), math.nan)
-    cov = np.full((rows, MAX_ORDER, MAX_ORDER), math.nan)
-    solved = np.flatnonzero([error is None for error in errors])
-    # a quarter of the rows at a time, so that their power products, MAX_ORDER
-    # per observation, take no more memory than x itself; a batch of one is
-    # not copied
-    step = max(1, -(-solved.size // MAX_ORDER))
-    for start in range(0, solved.size, step):
-        part = solved[start : start + step]
-        m_tilde[part], cov[part] = moments_rows(_rows(x, part), a[part])
+    m_tilde, cov = moments_rows(x, a)
     constant = x.max(axis=-1) == x.min(axis=-1)
-    return Batch(n, zero_count, constant, a, c_target, iterations, residual, m_tilde, cov, errors)
+    return Batch(x.shape[1], zero_count, constant, a, c_target, iterations, residual, m_tilde, cov, errors)
 
 
 def row_errors(

@@ -112,6 +112,20 @@ def test_batch_rows_cover_every_error_kind():
     assert codes == {"all_zero_sample", "degenerate_sample", "insufficient_sample", "regime", None}
 
 
+@pytest.mark.filterwarnings("error")
+def test_failed_rows_have_nan_statistics():
+    # a failed solve leaves a NaN censoring point, which the one moment pass
+    # over the whole block carries into that row's statistics and no other's
+    kinds = ("gamma", "zero", "constant", "subnormal", "gamma", "subnormal", "zero", "constant")
+    batch = summarise(np.array([make_row(kind, 50, 5 + i) for i, kind in enumerate(kinds)]))
+    failed = np.array([error is not None for error in batch.errors])
+    assert failed.tolist() == [kind in ("zero", "subnormal") for kind in kinds]
+    for statistic in (batch.a, batch.m_tilde, batch.cov):
+        values = statistic.reshape(len(kinds), -1)
+        assert np.isnan(values[failed]).all()
+        assert np.isfinite(values[~failed]).all()
+
+
 # ---------------------------------------------------------------------------
 # the harness against a loop of single fits and tests
 
