@@ -33,8 +33,8 @@ from .errors import (
 #: deterministic pseudo-random stream; one per Monte Carlo replicate
 RngStream = np.random.Generator
 
-#: minimum acceptance rate before tilted rejection (gamma != 1/2) is declared infeasible
-MIN_TILT_ACCEPTANCE = 1e-6
+#: most stable proposals one tilted-rejection call (gamma != 1/2) may expect to draw, about 2 s
+MAX_TILT_WORK = 2**24
 
 #: most stable proposals tilted rejection draws in one pass; it loops for more
 MAX_TILT_PROPOSALS = 2**16
@@ -223,7 +223,8 @@ def sample_tweedie(params: TweedieParams, rng: RngStream, size: int) -> np.ndarr
     Gaussian with mean lam/(2*sqrt(theta)) and shape lam**2/2, drawn exactly
     without rejection; any other ``0 < gamma < 1`` uses rejection of stable
     proposals with acceptance weight exp(-theta*Z), in passes of at most
-    ``MAX_TILT_PROPOSALS`` proposals; ``gamma < 0`` draws
+    ``MAX_TILT_PROPOSALS`` proposals, and refuses a call that expects more than
+    ``MAX_TILT_WORK`` proposals in all; ``gamma < 0`` draws
     N ~ Poisson(lam*theta**gamma) and then a Gamma(-gamma*N, rate theta) total,
     using the additivity of gamma shapes in place of an explicit sum.
     """
@@ -258,10 +259,9 @@ def sample_tweedie(params: TweedieParams, rng: RngStream, size: int) -> np.ndarr
         w *= lam / (2.0 * math.sqrt(th))
         return w
     accept = tilt_acceptance_rate(params)
-    if accept < MIN_TILT_ACCEPTANCE:
+    if size > MAX_TILT_WORK * accept:  # a rate that underflows to 0 refuses too
         raise TiltedRejectionInfeasibleError(
-            f"acceptance rate {accept:.3g} below {MIN_TILT_ACCEPTANCE:g}; "
-            "expected proposals per draw exceed 1e6"
+            f"{size} values at acceptance rate {accept:.3g} expect more than {MAX_TILT_WORK} proposals"
         )
     stable = PsParams(g, lam)
     out = np.empty(size)

@@ -15,9 +15,11 @@ r::
 
 A chunk of whole blocks, at most CHUNK_VALUES values (at least one block), is
 solved, summarised, fitted and tested along the last axis, on the same code
-path as a single fit.  Failed replicates are counted by error kind and
-excluded from metric denominators, never resampled (resampling would bias
-size and power); a sampler error fails every replicate of its block.
+path as a single fit.  A cell keeps only its finite estimates and its counts
+across chunks and returns its records, so a pool worker sends back a few
+records.  Failed replicates are counted by error code and excluded from
+metric denominators, never resampled (resampling would bias size and power);
+a sampler error fails every replicate of its block.
 
 The fit targets, their parameter names, null generators, fit and test
 functions come from the family registry ``laplacefit.families.FAMILIES``.
@@ -73,7 +75,7 @@ def _convert(name: str, kind: type, value: Any) -> Any:
 
 
 def _at_least(name: str, value: Any, low: int) -> int:
-    # an integer field with a lower bound: a base seed >= 0, a jobs count >= 1
+    # an integer field with a lower bound: a base seed >= 0, a replication or jobs count >= 1
     number = _convert(name, int, value)
     if number < low:
         raise ConfigError(f"{name}: must be >= {low}, got {number}")
@@ -113,9 +115,7 @@ class ExperimentConfig:
             raise ConfigError("n_grid: must be non-empty")
         if any(n < 1 for n in self.n_grid):
             raise ConfigError(f"n_grid: sizes must be >= 1, got {self.n_grid}")
-        put("replications", _convert("replications", int, self.replications))
-        if self.replications < 1:
-            raise ConfigError(f"replications: must be >= 1, got {self.replications}")
+        put("replications", _at_least("replications", self.replications, 1))
         put("alpha", _convert("alpha", float, self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha: must be in (0, 1), got {self.alpha}")
@@ -281,30 +281,14 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 # replicate execution
 
-@dataclass
-class _CellTally:
-    estimates: list[np.ndarray] = field(default_factory=list)
-    covered: np.ndarray | None = None
-    rejections: int = 0
-    n_tested: int = 0
-    failures: dict[str, int] = field(default_factory=dict)
-
-    def fail(self, kind: str, count: int = 1) -> None:
-        if count:
-            self.failures[kind] = self.failures.get(kind, 0) + count
-
-    def fail_rows(self, errors: list[LaplaceFitError | None], rows: np.ndarray) -> np.ndarray:
-        """Count the errors of the rows in the mask ``rows``; the mask of those without one."""
-        ok = rows.copy()
-        for i in np.flatnonzero(rows):
-            if errors[i] is not None:
-                self.fail(errors[i].code)
-                ok[i] = False
-        return ok
+def _fail(failures: dict[str, int], code: str, count: int = 1) -> None:
+    # add count failed replicates under the error code
+    if count:
+        failures[code] = failures.get(code, 0) + count
 
 
 def _draw_chunk(
-    config: ExperimentConfig, cell_index: int, n: int, blocks: range, tally: _CellTally
+    config: ExperimentConfig, cell_index: int, n: int, blocks: range, failures: dict[str, int]
 ) -> np.ndarray:
     # the valid replicates of the chunk's blocks, below the replication count,
     # as an (R, n) block; a sampler error fails the replicates of its block and
@@ -317,46 +301,11 @@ def _draw_chunk(
         try:
             drawn.append(sample_spec(config.generator, rng, size=rows * n).reshape(rows, n)[:kept])
         except LaplaceFitError as exc:
-            tally.fail(exc.code, kept)
+            _fail(failures, exc.code, kept)
     x = np.concatenate(drawn) if drawn else np.empty((0, n))
     valid = (np.isfinite(x) & (x >= 0.0)).all(axis=-1)
-    tally.fail(SampleValidationError.code, int(np.count_nonzero(~valid)))
+    _fail(failures, SampleValidationError.code, int(np.count_nonzero(~valid)))
     return x if valid.all() else x[valid]
-
-
-def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> _CellTally:
-    truth = None
-    tally = _CellTally()
-    if config.needs_fit:
-        truth = np.array(list(config.truth().values()))
-        tally.covered = np.zeros(truth.size, dtype=int)
-    family = FAMILIES[config.fit_target]
-
-    rows = max(1, BLOCK_VALUES // n)
-    blocks = -(-config.replications // rows)
-    per_chunk = max(1, CHUNK_VALUES // (rows * n))
-    for start in range(0, blocks, per_chunk):
-        x = _draw_chunk(config, cell_index, n, range(start, min(start + per_chunk, blocks)), tally)
-        if not x.shape[0]:
-            continue
-        batch = summarise(x)
-        # a fit error skips the replicate's test; a non-finite fit does not
-        tested = np.ones(x.shape[0], dtype=bool)
-        if config.needs_fit:
-            fits = family.fit_batch(batch, config.alpha)
-            tested = tally.fail_rows(fits.errors, tested)
-            finite = np.isfinite(fits.estimates).all(axis=1) & np.isfinite(fits.ci).all(axis=(1, 2))
-            tally.fail("nonfinite_estimate", int(np.count_nonzero(tested & ~finite)))
-            kept = tested & finite
-            tally.estimates.append(fits.estimates[kept])
-            lo, hi = fits.ci[kept, :, 0], fits.ci[kept, :, 1]
-            tally.covered += ((lo <= truth) & (truth <= hi)).sum(axis=0)
-        if config.needs_gof:
-            outcomes = family.gof_batch(batch, config.alpha)
-            ok = tally.fail_rows(outcomes.errors, tested)
-            tally.rejections += int(np.count_nonzero(outcomes.reject[ok]))
-            tally.n_tested += int(np.count_nonzero(ok))
-    return tally
 
 
 def _rrmse_and_se(deviations: np.ndarray, truth: float) -> tuple[float, float]:
@@ -385,31 +334,65 @@ def _proportion_and_se(count: int, r: int) -> tuple[float, float]:
     return p, math.sqrt(max(p * (1.0 - p), 0.0) / r)
 
 
-def _records_for_cell(
-    config: ExperimentConfig, n: int, tally: _CellTally
-) -> list[CellRecord]:
+def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> list[CellRecord]:
+    # draw, summarise, fit and test the cell chunk by chunk, keeping only the
+    # finite estimates and the counts, then write the cell's records
+    family = FAMILIES[config.fit_target]
+    truth = config.truth() if config.needs_fit else {}
+    true = np.array(list(truth.values()))
+    estimates, covered = [np.empty((0, true.size))], np.zeros(true.size, dtype=int)
+    rejections = n_tested = 0
+    failures: dict[str, int] = {}
+
+    def passed(errors: list[LaplaceFitError | None], rows: np.ndarray) -> np.ndarray:
+        # the rows of the mask without an error; each error counted under its code
+        failed = rows & np.array([error is not None for error in errors])
+        for i in np.flatnonzero(failed):
+            _fail(failures, errors[i].code)
+        return rows & ~failed
+
+    rows = max(1, BLOCK_VALUES // n)
+    blocks = -(-config.replications // rows)
+    per_chunk = max(1, CHUNK_VALUES // (rows * n))
+    for start in range(0, blocks, per_chunk):
+        x = _draw_chunk(config, cell_index, n, range(start, min(start + per_chunk, blocks)), failures)
+        if not x.shape[0]:
+            continue
+        batch = summarise(x)
+        # a fit error skips the replicate's test; a non-finite fit does not
+        tested = np.ones(x.shape[0], dtype=bool)
+        if config.needs_fit:
+            fits = family.fit_batch(batch, config.alpha)
+            tested = passed(fits.errors, tested)
+            finite = np.isfinite(fits.estimates).all(axis=1) & np.isfinite(fits.ci).all(axis=(1, 2))
+            _fail(failures, "nonfinite_estimate", int(np.count_nonzero(tested & ~finite)))
+            kept = tested & finite
+            estimates.append(fits.estimates[kept])
+            lo, hi = fits.ci[kept, :, 0], fits.ci[kept, :, 1]
+            covered += ((lo <= true) & (true <= hi)).sum(axis=0)
+        if config.needs_gof:
+            outcomes = family.gof_batch(batch, config.alpha)
+            ok = passed(outcomes.errors, tested)
+            rejections += int(np.count_nonzero(outcomes.reject[ok]))
+            n_tested += int(np.count_nonzero(ok))
+
     def record(metric: str, parameter: str, value_and_se: tuple[float, float], n_ok: int) -> CellRecord:
         return CellRecord(
             config.generator.text(), config.fit_target, n, metric, parameter, *value_and_se,
-            config.replications, n_ok, tally.failures, config.base_seed,
+            config.replications, n_ok, failures, config.base_seed,
         )
 
-    records = []
-    if config.needs_fit:
-        truth = config.truth()
-        estimates = np.concatenate([np.empty((0, len(truth))), *tally.estimates])
-        n_ok = len(estimates)
-        for j, (name, true) in enumerate(truth.items()):
-            if "rrmse" in config.metrics:
-                records.append(record("rrmse", name, _rrmse_and_se(estimates[:, j] - true, true), n_ok))
-            if "coverage" in config.metrics:
-                records.append(record("coverage", name, _proportion_and_se(tally.covered[j], n_ok), n_ok))
+    records, stacked = [], np.concatenate(estimates)
+    n_ok = len(stacked)
+    for j, (name, value) in enumerate(truth.items()):
+        if "rrmse" in config.metrics:
+            records.append(record("rrmse", name, _rrmse_and_se(stacked[:, j] - value, value), n_ok))
+        if "coverage" in config.metrics:
+            records.append(record("coverage", name, _proportion_and_se(covered[j], n_ok), n_ok))
     if config.needs_gof:
-        is_null = config.generator.family in FAMILIES[config.fit_target].null_generators and (
-            config.generator.p_zero == 0.0
-        )
-        rate = _proportion_and_se(tally.rejections, tally.n_tested)
-        records.append(record("size" if is_null else "power", "", rate, tally.n_tested))
+        is_null = config.generator.family in family.null_generators and config.generator.p_zero == 0.0
+        rate = _proportion_and_se(rejections, n_tested)
+        records.append(record("size" if is_null else "power", "", rate, n_tested))
     return records
 
 
@@ -425,14 +408,11 @@ def run_configs(configs: Sequence[ExperimentConfig], jobs: int = 1) -> Experimen
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only here
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            tallies = list(pool.map(_run_cell, *zip(*tasks)))
+            cells = list(pool.map(_run_cell, *zip(*tasks)))
     else:
-        tallies = [_run_cell(*task) for task in tasks]
-    records: list[CellRecord] = []
-    for (config, _, n), tally in zip(tasks, tallies):
-        records.extend(_records_for_cell(config, n, tally))
+        cells = [_run_cell(*task) for task in tasks]
     return ExperimentReport(
-        records=tuple(records),
+        records=tuple(record for cell in cells for record in cell),
         config_hash=config_hash(configs),
         base_seed=configs[0].base_seed if configs else 0,
     )

@@ -2,8 +2,8 @@
 
 Each row's results are bitwise the same whatever batch it sits in (chunks of
 1, 7 or all rows, rows in any order), and a Monte Carlo cell run in chunks
-tallies exactly what a loop of single public fits and tests does on the
-replicates of its blocks: replicate r is row r mod B of block r // B, one
+writes the records of what a loop of single public fits and tests tallies on
+the replicates of its blocks: replicate r is row r mod B of block r // B, one
 flat draw of B*n values with B = max(1, BLOCK_VALUES // n).
 """
 
@@ -204,6 +204,41 @@ def poisoned(spec, rng, size):
     return values
 
 
+def batch_estimates(config: ExperimentConfig, cell_index: int, n: int) -> tuple[np.ndarray, dict]:
+    """The finite estimates of the cell's replicates, fitted as one block, and its draw failures."""
+    family, failures = FAMILIES[config.fit_target], {}
+    blocks = -(-config.replications // max(1, montecarlo.BLOCK_VALUES // n))
+    x = montecarlo._draw_chunk(config, cell_index, n, range(blocks), failures)
+    if not x.shape[0]:
+        return np.empty((0, len(family.param_names))), failures
+    fits = family.fit_batch(summarise(x), config.alpha)
+    finite = np.isfinite(fits.estimates).all(axis=1) & np.isfinite(fits.ci).all(axis=(1, 2))
+    return fits.estimates[finite & np.array([error is None for error in fits.errors])], failures
+
+
+def assert_records_match(records, config: ExperimentConfig, want: dict) -> None:
+    # each record's value, Monte Carlo SE and n_ok come from the tally's
+    # estimates and counts, and every record carries the tally's failures
+    estimates = np.array(want["estimates"]).reshape(-1, len(FAMILIES[config.fit_target].param_names))
+    expect = {}
+    for j, (name, true) in enumerate(config.truth().items() if config.needs_fit else ()):
+        if "rrmse" in config.metrics:
+            expect["rrmse", name] = (*montecarlo._rrmse_and_se(estimates[:, j] - true, true), len(estimates))
+        if "coverage" in config.metrics:
+            rate = montecarlo._proportion_and_se(want["covered"][j], len(estimates))
+            expect["coverage", name] = (*rate, len(estimates))
+    if config.needs_gof:
+        expect["test", ""] = (*montecarlo._proportion_and_se(want["rejections"], want["n_tested"]), want["n_tested"])
+    got = {
+        ("test" if r.metric in ("size", "power") else r.metric, r.parameter): (r.value, r.mc_se, r.n_ok)
+        for r in records
+    }
+    assert got.keys() == expect.keys()
+    for key, value in expect.items():
+        assert np.array_equal(got[key], value, equal_nan=True), key
+    assert all(r.failures == dict(want["failures"]) for r in records)
+
+
 @pytest.mark.filterwarnings("ignore:constant sample")
 @pytest.mark.parametrize("generator,target,metrics,n_grid", CELLS)
 def test_cell_tallies_match_single_fits(generator, target, metrics, n_grid, monkeypatch):
@@ -214,14 +249,11 @@ def test_cell_tallies_match_single_fits(generator, target, metrics, n_grid, monk
         metrics=metrics,
     )
     for cell_index, n in enumerate(n_grid):
-        got = montecarlo._run_cell(config, cell_index, n)
         want = reference_tally(config, cell_index, n)
-        estimates = np.concatenate([np.empty((0, len(FAMILIES[target].param_names))), *got.estimates])
-        assert np.array_equal(estimates, np.array(want["estimates"]).reshape(estimates.shape))
         if config.needs_fit:
-            assert np.array_equal(got.covered, want["covered"])
-        assert (got.rejections, got.n_tested) == (want["rejections"], want["n_tested"])
-        assert got.failures == dict(want["failures"])
+            estimates, _ = batch_estimates(config, cell_index, n)
+            assert np.array_equal(estimates, np.array(want["estimates"]).reshape(estimates.shape))
+        assert_records_match(montecarlo._run_cell(config, cell_index, n), config, want)
     report = run_configs([config])
     assert report.to_json() == run_configs([config], jobs=2).to_json()
 
@@ -242,9 +274,9 @@ def test_sampler_error_fails_its_block(monkeypatch):
         DistributionSpec.parse("ps:0.5,15"), "ps", (300,), replications=80, base_seed=11,
         metrics=("size",),
     )
-    tally = montecarlo._run_cell(config, 0, 300)
+    (record,) = montecarlo._run_cell(config, 0, 300)
     assert montecarlo.BLOCK_VALUES // 300 == 13 and sizes == [13 * 300] * 7
-    assert tally.failures == {"tilted_rejection_infeasible": 15} and tally.n_tested == 65
+    assert record.failures == {"tilted_rejection_infeasible": 15} and record.n_ok == 65
 
 
 #: a report of two configs and three sizes, with rows failing in validation and in the fit
@@ -279,9 +311,11 @@ def test_replicates_do_not_depend_on_the_replication_count(n, replications, monk
         config = ExperimentConfig(
             DistributionSpec.parse("ps:0.5,15"), "ps", (n,), replications=count, base_seed=9
         )
-        tally = montecarlo._run_cell(config, 0, n)
-        assert not tally.failures
-        return np.concatenate(tally.estimates)
+        kept, failures = batch_estimates(config, 0, n)
+        assert not failures
+        # the harness's chunked run reads the same estimates
+        assert_records_match(montecarlo._run_cell(config, 0, n), config, {"estimates": kept, "failures": {}})
+        return kept
 
     shorter, longer = estimates(replications), estimates(replications + 7)
     assert len(longer) == replications + 7

@@ -94,6 +94,20 @@ def test_sample_unallocatable_size_exit_1(capsys):
     assert err.startswith("error (config): size: 100000000000000 values cannot be allocated")
 
 
+def test_sample_refuses_tilted_rejection_beyond_the_work_bound(capsys, monkeypatch):
+    # 1000 values at acceptance 2e-6 expect about 5e8 proposals: refused
+    # before a single proposal is drawn (the stand-in's zeros would all be kept)
+    calls = []
+    monkeypatch.setattr(
+        distributions, "_standard_one_sided_stable", lambda *args: calls.append(args) or np.zeros(args[2])
+    )
+    code, out, err = run_cli(capsys, "sample", "tw:0.6,13.1,1", "--n", "1000")
+    assert (code, err, calls) == (2, "", [])
+    payload = json.loads(out)
+    assert payload["error"] == "tilted_rejection_infeasible"
+    assert payload["message"].startswith("1000 values at acceptance rate 2.05e-06 expect more than")
+
+
 # ---------------------------------------------------------------------------
 # fit / gof
 

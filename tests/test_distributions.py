@@ -372,9 +372,9 @@ def test_rows_of_a_harness_block_in_band(text):
         DistributionSpec.parse(text), "tweedie", (n,), replications=rows, base_seed=42,
         metrics=("power",),
     )
-    tally = montecarlo._CellTally()
-    x = montecarlo._draw_chunk(config, 0, n, range(1), tally)
-    assert x.shape == (rows, n) and not tally.failures
+    failures = {}
+    x = montecarlo._draw_chunk(config, 0, n, range(1), failures)
+    assert x.shape == (rows, n) and not failures
     grid = np.arange(0.1, 5.01, 0.1)
     # Hoeffding on each of the rows x grid points, 1e-3 in all
     band = math.sqrt(math.log(2.0 * rows * grid.size / 1e-3) / (2.0 * n))

@@ -11,7 +11,7 @@ invalid draws:
   the censoring-point solve leaves the float range;
 - ``lnsqrt:30,1`` with ``invalid_sample``: every draw is inf;
 - ``tw:0.6,200,5`` with ``tilted_rejection_infeasible``, which depends on
-  ``MIN_TILT_ACCEPTANCE``.
+  ``MAX_TILT_WORK``.
 
 The deterministic conversion table, ``run_table(6)``, is pinned beside it.
 
