@@ -111,7 +111,7 @@ class LogDomainError(LaplaceFitError):
 
 
 class TiltedRejectionInfeasibleError(LaplaceFitError):
-    """Tilted-stable rejection (gamma != 1/2) would need more than ~1e6 proposals per draw."""
+    """Tilted-stable rejection (gamma != 1/2) expects more than MAX_TILT_WORK (2**24) proposals in the call."""
 
     code = "tilted_rejection_infeasible"
 

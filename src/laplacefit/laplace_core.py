@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import os
 import stat
@@ -200,18 +199,15 @@ def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sampl
     line object at a time; a file whose name numpy would decompress
     (``.gz``, ``.bz2``, ``.xz``, ``.lzma`` or ``.zip``, whatever it holds)
     is read as a stream instead.  A file of at least ``2 * SPLIT_BYTES``,
-    in a process with one thread that can fork and may run on two or more
-    CPUs, is cut at newlines into min(CPUs, size // SPLIT_BYTES) parts, and
-    each part after the first is parsed at the same time in a forked child
-    (``np.loadtxt(path, skiprows=lines_before, max_rows=lines_in_part)``)
-    that writes its floats into shared memory.  ``max_rows`` counts rows
-    with content but ``skiprows`` counts lines, so the split needs one row
-    per line: a file with a part that holds a byte outside printable ASCII
-    other than the newline (``\\r``, a space or tab, non-ASCII text), an
-    empty line or, in CSV mode, a quote is read in one process instead, as
-    it is when a child fails or reads a different shape.  When every part
-    is one row per line and numpy refuses one of them, the file goes
-    straight to the row parser below, with no read in one process.  Every
+    in a process with one thread that can fork, make in-memory files and
+    run on two or more CPUs, is cut just after newlines into
+    min(CPUs, size // SPLIT_BYTES) parts, parsed at the same time, each
+    after the first in a forked child: numpy reads a part from an
+    in-memory file of its bytes, and its floats go into another.  Text
+    mode never joins a newline with the next byte, so the parts' rows are
+    the file's.  A CSV quote in a part (a quoted cell may hold a line
+    break) or a failed child sends the file to a read in one process;
+    else a part numpy refuses sends it to the row parser below.  Every
     child is reaped before this returns or raises.
 
     A stream, stdin included, is read in one process: numpy reads it a line
@@ -297,14 +293,15 @@ def _load_path(path: str, column: str | None) -> np.ndarray:
             options.update(_csv_options(reader, column), skiprows=reader.line_num)
     try:
         values = _load_parts(path, options)
-    except OSError:  # no fork or shared memory to be had, say
+    except OSError:  # no fork or in-memory file to be had, say
         values = None
     return _loadtxt(path, **options) if values is None else values
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    """The CPUs this process may run on, or 1 where it cannot fork or make
+    an in-memory file."""
+    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create")):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -316,59 +313,51 @@ _PART_READ, _PART_REFUSED, _PART_IN_DOUBT = 0, 1, 2
 def _load_parts(path: str, options: dict) -> np.ndarray | None:
     """The floats of a large file, each part after the first parsed in a
     forked child; None when the file is small or a part is in doubt.
-    ValueError when numpy refuses a part and none is in doubt: each part's
-    lines are then its rows, so numpy refuses the whole file as well."""
-    parts = min(_usable_cpus(), os.path.getsize(path) // SPLIT_BYTES)
+    ValueError when numpy refuses a part and none is in doubt: the parts'
+    rows are the file's rows, so numpy refuses the whole file as well."""
+    size = os.path.getsize(path)
+    parts = min(_usable_cpus(), size // SPLIT_BYTES)
     if parts < 2 or threading.active_count() != 1:
         return None
+    # cut just after the first newline at or past each 1/parts of the file:
+    # text-mode reading never joins a newline with the byte after it
     with open(path, "rb") as fh:
-        data = fh.read()
-    # cut after the first newline at or past each 1/parts of the file
-    cuts = {data.find(b"\n", len(data) * j // parts) + 1 for j in range(1, parts)}
-    bounds = [0, *sorted(c for c in cuts if 0 < c < len(data)), len(data)]
-    text = np.frombuffer(data, dtype=np.uint8)
-    spans = [text[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    newlines = [int(np.count_nonzero(span == 10)) for span in spans]
-    # part j skips the lines before it; its rows are its lines, less the
-    # header's in the first part, plus an unterminated last line in the last
-    skips = [options["skiprows"], *itertools.accumulate(newlines[:-1])]
-    rows = [*newlines]
-    rows[0] -= options["skiprows"]
-    rows[-1] += not data.endswith(b"\n")
-    if len(spans) < 2 or min(rows) < 1:
+        cuts = {fh.seek(size * j // parts) + len(fh.readline()) for j in range(1, parts)}
+    bounds = [0, *sorted(c for c in cuts if c < size), size]
+    if len(bounds) < 3:
         return None
-    del data, text  # so that clearing spans frees the file's bytes
-    # imported here, so that starting the CLI loads neither
-    import mmap
+    # imported here, so that starting the CLI does not load it
     import signal
 
-    ends = [0, *itertools.accumulate(rows)]
-    out = np.frombuffer(mmap.mmap(-1, ends[-1] * 8), dtype=float)
-
     def read(j: int) -> int:
-        # part j into its rows of out; the last part reads to the end of the file
-        if not _one_row_per_line(spans[j], newlines[j], "quotechar" in options):
-            return _PART_IN_DOUBT
-        spans.clear()
-        max_rows = rows[j] if j < len(rows) - 1 else None
-        try:
-            values = _loadtxt(path, **{**options, "skiprows": skips[j], "max_rows": max_rows})
-        except ValueError:
-            return _PART_REFUSED
-        if values.size != rows[j]:
-            return _PART_IN_DOUBT
-        out[ends[j] : ends[j + 1]] = values[:, 0]
+        # part j, parsed from an in-memory file of its bytes, into outs[j]
+        with open(path, "rb") as fh:
+            data = fh.read(bounds[j + 1] - fh.seek(bounds[j]))
+        if "quotechar" in options and b'"' in data:
+            return _PART_IN_DOUBT  # a quoted cell may hold a line break
+        with open(os.memfd_create("part"), "wb") as part:
+            part.write(data)
+            part.flush()
+            del data
+            try:
+                values = _loadtxt(f"/proc/self/fd/{part.fileno()}", **options)
+            except ValueError:
+                return _PART_REFUSED
+        values.tofile(f"/proc/self/fd/{outs[j]}")
         return _PART_READ
 
-    children = []
+    children, outs = [], []
     try:
-        for j in range(1, len(rows)):
+        for _ in bounds[1:]:
+            outs.append(os.memfd_create("values"))
+        for j in range(1, len(outs)):
             pid = os.fork()
             if pid == 0:
                 # the child never returns into the caller
                 status = _PART_IN_DOUBT
                 try:
                     warnings.simplefilter("error")  # so a child writes nothing to stderr
+                    options["skiprows"] = 0  # only the first part holds a CSV header
                     status = read(j)
                 finally:
                     os._exit(status)
@@ -381,25 +370,13 @@ def _load_parts(path: str, options: dict) -> np.ndarray | None:
             status = max(status, code if code >= 0 else _PART_IN_DOUBT)
         if status == _PART_REFUSED:
             raise ValueError("numpy refuses a part of the file")
-        return None if status == _PART_IN_DOUBT else out
+        return None if status == _PART_IN_DOUBT else np.concatenate([np.fromfile(f"/proc/self/fd/{fd}") for fd in outs])
     finally:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _one_row_per_line(span: np.ndarray, newlines: int, quotes: bool) -> bool:
-    """Whether each line of a part's bytes ``span`` is one row to ``np.loadtxt``."""
-    return not (
-        # every byte below 33 is a newline (no \r, space or tab), and none is above 127
-        np.count_nonzero(span < 33) != newlines
-        or span.max() > 127
-        # no empty line
-        or span[0] == 10
-        or np.any((span[1:] == 10) & (span[:-1] == 10))
-        # no CSV quote
-        or (quotes and np.any(span == 34))
-    )
+        for fd in outs:
+            os.close(fd)
 
 
 # ---------------------------------------------------------------------------

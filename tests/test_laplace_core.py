@@ -133,7 +133,10 @@ def read_outcome(read):
 @contextlib.contextmanager
 def forced_split(parts=3):
     """Path reads split into ``parts`` parts however small the file; yields
-    the list that gains an entry per fork."""
+    the list that gains an entry per fork.  Skips where there are no
+    in-memory files to hand numpy the parts."""
+    if not hasattr(os, "memfd_create"):
+        pytest.skip("os.memfd_create is missing")
     forks = []
     real_fork = os.fork
 
@@ -350,14 +353,19 @@ def test_split_read_is_the_one_process_read(tmp_path):
             assert sample.values.tobytes() == values.tobytes()
 
 
+def is_part_read(source):
+    """Whether a ``np.loadtxt`` source is a split read's in-memory part file."""
+    return str(source).startswith("/proc/self/fd/")
+
+
 @pytest.mark.parametrize(
     "values,column,whole_reads",
     [
         (numbered_values(29) + ["oops"], None, 0),
         (numbered_values(29) + ["oops"], "v", 0),
-        # a part in doubt (a space in the last) still sends the file to the
-        # one-process read, whatever numpy made of the other parts
-        (["1.25", "oops"] + numbered_values(26) + [" 3", "4"], None, 1),
+        # a part in doubt (a CSV quote in the last) still sends the file to
+        # the one-process read, whatever numpy made of the other parts
+        (["1.25", "oops"] + numbered_values(26) + ['"3"', "4"], "v", 1),
     ],
     ids=["text", "csv", "refused-and-in-doubt"],
 )
@@ -370,15 +378,15 @@ def test_split_read_refused_goes_to_row_parser(tmp_path, values, column, whole_r
     path.write_text("\n".join(lines) + "\n")
     reads, real_loadtxt = [], np.loadtxt
 
-    def count_loadtxt(*args, **options):
-        reads.append(options.get("max_rows"))
-        return real_loadtxt(*args, **options)
+    def count_loadtxt(source, **options):
+        reads.append(source)
+        return real_loadtxt(source, **options)
 
     with mock.patch.object(np, "loadtxt", count_loadtxt):
         outcome, forks = split_outcome(path, column)
     assert forks == 2
     # the parent's loadtxt calls: its own part, then any whole-file read
-    assert reads.count(None) == whole_reads and len(reads) == 1 + whole_reads
+    assert is_part_read(reads[0]) and reads[1:] == [str(path)] * whole_reads
     assert outcome == (SampleValidationError, f"row {bad}: cannot parse 'oops'")
 
 
@@ -386,45 +394,103 @@ def test_split_falls_back_when_a_child_fails(tmp_path):
     path = tmp_path / "draws.txt"
     values = derive_substream(212).gamma(0.5, 2.0, 500)
     path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
-    parent, real_check = os.getpid(), laplace_core._one_row_per_line
+    parent, real_loadtxt = os.getpid(), laplace_core._loadtxt
+    reads = []
 
-    def fail_in_child(*args):
+    def fail_in_child(source, **options):
         if os.getpid() != parent:
             raise RuntimeError("child fails")
-        return real_check(*args)
-
-    reads = []
-    real_loadtxt = laplace_core._loadtxt
-
-    def count_loadtxt(source, **options):
-        reads.append(options.get("max_rows"))
+        reads.append(source)
         return real_loadtxt(source, **options)
 
-    with mock.patch.object(laplace_core, "_one_row_per_line", fail_in_child), \
-            mock.patch.object(laplace_core, "_loadtxt", count_loadtxt), forced_split() as forks:
+    with mock.patch.object(laplace_core, "_loadtxt", fail_in_child), forced_split() as forks:
         sample = load_sample(path)
     assert_no_child_left()
     assert len(forks) == 2
     # the parent read its own part, then the whole file
-    assert reads[-1] is None and len(reads) == 2
+    assert len(reads) == 2 and is_part_read(reads[0]) and reads[1] == str(path)
     assert sample.values.tobytes() == values.tobytes()
 
 
 def test_split_reaps_children_when_the_parent_raises(tmp_path):
     path = tmp_path / "draws.txt"
     path.write_text("1.5\n" * 300)
-    parent, real_check = os.getpid(), laplace_core._one_row_per_line
+    parent, real_loadtxt = os.getpid(), laplace_core._loadtxt
 
-    def fail_in_parent(*args):
+    def fail_in_parent(source, **options):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return real_check(*args)
+        return real_loadtxt(source, **options)
 
-    with mock.patch.object(laplace_core, "_one_row_per_line", fail_in_parent), forced_split() as forks:
+    with mock.patch.object(laplace_core, "_loadtxt", fail_in_parent), forced_split() as forks:
         with pytest.raises(KeyboardInterrupt):
             load_sample(path)
     assert len(forks) == 2
     assert_no_child_left()
+
+
+def test_split_reads_crlf_blank_and_whitespace_lines_in_parts(tmp_path):
+    # every cut falls just after a newline, so such lines need no read of
+    # the whole file in one process
+    lines = [f"{i}.25" for i in range(40)]
+    lines[3:3] = ["", " ", "\t"]
+    lines[20:20] = [" \t ", ""]
+    lines[35:35] = ["", "  "]
+    path = tmp_path / "draws.txt"
+    path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    expected = load_sample(path).values.tobytes()
+    sources, real_loadtxt = [], laplace_core._loadtxt
+
+    def count_loadtxt(source, **options):
+        sources.append(source)
+        return real_loadtxt(source, **options)
+
+    with mock.patch.object(laplace_core, "_loadtxt", count_loadtxt), forced_split(3) as forks:
+        sample = load_sample(path)
+    assert_no_child_left()
+    assert len(forks) == 2
+    # the parent's one read is of its own part, not of the whole file
+    assert len(sources) == 1 and is_part_read(sources[0])
+    assert sample.values.tobytes() == expected
+
+
+@pytest.mark.parametrize(
+    "lines,column,outcome",
+    [
+        (numbered_values(30), None, bytes),
+        (numbered_values(29) + ["oops"], None, SampleValidationError),
+        (["v"] + numbered_values(25) + ['"3"'] + numbered_values(4), "v", bytes),
+    ],
+    ids=["read", "refused", "in-doubt"],
+)
+def test_split_read_leaves_no_file_open(tmp_path, lines, column, outcome):
+    path = tmp_path / "sample.txt"
+    path.write_text("\n".join(lines) + "\n")
+    before = len(os.listdir("/proc/self/fd"))
+    result, forks = split_outcome(path, column)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert forks == 2
+    assert isinstance(result, bytes) if outcome is bytes else result[0] is outcome
+
+
+def test_split_without_in_memory_files_reads_in_one_process(tmp_path):
+    path = tmp_path / "draws.txt"
+    values = derive_substream(213).gamma(0.5, 2.0, 300)
+    path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+
+    def no_memfd(*args):
+        raise OSError("no in-memory files")
+
+    with forced_split() as forks, mock.patch.object(os, "memfd_create", no_memfd):
+        sample = load_sample(path)
+    assert_no_child_left()
+    assert forks == []
+    assert sample.values.tobytes() == values.tobytes()
+
+
+def test_usable_cpus_needs_in_memory_files(monkeypatch):
+    monkeypatch.delattr(os, "memfd_create", raising=False)
+    assert laplace_core._usable_cpus() == 1
 
 
 def test_split_needs_one_thread_and_a_large_file(tmp_path):
