@@ -131,15 +131,12 @@ class UnsupportedOperationError(LaplaceFitError):
 def refuse(
     errors: list[LaplaceFitError | None], rows: np.ndarray, make: Callable[[int], LaplaceFitError]
 ) -> None:
-    """Give each row ``i`` in ``rows`` that has no error yet the error ``make(i)``.
+    """Give each row ``i`` of the boolean mask ``rows`` with no error yet the error ``make(i)``.
 
-    ``rows`` is a boolean mask or an array of row indices.  Batched fits and
-    tests keep one error slot per row and call this once per check, in the
-    order the checks are made, so each row keeps its first error.
+    Batched fits and tests keep one error slot per row and call this once
+    per check, in the order the checks are made, so each row keeps its
+    first error.
     """
-    if not rows.size or (rows.dtype == bool and not rows.any()):
-        return
-    for i in rows.nonzero()[0] if rows.dtype == bool else rows:
+    for i in np.flatnonzero(rows).tolist():
         if errors[i] is None:
-            errors[i] = make(int(i))
-
+            errors[i] = make(i)

@@ -205,8 +205,8 @@ def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sampl
     after the first in a forked child: numpy reads a part from an
     in-memory file of its bytes, and its floats go into another.  Text
     mode never joins a newline with the next byte, so the parts' rows are
-    the file's.  A CSV quote in a part (a quoted cell may hold a line
-    break) or a failed child sends the file to a read in one process;
+    the file's.  A CSV quote after the header (a quoted cell may hold a
+    line break) or a failed child sends the file to a read in one process;
     else a part numpy refuses sends it to the row parser below.  Every
     child is reaped before this returns or raises.
 
@@ -333,8 +333,8 @@ def _load_parts(path: str, options: dict) -> np.ndarray | None:
         # part j, parsed from an in-memory file of its bytes, into outs[j]
         with open(path, "rb") as fh:
             data = fh.read(bounds[j + 1] - fh.seek(bounds[j]))
-        if "quotechar" in options and b'"' in data:
-            return _PART_IN_DOUBT  # a quoted cell may hold a line break
+        if "quotechar" in options and b'"' in data.split(b"\n", options["skiprows"])[-1]:
+            return _PART_IN_DOUBT  # a quoted cell after the header may hold a line break
         with open(os.memfd_create("part"), "wb") as part:
             part.write(data)
             part.flush()
@@ -410,14 +410,15 @@ def _mean(values: np.ndarray) -> np.ndarray:
 
 
 def positive_medians(x: np.ndarray, zero_count: np.ndarray) -> np.ndarray:
-    """Median of the positive values of each row of ``x``; each row needs one.
+    """Median of the positive values of each row of ``x``.
 
     Sorted, a row's positive values follow its zeros, so one sort of the
     block gives every row's two middle positive values.  The even-count
     midpoint is lo/2 + hi/2, which, unlike (lo + hi)/2, cannot overflow.
+    An all-zero row has no positive value and gets 0 as a placeholder.
     """
     positive = x.shape[-1] - zero_count
-    hi_index = zero_count + positive // 2
+    hi_index = np.minimum(zero_count + positive // 2, x.shape[-1] - 1)
     lo_index = hi_index - 1 + positive % 2
     ordered = np.sort(x, axis=-1)
     rows = np.arange(x.shape[0])
@@ -455,56 +456,45 @@ def solve_rows(
     an iterate that is not a positive finite float (subnormal data make
     1/median infinite, and a root may lie beyond the float maximum), and a
     row still unsolved after SOLVER_MAX_ITER iterations.  A row with an error
-    has a NaN censoring point.  The rows in play are carried as one compressed
-    block, which is copied only when a row drops out.
+    has a NaN censoring point.  Every step evaluates the whole block; a row out
+    of the ``live`` mask keeps its A, and the last step gives its residual.
     """
     rows, n = x.shape
     c = zero_adjusted_target(zero_count / n)
     errors: list[LaplaceFitError | None] = [None] * rows
+    live = zero_count < n
     refuse(
-        errors, zero_count == n,
+        errors, ~live,
         lambda i: AllZeroSampleError("all observations are zero; L_n(s) == 1 has no root"),
     )
-    a, f = np.full(rows, math.nan), np.full(rows, math.nan)
     iterations = np.zeros(rows, dtype=int)
-    index = np.flatnonzero(zero_count < n)
-    xs, cs = x if index.size == rows else x[index], c[index]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ai = 1.0 / positive_medians(xs, zero_count[index])
-        tolerance = SOLVER_RTOL * cs
-        for it in range(SOLVER_MAX_ITER):
-            weights = -ai[:, None] * xs
-            fi = _mean(np.exp(weights, out=weights)) - cs
-            done, lost = np.abs(fi) <= tolerance, ~((0.0 < ai) & (ai < math.inf))
-            solved = index[done]
-            a[solved], f[solved], iterations[solved] = ai[done], fi[done], it
-            refuse(
-                errors, index[lost],
-                lambda i: DegenerateSampleError(
-                    "censoring point leaves the float range: the positive values are "
-                    "too small for 1/median or the root to be a finite float"
-                ),
-            )
-            keep = ~(done | lost)
-            if not keep.any():
-                index, fi = index[:0], fi[:0]
+        ai = 1.0 / positive_medians(x, zero_count)
+        tolerance = SOLVER_RTOL * c
+        for _ in range(SOLVER_MAX_ITER):
+            weights = -ai[:, None] * x
+            fi = _mean(np.exp(weights, out=weights)) - c
+            live &= (0.0 < ai) & (ai < math.inf) & (np.abs(fi) > tolerance)
+            if not live.any():
                 break
-            # the slope is taken before the finished rows drop out, so the
-            # weights are never copied with the rows that stay
-            np.multiply(xs, weights, out=weights)
-            moment = _mean(weights)
-            big = np.flatnonzero(moment == math.inf)
-            if big.size:
+            iterations += live
+            moment = _mean(np.multiply(x, weights, out=weights))
+            big = moment == math.inf
+            if big.any():
                 moment[big] = _mean(weights[big] * _SLOPE_SCALE) / _SLOPE_SCALE
-            del weights
-            if not keep.all():
-                index, xs, cs, tolerance, fi, ai, moment = (
-                    v[keep] for v in (index, xs, cs, tolerance, fi, ai, moment)
-                )
-            ai = ai + fi / moment
-    f[index], iterations[index] = fi, SOLVER_MAX_ITER
+            ai = np.where(live, ai + fi / moment, ai)
+    failed = ~(live | (np.abs(fi) <= tolerance))
+    a, f = np.where(failed | live, math.nan, ai), np.where(failed, math.nan, fi)
+    iterations[failed] = 0
     refuse(
-        errors, index,
+        errors, failed,
+        lambda i: DegenerateSampleError(
+            "censoring point leaves the float range: the positive values are "
+            "too small for 1/median or the root to be a finite float"
+        ),
+    )
+    refuse(
+        errors, live,
         lambda i: DegenerateSampleError(
             f"censoring point solve stopped after {SOLVER_MAX_ITER} iterations "
             f"with residual {f[i]:.3g}"
@@ -607,18 +597,16 @@ def row_errors(
     """
     p_hat = batch.zero_count / batch.n
     errors: list[LaplaceFitError | None] = [None] * p_hat.size
-    zero_heavy = (p_hat >= 1.0 / E).nonzero()[0]
     refuse(
-        errors, zero_heavy[batch.zero_count[zero_heavy] == batch.n],
+        errors, batch.zero_count == batch.n,
         lambda i: AllZeroSampleError("all observations are zero"),
     )
-    if batch.n < min_n:
-        refuse(
-            errors, np.arange(p_hat.size),
-            lambda i: InsufficientSampleError(f"need at least {min_n} observations, got {batch.n}"),
-        )
     refuse(
-        errors, zero_heavy,
+        errors, np.full(p_hat.size, batch.n < min_n),
+        lambda i: InsufficientSampleError(f"need at least {min_n} observations, got {batch.n}"),
+    )
+    refuse(
+        errors, p_hat >= 1.0 / E,
         lambda i: RegimeError(
             f"zero fraction {p_hat[i]:.3f} >= 1/e; the asymptotic covariance "
             "is not available in this regime"

@@ -26,12 +26,12 @@ from laplacefit import (
     sample_spec,
     tweedie,
 )
-from laplacefit.errors import DegenerateSampleError, LaplaceFitError, TiltedRejectionInfeasibleError
+from laplacefit.errors import DegenerateSampleError, LaplaceFitError, TiltedRejectionInfeasibleError, refuse
 from laplacefit.families import FAMILIES
 from laplacefit.laplace_core import summarise
 from laplacefit.montecarlo import ExperimentConfig, run_configs
 
-KINDS = ("gamma", "stable", "few_zeros", "constant", "zero", "subnormal", "zero_heavy")
+KINDS = ("gamma", "stable", "few_zeros", "constant", "zero", "subnormal", "zero_heavy", "spread")
 
 
 def make_row(kind: str, n: int, seed: int) -> np.ndarray:
@@ -50,6 +50,9 @@ def make_row(kind: str, n: int, seed: int) -> np.ndarray:
         return np.zeros(n)
     if kind == "subnormal":
         return rng.uniform(1e-315, 1e-310, n)
+    if kind == "spread":
+        # spread across the float range: many more Newton steps than a law's sample
+        return 10.0 ** rng.uniform(-300, 300, n)
     x = rng.gamma(2.0, 1.0, n)  # zero_heavy: a zero fraction of at least 1/e
     x[: -(-3 * n // 8)] = 0.0
     return x
@@ -69,7 +72,10 @@ def per_row(x: np.ndarray) -> list[tuple]:
     """Every per-row result of the batch x: statistics, then each family's fit and test."""
     batch = summarise(x)
     rows = [
-        [bits(batch.a[i]), bits(batch.m_tilde[i]), bits(batch.cov[i]), code(batch.errors[i])]
+        [
+            bits(batch.a[i]), bits(batch.c_target[i]), bits(batch.iterations[i]), bits(batch.residual[i]),
+            bits(batch.m_tilde[i]), bits(batch.cov[i]), code(batch.errors[i]),
+        ]
         for i in range(x.shape[0])
     ]
     for family in (ps, tweedie, jacobi):
@@ -124,6 +130,21 @@ def test_failed_rows_have_nan_statistics():
         values = statistic.reshape(len(kinds), -1)
         assert np.isnan(values[failed]).all()
         assert np.isfinite(values[~failed]).all()
+
+
+def test_refuse_gives_each_masked_row_its_first_error():
+    first, calls = DegenerateSampleError("first"), []
+
+    def make(i):
+        calls.append(i)
+        return DegenerateSampleError(f"row {i}")
+
+    errors = [None, first, None, None]
+    refuse(errors, np.zeros(4, dtype=bool), make)
+    assert errors == [None, first, None, None] and calls == []
+    refuse(errors, np.array([False, True, False, True]), make)
+    assert errors[:3] == [None, first, None] and str(errors[3]) == "row 3"
+    assert calls == [3] and type(calls[0]) is int
 
 
 # ---------------------------------------------------------------------------

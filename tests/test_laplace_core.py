@@ -339,17 +339,29 @@ def test_file_reads_match_row_parser(tmp_path, data, name):
 
 
 def test_split_read_is_the_one_process_read(tmp_path):
+    # a quoted header, as R's write.csv writes it, puts no part in doubt:
+    # the parent's only numpy read is of its own part
     values = derive_substream(211).gamma(0.5, 2.0, 3000)
     values[::7] = 0.0
-    txt, csv_path = tmp_path / "draws.txt", tmp_path / "draws.csv"
+    txt, csv_path, quoted = tmp_path / "draws.txt", tmp_path / "draws.csv", tmp_path / "quoted.csv"
     txt.write_text("".join(f"{v!r}\n" for v in values.tolist()))
-    csv_path.write_text("id,amount\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist())))
-    for path, column in ((txt, None), (csv_path, "amount")):
+    rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist()))
+    csv_path.write_text("id,amount\n" + rows)
+    quoted.write_text('"id","amount"\n' + rows)
+    reads, real_loadtxt = [], np.loadtxt
+
+    def count_loadtxt(source, **options):
+        reads.append(source)
+        return real_loadtxt(source, **options)
+
+    for path, column in ((txt, None), (csv_path, "amount"), (quoted, "amount")):
         for parts in (2, 3, 5):
-            with forced_split(parts) as forks:
+            reads.clear()
+            with mock.patch.object(np, "loadtxt", count_loadtxt), forced_split(parts) as forks:
                 sample = load_sample(path, column=column)
             assert_no_child_left()
             assert len(forks) == parts - 1
+            assert len(reads) == 1 and is_part_read(reads[0])
             assert sample.values.tobytes() == values.tobytes()
 
 
