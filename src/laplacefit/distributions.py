@@ -94,8 +94,9 @@ class TweedieParams:
             mass = self.lam * self.theta**self.gamma
         except OverflowError:
             mass = math.inf
-        if not math.isfinite(mass):
-            raise SpecFormatError(f"lam*theta**gamma is not finite for {self!r}")
+        # numpy draws a Poisson count only for a mean up to about 9.2e18
+        if not mass < (9.2e18 if self.gamma < 0.0 else math.inf):
+            raise SpecFormatError(f"lam*theta**gamma = {mass:g} is out of range for {self!r}")
 
     @property
     def zero_probability(self) -> float:
@@ -202,7 +203,8 @@ def sample_positive_stable(params: PsParams, rng: RngStream, size: int) -> np.nd
     """
     if params.gamma == 1.0:
         return np.full(size, params.lam)
-    return params.lam ** (1.0 / params.gamma) * _standard_one_sided_stable(params.gamma, rng, size)
+    scale = np.float64(params.lam) ** (1.0 / params.gamma)  # inf past the float range
+    return scale * _standard_one_sided_stable(params.gamma, rng, size)
 
 
 def tilt_acceptance_rate(params: TweedieParams) -> float:
@@ -264,6 +266,8 @@ def sample_tweedie(params: TweedieParams, rng: RngStream, size: int) -> np.ndarr
             f"{size} values at acceptance rate {accept:.3g} expect more than {MAX_TILT_WORK} proposals"
         )
     stable = PsParams(g, lam)
+    if np.float64(lam) ** (1.0 / g) == np.inf:  # no proposal is finite: refused later, not rejected forever
+        return sample_positive_stable(stable, rng, size)
     out = np.empty(size)
     filled = 0
     while filled < size:
@@ -284,7 +288,8 @@ def _sample_linnik(p: tuple[float, ...], rng: RngStream, size: int) -> np.ndarra
 
 def _tweedie_transform(p: TweedieParams, s: np.ndarray) -> np.ndarray:
     sign = math.copysign(1.0, p.gamma)
-    return np.exp(sign * p.lam * (p.theta**p.gamma - (p.theta + s) ** p.gamma))
+    # at most 0 but for rounding, which times a large lam would overflow exp
+    return np.exp(np.minimum(sign * p.lam * (p.theta**p.gamma - (p.theta + s) ** p.gamma), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +447,15 @@ def sample_spec(spec: DistributionSpec, rng: RngStream, size: int) -> np.ndarray
 
     Zero inflation, when present, is applied after the base draw: a uniform
     per element decides whether the value is replaced by an exact zero.  A
-    draw that overflows is inf, without a warning; ``Sample.from_values``
-    refuses it.  A ``size`` whose arrays cannot be allocated raises
-    :class:`ConfigError`.
+    draw that overflows is inf, or NaN where inf meets 0, without a warning;
+    ``Sample.from_values`` refuses it.  A ``size`` whose arrays cannot be
+    allocated raises :class:`ConfigError`.
     """
     law = LAWS[spec.family]
     if law.draw is None:
         raise UnsupportedOperationError(f"no exact sampler for {spec.text()!r}")
     try:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             out = law.draw(law.params(*spec.params), rng, size)
             if spec.p_zero > 0.0:
                 out = np.where(rng.random(size) < spec.p_zero, 0.0, out)
@@ -470,5 +475,6 @@ def laplace_exact(spec: DistributionSpec, s: float | np.ndarray) -> float | np.n
     law = LAWS[spec.family]
     if law.transform is None:
         raise UnsupportedOperationError(f"no closed-form transform for {spec.text()!r}")
-    out = spec.p_zero + (1.0 - spec.p_zero) * law.transform(law.params(*spec.params), s_arr)
+    with np.errstate(over="ignore"):  # a transform that overflows its exponent is 0
+        out = spec.p_zero + (1.0 - spec.p_zero) * law.transform(law.params(*spec.params), s_arr)
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out

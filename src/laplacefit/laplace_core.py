@@ -17,7 +17,6 @@ input of every family map.  A single sample is a batch of one: it caches its
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import stat
@@ -109,11 +108,9 @@ def parse_sample_lines(lines: Iterable[str]) -> Sample:
 def _not_utf8(exc: UnicodeDecodeError, rows_read: int) -> SampleValidationError:
     """The error of a byte that a text stream could not decode after ``rows_read`` lines.
 
-    A text stream decodes its bytes from the end of its last line read: the
-    whole rest at once for ``read()``, and the next chunk only when the text
-    already decoded holds no line break when iterated.  So the bad byte's
-    row is ``rows_read + 1`` plus the line breaks before it in the bytes
-    handed to the decoder.
+    An iterated text stream decodes its next chunk only when the text already
+    decoded holds no line break, so the bad byte's row is ``rows_read + 1``
+    plus the line breaks before it in the bytes handed to the decoder.
     """
     before = exc.object[: exc.start]
     breaks = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
@@ -210,9 +207,10 @@ def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sampl
     else a part numpy refuses sends it to the row parser below.  Every
     child is reaped before this returns or raises.
 
-    A stream, stdin included, is read in one process: numpy reads it a line
-    at a time and there is no path for a child to open.  A stream that
-    cannot seek, such as a stdin pipe, is first buffered in memory.
+    A stream, stdin included, is read whole into a temporary file that is
+    read as above and removed: text goes back to UTF-8 with ``surrogatepass``
+    (stdin's escape of a bad byte is then refused by its row), and bytes that
+    do not decode go in as read, so a refusal comes where its file's would.
 
     Input that these reads or ``Sample.from_values`` refuse is read again
     from its start by the row parsers, which give the error with its row
@@ -229,18 +227,18 @@ def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sampl
             if path is None:
                 return load_sample(fh, column=column)
             return _parse_rows(fh, column)
-    if not source.seekable():
-        try:
-            source = io.StringIO(source.read())
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(exc, 0) from None
-    start = source.tell()
+    import tempfile  # here, so that starting the CLI does not load it
+
+    staged = tempfile.NamedTemporaryFile(delete=False)
     try:
-        options = {} if column is None else _csv_options(csv.reader(source), column)
-        return Sample.from_values(_loadtxt(source, **options))
-    except (ValueError, csv.Error):
-        source.seek(start)
-    return _parse_rows(source, column)
+        with staged:
+            try:
+                staged.write(source.read().encode("utf-8", "surrogatepass"))
+            except UnicodeDecodeError as exc:
+                staged.write(exc.object)  # the bytes as read, refused by row as in a file
+        return load_sample(staged.name, column)
+    finally:
+        os.remove(staged.name)
 
 
 def _parse_rows(stream: TextIO, column: str | None) -> Sample:
@@ -273,12 +271,12 @@ def _csv_options(reader: Iterator[list[str]], column: str) -> dict:
     return {"delimiter": ",", "quotechar": '"', "usecols": last}
 
 
-def _loadtxt(source: str | TextIO, **options) -> np.ndarray:
+def _loadtxt(path: str, **options) -> np.ndarray:
     """One (rows, 1) column of floats read by ``np.loadtxt``; ValueError on any doubt."""
     with warnings.catch_warnings():
         # an empty input is refused by the row parser with its own message
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        arr = np.loadtxt(source, comments=None, ndmin=2, **options)
+        arr = np.loadtxt(path, comments=None, ndmin=2, **options)
     if arr.shape[1] != 1:
         raise ValueError("more than one value on a line")
     return arr

@@ -19,16 +19,18 @@ if TYPE_CHECKING:
 
 
 def check_alpha(alpha: float) -> None:
-    """Refuse a significance level outside (0, 1); ConfigError is a ValueError."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    """Refuse a significance level outside (0, 1), or whose half underflows to 0; ConfigError is a ValueError."""
+    if not 0.0 < alpha / 2.0 < 0.5:
+        raise ConfigError(f"alpha must be in (0, 1) with alpha/2 > 0, got {alpha}")
 
 
 @functools.cache
 def normal_quantile(alpha: float) -> float:
-    """Two-sided standard normal critical value z_{1 - alpha/2}."""
+    """Two-sided standard normal critical value z_{1 - alpha/2}, as -z_{alpha/2} where 1 - alpha/2 rounds to 1."""
     check_alpha(alpha)
-    return statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    if 1.0 - alpha / 2.0 < 1.0:
+        return statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    return -statistics.NormalDist().inv_cdf(alpha / 2.0)
 
 
 def two_sided_p_value(z: float) -> float:

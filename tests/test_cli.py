@@ -63,7 +63,13 @@ def test_sample_bad_spec_exit_1(capsys, spec):
 
 @pytest.mark.parametrize(
     "argv,row",
-    [(("lnsqrt:30,1", "--n", "2"), 1), (("pa:0.01,1", "--n", "20000", "--seed", "1"), 1330)],
+    [
+        (("lnsqrt:30,1", "--n", "2"), 1),
+        (("pa:0.01,1", "--n", "20000", "--seed", "1"), 1330),
+        # the stable scale lam**(1/gamma) overflows
+        (("ps:0.5,1e300", "--n", "3"), 1),
+        (("tw:0.3,1e200,0", "--n", "3"), 1),
+    ],
 )
 def test_sample_overflow_exit_1(capsys, argv, row):
     # a draw that overflows is refused like an inf in a data file, never printed
@@ -241,6 +247,40 @@ def test_fit_refuses_stdin_that_is_not_utf8(data, column, row, errors):
     )
     assert (done.returncode, done.stdout) == (1, b"")
     assert done.stderr == f"error (invalid_sample): row {row}: not UTF-8 text\n".encode()
+
+
+@pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+def test_fit_stdin_prints_the_bytes_of_the_file_fit(tmp_path, pipe):
+    # stdin large enough for a split read gives the output of the path read
+    from laplacefit.laplace_core import SPLIT_BYTES
+
+    path = tmp_path / "draws.txt"
+    values = sample_spec(DistributionSpec.parse("ps:0.5,15"), derive_substream(31), 480_000)
+    path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    assert path.stat().st_size > 2 * SPLIT_BYTES
+    pythonpath = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+
+    def fit(source, stdin):
+        return subprocess.run(
+            [sys.executable, "-m", "laplacefit", "fit", "ps", source],
+            stdin=stdin, input=path.read_bytes() if stdin is None else None,
+            env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, check=True,
+        ).stdout
+
+    with open(path, "rb") as fh:
+        from_stdin = fit("-", None if pipe else fh)
+    assert from_stdin == fit(str(path), subprocess.DEVNULL)
+
+
+def test_fit_at_a_tiny_alpha_gives_finite_intervals(capsys, tmp_path):
+    path = tmp_path / "draws.txt"
+    values = sample_spec(DistributionSpec.parse("ps:0.5,15"), derive_substream(32), 200)
+    path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    code, out, err = run_cli(capsys, "fit", "ps", str(path), "--alpha", "1e-17")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["alpha"] == 1e-17
+    assert np.isfinite(payload["ci_gamma"] + payload["ci_lambda"]).all()
 
 
 def test_fit_rejects_bad_rows(capsys, tmp_path):

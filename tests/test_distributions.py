@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -26,6 +27,7 @@ from laplacefit.distributions import tilt_acceptance_rate
 from laplacefit.errors import (
     ConfigError,
     InvalidRegimeError,
+    LaplaceFitError,
     SpecFormatError,
     TiltedRejectionInfeasibleError,
     UnsupportedOperationError,
@@ -407,6 +409,8 @@ def test_spec_parse_zero_inflated():
      "ps:1.5,2", "tw:0.5,-1,0", "tw0:1,1,1.5", "jacobi:0.9",
      # theta**gamma, or lam*theta**gamma, overflows
      "tw:-2000,1,0.5", "tw:-2,1e308,0.5",
+     # numpy's Poisson sampler refuses a mean above about 9.2e18
+     "tw:-5,1e20,1",
      # a parameter that is not finite
      "ln:nan,1", "we:1,inf", "ps:0.5,inf", "li:0.5,inf,1",
      # mu + w*log(p) >= 0: the triple has no native form
@@ -425,6 +429,52 @@ def test_zero_inflation_refused_where_text_form_lacks_it(family, params):
     DistributionSpec(family, params)
     with pytest.raises(SpecFormatError, match="takes no zero inflation"):
         DistributionSpec(family, params, p_zero=0.2)
+
+
+#: parameters from 1e-300 to 1e300 for the extreme-spec grid
+EXTREMES = (1e-300, 1e-100, 1e-5, 0.3, 0.5, 1.0, 2.0, 1e5, 1e100, 1e300)
+
+
+def extreme_specs():
+    # every spec of the grid that parse accepts; a Tweedie index and a
+    # log-normal mean also take the negative sign
+    for family, arity in [("ps", 2), ("tw", 3), ("tw0", 3), ("li", 3), ("pa", 2), ("we", 2),
+                          ("ln", 2), ("lnsqrt", 2)]:
+        signs = (1.0, -1.0) if family in ("tw", "ln", "lnsqrt") else (1.0,)
+        for sign, first, *rest in itertools.product(signs, *[EXTREMES] * arity):
+            text = f"{family}:" + ",".join(map(repr, (sign * first, *rest)))
+            try:
+                yield DistributionSpec.parse(text)
+            except SpecFormatError:
+                pass
+
+
+def test_tilted_rejection_rejects_proposals_past_the_float_range():
+    # at gamma = 0.01 a stable proposal overflows about 9 times in 1e4 at a
+    # finite scale; its acceptance weight exp(-theta*inf) is 0, so none is kept
+    x = sample_spec(DistributionSpec.parse("tw:0.01,1,1"), derive_substream(15), 5000)
+    assert np.isfinite(x).all()
+
+
+def test_extreme_specs_draw_or_raise_a_coded_error():
+    # a spec that parses draws values (inf or NaN past the float range, which
+    # Sample.from_values refuses) or raises a LaplaceFitError; nothing else,
+    # and no warning
+    s = np.array([0.0, 1e-300, 0.5, 1.0, 1e300])
+    specs = list(extreme_specs())
+    assert len(specs) > 2000
+    for spec in specs:
+        for size in (1, 50):
+            try:
+                x = sample_spec(spec, derive_substream(3, size), size)
+            except LaplaceFitError:
+                continue
+            assert x.shape == (size,) and not (x < 0.0).any(), spec
+        try:
+            value = laplace_exact(spec, s)
+        except LaplaceFitError:
+            continue
+        assert ((0.0 <= value) & (value <= 1.0)).all(), spec
 
 
 def test_no_sampler_for_jacobi():

@@ -585,6 +585,88 @@ def test_load_unseekable_stream_both_paths():
     assert str(excinfo.value) == "row 3: empty cell in column 'v'"
 
 
+@pytest.mark.parametrize("column", [None, "v"], ids=["text", "csv"])
+def test_unseekable_stream_is_read_as_its_file(tmp_path, column):
+    # a stream goes through the path read: split as the file of its bytes is,
+    # with bitwise its values
+    values = derive_substream(214).gamma(0.5, 2.0, 600)
+    rows = [f"{v!r}" if column is None else f"{i},{v!r}" for i, v in enumerate(values.tolist())]
+    text = ("" if column is None else "w,v\n") + "\n".join(rows) + "\n"
+    path = tmp_path / "draws.txt"
+    path.write_text(text)
+    with forced_split() as file_forks:
+        expected = load_sample(path, column=column).values.tobytes()
+    with forced_split() as stream_forks:
+        sample = load_sample(Unseekable(text), column=column)
+    assert_no_child_left()
+    assert len(stream_forks) == len(file_forks) == 2
+    assert sample.values.tobytes() == expected == values.tobytes()
+
+
+def test_gz_named_plain_text_reads_like_txt(tmp_path):
+    data = "".join(f"{v!r}\n" for v in derive_substream(215).gamma(0.5, 2.0, 400).tolist())
+    plain, named = tmp_path / "draws.txt", tmp_path / "draws.txt.gz"
+    plain.write_text(data)
+    named.write_text(data)
+    with forced_split() as forks:
+        outcomes = [load_sample(p).values.tobytes() for p in (plain, named)]
+    assert_no_child_left()
+    assert outcomes[0] == outcomes[1] and len(forks) == 4
+
+
+@pytest.mark.parametrize(
+    "data,column,message",
+    [
+        (b"-1\n" + b"1.5\n" * 3000 + b"\xff2\n", None, "row 1: negative value '-1'"),
+        # the CSV row parser decodes every row before it checks one
+        (b"w,v\n1,-1\n" + b"2,1.5\n" * 3000 + b"3,\xff\n", "v", "row 3003: not UTF-8 text"),
+    ],
+    ids=["text", "csv"],
+)
+def test_stream_refusals_come_in_the_order_of_its_file(tmp_path, data, column, message):
+    # a stream's bad byte is refused where its file's is, not before its rows
+    plain, named = tmp_path / "bad.txt", tmp_path / "bad.txt.gz"
+    plain.write_bytes(data)
+    named.write_bytes(data)
+    expected = read_outcome(lambda: load_sample(plain, column=column))
+    assert expected == (SampleValidationError, message)
+    assert read_outcome(lambda: load_sample(named, column=column)) == expected
+    for stream in (io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), UnseekableBytes(data)):
+        with stream:
+            assert read_outcome(lambda: load_sample(stream, column=column)) == expected
+
+
+def test_staged_stream_file_is_removed(tmp_path, monkeypatch):
+    # the temporary file a stream is staged in is gone after a read, a refusal
+    # by the row parser, a decode error and an exception inside the read
+    staging = tmp_path / "staging"
+    staging.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(staging))
+    seen = []
+    real_loadtxt = laplace_core._loadtxt
+
+    def see_staged(path, **options):
+        seen.extend(os.listdir(staging))
+        return real_loadtxt(path, **options)
+
+    with mock.patch.object(laplace_core, "_loadtxt", see_staged):
+        assert load_sample(Unseekable("1.5\n2\n")).n == 2
+    assert len(seen) == 1 and os.listdir(staging) == []
+    with pytest.raises(SampleValidationError, match="row 3: negative value '-3'"):
+        load_sample(io.StringIO("1\n2\n-3\n"))
+    assert os.listdir(staging) == []
+    with pytest.raises(SampleValidationError, match="row 2: not UTF-8 text"):
+        load_sample(UnseekableBytes(b"1.5\n\xff2\n"))
+    assert os.listdir(staging) == []
+
+    def interrupted(path, **options):
+        raise KeyboardInterrupt
+
+    with mock.patch.object(laplace_core, "_loadtxt", interrupted), pytest.raises(KeyboardInterrupt):
+        load_sample(Unseekable("1.5\n2\n"))
+    assert os.listdir(staging) == []
+
+
 def test_load_crlf_file_names_its_row(tmp_path):
     path = tmp_path / "crlf.txt"
     path.write_bytes(b"1.0\r\n\r\n2.0\r\nnan\r\n")

@@ -118,7 +118,14 @@ MALFORMED = [
     ({"metrics": []}, r"experiments\[1\]\.metrics: must be non-empty"),
     ({"replications": "7"}, r"experiments\[1\]\.replications: must be an integer, got '7'"),
     ({"alpha": "0.1"}, r"experiments\[1\]\.alpha: must be a number, got '0\.1'"),
+    # refused when the config is read, not when a coverage cell first needs its quantile
+    ({"alpha": 5e-324}, r"experiments\[1\]\.alpha: must be in \(0, 1\) with alpha/2 > 0, got 5e-324"),
     ({"generator": "tw0:1,1,0.5"}, r"experiments\[1\]\.generator: .* has no native form"),
+    # numpy's Poisson sampler refuses a mean above about 9.2e18
+    (
+        {"generator": "tw:-5,1e20,1", "fit_target": "tweedie"},
+        r"experiments\[1\]\.generator: lam\*theta\*\*gamma = 1e\+20 is out of range",
+    ),
     (
         {"generator": "tw:0.5,2,0", "fit_target": "tweedie"},
         r"experiments\[1\]\.metrics: rrmse divides by the true theta, which is 0 for 'tw:0.5,2,0'",
@@ -201,6 +208,10 @@ def test_failure_accounting_without_silent_drops():
     [
         ("jacobi:0.3", "jacobi", "size", "unsupported_operation"),
         ("tw:0.6,200,5", "tweedie", "rrmse", "tilted_rejection_infeasible"),
+        # the stable scale lam**(1/gamma) overflows: the draws are inf or NaN
+        ("ps:0.5,1e300", "ps", "size", "invalid_sample"),
+        ("ps:0.01,1e5", "ps", "coverage", "invalid_sample"),
+        ("tw:0.3,1e200,0", "tweedie", "size", "invalid_sample"),
     ],
 )
 def test_sampler_error_counts_as_failed_replicates(generator, fit_target, metric, code):
@@ -217,6 +228,12 @@ def test_sampler_error_counts_as_failed_replicates(generator, fit_target, metric
     assert kept == [r.to_dict() for r in alone.records]
     failed = [r for r in report.records if r.generator == failing.generator.text()]
     assert failed and all(r.n_ok == 0 and r.failures == {code: 4} for r in failed)
+
+
+def test_coverage_at_a_tiny_alpha_runs():
+    # 1 - alpha/2 rounds to 1, where the critical value is taken from the lower tail
+    report = run_configs([small_config(alpha=1e-17, metrics=("coverage",), replications=20)])
+    assert report.records and all(r.value == 1.0 and r.n_failed == 0 for r in report.records)
 
 
 def test_unallocatable_size_counts_as_failed_replicates():

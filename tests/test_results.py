@@ -14,12 +14,19 @@ def test_normal_quantile_matches_scipy():
         assert normal_quantile(alpha) == pytest.approx(stats.norm.ppf(1.0 - alpha / 2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [1e-16, 1e-17, 1e-100, 1e-300, 1e-323])
+def test_normal_quantile_where_one_minus_half_alpha_rounds_to_one(alpha):
+    # 1 - alpha/2 rounds to 1 below about 1.1e-16; the quantile stays finite
+    assert normal_quantile(alpha) == pytest.approx(stats.norm.isf(alpha / 2.0), rel=1e-12)
+
+
 def test_two_sided_p_value_matches_scipy():
     for z in np.linspace(-37.0, 37.0, 7401):
         assert two_sided_p_value(z) == pytest.approx(2.0 * stats.norm.sf(abs(z)), rel=1e-12)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+# 5e-324 is in (0, 1), but its half underflows to 0, past any normal quantile
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan"), 5e-324])
 def test_alpha_outside_unit_interval_is_a_config_error(alpha):
     sample = Sample.from_values(derive_substream(62).gamma(2.0, 1.0, 200))
     for call in (
