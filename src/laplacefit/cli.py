@@ -26,7 +26,7 @@ import warnings
 from dataclasses import replace
 from typing import Any, Sequence
 
-from .errors import ConfigError, InputError, LaplaceFitError
+from .errors import ConfigError, InputError, LaplaceFitError, _at_least
 from .families import FAMILIES
 from .laplace_core import Sample, load_sample
 from .results import json_safe
@@ -108,8 +108,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     payload = family.fit(sample, alpha=args.alpha).to_dict()
     try:
         payload.update(family.gof(sample, alpha=args.alpha).to_dict())
-    except InputError:
-        raise
     except LaplaceFitError as exc:
         # the fit stands (a constant sample's gamma = 1 boundary, say), so the
         # test's regime error rides along in the same object
@@ -129,13 +127,9 @@ def _cmd_gof(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     from .distributions import DistributionSpec, derive_substream, sample_spec
 
-    if args.n < 1:
-        raise ConfigError(f"n: must be >= 1, got {args.n}")
-    if args.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {args.seed}")
+    n, seed = _at_least("n", args.n, 1), _at_least("seed", args.seed, 0)
     spec = DistributionSpec.parse(args.spec)
-    rng = derive_substream(args.seed)
-    values = Sample.from_values(sample_spec(spec, rng, size=args.n)).values
+    values = Sample.from_values(sample_spec(spec, derive_substream(seed), size=n)).values
     sys.stdout.write("\n".join(repr(float(v)) for v in values) + "\n")
     return 0
 

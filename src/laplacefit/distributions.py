@@ -28,6 +28,7 @@ from .errors import (
     SpecFormatError,
     TiltedRejectionInfeasibleError,
     UnsupportedOperationError,
+    _at_least,
 )
 
 #: deterministic pseudo-random stream; one per Monte Carlo replicate
@@ -45,9 +46,25 @@ def derive_substream(base_seed: int, *key: int) -> RngStream:
 
     Identical ``(base_seed, key)`` pairs produce bitwise-identical streams
     regardless of how many other streams exist or on which thread they are
-    consumed, which is what makes parallel replication deterministic.
+    consumed, which is what makes parallel replication deterministic.  A
+    seed or key numpy refuses, one that is negative or no integer, raises
+    :class:`ConfigError`.
     """
-    return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=key))
+    try:
+        return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=key))
+    except (TypeError, ValueError):
+        # checked only once numpy refuses, so a valid call pays nothing
+        for name, value in (("seed", base_seed), *(("key", k) for k in key)):
+            _refused_index(name, value)
+        raise
+
+
+def _refused_index(name: str, value: Any) -> None:
+    # the ConfigError of a seed, key or size that numpy refused, if it is no
+    # integer or is negative; numpy's own error is raised again otherwise
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name}: must be an integer, got {value!r}") from None
+    _at_least(name, value, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +465,8 @@ def sample_spec(spec: DistributionSpec, rng: RngStream, size: int) -> np.ndarray
     Zero inflation, when present, is applied after the base draw: a uniform
     per element decides whether the value is replaced by an exact zero.  A
     draw that overflows is inf, or NaN where inf meets 0, without a warning;
-    ``Sample.from_values`` refuses it.  A ``size`` whose arrays cannot be
-    allocated raises :class:`ConfigError`.
+    ``Sample.from_values`` refuses it.  A ``size`` that is negative or no
+    integer, or whose arrays cannot be allocated, raises :class:`ConfigError`.
     """
     law = LAWS[spec.family]
     if law.draw is None:
@@ -461,6 +478,9 @@ def sample_spec(spec: DistributionSpec, rng: RngStream, size: int) -> np.ndarray
                 out = np.where(rng.random(size) < spec.p_zero, 0.0, out)
     except MemoryError as exc:
         raise ConfigError(f"size: {size} values cannot be allocated ({exc})") from None
+    except (TypeError, ValueError):
+        _refused_index("size", size)  # checked only once the draw fails
+        raise
     return out
 
 

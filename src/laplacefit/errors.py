@@ -10,7 +10,7 @@ defined), which are every other error.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -45,6 +45,38 @@ class ConfigError(InputError):
     """A function argument or an experiment configuration (message: its field path) is invalid."""
 
     code = "config"
+
+
+def _convert(name: str, kind: type, value: Any) -> Any:
+    # int(value) or float(value) of a number; a string, anything else, and a bool
+    # or a number with a fractional part where an integer is due, is a ConfigError
+    # naming the field
+    fractional = isinstance(value, (float, np.floating)) and not float(value).is_integer()
+    try:
+        if isinstance(value, str) or (kind is int and (fractional or isinstance(value, (bool, np.bool_)))):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name}: must be {what}, got {value!r}") from None
+
+
+def _at_least(name: str, value: Any, low: int) -> int:
+    # an integer field with a lower bound: a seed >= 0, a size, replication or jobs count >= 1
+    number = _convert(name, int, value)
+    if number < low:
+        raise ConfigError(f"{name}: must be >= {low}, got {number}")
+    return number
+
+
+def _items(name: str, value: Any) -> tuple:
+    # the entries of a list field; a bare string or a scalar is a ConfigError
+    if isinstance(value, str):
+        raise ConfigError(f"{name}: must be a list, got the string {value!r}")
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ConfigError(f"{name}: must be a list, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,10 @@ class Sample:
 
     @classmethod
     def from_values(cls, values: Iterable[float] | np.ndarray) -> "Sample":
-        arr = np.asarray(values, dtype=float).reshape(-1)
+        try:
+            arr = np.asarray(values, dtype=float).reshape(-1)
+        except (TypeError, ValueError) as exc:
+            raise SampleValidationError(f"sample values must be numbers ({exc})") from None
         if arr.size == 0:
             raise SampleValidationError("sample is empty")
         bad = ~np.isfinite(arr)
@@ -226,7 +229,7 @@ def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sampl
         with open(source, "r", encoding="utf-8") as fh:
             if path is None:
                 return load_sample(fh, column=column)
-            return _parse_rows(fh, column)
+            return parse_sample_lines(fh) if column is None else parse_sample_csv(fh, column)
     import tempfile  # here, so that starting the CLI does not load it
 
     staged = tempfile.NamedTemporaryFile(delete=False)
@@ -239,10 +242,6 @@ def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sampl
         return load_sample(staged.name, column)
     finally:
         os.remove(staged.name)
-
-
-def _parse_rows(stream: TextIO, column: str | None) -> Sample:
-    return parse_sample_lines(stream) if column is None else parse_sample_csv(stream, column)
 
 
 def _numpy_path(source: str | Path) -> str | None:

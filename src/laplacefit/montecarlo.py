@@ -43,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import DistributionSpec, derive_substream, sample_spec
-from .errors import ConfigError, LaplaceFitError, SampleValidationError
+from .errors import ConfigError, LaplaceFitError, SampleValidationError, _at_least, _convert, _items
 from .families import FAMILIES
 from .laplace_core import summarise
 from .results import json_safe
@@ -58,38 +58,6 @@ BLOCK_VALUES = 2**12
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-def _convert(name: str, kind: type, value: Any) -> Any:
-    # int(value) or float(value) of a number; a string, anything else, and a bool
-    # or a number with a fractional part where an integer is due, is a ConfigError
-    # naming the field
-    fractional = isinstance(value, (float, np.floating)) and not float(value).is_integer()
-    try:
-        if isinstance(value, str) or (kind is int and (fractional or isinstance(value, (bool, np.bool_)))):
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name}: must be {what}, got {value!r}") from None
-
-
-def _at_least(name: str, value: Any, low: int) -> int:
-    # an integer field with a lower bound: a base seed >= 0, a replication or jobs count >= 1
-    number = _convert(name, int, value)
-    if number < low:
-        raise ConfigError(f"{name}: must be >= {low}, got {number}")
-    return number
-
-
-def _items(name: str, value: Any) -> tuple:
-    # the entries of a list field; a bare string or a scalar is a ConfigError
-    if isinstance(value, str):
-        raise ConfigError(f"{name}: must be a list, got the string {value!r}")
-    try:
-        return tuple(value)
-    except TypeError:
-        raise ConfigError(f"{name}: must be a list, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -390,7 +358,7 @@ def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> list[CellRec
         if "coverage" in config.metrics:
             records.append(record("coverage", name, _proportion_and_se(covered[j], n_ok), n_ok))
     if config.needs_gof:
-        is_null = config.generator.family in family.null_generators and config.generator.p_zero == 0.0
+        is_null = config.generator.family in family.null_generators
         rate = _proportion_and_se(rejections, n_tested)
         records.append(record("size" if is_null else "power", "", rate, n_tested))
     return records
@@ -428,7 +396,6 @@ class TableDesign:
     fit_target: str
     metrics: tuple[str, ...]
     n_grid: tuple[int, ...]
-    full_replications: int = 3500
     desk_replications: int = 1000
 
 
@@ -513,8 +480,9 @@ def table_configs(
 ) -> list[ExperimentConfig]:
     """Configs for one benchmark table; row i gets base seed base_seed + i.
 
-    Each config runs the design's full replication count, or its desk-scale
-    count when ``desk_scale`` is set; ``dataclasses.replace`` sets any other.
+    Each config runs :class:`ExperimentConfig`'s default replication count,
+    or the design's desk-scale count when ``desk_scale`` is set;
+    ``dataclasses.replace`` sets any other.
     """
     if table == 6:
         raise ConfigError("table: 6 is the deterministic conversion table; use run_table")
@@ -522,15 +490,15 @@ def table_configs(
         raise ConfigError(f"table: must be one of {sorted([*TABLE_DESIGNS, 6])}, got {table}")
     design = TABLE_DESIGNS[table]
     seed0 = DEFAULT_TABLE_SEED + 1000 * table if base_seed is None else base_seed
-    replications = design.desk_replications if desk_scale else design.full_replications
+    scale = {"replications": design.desk_replications} if desk_scale else {}
     return [
         ExperimentConfig(
             generator=DistributionSpec.parse(row),
             fit_target=design.fit_target,
             n_grid=design.n_grid,
-            replications=replications,
             base_seed=seed0 + i,
             metrics=design.metrics,
+            **scale,
         )
         for i, row in enumerate(design.rows)
     ]

@@ -378,9 +378,9 @@ def test_subnormal_sample_exit_2(capsys, tmp_path):
 
 
 def test_missing_file_exit_1(capsys):
-    code, _, err = run_cli(capsys, "fit", "ps", "/no/such/file.txt")
-    assert code == 1
-    assert "error" in err
+    code, out, err = run_cli(capsys, "fit", "ps", "/no/such/file.txt")
+    assert (code, out) == (1, "")
+    assert err.startswith("error (io): [Errno 2] No such file or directory")
 
 
 # ---------------------------------------------------------------------------

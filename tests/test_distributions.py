@@ -207,6 +207,11 @@ def test_tw_zero_fraction_matches_zero_probability():
     assert abs((x == 0.0).mean() - 0.1) < 0.006
 
 
+def test_tw_zero_probability_is_zero_off_the_compound_poisson_branch():
+    assert TweedieParams(0.5, 2.0, 0.5).zero_probability == 0.0
+    assert not (sample_tweedie(TweedieParams(0.5, 2.0, 0.5), derive_substream(22), size=1000) == 0.0).any()
+
+
 def test_tw_theta_zero_reduces_to_stable_stream():
     a = sample_tweedie(TweedieParams(0.5, 2.0, 0.0), derive_substream(3), size=50)
     b = sample_positive_stable(PsParams(0.5, 2.0), derive_substream(3), size=50)

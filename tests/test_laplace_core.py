@@ -93,6 +93,12 @@ def test_load_csv_column(tmp_path):
         load_sample(io.StringIO("id,value\n1,0.5"), column="missing")
 
 
+def test_load_missing_path_raises_file_not_found(tmp_path):
+    # a path that os.stat cannot see goes to open, which raises as it was
+    with pytest.raises(FileNotFoundError):
+        load_sample(tmp_path / "absent.txt")
+
+
 def test_load_plain_text(tmp_path):
     path = tmp_path / "data.txt"
     path.write_text("1.0\n\n2.5\n")
@@ -618,10 +624,12 @@ def test_gz_named_plain_text_reads_like_txt(tmp_path):
     "data,column,message",
     [
         (b"-1\n" + b"1.5\n" * 3000 + b"\xff2\n", None, "row 1: negative value '-1'"),
+        # a bad byte in the row parser's first 8 KiB decoder chunk is named first
+        (b"-1\n1.5\n\xff\n", None, "row 3: not UTF-8 text"),
         # the CSV row parser decodes every row before it checks one
         (b"w,v\n1,-1\n" + b"2,1.5\n" * 3000 + b"3,\xff\n", "v", "row 3003: not UTF-8 text"),
     ],
-    ids=["text", "csv"],
+    ids=["text", "text-one-chunk", "csv"],
 )
 def test_stream_refusals_come_in_the_order_of_its_file(tmp_path, data, column, message):
     # a stream's bad byte is refused where its file's is, not before its rows

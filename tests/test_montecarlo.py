@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from laplacefit import DistributionSpec
+from laplacefit import DistributionSpec, montecarlo
 from laplacefit.errors import ConfigError
 from laplacefit.montecarlo import (
     ExperimentConfig,
@@ -154,6 +154,11 @@ def test_rrmse_run_shape_and_values():
         assert math.isfinite(record.value) and record.value > 0.0
         assert math.isfinite(record.mc_se)
         assert record.n_ok == 60 and record.n_failed == 0
+
+
+def test_rrmse_of_exact_estimates_is_zero():
+    # every deviation 0 gives RRMSE 0 and its standard error 0, not 0/0
+    assert montecarlo._rrmse_and_se(np.zeros(5), 2.0) == (0.0, 0.0)
 
 
 def test_coverage_run_degenerate_single_replicate():

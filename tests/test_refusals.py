@@ -1,8 +1,9 @@
-"""Refusals of bad parameters, specs and configs: the error type and its exact message.
+"""Refusals of bad parameters, specs, arguments and configs: the error type and its exact message.
 
 Each case here is a check that no other in-process test reaches.
 """
 
+import dataclasses
 import json
 import math
 
@@ -11,9 +12,13 @@ import pytest
 
 from laplacefit import tweedie
 from laplacefit.cli import main
-from laplacefit.distributions import DistributionSpec, PsParams, TweedieParams, Tw0Params
-from laplacefit.errors import ConfigError, NearSingularError, SpecFormatError
-from laplacefit.laplace_core import Batch
+from laplacefit.distributions import (
+    DistributionSpec, PsParams, TweedieParams, Tw0Params, derive_substream, sample_spec,
+)
+from laplacefit.errors import (
+    ComplexPowerError, ConfigError, NearSingularError, SampleValidationError, SpecFormatError,
+)
+from laplacefit.laplace_core import Batch, Sample, summarise
 from laplacefit.montecarlo import ExperimentConfig, parse_config_document, table_configs
 
 E = math.e
@@ -62,6 +67,50 @@ def test_bad_configs_are_refused(make, message):
     with pytest.raises(ConfigError) as caught:
         make()
     assert str(caught.value) == message
+
+
+PS = DistributionSpec.parse("ps:0.5,15")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: derive_substream(-1), "seed: must be >= 0, got -1"),
+        (lambda: derive_substream(1, -2), "key: must be >= 0, got -2"),
+        (lambda: derive_substream(1.5), "seed: must be an integer, got 1.5"),
+        (lambda: derive_substream(1, 0, 2.0), "key: must be an integer, got 2.0"),
+        (lambda: sample_spec(PS, derive_substream(1), -1), "size: must be >= 0, got -1"),
+        (lambda: sample_spec(PS, derive_substream(1), 2.5), "size: must be an integer, got 2.5"),
+        (lambda: sample_spec(PS, derive_substream(1), True), "size: must be an integer, got True"),
+    ],
+)
+def test_bad_sampler_arguments_are_refused(make, message):
+    with pytest.raises(ConfigError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
+def test_sampler_arguments_numpy_takes_still_draw():
+    # the refusals above are checked only once numpy refuses, so these draw as before
+    assert sample_spec(PS, derive_substream(1), 0).shape == (0,)
+    drawn = sample_spec(PS, derive_substream(np.int64(7), np.int64(1)), np.int64(3))
+    assert drawn.tobytes() == sample_spec(PS, derive_substream(7, 1), 3).tobytes()
+
+
+def test_sample_of_values_that_are_not_numbers_is_refused():
+    with pytest.raises(SampleValidationError) as caught:
+        Sample.from_values(["a"])
+    assert str(caught.value) == "sample values must be numbers (could not convert string to float: 'a')"
+
+
+def test_tweedie_test_refuses_an_infinite_variance():
+    x = sample_spec(DistributionSpec.parse("tw0:1,1,0.1"), derive_substream(5), 300)
+    batch = summarise(x[None])
+    assert tweedie.gof_batch(batch).errors == [None]
+    infinite = dataclasses.replace(batch, cov=np.full_like(batch.cov, np.inf))
+    (error,) = tweedie.gof_batch(infinite).errors
+    assert isinstance(error, ComplexPowerError)
+    assert str(error) == "test statistic or its variance is not finite at the plug-in point"
 
 
 def test_tweedie_refuses_moments_where_psi_is_zero():
