@@ -29,6 +29,7 @@ from .errors import (
     TiltedRejectionInfeasibleError,
     UnsupportedOperationError,
     _at_least,
+    _transform_argument,
 )
 
 #: deterministic pseudo-random stream; one per Monte Carlo replicate
@@ -47,23 +48,17 @@ def derive_substream(base_seed: int, *key: int) -> RngStream:
     Identical ``(base_seed, key)`` pairs produce bitwise-identical streams
     regardless of how many other streams exist or on which thread they are
     consumed, which is what makes parallel replication deterministic.  A
-    seed or key numpy refuses, one that is negative or no integer, raises
-    :class:`ConfigError`.
+    seed or key that is negative or no integer raises :class:`ConfigError`.
     """
-    try:
-        return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=key))
-    except (TypeError, ValueError):
-        # checked only once numpy refuses, so a valid call pays nothing
-        for name, value in (("seed", base_seed), *(("key", k) for k in key)):
-            _refused_index(name, value)
-        raise
+    for name, value in (("seed", base_seed), *(("key", k) for k in key)):
+        _refused_index(name, value)
+    return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=key))
 
 
 def _refused_index(name: str, value: Any) -> None:
-    # the ConfigError of a seed, key or size that numpy refused, if it is no
-    # integer or is negative; numpy's own error is raised again otherwise
+    # the ConfigError of a seed, key or size that is no integer or is negative
     if not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name}: must be an integer, got {value!r}") from None
+        raise ConfigError(f"{name}: must be an integer, got {value!r}")
     _at_least(name, value, 0)
 
 
@@ -471,6 +466,7 @@ def sample_spec(spec: DistributionSpec, rng: RngStream, size: int) -> np.ndarray
     law = LAWS[spec.family]
     if law.draw is None:
         raise UnsupportedOperationError(f"no exact sampler for {spec.text()!r}")
+    _refused_index("size", size)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             out = law.draw(law.params(*spec.params), rng, size)
@@ -478,9 +474,6 @@ def sample_spec(spec: DistributionSpec, rng: RngStream, size: int) -> np.ndarray
                 out = np.where(rng.random(size) < spec.p_zero, 0.0, out)
     except MemoryError as exc:
         raise ConfigError(f"size: {size} values cannot be allocated ({exc})") from None
-    except (TypeError, ValueError):
-        _refused_index("size", size)  # checked only once the draw fails
-        raise
     return out
 
 
@@ -489,9 +482,7 @@ def laplace_exact(spec: DistributionSpec, s: float | np.ndarray) -> float | np.n
 
     Zero inflation gives p_zero + (1 - p_zero) times the base transform.
     """
-    s_arr = np.asarray(s, dtype=float)
-    if not np.all(s_arr >= 0.0):
-        raise ConfigError(f"transform argument must be >= 0, got {s!r}")
+    s_arr = _transform_argument(s)
     law = LAWS[spec.family]
     if law.transform is None:
         raise UnsupportedOperationError(f"no closed-form transform for {spec.text()!r}")

@@ -79,6 +79,14 @@ def _items(name: str, value: Any) -> tuple:
         raise ConfigError(f"{name}: must be a list, got {value!r}") from None
 
 
+def _transform_argument(s: Any) -> np.ndarray:
+    # the float array of a Laplace transform argument; a negative or NaN entry is a ConfigError
+    s_arr = np.asarray(s, dtype=float)
+    if not np.all(s_arr >= 0.0):
+        raise ConfigError(f"transform argument must be >= 0, got {s!r}")
+    return s_arr
+
+
 # ---------------------------------------------------------------------------
 # statistical / regime errors (every other error; CLI exit code 2)
 

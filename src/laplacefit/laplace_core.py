@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .errors import (
     LaplaceFitError,
     RegimeError,
     SampleValidationError,
+    _transform_argument,
     refuse,
 )
 
@@ -100,61 +101,29 @@ class Sample:
 
 
 def parse_sample_lines(lines: Iterable[str]) -> Sample:
-    """Parse newline-delimited decimal floats; blank lines are skipped.
-
-    A byte that is not UTF-8, whether the stream cannot decode it or decoded
-    it to an escape, is refused with the number of its row.
-    """
+    """Parse newline-delimited decimal floats; blank lines are skipped."""
     return _parse_numbered(enumerate(lines, start=1))
-
-
-def _not_utf8(exc: UnicodeDecodeError, rows_read: int) -> SampleValidationError:
-    """The error of a byte that a text stream could not decode after ``rows_read`` lines.
-
-    An iterated text stream decodes its next chunk only when the text already
-    decoded holds no line break, so the bad byte's row is ``rows_read + 1``
-    plus the line breaks before it in the bytes handed to the decoder.
-    """
-    before = exc.object[: exc.start]
-    breaks = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-    return SampleValidationError(f"row {rows_read + 1 + breaks}: not UTF-8 text")
 
 
 def _parse_numbered(rows: Iterable[tuple[int, str]]) -> Sample:
     # each (line number, text) row holds one float or nothing; errors name the line
     out: list[float] = []
-    i = 0
-    try:
-        for i, raw in rows:
-            token = raw.strip()
-            if not token:
-                continue
-            try:
-                value = float(token)
-            except ValueError:
-                # a stream decoding with errors="surrogateescape" (stdin under a
-                # POSIX locale) turns a byte that is not UTF-8 into a lone surrogate
-                problem = "not UTF-8 text" if _escaped(token) else f"cannot parse {token!r}"
-                raise SampleValidationError(f"row {i}: {problem}") from None
-            if math.isnan(value) or math.isinf(value):
-                raise SampleValidationError(f"row {i}: non-finite value {token!r}")
-            if value < 0.0:
-                raise SampleValidationError(f"row {i}: negative value {token!r}")
-            out.append(value)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc, i) from None
+    for i, raw in rows:
+        token = raw.strip()
+        if not token:
+            continue
+        try:
+            value = float(token)
+        except ValueError:
+            raise SampleValidationError(f"row {i}: cannot parse {token!r}") from None
+        if math.isnan(value) or math.isinf(value):
+            raise SampleValidationError(f"row {i}: non-finite value {token!r}")
+        if value < 0.0:
+            raise SampleValidationError(f"row {i}: negative value {token!r}")
+        out.append(value)
     if not out:
         raise SampleValidationError("no data rows found")
     return Sample.from_values(out)
-
-
-def _escaped(token: str) -> bool:
-    """Whether ``token`` holds a lone surrogate, which no UTF-8 text decodes to."""
-    try:
-        token.encode("utf-8")
-    except UnicodeEncodeError:
-        return True
-    return False
 
 
 def parse_sample_csv(stream: TextIO, column: str) -> Sample:
@@ -162,27 +131,23 @@ def parse_sample_csv(stream: TextIO, column: str) -> Sample:
 
     Each row's cell at the column's index (see :func:`_csv_options`) is
     read; a blank row is skipped and a row too short for the index has an
-    empty cell.  Errors name the file line where the record ends.  Bytes
-    that are not UTF-8 are refused as :func:`parse_sample_lines` refuses them.
+    empty cell.  Errors name the file line where the record ends.
     """
     reader = csv.reader(stream)
+    index = _csv_options(reader, column)["usecols"]
     cells = []
-    try:
-        index = _csv_options(reader, column)["usecols"]
-        for row in filter(None, reader):  # a blank row is skipped
-            cell = row[index].strip() if index < len(row) else ""
-            if not cell:
-                raise SampleValidationError(f"row {reader.line_num}: empty cell in column {column!r}")
-            cells.append((reader.line_num, cell))
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc, reader.line_num) from None
+    for row in filter(None, reader):  # a blank row is skipped
+        cell = row[index].strip() if index < len(row) else ""
+        if not cell:
+            raise SampleValidationError(f"row {reader.line_num}: empty cell in column {column!r}")
+        cells.append((reader.line_num, cell))
     return _parse_numbered(cells)
 
 
 #: least size in bytes of each part of a split read (see :func:`load_sample`)
 SPLIT_BYTES = 4 * 2**20
 
-#: the suffixes numpy's path reader decompresses; such files are read as streams
+#: the suffixes numpy's path reader decompresses; such files are staged as streams are
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma", ".zip")
 
 
@@ -191,54 +156,73 @@ def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sampl
 
     Plain text means one decimal float per line; passing ``column`` switches
     to CSV mode and reads that column (the last one of that name in the
-    header, see :func:`_csv_options`).  Text is UTF-8; a byte that is not is
-    refused with its row.
+    header, see :func:`_csv_options`).  Text is UTF-8.
 
     ``np.loadtxt`` reads the values.  A regular file is handed to it by its
     path, so its C reader takes the text in chunks rather than one Python
-    line object at a time; a file whose name numpy would decompress
-    (``.gz``, ``.bz2``, ``.xz``, ``.lzma`` or ``.zip``, whatever it holds)
-    is read as a stream instead.  A file of at least ``2 * SPLIT_BYTES``,
-    in a process with one thread that can fork, make in-memory files and
-    run on two or more CPUs, is cut just after newlines into
+    line object at a time.  A file of at least ``2 * SPLIT_BYTES``, in a
+    process with one thread that can fork, make in-memory files and run on
+    two or more CPUs, is cut just after newlines into
     min(CPUs, size // SPLIT_BYTES) parts, parsed at the same time, each
     after the first in a forked child: numpy reads a part from an
     in-memory file of its bytes, and its floats go into another.  Text
     mode never joins a newline with the next byte, so the parts' rows are
     the file's.  A CSV quote after the header (a quoted cell may hold a
     line break) or a failed child sends the file to a read in one process;
-    else a part numpy refuses sends it to the row parser below.  Every
+    else a part numpy refuses sends it to the UTF-8 check below.  Every
     child is reaped before this returns or raises.
 
-    A stream, stdin included, is read whole into a temporary file that is
-    read as above and removed: text goes back to UTF-8 with ``surrogatepass``
-    (stdin's escape of a bad byte is then refused by its row), and bytes that
-    do not decode go in as read, so a refusal comes where its file's would.
+    Any other input is copied to a temporary file that is read as above
+    and removed: a file numpy would not read as it is (a name it would
+    decompress, ``.gz``, ``.bz2``, ``.xz``, ``.lzma`` or ``.zip``, whatever
+    it holds, or a pipe) as its bytes, and a stream, stdin included, as its
+    text encoded back to UTF-8 (stdin's lone-surrogate escape of a bad byte
+    stays a bad byte) or as the bytes it could not decode.
 
-    Input that these reads or ``Sample.from_values`` refuse is read again
-    from its start by the row parsers, which give the error with its row
-    number.
+    A bad byte is refused at its row before any row is checked: when these
+    reads or ``Sample.from_values`` refuse the input, its first byte that is
+    not UTF-8 is refused as ``row k: not UTF-8 text``, with k one plus the
+    line breaks (``\\n``, ``\\r`` or ``\\r\\n``) before it.  Only then is
+    the input read again from its start by the row parsers, which give the
+    error with its row number.
     """
-    if isinstance(source, (str, Path)):
-        path = _numpy_path(source)
-        if path is not None:
-            try:
-                return Sample.from_values(_load_path(path, column))
-            except (ValueError, csv.Error, OSError):
-                pass  # an OSError is raised again, as it was, by open below
-        with open(source, "r", encoding="utf-8") as fh:
-            if path is None:
-                return load_sample(fh, column=column)
-            return parse_sample_lines(fh) if column is None else parse_sample_csv(fh, column)
+    if not isinstance(source, (str, Path)):
+        return _load_staged(source, column)
+    path = _numpy_path(source)
+    if path is None:
+        with open(source, "rb") as fh:
+            return _load_staged(fh, column)
+    try:
+        return Sample.from_values(_load_path(path, column))
+    except (ValueError, csv.Error, OSError):
+        pass  # an OSError is raised again, as it was, by open below
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        if not data.isascii():  # ASCII is UTF-8, and this check makes no copy of the text
+            data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        end = exc.start  # \n, \r and \r\n each end a row
+        breaks = data.count(b"\n", 0, end) + data.count(b"\r", 0, end) - data.count(b"\r\n", 0, end)
+        raise SampleValidationError(f"row {1 + breaks}: not UTF-8 text") from None
+    del data
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_sample_lines(fh) if column is None else parse_sample_csv(fh, column)
+
+
+def _load_staged(stream: BinaryIO | TextIO, column: str | None) -> Sample:
+    """:func:`load_sample` of a stream's content, staged in a temporary file."""
     import tempfile  # here, so that starting the CLI does not load it
 
     staged = tempfile.NamedTemporaryFile(delete=False)
     try:
         with staged:
             try:
-                staged.write(source.read().encode("utf-8", "surrogatepass"))
+                data = stream.read()
             except UnicodeDecodeError as exc:
-                staged.write(exc.object)  # the bytes as read, refused by row as in a file
+                data = exc.object  # the bytes as read, refused by row as in a file
+            staged.write(data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass"))
+            del data
         return load_sample(staged.name, column)
     finally:
         os.remove(staged.name)
@@ -382,9 +366,7 @@ def _load_parts(path: str, options: dict) -> np.ndarray | None:
 
 def empirical_laplace(sample: Sample, s: float | np.ndarray) -> float | np.ndarray:
     """Empirical Laplace transform mean(exp(-s * X_i)); 1 at s = 0 and p_hat at s = inf."""
-    s_arr = np.asarray(s, dtype=float)
-    if not np.all(s_arr >= 0.0):
-        raise ConfigError(f"transform argument must be >= 0, got {s!r}")
+    s_arr = _transform_argument(s)
     with np.errstate(invalid="ignore"):  # inf * 0 is NaN; its limit exp(-0) is 1
         terms = np.exp(-np.multiply.outer(s_arr, sample.values))
     out = _mean(np.nan_to_num(terms, copy=False, nan=1.0))

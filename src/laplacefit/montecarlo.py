@@ -46,7 +46,7 @@ from .distributions import DistributionSpec, derive_substream, sample_spec
 from .errors import ConfigError, LaplaceFitError, SampleValidationError, _at_least, _convert, _items
 from .families import FAMILIES
 from .laplace_core import summarise
-from .results import json_safe
+from .results import check_alpha, json_safe
 
 VALID_METRICS = ("rrmse", "coverage", "size", "power")
 
@@ -85,8 +85,7 @@ class ExperimentConfig:
             raise ConfigError(f"n_grid: sizes must be >= 1, got {self.n_grid}")
         put("replications", _at_least("replications", self.replications, 1))
         put("alpha", _convert("alpha", float, self.alpha))
-        if not 0.0 < self.alpha / 2.0 < 0.5:
-            raise ConfigError(f"alpha: must be in (0, 1) with alpha/2 > 0, got {self.alpha}")
+        check_alpha(self.alpha)
         put("base_seed", _at_least("base_seed", self.base_seed, 0))
         put("metrics", _items("metrics", self.metrics))
         if not self.metrics:

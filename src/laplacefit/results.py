@@ -21,7 +21,7 @@ if TYPE_CHECKING:
 def check_alpha(alpha: float) -> None:
     """Refuse a significance level outside (0, 1), or whose half underflows to 0; ConfigError is a ValueError."""
     if not 0.0 < alpha / 2.0 < 0.5:
-        raise ConfigError(f"alpha must be in (0, 1) with alpha/2 > 0, got {alpha}")
+        raise ConfigError(f"alpha: must be in (0, 1) with alpha/2 > 0, got {alpha}")
 
 
 @functools.cache

@@ -11,24 +11,21 @@ import csv
 from typing import TextIO
 
 from laplacefit.errors import SampleValidationError
-from laplacefit.laplace_core import Sample, _not_utf8, _parse_numbered
+from laplacefit.laplace_core import Sample, _parse_numbered
 
 
 def dict_reader_csv(stream: TextIO, column: str) -> Sample:
     """Extract a named column from CSV text with ``csv.DictReader`` and validate it."""
     reader = csv.DictReader(stream)
     cells = []
-    try:
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            raise SampleValidationError(
-                f"column {column!r} not found (have {reader.fieldnames})"
-            )
-        for row in reader:
-            # errors name the file line where the record ends, blank lines included
-            cell = (row.get(column) or "").strip()
-            if not cell:
-                raise SampleValidationError(f"row {reader.line_num}: empty cell in column {column!r}")
-            cells.append((reader.line_num, cell))
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc, reader.line_num) from None
+    if reader.fieldnames is None or column not in reader.fieldnames:
+        raise SampleValidationError(
+            f"column {column!r} not found (have {reader.fieldnames})"
+        )
+    for row in reader:
+        # errors name the file line where the record ends, blank lines included
+        cell = (row.get(column) or "").strip()
+        if not cell:
+            raise SampleValidationError(f"row {reader.line_num}: empty cell in column {column!r}")
+        cells.append((reader.line_num, cell))
     return _parse_numbered(cells)

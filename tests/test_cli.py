@@ -320,7 +320,7 @@ def test_fit_human_format(capsys, stable_data_file):
 def test_alpha_outside_unit_interval_exit_1(capsys, stable_data_file, command, alpha):
     code, out, err = run_cli(capsys, command, "ps", str(stable_data_file), "--alpha", alpha)
     assert code == 1 and out == ""
-    assert "error (config): alpha must be in (0, 1)" in err
+    assert "error (config): alpha: must be in (0, 1)" in err
 
 
 def test_tiny_scale_fit_matches_unscaled(capsys, tmp_path):

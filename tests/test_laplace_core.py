@@ -240,16 +240,6 @@ def test_csv_row_parser_matches_dict_reader(header, rows, newline, last_newline)
     )
 
 
-def test_csv_row_parser_names_a_bad_byte_after_blank_lines():
-    # blank lines that end just before the decoder's chunk with a bad byte:
-    # the row counts every line read, the blank ones included (csv.DictReader's
-    # line count stops at the first blank line of a run, row 1304 here)
-    data = b"w,v\n" + b"1,2.5\n" * 1300 + b"1," + b"9" * 380 + b"\n" + b"\n\n\n" + b"1,\xff\n"
-    with pytest.raises(SampleValidationError) as excinfo:
-        parse_sample_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), "v")
-    assert str(excinfo.value) == "row 1306: not UTF-8 text"
-
-
 @pytest.mark.parametrize(
     "text,column,message",
     [
@@ -543,8 +533,16 @@ def test_split_needs_one_thread_and_a_large_file(tmp_path):
         # a byte that is not UTF-8 in another column is refused too
         (b"w,v\n1,1.5\n\xff,2\n", "v", 3),
         (b"w,\xffv\n1,1.5\n", "v", 1),
+        # blank lines count as rows (csv.DictReader's line count would give 1304)
+        (b"w,v\n" + b"1,2.5\n" * 1300 + b"1," + b"9" * 380 + b"\n" + b"\n\n\n" + b"1,\xff\n", "v", 1306),
+        # a bad byte is refused before any row is checked, wherever it lies
+        (b"-1\n" + b"1.5\n" * 2000 + b"\xff\n", None, 2002),
+        (b"-1\n" + b"1.5\n" * 2100 + b"\xff\n", None, 2102),
     ],
-    ids=["text", "crlf", "cr", "past-a-chunk", "csv", "csv-other-column", "csv-header"],
+    ids=[
+        "text", "crlf", "cr", "past-a-chunk", "csv", "csv-other-column", "csv-header",
+        "csv-blank-lines", "after-a-bad-row", "after-a-bad-row-past-a-chunk",
+    ],
 )
 def test_load_refuses_text_that_is_not_utf8(tmp_path, data, column, row):
     expected = (SampleValidationError, f"row {row}: not UTF-8 text")
@@ -555,11 +553,6 @@ def test_load_refuses_text_that_is_not_utf8(tmp_path, data, column, row):
     for stream in (io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), UnseekableBytes(data)):
         with stream:
             assert read_outcome(lambda: load_sample(stream, column=column)) == expected
-    with open(path, encoding="utf-8") as fh:
-        if column is None:
-            assert read_outcome(lambda: parse_sample_lines(fh)) == expected
-        else:
-            assert read_outcome(lambda: parse_sample_csv(fh, column)) == expected
 
 
 def test_row_parser_refuses_escaped_bytes():
@@ -568,9 +561,6 @@ def test_row_parser_refuses_escaped_bytes():
     escaped = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
     with pytest.raises(SampleValidationError) as excinfo:
         load_sample(escaped)
-    assert str(excinfo.value) == "row 2: not UTF-8 text"
-    with pytest.raises(SampleValidationError) as excinfo:
-        parse_sample_csv(io.StringIO("w,v\n1,\udcff\n"), "v")
     assert str(excinfo.value) == "row 2: not UTF-8 text"
 
 
@@ -623,10 +613,9 @@ def test_gz_named_plain_text_reads_like_txt(tmp_path):
 @pytest.mark.parametrize(
     "data,column,message",
     [
-        (b"-1\n" + b"1.5\n" * 3000 + b"\xff2\n", None, "row 1: negative value '-1'"),
-        # a bad byte in the row parser's first 8 KiB decoder chunk is named first
+        # a bad byte is named before any row is checked
+        (b"-1\n" + b"1.5\n" * 3000 + b"\xff2\n", None, "row 3002: not UTF-8 text"),
         (b"-1\n1.5\n\xff\n", None, "row 3: not UTF-8 text"),
-        # the CSV row parser decodes every row before it checks one
         (b"w,v\n1,-1\n" + b"2,1.5\n" * 3000 + b"3,\xff\n", "v", "row 3003: not UTF-8 text"),
     ],
     ids=["text", "text-one-chunk", "csv"],

@@ -79,9 +79,12 @@ PS = DistributionSpec.parse("ps:0.5,15")
         (lambda: derive_substream(1, -2), "key: must be >= 0, got -2"),
         (lambda: derive_substream(1.5), "seed: must be an integer, got 1.5"),
         (lambda: derive_substream(1, 0, 2.0), "key: must be an integer, got 2.0"),
+        (lambda: derive_substream(None), "seed: must be an integer, got None"),
+        (lambda: derive_substream([1, 2]), "seed: must be an integer, got [1, 2]"),
         (lambda: sample_spec(PS, derive_substream(1), -1), "size: must be >= 0, got -1"),
         (lambda: sample_spec(PS, derive_substream(1), 2.5), "size: must be an integer, got 2.5"),
         (lambda: sample_spec(PS, derive_substream(1), True), "size: must be an integer, got True"),
+        (lambda: sample_spec(PS, derive_substream(1), None), "size: must be an integer, got None"),
     ],
 )
 def test_bad_sampler_arguments_are_refused(make, message):
@@ -91,7 +94,7 @@ def test_bad_sampler_arguments_are_refused(make, message):
 
 
 def test_sampler_arguments_numpy_takes_still_draw():
-    # the refusals above are checked only once numpy refuses, so these draw as before
+    # a zero size and numpy integers pass the checks above and draw as plain ints do
     assert sample_spec(PS, derive_substream(1), 0).shape == (0,)
     drawn = sample_spec(PS, derive_substream(np.int64(7), np.int64(1)), np.int64(3))
     assert drawn.tobytes() == sample_spec(PS, derive_substream(7, 1), 3).tobytes()
