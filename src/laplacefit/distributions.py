@@ -468,6 +468,8 @@ def sample_spec(spec: DistributionSpec, rng: RngStream, size: int) -> np.ndarray
         raise UnsupportedOperationError(f"no exact sampler for {spec.text()!r}")
     _refused_index("size", size)
     try:
+        if size > np.iinfo(np.intp).max // 8:
+            raise MemoryError("more float64 bytes than numpy can index")
         with np.errstate(over="ignore", invalid="ignore"):
             out = law.draw(law.params(*spec.params), rng, size)
             if spec.p_zero > 0.0:

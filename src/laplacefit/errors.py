@@ -81,7 +81,10 @@ def _items(name: str, value: Any) -> tuple:
 
 def _transform_argument(s: Any) -> np.ndarray:
     # the float array of a Laplace transform argument; a negative or NaN entry is a ConfigError
-    s_arr = np.asarray(s, dtype=float)
+    try:
+        s_arr = np.asarray(s, dtype=float)
+    except (TypeError, ValueError):  # not numbers: refused below as a NaN
+        s_arr = np.array(np.nan)
     if not np.all(s_arr >= 0.0):
         raise ConfigError(f"transform argument must be >= 0, got {s!r}")
     return s_arr

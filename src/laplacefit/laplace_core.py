@@ -1,9 +1,8 @@
 """Empirical Laplace transform, data-driven censoring point and censored moments.
 
-The censoring point A solves L_n(A) = c on the empirical transform
-L_n(s) = mean(exp(-s*X_i)), where the target level c is exp(-1) unless the
-observed zero fraction reaches 1/e, in which case the zero-adjusted level
-(1 + (e-1)*p_hat)/e is used.  One statistics pass then takes the censored
+The censoring point A solves L_n(A) = 1/e on the empirical transform
+L_n(s) = mean(exp(-s*X_i)); a sample whose zero fraction reaches 1/e has no
+such root and is refused.  One statistics pass then takes the censored
 moments and the covariance of the power products in the frame y = A*x; every
 estimator, standard error and test statistic in the package is a small map of
 these.
@@ -45,7 +44,7 @@ from .errors import (
 
 E = math.e
 
-#: relative tolerance on |L_n(A) - c|; the solver iterates until met
+#: relative tolerance on |L_n(A) - 1/e|; the solver iterates until met
 SOLVER_RTOL = 1e-12
 
 #: hard cap on Newton iterations; samples spread across the whole float range
@@ -373,11 +372,6 @@ def empirical_laplace(sample: Sample, s: float | np.ndarray) -> float | np.ndarr
     return float(out) if s_arr.ndim == 0 else out
 
 
-def zero_adjusted_target(p_hat: float | np.ndarray) -> np.ndarray:
-    """Target transform level: 1/e, or the zero-adjusted level when p_hat >= 1/e."""
-    return np.where(p_hat < 1.0 / E, 1.0 / E, (1.0 + (E - 1.0) * p_hat) / E)
-
-
 #: scale of a slope sum that overflows: fewer than 2**64 finite terms, each
 #: times it, sum to a finite float
 _SLOPE_SCALE = 2.0**-64
@@ -407,48 +401,56 @@ def positive_medians(x: np.ndarray, zero_count: np.ndarray) -> np.ndarray:
 
 def solve_rows(
     x: np.ndarray, zero_count: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[LaplaceFitError | None]]:
-    """Solve L_n(A) = c_target for every row of the (R, n) block ``x``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[LaplaceFitError | None]]:
+    """Solve L_n(A) = 1/e for every row of the (R, n) block ``x``.
 
-    Returns the (R,) arrays of each row's censoring point A, target level
-    c_target, Newton iterations and residual L_n(A) - c_target, and the
-    rows' errors; :func:`summarise` keeps all of them in the :class:`Batch`.
+    Returns the (R,) arrays of each row's censoring point A, Newton
+    iterations and residual L_n(A) - 1/e, and the rows' errors;
+    :func:`summarise` keeps all of them in the :class:`Batch`.
 
-    L_n is strictly decreasing from 1 to p_hat, and c_target lies strictly
-    between them whenever some observation is positive, so the root is unique.
-    L_n is a mean of exp(-s*x), so L_n - c is also convex: each Newton step
-    A <- A + f/mean(x*exp(-A*x)) lands at or left of the root, and from there
-    the steps climb to it without overshooting.  The start A0 = 1/median
+    L_n is strictly decreasing from 1 to p_hat, so a root exists, and is
+    unique, exactly when p_hat < 1/e; every other row is refused before Newton
+    runs.  L_n is a mean of exp(-s*x), so L_n - 1/e is also convex: each Newton
+    step A <- A + f/mean(x*exp(-A*x)) lands at or left of the root, and from
+    there the steps climb to it without overshooting.  The start A0 = 1/median
     (positive values) may lie right of the root, but its first step still
-    lands in (0, A]: the step is positive when mean((1 + u)*exp(-u)) > c with
-    u = A0*x, and (1 + u)*exp(-u) >= 2/e at the positive values up to the
-    median, at least half of them, while each zero contributes 1; together
-    these exceed the target level, 1/e or its zero-adjusted form.  Newton
-    stops at relative tolerance SOLVER_RTOL on the transform value.  The slope
-    is sum(x*exp(-A*x))/n: the terms are summed undivided, so data far below
-    unit scale do not turn them subnormal.  A row whose sum overflows, which
-    takes terms near the float maximum, is summed again with its terms scaled
-    by an exact power of two.
+    lands in (0, A]: the step is positive when mean((1 + u)*exp(-u)) > 1/e
+    with u = A0*x, and (1 + u)*exp(-u) >= 2/e at the positive values up to the
+    median, at least half of them, while each zero contributes 1.  Newton stops
+    at relative tolerance SOLVER_RTOL on the transform value.  The slope is
+    sum(x*exp(-A*x))/n: the terms are summed undivided, so data far below unit
+    scale do not turn them subnormal.  A row whose sum overflows, which takes
+    terms near the float maximum, is summed again with its terms scaled by an
+    exact power of two.
 
     Each row keeps to its own steps, so its result does not depend on the
-    other rows, and records its error instead of raising it: an all-zero row,
+    other rows, and records its error instead of raising it: a refused row,
     an iterate that is not a positive finite float (subnormal data make
     1/median infinite, and a root may lie beyond the float maximum), and a
     row still unsolved after SOLVER_MAX_ITER iterations.  A row with an error
     has a NaN censoring point.  Every step evaluates the whole block; a row out
-    of the ``live`` mask keeps its A, and the last step gives its residual.
+    of the ``live`` mask keeps its A (a refused row its NaN start), and the
+    last step gives its residual.
     """
     rows, n = x.shape
-    c = zero_adjusted_target(zero_count / n)
+    c = 1.0 / E
+    p_hat = zero_count / n
     errors: list[LaplaceFitError | None] = [None] * rows
-    live = zero_count < n
+    live = p_hat < c
+    refuse(
+        errors, zero_count == n,
+        lambda i: AllZeroSampleError("all observations are zero; L_n(s) == 1 has no root"),
+    )
     refuse(
         errors, ~live,
-        lambda i: AllZeroSampleError("all observations are zero; L_n(s) == 1 has no root"),
+        lambda i: RegimeError(
+            f"zero fraction {p_hat[i]:.3f} >= 1/e; the asymptotic covariance "
+            "is not available in this regime"
+        ),
     )
     iterations = np.zeros(rows, dtype=int)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ai = 1.0 / positive_medians(x, zero_count)
+        ai = np.where(live, 1.0 / positive_medians(x, zero_count), math.nan)
         tolerance = SOLVER_RTOL * c
         for _ in range(SOLVER_MAX_ITER):
             weights = -ai[:, None] * x
@@ -479,7 +481,7 @@ def solve_rows(
             f"with residual {f[i]:.3g}"
         ),
     )
-    return a, c, iterations, f, errors
+    return a, iterations, f, errors
 
 
 # ---------------------------------------------------------------------------
@@ -527,21 +529,19 @@ class Batch:
 
     Row i holds sample i's ``zero_count[i]``, whether its values are all
     equal (``constant[i]``), the record of its solve (the censoring point
-    ``a[i]``, the target level ``c_target[i]``, the Newton ``iterations[i]``
-    and the ``residual[i]`` L_n(A) - c_target) and, in the frame
-    y = a[i]*x, the normalized moments ``m_tilde[i, r] = mean(y**r * exp(-y))``
-    for r <= MAX_ORDER and the ddof=1 covariance ``cov[i]`` of the power
-    products y**r * exp(-y), r < MAX_ORDER.  Both are unit-free: a map built
-    on them sees the data's scale only through a.  A row whose solve failed
-    has the error in ``errors[i]`` and a NaN ``a[i]``, so its statistics are
-    NaN.
+    ``a[i]``, the Newton ``iterations[i]`` and the ``residual[i]``
+    L_n(A) - 1/e) and, in the frame y = a[i]*x, the normalized moments
+    ``m_tilde[i, r] = mean(y**r * exp(-y))`` for r <= MAX_ORDER and the
+    ddof=1 covariance ``cov[i]`` of the power products y**r * exp(-y),
+    r < MAX_ORDER.  Both are unit-free: a map built on them sees the data's
+    scale only through a.  A row the solve refused, or failed to solve, has
+    the error in ``errors[i]`` and a NaN ``a[i]``, so its statistics are NaN.
     """
 
     n: int
     zero_count: np.ndarray
     constant: np.ndarray
     a: np.ndarray
-    c_target: np.ndarray
     iterations: np.ndarray
     residual: np.ndarray
     m_tilde: np.ndarray
@@ -553,14 +553,13 @@ def summarise(x: np.ndarray) -> Batch:
     """Solve and summarise every row of an (R, n) block of validated samples.
 
     One :func:`solve_rows` call and one :func:`moments_rows` pass over the
-    whole block, which holds MAX_ORDER floats per value of ``x``.  A row whose
-    solve failed has a NaN censoring point, so its statistics come out NaN.
+    whole block, which holds MAX_ORDER floats per value of ``x``.
     """
     zero_count = np.count_nonzero(x == 0.0, axis=-1)
-    a, c_target, iterations, residual, errors = solve_rows(x, zero_count)
+    a, iterations, residual, errors = solve_rows(x, zero_count)
     m_tilde, cov = moments_rows(x, a)
     constant = x.max(axis=-1) == x.min(axis=-1)
-    return Batch(x.shape[1], zero_count, constant, a, c_target, iterations, residual, m_tilde, cov, errors)
+    return Batch(x.shape[1], zero_count, constant, a, iterations, residual, m_tilde, cov, errors)
 
 
 def row_errors(
@@ -568,28 +567,20 @@ def row_errors(
 ) -> list[LaplaceFitError | None]:
     """Each row's first error, in the order every fit and test checks them.
 
-    First the regime where the estimators and tests are defined: an all-zero
-    sample, fewer than ``min_n`` observations, a zero fraction at or above
-    1/e, where the asymptotic covariance is not available.  Then a constant
-    sample, if ``constant`` gives the message to refuse it with; then the
-    solve's error.
+    An all-zero sample, fewer than ``min_n`` observations, a constant sample
+    if ``constant`` gives the message to refuse it with, then the solve's
+    error, such as a zero fraction at or above 1/e (a constant sample with a
+    zero is all zero).
     """
-    p_hat = batch.zero_count / batch.n
-    errors: list[LaplaceFitError | None] = [None] * p_hat.size
+    rows = batch.zero_count.size
+    errors: list[LaplaceFitError | None] = [None] * rows
     refuse(
         errors, batch.zero_count == batch.n,
         lambda i: AllZeroSampleError("all observations are zero"),
     )
     refuse(
-        errors, np.full(p_hat.size, batch.n < min_n),
+        errors, np.full(rows, batch.n < min_n),
         lambda i: InsufficientSampleError(f"need at least {min_n} observations, got {batch.n}"),
-    )
-    refuse(
-        errors, p_hat >= 1.0 / E,
-        lambda i: RegimeError(
-            f"zero fraction {p_hat[i]:.3f} >= 1/e; the asymptotic covariance "
-            "is not available in this regime"
-        ),
     )
     if constant is not None:
         refuse(errors, batch.constant, lambda i: DegenerateSampleError(constant))

@@ -258,8 +258,9 @@ def _draw_chunk(
     config: ExperimentConfig, cell_index: int, n: int, blocks: range, failures: dict[str, int]
 ) -> np.ndarray:
     # the valid replicates of the chunk's blocks, below the replication count,
-    # as an (R, n) block; a sampler error fails the replicates of its block and
-    # a validation error its row, each counted under the scalar API's code
+    # as an (R, n) block ((0, 0) if none: numpy may not index n columns); a sampler
+    # error fails the replicates of its block and a validation error its row,
+    # each counted under the scalar API's code
     rows = max(1, BLOCK_VALUES // n)
     drawn = []
     for block in blocks:
@@ -269,7 +270,7 @@ def _draw_chunk(
             drawn.append(sample_spec(config.generator, rng, size=rows * n).reshape(rows, n)[:kept])
         except LaplaceFitError as exc:
             _fail(failures, exc.code, kept)
-    x = np.concatenate(drawn) if drawn else np.empty((0, n))
+    x = np.concatenate(drawn) if drawn else np.empty((0, 0))
     valid = (np.isfinite(x) & (x >= 0.0)).all(axis=-1)
     _fail(failures, SampleValidationError.code, int(np.count_nonzero(~valid)))
     return x if valid.all() else x[valid]

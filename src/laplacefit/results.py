@@ -26,11 +26,11 @@ def check_alpha(alpha: float) -> None:
 
 @functools.cache
 def normal_quantile(alpha: float) -> float:
-    """Two-sided standard normal critical value z_{1 - alpha/2}, as -z_{alpha/2} where 1 - alpha/2 rounds to 1."""
+    """Two-sided standard normal critical value z_{1 - alpha/2}, as -z_{alpha/2} below alpha = 1e-3."""
     check_alpha(alpha)
-    if 1.0 - alpha / 2.0 < 1.0:
-        return statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    return -statistics.NormalDist().inv_cdf(alpha / 2.0)
+    if alpha < 1e-3:  # 1 - alpha/2 would round away alpha's digits
+        return -statistics.NormalDist().inv_cdf(alpha / 2.0)
+    return statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
 def two_sided_p_value(z: float) -> float:

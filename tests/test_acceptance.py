@@ -413,7 +413,7 @@ def test_criterion_7e_solver_residuals():
             s = Sample.from_values(sample_spec(spec, derive_substream(73, i, rep), size=150))
             (error,), residual = s.batch.errors, s.batch.residual[0]
             count += 1
-            if error is not None or abs(residual) > SOLVER_RTOL * s.batch.c_target[0]:
+            if error is not None or abs(residual) > SOLVER_RTOL * (1.0 / E):
                 violations.append((text, rep, error or residual))
     check("criterion 7e (solver residuals)", violations, f"{count} solves within 1e-12 relative")
 

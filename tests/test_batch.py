@@ -73,7 +73,7 @@ def per_row(x: np.ndarray) -> list[tuple]:
     batch = summarise(x)
     rows = [
         [
-            bits(batch.a[i]), bits(batch.c_target[i]), bits(batch.iterations[i]), bits(batch.residual[i]),
+            bits(batch.a[i]), bits(batch.iterations[i]), bits(batch.residual[i]),
             bits(batch.m_tilde[i]), bits(batch.cov[i]), code(batch.errors[i]),
         ]
         for i in range(x.shape[0])
@@ -111,21 +111,23 @@ def test_rows_do_not_depend_on_their_batch(n, kinds, seed, order):
 
 
 def test_batch_rows_cover_every_error_kind():
-    # the row kinds above reach the solve's errors and the regime checks
+    # the row kinds above reach every error of the solve and of the families' row checks
     batch = summarise(np.array([make_row(kind, 40, 3) for kind in KINDS]))
     codes = {code(e) for family in (ps, tweedie) for e in family.fit_batch(batch, 0.05).errors}
-    assert {code(e) for e in batch.errors} == {"all_zero_sample", "degenerate_sample", None}
+    assert {code(e) for e in batch.errors} == {"all_zero_sample", "degenerate_sample", "regime", None}
     assert codes == {"all_zero_sample", "degenerate_sample", "insufficient_sample", "regime", None}
 
 
 @pytest.mark.filterwarnings("error")
 def test_failed_rows_have_nan_statistics():
-    # a failed solve leaves a NaN censoring point, which the one moment pass
-    # over the whole block carries into that row's statistics and no other's
-    kinds = ("gamma", "zero", "constant", "subnormal", "gamma", "subnormal", "zero", "constant")
+    # a refused or failed solve leaves a NaN censoring point, which the one
+    # moment pass over the whole block carries into that row's statistics and
+    # no other's
+    kinds = ("gamma", "zero", "constant", "subnormal", "zero_heavy", "gamma", "subnormal", "zero", "constant")
     batch = summarise(np.array([make_row(kind, 50, 5 + i) for i, kind in enumerate(kinds)]))
     failed = np.array([error is not None for error in batch.errors])
-    assert failed.tolist() == [kind in ("zero", "subnormal") for kind in kinds]
+    assert failed.tolist() == [kind in ("zero", "subnormal", "zero_heavy") for kind in kinds]
+    assert batch.errors[kinds.index("zero_heavy")].code == "regime"
     for statistic in (batch.a, batch.m_tilde, batch.cov):
         values = statistic.reshape(len(kinds), -1)
         assert np.isnan(values[failed]).all()

@@ -346,7 +346,9 @@ def test_laplace_exact_unsupported():
 
 
 @pytest.mark.parametrize(
-    "s", [-0.5, math.nan, np.array([1.0, math.nan])], ids=["negative", "nan", "nan-in-array"]
+    "s",
+    [-0.5, math.nan, np.array([1.0, math.nan]), "abc", [1, [2]], 1j, object()],
+    ids=["negative", "nan", "nan-in-array", "string", "ragged", "complex", "object"],
 )
 def test_laplace_exact_refuses_argument(s):
     with pytest.raises(ConfigError, match="transform argument must be >= 0") as excinfo:

@@ -18,6 +18,9 @@ from laplacefit import (
     Sample,
     derive_substream,
     empirical_laplace,
+    fit_ps,
+    fit_tweedie,
+    gof_jacobi,
     influence_map,
     laplace_exact,
     load_sample,
@@ -28,6 +31,7 @@ from laplacefit.errors import (
     ConfigError,
     DegenerateMomentsError,
     DegenerateSampleError,
+    RegimeError,
     SampleValidationError,
 )
 from laplacefit import laplace_core
@@ -713,8 +717,9 @@ def test_empirical_laplace_basics():
 
 
 @pytest.mark.parametrize(
-    "s", [-1.0, math.nan, np.array([0.5, math.nan]), np.array([[0.0], [-0.5]])],
-    ids=["negative", "nan", "nan-in-array", "negative-in-array"],
+    "s",
+    [-1.0, math.nan, np.array([0.5, math.nan]), np.array([[0.0], [-0.5]]), "abc", [1, [2]], 1j, object()],
+    ids=["negative", "nan", "nan-in-array", "negative-in-array", "string", "ragged", "complex", "object"],
 )
 def test_empirical_laplace_refuses_argument(s):
     with pytest.raises(ConfigError, match="transform argument must be >= 0") as excinfo:
@@ -763,20 +768,37 @@ def test_empirical_laplace_never_increases(values):
 def test_solver_constant_sample():
     batch = Sample.from_values([3.0] * 20).batch
     assert batch.errors == [None]
-    assert batch.c_target[0] == 1.0 / E
+    assert abs(batch.residual[0]) <= SOLVER_RTOL * (1.0 / E)
     assert batch.a[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert batch.iterations[0] == 0  # the start 1/median is the root
 
 
-def test_solver_zero_adjusted_target():
-    # nine zeros and one positive value: c = (1 + (e-1)*0.9)/e and the
-    # two-atom transform solves in closed form, 0.1*exp(-A) = c - 0.9 = 0.1/e,
-    # so A = 1 exactly
+def test_solver_refuses_a_zero_fraction_of_one_over_e():
+    # nine zeros and one positive value: L_n falls from 1 to 0.9, never to
+    # 1/e, so the solve refuses the row before Newton runs
     batch = Sample.from_values([0.0] * 9 + [1.0]).batch
-    assert batch.errors == [None]
-    assert batch.c_target[0] == pytest.approx((1.0 + (E - 1.0) * 0.9) / E, rel=1e-15)
-    assert batch.a[0] == pytest.approx(1.0, rel=1e-9)
-    assert batch.iterations[0] == 0  # the start 1/median is the root
+    (error,) = batch.errors
+    assert type(error) is RegimeError
+    assert str(error) == "zero fraction 0.900 >= 1/e; the asymptotic covariance is not available in this regime"
+    assert np.isnan(batch.a[0]) and np.isnan(batch.residual[0]) and batch.iterations[0] == 0
+    assert np.isnan(batch.m_tilde).all() and np.isnan(batch.cov).all()
+
+
+def test_solver_boundary_at_one_over_e():
+    # 36 zeros in 100 sit below 1/e = 0.3679 and solve; 37 reach it, and the
+    # solve's refusal is the error every family's fit and test raises
+    positive = derive_substream(110).gamma(2.0, 1.0, 64)
+    below = Sample.from_values([0.0] * 36 + positive.tolist()).batch
+    assert below.errors == [None]
+    assert abs(below.residual[0]) <= SOLVER_RTOL * (1.0 / E)
+    at = Sample.from_values([0.0] * 37 + positive[:63].tolist())
+    message = "zero fraction 0.370 >= 1/e; the asymptotic covariance is not available in this regime"
+    (error,) = at.batch.errors
+    assert type(error) is RegimeError and str(error) == message
+    for call in (fit_ps, fit_tweedie, gof_jacobi):
+        with pytest.raises(RegimeError) as caught:
+            call(at)
+        assert str(caught.value) == message
 
 
 def test_solver_all_zero():
@@ -806,7 +828,7 @@ def test_solver_median_near_float_maximum():
     batch = s.batch
     assert batch.errors == [None]
     assert 0.0 < batch.a[0] < 1e-307
-    assert abs(batch.residual[0]) <= SOLVER_RTOL * batch.c_target[0]
+    assert abs(batch.residual[0]) <= SOLVER_RTOL * (1.0 / E)
 
 
 @pytest.mark.parametrize(
@@ -822,24 +844,27 @@ def test_solver_at_the_ends_of_the_float_range(values, a):
     batch = Sample.from_values(values).batch
     assert batch.errors == [None]
     assert batch.a[0] == pytest.approx(a, rel=1e-4)
-    assert abs(batch.residual[0]) <= SOLVER_RTOL * batch.c_target[0]
+    assert abs(batch.residual[0]) <= SOLVER_RTOL * (1.0 / E)
 
 
 @given(st.lists(st.just(0.0) | st.floats(5e-324, 1.7e308), min_size=1, max_size=20))
 @settings(max_examples=200, deadline=None)
 def test_solver_meets_the_tolerance_or_leaves_the_float_range(values):
     # Newton on the convex transform never stops at the iteration cap: it
-    # solves, or the sample is all zero, or an iterate leaves the positive floats
+    # solves, or the sample is all zero or has a zero fraction of at least
+    # 1/e, or an iterate leaves the positive floats
     batch = Sample.from_values(values).batch
     (error,) = batch.errors
     if isinstance(error, AllZeroSampleError):
         assert not any(values)
+    elif isinstance(error, RegimeError):
+        assert values.count(0.0) / len(values) >= 1.0 / E
     elif isinstance(error, DegenerateSampleError):
         assert "leaves the float range" in str(error)
     else:
         assert error is None
         assert 0.0 < batch.a[0] < math.inf
-        assert abs(batch.residual[0]) <= SOLVER_RTOL * batch.c_target[0]
+        assert abs(batch.residual[0]) <= SOLVER_RTOL * (1.0 / E)
 
 
 @given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=12))
@@ -856,7 +881,7 @@ def test_solver_residual_tolerance_across_laws():
             rng = derive_substream(100, i, rep)
             batch = Sample.from_values(sample_spec(spec, rng, size=200)).batch
             assert batch.errors == [None]
-            assert abs(batch.residual[0]) <= SOLVER_RTOL * batch.c_target[0]
+            assert abs(batch.residual[0]) <= SOLVER_RTOL * (1.0 / E)
 
 
 def test_censoring_point_consistency_ps():
@@ -910,8 +935,8 @@ def test_moments_constant_sample():
 
 
 def test_sample_caches_only_scalars():
-    # the cached batch of one holds the solve record (A, target level,
-    # iterations, residual), five moments and a 4x4 covariance; an n-length
+    # the cached batch of one holds the solve record (A, iterations,
+    # residual), five moments and a 4x4 covariance; an n-length
     # array kept on the sample would pin 8n bytes
     s = Sample.from_values(derive_substream(109).gamma(2.0, 1.0, 1000))
     batch = s.batch
@@ -919,15 +944,14 @@ def test_sample_caches_only_scalars():
     assert batch.m_tilde.shape == (1, 5) and batch.cov.shape == (1, 4, 4)
     assert sorted(vars(s)) == ["batch", "n", "values", "zero_count"]
     arrays = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 8 and all(v.size <= 16 for v in arrays)
+    assert len(arrays) == 7 and all(v.size <= 16 for v in arrays)
 
 
 def test_moment_zero_equals_target():
     rng = derive_substream(103)
     s = Sample.from_values(sample_spec(DistributionSpec.parse("we:1,1"), rng, size=5000))
-    c_target = s.batch.c_target[0]
     _, m_tilde, _ = solved(s)
-    assert abs(m_tilde[0] - c_target) <= SOLVER_RTOL * c_target
+    assert abs(m_tilde[0] - 1.0 / E) <= SOLVER_RTOL * (1.0 / E)
 
 
 def test_moments_ps_first_moment():

@@ -243,10 +243,12 @@ def test_coverage_at_a_tiny_alpha_runs():
 
 def test_unallocatable_size_counts_as_failed_replicates():
     # 10**14 values are beyond the address space: numpy refuses them before it
-    # allocates anything, and each replicate fails under the config code
-    report = run_configs([small_config(n_grid=(10**14,), replications=3, metrics=("size",))])
-    (record,) = report.records
-    assert record.n_ok == 0 and record.failures == {"config": 3}
+    # allocates anything; 2**60 and more are beyond what numpy can index, and
+    # the sampler refuses them first; each replicate fails under the config code
+    n_grid = (10**14, 2**60, 10**20)
+    report = run_configs([small_config(n_grid=n_grid, replications=3, metrics=("size",))])
+    assert tuple(record.n for record in report.records) == n_grid
+    assert all(record.n_ok == 0 and record.failures == {"config": 3} for record in report.records)
 
 
 @pytest.mark.parametrize(

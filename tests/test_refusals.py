@@ -85,6 +85,15 @@ PS = DistributionSpec.parse("ps:0.5,15")
         (lambda: sample_spec(PS, derive_substream(1), 2.5), "size: must be an integer, got 2.5"),
         (lambda: sample_spec(PS, derive_substream(1), True), "size: must be an integer, got True"),
         (lambda: sample_spec(PS, derive_substream(1), None), "size: must be an integer, got None"),
+        # numpy cannot index 2**60 or more float64 values: refused before any draw
+        (
+            lambda: sample_spec(PS, derive_substream(1), 2**60),
+            "size: 1152921504606846976 values cannot be allocated (more float64 bytes than numpy can index)",
+        ),
+        (
+            lambda: sample_spec(PS, derive_substream(1), 10**20),
+            "size: 100000000000000000000 values cannot be allocated (more float64 bytes than numpy can index)",
+        ),
     ],
 )
 def test_bad_sampler_arguments_are_refused(make, message):
@@ -120,7 +129,7 @@ def test_tweedie_refuses_moments_where_psi_is_zero():
     # m1 = 1, m2 = 2e, m3 = 5e^2 put psi at exactly 0 and m1*m2 - e*m1^3 at e
     m_tilde = np.array([[1.0, 1.0, 2.0 * E, 5.0 * E**2, 30.0]])
     batch = Batch(
-        100, np.array([0]), np.array([False]), np.array([1.0]), np.array([1.0 / E]),
+        100, np.array([0]), np.array([False]), np.array([1.0]),
         np.array([3]), np.array([0.0]), m_tilde, 0.1 * np.eye(4)[None], [None],
     )
     for errors in (tweedie.fit_batch(batch).errors, tweedie.gof_batch(batch).errors):

@@ -10,8 +10,11 @@ from laplacefit.results import make_fit, make_gof_outcome, normal_quantile, two_
 
 
 def test_normal_quantile_matches_scipy():
+    # isf(alpha/2) does not round 1 - alpha/2, which loses the digits of a small alpha
     for alpha in np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 2001), [0.05, 0.01, 1e-12]]):
-        assert normal_quantile(alpha) == pytest.approx(stats.norm.ppf(1.0 - alpha / 2.0), rel=1e-12)
+        assert normal_quantile(alpha) == pytest.approx(stats.norm.isf(alpha / 2.0), rel=1e-12)
+    for alpha in (1e-4, 1e-8, 1e-12, 1e-15):
+        assert normal_quantile(alpha) == pytest.approx(stats.norm.isf(alpha / 2.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [1e-16, 1e-17, 1e-100, 1e-300, 1e-323])
