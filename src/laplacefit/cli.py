@@ -82,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_sample(args: argparse.Namespace) -> Sample:
-    return load_sample(sys.stdin if args.input == "-" else args.input, column=args.column)
+    stdin = getattr(sys.stdin, "buffer", sys.stdin)  # its bytes: refused as a file's, whatever the encoding
+    return load_sample(stdin if args.input == "-" else args.input, column=args.column)
 
 
 def _emit(payload: dict[str, Any], fmt: str) -> None:

@@ -80,9 +80,9 @@ def _items(name: str, value: Any) -> tuple:
 
 
 def _transform_argument(s: Any) -> np.ndarray:
-    # the float array of a Laplace transform argument; a negative or NaN entry is a ConfigError
+    # the float array of a Laplace transform argument; a negative, NaN or complex entry is a ConfigError
     try:
-        s_arr = np.asarray(s, dtype=float)
+        s_arr = np.array(np.nan) if np.iscomplexobj(s) else np.asarray(s, dtype=float)
     except (TypeError, ValueError):  # not numbers: refused below as a NaN
         s_arr = np.array(np.nan)
     if not np.all(s_arr >= 0.0):

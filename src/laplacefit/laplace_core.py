@@ -150,8 +150,8 @@ SPLIT_BYTES = 4 * 2**20
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma", ".zip")
 
 
-def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sample:
-    """Load a sample from a path or open text stream.
+def load_sample(source: str | Path | TextIO | BinaryIO, column: str | None = None) -> Sample:
+    """Load a sample from a path or an open text or binary stream.
 
     Plain text means one decimal float per line; passing ``column`` switches
     to CSV mode and reads that column (the last one of that name in the
@@ -174,9 +174,9 @@ def load_sample(source: str | Path | TextIO, column: str | None = None) -> Sampl
     Any other input is copied to a temporary file that is read as above
     and removed: a file numpy would not read as it is (a name it would
     decompress, ``.gz``, ``.bz2``, ``.xz``, ``.lzma`` or ``.zip``, whatever
-    it holds, or a pipe) as its bytes, and a stream, stdin included, as its
-    text encoded back to UTF-8 (stdin's lone-surrogate escape of a bad byte
-    stays a bad byte) or as the bytes it could not decode.
+    it holds, or a pipe) as its bytes, and a stream as its bytes, or as its
+    text encoded back to UTF-8 (a lone-surrogate escape of a bad byte stays
+    a bad byte), or as the bytes it could not decode.
 
     A bad byte is refused at its row before any row is checked: when these
     reads or ``Sample.from_values`` refuse the input, its first byte that is

@@ -150,7 +150,7 @@ class GofOutcome:
 
     ``statistic`` is already sqrt(n)-scaled; ``sigma_hat`` estimates its
     asymptotic standard deviation, so ``z = statistic / sigma_hat`` is
-    standard normal under the null and the test rejects two-sided.
+    standard normal under the null; it rejects where |z| > z_{1-alpha/2}, the intervals' critical value.
     """
 
     family: str
@@ -169,17 +169,16 @@ class GofOutcome:
 
 @dataclass(frozen=True)
 class GofBatch:
-    """The tests of a batch of samples: (R,) arrays of the :class:`GofOutcome` fields.
+    """The tests of a batch of samples: (R,) arrays of the :class:`GofOutcome` fields but ``p_value``.
 
-    ``errors[i]`` is the error sample i's test raises, or None; such a row's
-    numbers are NaN.
+    ``reject`` is |z| > z_{1-alpha/2}, the intervals' critical value; :meth:`row` forms a read row's p-value.
+    ``errors[i]`` is the error sample i's test raises, or None; such a row's numbers are NaN.
     """
 
     family: str
     statistic: np.ndarray
     sigma_hat: np.ndarray
     z: np.ndarray
-    p_value: np.ndarray
     reject: np.ndarray
     alpha: float
     n: int
@@ -191,7 +190,7 @@ class GofBatch:
             raise self.errors[i]
         return GofOutcome(
             self.family, float(self.statistic[i]), float(self.sigma_hat[i]), float(self.z[i]),
-            float(self.p_value[i]), bool(self.reject[i]), self.alpha, self.n,
+            two_sided_p_value(float(self.z[i])), bool(self.reject[i]), self.alpha, self.n,
         )
 
 
@@ -199,14 +198,13 @@ def make_gof_outcome(
     family: str, statistic: np.ndarray, sigma_hat: np.ndarray, alpha: float, n: int,
     errors: list[LaplaceFitError | None],
 ) -> GofBatch:
-    """Standardize each row's statistic; a zero variance estimate is a degenerate sample."""
-    check_alpha(alpha)
+    """Standardize each row (a zero variance is degenerate); reject where |z| > the intervals' z_{1-alpha/2}."""
+    critical = normal_quantile(alpha)
     refuse(errors, sigma_hat == 0.0, lambda i: DegenerateSampleError("test variance estimate is zero"))
     statistic, sigma_hat = _blank_failed(errors, statistic, sigma_hat)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = statistic / sigma_hat
-    p = np.array([two_sided_p_value(v) for v in z.tolist()])
-    return GofBatch(family, statistic, sigma_hat, z, p, p < alpha, alpha, n, errors)
+    return GofBatch(family, statistic, sigma_hat, z, np.abs(z) > critical, alpha, n, errors)
 
 
 @dataclass(frozen=True)

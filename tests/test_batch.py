@@ -7,6 +7,7 @@ the replicates of its blocks: replicate r is row r mod B of block r // B, one
 flat draw of B*n values with B = max(1, BLOCK_VALUES // n).
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -30,6 +31,7 @@ from laplacefit.errors import DegenerateSampleError, LaplaceFitError, TiltedReje
 from laplacefit.families import FAMILIES
 from laplacefit.laplace_core import summarise
 from laplacefit.montecarlo import ExperimentConfig, run_configs
+from laplacefit.results import GofBatch, normal_quantile, two_sided_p_value
 
 KINDS = ("gamma", "stable", "few_zeros", "constant", "zero", "subnormal", "zero_heavy", "spread")
 
@@ -213,6 +215,44 @@ CELLS = [
     ("tw:0.6,200,5", "tweedie", ("rrmse",), (60,)),
     ("pa:5,2", "jacobi", ("power",), (30,)),
 ]
+
+
+def gof_inputs() -> list[np.ndarray]:
+    """Blocks of the row kinds at n = 5, 40 and 300, and of each cell's draws at each n that any survive."""
+    blocks = [np.array([make_row(kind, n, 3 + i) for i, kind in enumerate(KINDS)]) for n in (5, 40, 300)]
+    for generator, target, metrics, n_grid in CELLS:
+        config = ExperimentConfig(
+            DistributionSpec.parse(generator), target, n_grid, replications=40, base_seed=11, metrics=metrics
+        )
+        for cell_index, n in enumerate(n_grid):
+            drawn = -(-config.replications // max(1, montecarlo.BLOCK_VALUES // n))
+            blocks.append(montecarlo._draw_chunk(config, cell_index, n, range(drawn), {}))
+    return [x for x in blocks if x.shape[0]]
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1e-8])
+@pytest.mark.parametrize("family", [ps, tweedie, jacobi], ids=["ps", "tweedie", "jacobi"])
+def test_gof_rejects_past_the_intervals_critical_value(family, alpha):
+    # one rule with the intervals: reject where |z| > z_{1-alpha/2}; a failed
+    # row's NaN z does not reject, and a row read forms its p-value from its z
+    assert "p_value" not in {field.name for field in dataclasses.fields(GofBatch)}
+    critical, codes, rejections = normal_quantile(alpha), set(), 0
+    for x in gof_inputs():
+        outcomes = family.gof_batch(summarise(x), alpha)
+        assert outcomes.reject.dtype == bool
+        assert np.array_equal(outcomes.reject, np.abs(outcomes.z) > critical)
+        assert not outcomes.reject[np.isnan(outcomes.z)].any()
+        for i, error in enumerate(outcomes.errors):
+            codes.add(code(error))
+            if error is None:
+                outcome = outcomes.row(i)
+                assert outcome.p_value == two_sided_p_value(float(outcomes.z[i]))
+                assert outcome.reject == bool(outcomes.reject[i])
+            else:
+                assert np.isnan(outcomes.z[i]) and not outcomes.reject[i]
+        rejections += int(outcomes.reject.sum())
+    assert {None, "all_zero_sample", "degenerate_sample", "insufficient_sample", "regime"} <= codes
+    assert rejections > 0 or alpha < 0.05  # every family rejects some block at 5 %
 
 
 def poisoned(spec, rng, size):

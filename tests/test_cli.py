@@ -230,19 +230,23 @@ def test_fit_refuses_a_file_that_is_not_utf8(capsys, tmp_path, data, column, row
     assert err == f"error (invalid_sample): row {row}: not UTF-8 text\n"
 
 
-@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+@pytest.mark.parametrize(
+    "encoding", ["utf-8:strict", "utf-8:surrogateescape", "latin-1"],
+    ids=["strict", "surrogateescape", "latin-1"],
+)
 @pytest.mark.parametrize(
     "data,column,row",
     [(b"1.5\n\xff2\n", None, 2), (b"w,v\n1,1.5\n2,\xff2\n", "v", 3)],
     ids=["text", "csv"],
 )
-def test_fit_refuses_stdin_that_is_not_utf8(data, column, row, errors):
-    # stdin decodes strictly under a UTF-8 locale and escapes bad bytes under a POSIX one
+def test_fit_refuses_stdin_that_is_not_utf8(data, column, row, encoding):
+    # stdin's bytes are read whatever its encoding: strict or escaping UTF-8, or one
+    # that decodes every byte
     pythonpath = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run(
         [sys.executable, "-m", "laplacefit", "fit", "ps", "-"] + (["--column", column] if column else []),
         input=data,
-        env=dict(os.environ, PYTHONPATH=pythonpath, PYTHONIOENCODING=f"utf-8:{errors}"),
+        env=dict(os.environ, PYTHONPATH=pythonpath, PYTHONIOENCODING=encoding),
         capture_output=True,
     )
     assert (done.returncode, done.stdout) == (1, b"")
@@ -381,6 +385,12 @@ def test_missing_file_exit_1(capsys):
     code, out, err = run_cli(capsys, "fit", "ps", "/no/such/file.txt")
     assert (code, out) == (1, "")
     assert err.startswith("error (io): [Errno 2] No such file or directory")
+
+
+def test_directory_exit_1(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "fit", "ps", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error (io): [Errno 21] Is a directory")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -347,11 +348,15 @@ def test_laplace_exact_unsupported():
 
 @pytest.mark.parametrize(
     "s",
-    [-0.5, math.nan, np.array([1.0, math.nan]), "abc", [1, [2]], 1j, object()],
-    ids=["negative", "nan", "nan-in-array", "string", "ragged", "complex", "object"],
+    [-0.5, math.nan, np.array([1.0, math.nan]), "abc", [1, [2]], 1j, object(),
+     np.array([1j]), np.array([2 + 3j]), np.array([1 + 0j])],
+    ids=["negative", "nan", "nan-in-array", "string", "ragged", "complex", "object",
+         "complex-array", "complex-array-real-part", "complex-array-zero-imaginary"],
 )
 def test_laplace_exact_refuses_argument(s):
-    with pytest.raises(ConfigError, match="transform argument must be >= 0") as excinfo:
+    # refused before any conversion: a complex array warns nothing and is not read at its real part
+    with warnings.catch_warnings(), pytest.raises(ConfigError, match="transform argument must be >= 0") as excinfo:
+        warnings.simplefilter("error")
         laplace_exact(DistributionSpec("ps", (0.5, 2.0)), s)
     assert isinstance(excinfo.value, ValueError)
 

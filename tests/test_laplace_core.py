@@ -706,6 +706,27 @@ def test_valid_input_never_reaches_row_parser(tmp_path, monkeypatch):
         assert sample.values.tobytes() == values.tobytes()
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_load_named_pipe_reads_its_bytes(tmp_path):
+    # a path that is not a regular file is staged and read as the same bytes in a file
+    data = b"1.5\n\n2.25\n3\n"
+    fifo, path = tmp_path / "draws.fifo", tmp_path / "draws.txt"
+    os.mkfifo(fifo)
+    path.write_bytes(data)
+
+    def write_fifo():
+        with open(fifo, "wb") as sink:
+            sink.write(data)
+
+    writer = threading.Thread(target=write_fifo)
+    writer.start()
+    sample = load_sample(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert sample.values.tolist() == [1.5, 2.25, 3.0]
+    assert sample.values.tobytes() == load_sample(path).values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # empirical transform
 
@@ -718,11 +739,19 @@ def test_empirical_laplace_basics():
 
 @pytest.mark.parametrize(
     "s",
-    [-1.0, math.nan, np.array([0.5, math.nan]), np.array([[0.0], [-0.5]]), "abc", [1, [2]], 1j, object()],
-    ids=["negative", "nan", "nan-in-array", "negative-in-array", "string", "ragged", "complex", "object"],
+    [
+        -1.0, math.nan, np.array([0.5, math.nan]), np.array([[0.0], [-0.5]]), "abc", [1, [2]], 1j, object(),
+        np.array([1j]), np.array([2 + 3j]), np.array([1 + 0j]),
+    ],
+    ids=[
+        "negative", "nan", "nan-in-array", "negative-in-array", "string", "ragged", "complex", "object",
+        "complex-array", "complex-array-real-part", "complex-array-zero-imaginary",
+    ],
 )
 def test_empirical_laplace_refuses_argument(s):
-    with pytest.raises(ConfigError, match="transform argument must be >= 0") as excinfo:
+    # refused before any conversion: a complex array warns nothing and is not read at its real part
+    with warnings.catch_warnings(), pytest.raises(ConfigError, match="transform argument must be >= 0") as excinfo:
+        warnings.simplefilter("error")
         empirical_laplace(Sample.from_values([0.0, 1.0]), s)
     assert isinstance(excinfo.value, ValueError) and excinfo.value.code == "config"
 

@@ -349,6 +349,14 @@ def test_coverage_grid_configs():
     assert len(seeds) == 4
 
 
+def test_coverage_grid_configs_default_lambdas():
+    # four gammas by the 24 lambdas 0.5, 1.0, ..., 12
+    configs = coverage_grid_configs()
+    assert len(configs) == 96
+    assert (configs[0].generator.text(), configs[-1].generator.text()) == ("ps:0.3,0.5", "ps:0.8,12")
+    assert len({c.base_seed for c in configs}) == 96
+
+
 def test_merge_and_lookup():
     merged = run_configs(
         [
