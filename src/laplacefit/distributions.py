@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
     _transform_argument,
 )
 
-#: deterministic pseudo-random stream; one per Monte Carlo replicate
+#: deterministic pseudo-random stream; one per block of Monte Carlo replicates
 RngStream = np.random.Generator
 
 #: most stable proposals one tilted-rejection call (gamma != 1/2) may expect to draw, about 2 s
@@ -231,20 +231,18 @@ def tilt_acceptance_rate(params: TweedieParams) -> float:
 def sample_tweedie(params: TweedieParams, rng: RngStream, size: int) -> np.ndarray:
     """Draw from the Tweedie law.
 
-    Branches: ``gamma == 1`` is the point mass at ``lam`` (tilting a constant
-    changes nothing); ``theta == 0`` reduces to the positive stable sampler
-    and consumes the identical stream; ``gamma == 1/2`` is the inverse
-    Gaussian with mean lam/(2*sqrt(theta)) and shape lam**2/2, drawn exactly
-    without rejection; any other ``0 < gamma < 1`` uses rejection of stable
-    proposals with acceptance weight exp(-theta*Z), in passes of at most
-    ``MAX_TILT_PROPOSALS`` proposals, and refuses a call that expects more than
-    ``MAX_TILT_WORK`` proposals in all; ``gamma < 0`` draws
-    N ~ Poisson(lam*theta**gamma) and then a Gamma(-gamma*N, rate theta) total,
-    using the additivity of gamma shapes in place of an explicit sum.
+    Branches, in order: ``gamma < 0`` draws N ~ Poisson(lam*theta**gamma)
+    and then a Gamma(-gamma*N, rate theta) total, by the additivity of gamma
+    shapes; ``theta == 0`` or ``gamma == 1`` is the positive stable sampler
+    and its stream (at gamma = 1 the point mass at ``lam``, drawing nothing);
+    ``gamma == 1/2`` is the inverse Gaussian with mean lam/(2*sqrt(theta))
+    and shape lam**2/2, drawn exactly without rejection; any other
+    ``0 < gamma < 1`` uses rejection of stable proposals with acceptance
+    weight exp(-theta*Z), in passes of at most ``MAX_TILT_PROPOSALS``
+    proposals, and refuses a call that expects more than ``MAX_TILT_WORK``
+    proposals in all.
     """
     g, lam, th = params.gamma, params.lam, params.theta
-    if g == 1.0:
-        return np.full(size, lam)
     if g < 0.0:
         counts = rng.poisson(lam * th**g, size)
         out = np.zeros(size)
@@ -252,7 +250,7 @@ def sample_tweedie(params: TweedieParams, rng: RngStream, size: int) -> np.ndarr
         if pos.any():
             out[pos] = rng.gamma(-g * counts[pos], 1.0 / th)
         return out
-    if th == 0.0:
+    if th == 0.0 or g == 1.0:
         return sample_positive_stable(PsParams(g, lam), rng, size)
     if g == 0.5:
         # Michael, Schucany & Haas (1976): X = mu*W with W ~ IG(1, phi),
@@ -394,12 +392,13 @@ class DistributionSpec:
     an exact zero with probability ``p_zero``.  Canonical text form is
     ``family:p1,p2,...`` with a ``0`` suffix on the family for zero inflation,
     e.g. ``ps:0.5,15``, ``tw0:1,1,0.1``, ``pa0:5,2,0.1``.  Parameters must be
-    finite and pass the law's own checks.
+    finite and pass the law's own checks, whose record, built once, is ``native``.
     """
 
     family: str
     params: tuple[float, ...]
     p_zero: float = 0.0
+    native: Any = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         law = LAWS.get(self.family)
@@ -416,7 +415,7 @@ class DistributionSpec:
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
         if not all(map(math.isfinite, self.params)):
             raise SpecFormatError(f"{self.family} parameters must be finite, got {self.params}")
-        law.params(*self.params)
+        object.__setattr__(self, "native", law.params(*self.params))
 
     @classmethod
     def parse(cls, text: str) -> "DistributionSpec":
@@ -448,10 +447,9 @@ class DistributionSpec:
 
     def tweedie_params(self) -> TweedieParams:
         """Native Tweedie parameters of a spec of a Tweedie law."""
-        params = LAWS[self.family].params(*self.params)
-        if not isinstance(params, TweedieParams):
+        if not isinstance(self.native, TweedieParams):
             raise SpecFormatError(f"{self.family} is not a Tweedie spec")
-        return params
+        return self.native
 
 
 def sample_spec(spec: DistributionSpec, rng: RngStream, size: int) -> np.ndarray:
@@ -471,7 +469,7 @@ def sample_spec(spec: DistributionSpec, rng: RngStream, size: int) -> np.ndarray
         if size > np.iinfo(np.intp).max // 8:
             raise MemoryError("more float64 bytes than numpy can index")
         with np.errstate(over="ignore", invalid="ignore"):
-            out = law.draw(law.params(*spec.params), rng, size)
+            out = law.draw(spec.native, rng, size)
             if spec.p_zero > 0.0:
                 out = np.where(rng.random(size) < spec.p_zero, 0.0, out)
     except MemoryError as exc:
@@ -489,5 +487,5 @@ def laplace_exact(spec: DistributionSpec, s: float | np.ndarray) -> float | np.n
     if law.transform is None:
         raise UnsupportedOperationError(f"no closed-form transform for {spec.text()!r}")
     with np.errstate(over="ignore"):  # a transform that overflows its exponent is 0
-        out = spec.p_zero + (1.0 - spec.p_zero) * law.transform(law.params(*spec.params), s_arr)
+        out = spec.p_zero + (1.0 - spec.p_zero) * law.transform(spec.native, s_arr)
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out

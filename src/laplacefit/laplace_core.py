@@ -409,8 +409,8 @@ def solve_rows(
     :func:`summarise` keeps all of them in the :class:`Batch`.
 
     L_n is strictly decreasing from 1 to p_hat, so a root exists, and is
-    unique, exactly when p_hat < 1/e; every other row is refused before Newton
-    runs.  L_n is a mean of exp(-s*x), so L_n - 1/e is also convex: each Newton
+    unique, exactly when p_hat < 1/e; every other row, an all-zero one too,
+    is refused with a :class:`RegimeError` before Newton runs.  L_n is a mean of exp(-s*x), so L_n - 1/e is also convex: each Newton
     step A <- A + f/mean(x*exp(-A*x)) lands at or left of the root, and from
     there the steps climb to it without overshooting.  The start A0 = 1/median
     (positive values) may lie right of the root, but its first step still
@@ -437,10 +437,6 @@ def solve_rows(
     p_hat = zero_count / n
     errors: list[LaplaceFitError | None] = [None] * rows
     live = p_hat < c
-    refuse(
-        errors, zero_count == n,
-        lambda i: AllZeroSampleError("all observations are zero; L_n(s) == 1 has no root"),
-    )
     refuse(
         errors, ~live,
         lambda i: RegimeError(
@@ -534,8 +530,9 @@ class Batch:
     ``m_tilde[i, r] = mean(y**r * exp(-y))`` for r <= MAX_ORDER and the
     ddof=1 covariance ``cov[i]`` of the power products y**r * exp(-y),
     r < MAX_ORDER.  Both are unit-free: a map built on them sees the data's
-    scale only through a.  A row the solve refused, or failed to solve, has
-    the error in ``errors[i]`` and a NaN ``a[i]``, so its statistics are NaN.
+    scale only through a.  A row the solve refused (an all-zero one by its
+    zero fraction), or failed to solve, has the error in ``errors[i]`` and a
+    NaN ``a[i]``, so its statistics are NaN.
     """
 
     n: int
@@ -567,10 +564,10 @@ def row_errors(
 ) -> list[LaplaceFitError | None]:
     """Each row's first error, in the order every fit and test checks them.
 
-    An all-zero sample, fewer than ``min_n`` observations, a constant sample
-    if ``constant`` gives the message to refuse it with, then the solve's
-    error, such as a zero fraction at or above 1/e (a constant sample with a
-    zero is all zero).
+    An all-zero sample, the one :class:`AllZeroSampleError` of the package,
+    fewer than ``min_n`` observations, a constant sample if ``constant``
+    gives the message to refuse it with, then the solve's error, such as a
+    zero fraction at or above 1/e (a constant sample with a zero is all zero).
     """
     rows = batch.zero_count.size
     errors: list[LaplaceFitError | None] = [None] * rows

@@ -332,9 +332,9 @@ def _run_cell(config: ExperimentConfig, cell_index: int, n: int) -> list[CellRec
         if config.needs_fit:
             fits = family.fit_batch(batch, config.alpha)
             tested = passed(fits.errors, tested)
-            finite = np.isfinite(fits.estimates).all(axis=1) & np.isfinite(fits.ci).all(axis=(1, 2))
-            _fail(failures, "nonfinite_estimate", int(np.count_nonzero(tested & ~finite)))
-            kept = tested & finite
+            nonfinite = tested & fits.flags["nonfinite_covariance"]  # set by a non-finite estimate too
+            _fail(failures, "nonfinite_estimate", int(np.count_nonzero(nonfinite)))
+            kept = tested & ~nonfinite
             estimates.append(fits.estimates[kept])
             lo, hi = fits.ci[kept, :, 0], fits.ci[kept, :, 1]
             covered += ((lo <= true) & (true <= hi)).sum(axis=0)

@@ -116,7 +116,7 @@ def test_batch_rows_cover_every_error_kind():
     # the row kinds above reach every error of the solve and of the families' row checks
     batch = summarise(np.array([make_row(kind, 40, 3) for kind in KINDS]))
     codes = {code(e) for family in (ps, tweedie) for e in family.fit_batch(batch, 0.05).errors}
-    assert {code(e) for e in batch.errors} == {"all_zero_sample", "degenerate_sample", "regime", None}
+    assert {code(e) for e in batch.errors} == {"degenerate_sample", "regime", None}
     assert codes == {"all_zero_sample", "degenerate_sample", "insufficient_sample", "regime", None}
 
 

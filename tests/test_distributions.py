@@ -24,6 +24,7 @@ from laplacefit import (
     tw0_to_tw,
     tw_to_tw0,
 )
+from laplacefit import distributions
 from laplacefit.distributions import tilt_acceptance_rate
 from laplacefit.errors import (
     ConfigError,
@@ -228,7 +229,29 @@ def test_tw_tilted_mean():
 
 def test_tw_gamma_one_degenerate():
     rng = derive_substream(23)
+    state = rng.bit_generator.state
     assert np.all(sample_tweedie(TweedieParams(1.0, 4.0, 2.0), rng, size=5) == 4.0)
+    assert rng.bit_generator.state == state  # no random numbers consumed
+
+
+def test_spec_builds_its_native_parameters_once(monkeypatch):
+    # draws, the exact transform and the Tweedie parameters all read the
+    # record the spec built when it was made
+    calls = []
+
+    def counted(p3):
+        calls.append(p3)
+        return tw0_to_tw(p3)
+
+    monkeypatch.setattr(distributions, "tw0_to_tw", counted)
+    spec = DistributionSpec.parse("tw0:1,1,0.1")
+    rng = derive_substream(5)
+    for _ in range(3):
+        sample_spec(spec, rng, size=4096)
+    laplace_exact(spec, 1.0)
+    spec.tweedie_params()
+    assert len(calls) == 1
+    assert spec.tweedie_params() is spec.native
 
 
 def test_tw_rejection_infeasible_guard():

@@ -831,9 +831,19 @@ def test_solver_boundary_at_one_over_e():
 
 
 def test_solver_all_zero():
-    (error,) = Sample.from_values([0.0, 0.0]).batch.errors
-    assert type(error) is AllZeroSampleError
-    assert str(error) == "all observations are zero; L_n(s) == 1 has no root"
+    # to the solve an all-zero sample is one with a zero fraction past 1/e;
+    # every fit and test checks for it first and names it all-zero
+    sample = Sample.from_values([0.0, 0.0])
+    (error,) = sample.batch.errors
+    assert type(error) is RegimeError
+    assert str(error) == (
+        "zero fraction 1.000 >= 1/e; the asymptotic covariance is not available in this regime"
+    )
+    for call in (fit_ps, fit_tweedie, gof_jacobi):
+        with pytest.raises(AllZeroSampleError) as info:
+            call(sample)
+        assert type(info.value) is AllZeroSampleError
+        assert str(info.value) == "all observations are zero"
 
 
 @pytest.mark.parametrize(
