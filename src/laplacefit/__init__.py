@@ -20,6 +20,7 @@ _SUBMODULES = (
     "distributions",
     "errors",
     "families",
+    "ingest",
     "jacobi",
     "laplace_core",
     "montecarlo",
@@ -45,8 +46,9 @@ _SUBMODULE_EXPORTS = {
         "tw_to_tw0",
     ),
     "errors": ("LaplaceFitError",),
+    "ingest": ("load_sample",),
     "jacobi": ("fit_jacobi", "gof_jacobi"),
-    "laplace_core": ("Sample", "empirical_laplace", "influence_map", "load_sample"),
+    "laplace_core": ("Sample", "empirical_laplace", "influence_map"),
     "ps": ("fit_ps", "gof_ps"),
     "results": ("Fit", "GofOutcome"),
     "tweedie": ("fit_tweedie", "gof_tweedie", "tw_censoring_point", "tw_theoretical_censored_moments"),

@@ -28,7 +28,8 @@ from typing import Any, Sequence
 
 from .errors import ConfigError, InputError, LaplaceFitError, _at_least
 from .families import FAMILIES
-from .laplace_core import Sample, load_sample
+from .ingest import load_sample
+from .laplace_core import Sample
 from .results import json_safe
 
 # the samplers (distributions) and the harness (montecarlo) are imported in
@@ -67,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convert", help="convert parametrizations")
     p_conv.add_argument("kind", choices=("tw0",))
-    p_conv.add_argument("values", nargs=3, type=float, metavar=("MU", "W", "P"))
+    for name in ("mu", "w", "p"):
+        p_conv.add_argument(name, type=float, metavar=name.upper())
     p_conv.add_argument("--format", choices=("json", "csv", "human"), default="human", dest="fmt")
 
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
@@ -138,7 +140,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     from .distributions import Tw0Params, tw0_to_tw
 
-    tw = tw0_to_tw(Tw0Params(*args.values))
+    tw = tw0_to_tw(Tw0Params(args.mu, args.w, args.p))
     payload = {"gamma": tw.gamma, "lambda": tw.lam, "theta": tw.theta}
     if args.fmt == "human":
         print(f"({tw.gamma:.7f}, {tw.lam:.6f}, {tw.theta:.6f})")

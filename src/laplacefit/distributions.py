@@ -244,12 +244,8 @@ def sample_tweedie(params: TweedieParams, rng: RngStream, size: int) -> np.ndarr
     """
     g, lam, th = params.gamma, params.lam, params.theta
     if g < 0.0:
-        counts = rng.poisson(lam * th**g, size)
-        out = np.zeros(size)
-        pos = counts > 0
-        if pos.any():
-            out[pos] = rng.gamma(-g * counts[pos], 1.0 / th)
-        return out
+        # exact: a shape-0 gamma draws nothing from the stream and is +0.0
+        return rng.gamma(-g * rng.poisson(lam * th**g, size), 1.0 / th)
     if th == 0.0 or g == 1.0:
         return sample_positive_stable(PsParams(g, lam), rng, size)
     if g == 0.5:

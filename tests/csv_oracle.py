@@ -11,7 +11,8 @@ import csv
 from typing import TextIO
 
 from laplacefit.errors import SampleValidationError
-from laplacefit.laplace_core import Sample, _parse_numbered
+from laplacefit.ingest import _parse_numbered
+from laplacefit.laplace_core import Sample
 
 
 def dict_reader_csv(stream: TextIO, column: str) -> Sample:

@@ -4,8 +4,8 @@
 ``laplacefit`` would silently zero a per-layer metric; this test catches it.
 The spans in ``RETIRED`` name functions that the statistics pass,
 ``Sample.batch``, the solve record kept in ``Batch`` and the complex-step
-derivative replaced; they must stay absent until the benchmark's ``SPANS``
-drops them.  A short traced run of each Monte Carlo workload checks that
+derivative replaced, and the readers now in ``ingest``; they must stay
+absent until the benchmark's ``SPANS`` drops them.  A short traced run of each Monte Carlo workload checks that
 the tracer still installs and that the runs pass their checks.
 """
 
@@ -23,8 +23,9 @@ TRACING = ROOT / "bench" / "tracing.py"
 
 #: spans whose functions were folded into the statistics pass, the
 #: per-sample moment functions that ``Sample.batch`` replaced, the one-sample
-#: solve whose record ``Batch`` now keeps, and the central-difference
-#: Jacobian that the Tweedie complex step replaced
+#: solve whose record ``Batch`` now keeps, the central-difference Jacobian
+#: that the Tweedie complex step replaced, and the readers that moved from
+#: ``laplace_core`` to ``ingest``
 RETIRED = (
     "laplace_core.solve_censoring_point",
     "laplace_core.influence_rows",
@@ -32,6 +33,9 @@ RETIRED = (
     "laplace_core.censored_moments",
     "laplace_core.censored_moments_at",
     "numdiff.central_diff_jacobian",
+    "laplace_core.load_sample",
+    "laplace_core.parse_sample_lines",
+    "laplace_core.parse_sample_csv",
 )
 
 

@@ -256,7 +256,7 @@ def test_fit_refuses_stdin_that_is_not_utf8(data, column, row, encoding):
 @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
 def test_fit_stdin_prints_the_bytes_of_the_file_fit(tmp_path, pipe):
     # stdin large enough for a split read gives the output of the path read
-    from laplacefit.laplace_core import SPLIT_BYTES
+    from laplacefit.ingest import SPLIT_BYTES
 
     path = tmp_path / "draws.txt"
     values = sample_spec(DistributionSpec.parse("ps:0.5,15"), derive_substream(31), 480_000)
@@ -413,6 +413,26 @@ def test_convert_invalid_regime(capsys):
     code, out, _ = run_cli(capsys, "convert", "tw0", "1", "1", "0.5")
     assert code == 2
     assert json.loads(out)["error"] == "invalid_regime"
+
+
+def test_convert_missing_value_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["convert", "tw0", "1", "2"])
+    assert excinfo.value.code == 2
+    assert "the following arguments are required: P" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# help
+
+
+@pytest.mark.parametrize("command", [None, "fit", "gof", "sample", "convert", "experiment"], ids=str)
+def test_help_exits_0(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: laplacefit", *argv[:-1], ""]))
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,11 @@ from laplacefit.errors import (
     RegimeError,
     SampleValidationError,
 )
-from laplacefit import laplace_core
+from laplacefit import ingest
+from laplacefit.ingest import parse_sample_csv, parse_sample_lines
 from laplacefit.laplace_core import (
     SOLVER_RTOL,
     moments_rows,
-    parse_sample_csv,
-    parse_sample_lines,
     positive_medians,
 )
 
@@ -49,7 +48,7 @@ E = math.e
 
 
 # ---------------------------------------------------------------------------
-# Sample construction and ingestion
+# Sample construction
 
 
 def positive_median(s):
@@ -76,6 +75,10 @@ def test_sample_rejects_bad_values(values, message):
     with pytest.raises(SampleValidationError) as excinfo:
         Sample.from_values(np.array(values))
     assert str(excinfo.value) == message
+
+
+# ---------------------------------------------------------------------------
+# reading a sample: laplacefit.ingest
 
 
 def test_parse_lines_row_indexed_errors():
@@ -154,8 +157,8 @@ def forced_split(parts=3):
         forks.append(None)
         return real_fork()
 
-    with mock.patch.object(laplace_core, "SPLIT_BYTES", 1), \
-            mock.patch.object(laplace_core, "_usable_cpus", lambda: parts), \
+    with mock.patch.object(ingest, "SPLIT_BYTES", 1), \
+            mock.patch.object(ingest, "_usable_cpus", lambda: parts), \
             mock.patch.object(os, "fork", fork):
         yield forks
 
@@ -406,7 +409,7 @@ def test_split_falls_back_when_a_child_fails(tmp_path):
     path = tmp_path / "draws.txt"
     values = derive_substream(212).gamma(0.5, 2.0, 500)
     path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
-    parent, real_loadtxt = os.getpid(), laplace_core._loadtxt
+    parent, real_loadtxt = os.getpid(), ingest._loadtxt
     reads = []
 
     def fail_in_child(source, **options):
@@ -415,7 +418,7 @@ def test_split_falls_back_when_a_child_fails(tmp_path):
         reads.append(source)
         return real_loadtxt(source, **options)
 
-    with mock.patch.object(laplace_core, "_loadtxt", fail_in_child), forced_split() as forks:
+    with mock.patch.object(ingest, "_loadtxt", fail_in_child), forced_split() as forks:
         sample = load_sample(path)
     assert_no_child_left()
     assert len(forks) == 2
@@ -427,14 +430,14 @@ def test_split_falls_back_when_a_child_fails(tmp_path):
 def test_split_reaps_children_when_the_parent_raises(tmp_path):
     path = tmp_path / "draws.txt"
     path.write_text("1.5\n" * 300)
-    parent, real_loadtxt = os.getpid(), laplace_core._loadtxt
+    parent, real_loadtxt = os.getpid(), ingest._loadtxt
 
     def fail_in_parent(source, **options):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         return real_loadtxt(source, **options)
 
-    with mock.patch.object(laplace_core, "_loadtxt", fail_in_parent), forced_split() as forks:
+    with mock.patch.object(ingest, "_loadtxt", fail_in_parent), forced_split() as forks:
         with pytest.raises(KeyboardInterrupt):
             load_sample(path)
     assert len(forks) == 2
@@ -451,13 +454,13 @@ def test_split_reads_crlf_blank_and_whitespace_lines_in_parts(tmp_path):
     path = tmp_path / "draws.txt"
     path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
     expected = load_sample(path).values.tobytes()
-    sources, real_loadtxt = [], laplace_core._loadtxt
+    sources, real_loadtxt = [], ingest._loadtxt
 
     def count_loadtxt(source, **options):
         sources.append(source)
         return real_loadtxt(source, **options)
 
-    with mock.patch.object(laplace_core, "_loadtxt", count_loadtxt), forced_split(3) as forks:
+    with mock.patch.object(ingest, "_loadtxt", count_loadtxt), forced_split(3) as forks:
         sample = load_sample(path)
     assert_no_child_left()
     assert len(forks) == 2
@@ -502,14 +505,14 @@ def test_split_without_in_memory_files_reads_in_one_process(tmp_path):
 
 def test_usable_cpus_needs_in_memory_files(monkeypatch):
     monkeypatch.delattr(os, "memfd_create", raising=False)
-    assert laplace_core._usable_cpus() == 1
+    assert ingest._usable_cpus() == 1
 
 
 def test_split_needs_one_thread_and_a_large_file(tmp_path):
     path = tmp_path / "draws.txt"
     path.write_text("1.5\n2\n" * 300)
     with forced_split() as forks:
-        with mock.patch.object(laplace_core, "SPLIT_BYTES", path.stat().st_size // 2 + 1):
+        with mock.patch.object(ingest, "SPLIT_BYTES", path.stat().st_size // 2 + 1):
             load_sample(path)
         assert forks == []
         stop = threading.Event()
@@ -644,13 +647,13 @@ def test_staged_stream_file_is_removed(tmp_path, monkeypatch):
     staging.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(staging))
     seen = []
-    real_loadtxt = laplace_core._loadtxt
+    real_loadtxt = ingest._loadtxt
 
     def see_staged(path, **options):
         seen.extend(os.listdir(staging))
         return real_loadtxt(path, **options)
 
-    with mock.patch.object(laplace_core, "_loadtxt", see_staged):
+    with mock.patch.object(ingest, "_loadtxt", see_staged):
         assert load_sample(Unseekable("1.5\n2\n")).n == 2
     assert len(seen) == 1 and os.listdir(staging) == []
     with pytest.raises(SampleValidationError, match="row 3: negative value '-3'"):
@@ -663,7 +666,7 @@ def test_staged_stream_file_is_removed(tmp_path, monkeypatch):
     def interrupted(path, **options):
         raise KeyboardInterrupt
 
-    with mock.patch.object(laplace_core, "_loadtxt", interrupted), pytest.raises(KeyboardInterrupt):
+    with mock.patch.object(ingest, "_loadtxt", interrupted), pytest.raises(KeyboardInterrupt):
         load_sample(Unseekable("1.5\n2\n"))
     assert os.listdir(staging) == []
 
@@ -680,8 +683,8 @@ def test_valid_input_never_reaches_row_parser(tmp_path, monkeypatch):
     def refuse_row_parser(*args, **kwargs):
         raise AssertionError("valid input went through the row parser")
 
-    monkeypatch.setattr(laplace_core, "parse_sample_lines", refuse_row_parser)
-    monkeypatch.setattr(laplace_core, "parse_sample_csv", refuse_row_parser)
+    monkeypatch.setattr(ingest, "parse_sample_lines", refuse_row_parser)
+    monkeypatch.setattr(ingest, "parse_sample_csv", refuse_row_parser)
     values = derive_substream(110).gamma(0.5, 2.0, 10**4)
     values[::10] = 0.0
     text = "".join(f"{v!r}\n" for v in values.tolist())

@@ -14,13 +14,15 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: what ``fit`` and ``gof`` run: the CLI, the family registry and its three
-#: families, the engine, the result records and the error classes
+#: what ``fit`` and ``gof`` run: the CLI, the sample reader, the family
+#: registry and its three families, the engine, the result records and the
+#: error classes
 FIT_PATH = {
     "laplacefit",
     "laplacefit.cli",
     "laplacefit.errors",
     "laplacefit.families",
+    "laplacefit.ingest",
     "laplacefit.jacobi",
     "laplacefit.laplace_core",
     "laplacefit.ps",
@@ -64,6 +66,12 @@ def test_import_leaves_scipy_out(loaded_by_cli_import):
 def test_import_leaves_multiprocessing_out(loaded_by_cli_import):
     # the process pool is imported only when run_configs runs jobs > 1
     assert "multiprocessing" not in loaded_by_cli_import
+
+
+def test_engine_import_leaves_the_reader_out():
+    # the method module never imports the sample reader, nor what only it uses
+    loaded = run_fresh("import json, sys, laplacefit.laplace_core; print(json.dumps(sorted(sys.modules)))")
+    assert "laplacefit.ingest" not in loaded and "csv" not in loaded
 
 
 def test_bare_import_loads_no_submodule():
