@@ -43,6 +43,8 @@ _SUBMODULE_EXPORTS = {
         "sample_spec",
         "sample_tweedie",
         "tw0_to_tw",
+        "tw_censoring_point",
+        "tw_theoretical_censored_moments",
         "tw_to_tw0",
     ),
     "errors": ("LaplaceFitError",),
@@ -51,7 +53,7 @@ _SUBMODULE_EXPORTS = {
     "laplace_core": ("Sample", "empirical_laplace", "influence_map"),
     "ps": ("fit_ps", "gof_ps"),
     "results": ("Fit", "GofOutcome"),
-    "tweedie": ("fit_tweedie", "gof_tweedie", "tw_censoring_point", "tw_theoretical_censored_moments"),
+    "tweedie": ("fit_tweedie", "gof_tweedie"),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
 

@@ -5,6 +5,9 @@ stable, Tweedie and its mean/zero reparametrization, cosh-Jacobi) and the
 alternative laws used by the Monte Carlo harness (positive Linnik, Pareto,
 Weibull, log-normal, exp-square log-normal), the last five also with a
 zero-inflated wrapper.  Specs, draws and exact transforms read only it.
+A generator's true parameters are its spec's ``native`` record, and the
+Tweedie law's population censoring point and censored moments sit beside
+its transform.
 
 Linnik convention: ``LI(gamma, lam, delta)`` is the gamma scale mixture
 ``V**(1/gamma) * Z`` with ``V ~ Gamma(shape=delta, scale=lam)`` and
@@ -25,6 +28,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     InvalidRegimeError,
+    RegimeError,
     SpecFormatError,
     TiltedRejectionInfeasibleError,
     UnsupportedOperationError,
@@ -133,6 +137,8 @@ class Tw0Params:
             raise SpecFormatError(f"w must be positive, got {self.w}")
         if not 0.0 < self.p < 1.0:
             raise SpecFormatError(f"zero probability must be in (0, 1), got {self.p}")
+        if math.isinf(self.mu) or math.isinf(self.w):
+            raise SpecFormatError(f"mean and w must be finite, got {self.mu} and {self.w}")
 
 
 def tw0_to_tw(p3: Tw0Params) -> TweedieParams:
@@ -171,7 +177,13 @@ def tw_to_tw0(params: TweedieParams) -> Tw0Params:
     if params.gamma >= 0.0:
         raise InvalidRegimeError("mean/zero-probability form needs gamma < 0")
     g, lam, th = params.gamma, params.lam, params.theta
-    return Tw0Params(abs(g) * lam * th ** (g - 1.0), (1.0 - g) / th, math.exp(-lam * th**g))
+    try:
+        mu = abs(g) * lam * th ** (g - 1.0)
+    except OverflowError:
+        raise InvalidRegimeError(
+            f"index {g:.6g} and tilt {th:.6g} put theta**(gamma-1) outside the float range"
+        ) from None
+    return Tw0Params(mu, (1.0 - g) / th, math.exp(-lam * th**g))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +308,49 @@ def _tweedie_transform(p: TweedieParams, s: np.ndarray) -> np.ndarray:
     sign = math.copysign(1.0, p.gamma)
     # at most 0 but for rounding, which times a large lam would overflow exp
     return np.exp(np.minimum(sign * p.lam * (p.theta**p.gamma - (p.theta + s) ** p.gamma), 0.0))
+
+
+def tw_censoring_point(params: TweedieParams) -> float:
+    """Population censoring point a_* with L_X(a_*) = 1/e.
+
+    Exists iff lam*theta**gamma > -sgn(gamma), which is exactly P(X=0) < 1/e;
+    then a_* = (1/(sgn(gamma)*lam) + theta**gamma)**(1/gamma) - theta, and
+    a root past the float maximum is a RegimeError too.
+    """
+    g, lam, th = params.gamma, params.lam, params.theta
+    sg = math.copysign(1.0, g)
+    if not lam * th**g > -sg:
+        raise RegimeError(
+            f"P(X=0) = {params.zero_probability:.3f} >= 1/e; no censoring point "
+            "with transform level 1/e exists"
+        )
+    try:
+        return (1.0 / (sg * lam) + th**g) ** (1.0 / g) - th
+    except OverflowError:
+        raise RegimeError(f"the censoring point of {params!r} lies past the float maximum") from None
+
+
+def tw_theoretical_censored_moments(
+    params: TweedieParams, a: float
+) -> tuple[float, float, float]:
+    """Exact censored moments E[X**r * exp(-a*X)] for r = 1, 2, 3.
+
+    Valid at any a > 0, not just at the censoring point:
+    m1 = |gamma|*lam*L(a)*(theta+a)**(gamma-1) and the higher moments follow
+    the recursion m2 = m1**2/L + m1*(1-gamma)/(theta+a),
+    m3 = m1**3/L**2 + m1*(1-gamma)/(theta+a) * (3*m1/L + (2-gamma)/(theta+a)).
+    An a that is not finite, or at which L**2 underflows to 0, is refused.
+    """
+    lap = float(_tweedie_transform(params, a)) if 0.0 < a < math.inf else 0.0
+    if not lap**2 > 0.0:
+        raise ConfigError(
+            f"censoring point must be positive and finite, with L(a)**2 not underflowing to 0, got {a!r}"
+        )
+    g, lam, th = params.gamma, params.lam, params.theta
+    m1 = abs(g) * lam * lap * (th + a) ** (g - 1.0)
+    m2 = m1**2 / lap + m1 * (1.0 - g) / (th + a)
+    m3 = m1**3 / lap**2 + m1 * (1.0 - g) / (th + a) * (3.0 * m1 / lap + (2.0 - g) / (th + a))
+    return m1, m2, m3
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +495,6 @@ class DistributionSpec:
         fam = self.family + "0" if self.p_zero > 0.0 else self.family
         values = self.params + ((self.p_zero,) if self.p_zero > 0.0 else ())
         return fam + ":" + ",".join(format(v, "g") for v in values)
-
-    def tweedie_params(self) -> TweedieParams:
-        """Native Tweedie parameters of a spec of a Tweedie law."""
-        if not isinstance(self.native, TweedieParams):
-            raise SpecFormatError(f"{self.family} is not a Tweedie spec")
-        return self.native
 
 
 def sample_spec(spec: DistributionSpec, rng: RngStream, size: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, LaplaceFitError, LogDomainError, refuse
+from .errors import ConfigError, LaplaceFitError, LogDomainError, RegimeError, refuse
 from .laplace_core import E, Batch, columns, influence_map, quadratic_form, row_errors
 from .results import Family, FitBatch, GofBatch, make_fit, make_gof_outcome
 
@@ -43,10 +43,15 @@ LOG_ATOL = 1e-9
 
 
 def jacobi_censoring_point(gamma: float) -> float:
-    """Population censoring point c**(1/gamma)."""
+    """Population censoring point c**(1/gamma); RegimeError past the float maximum."""
     if not 0.0 < gamma <= 0.5:
         raise ConfigError(f"index must be in (0, 0.5], got {gamma}")
-    return JACOBI_C ** (1.0 / gamma)
+    try:
+        return JACOBI_C ** (1.0 / gamma)
+    except OverflowError:
+        raise RegimeError(
+            f"censoring point c**(1/gamma) at index {gamma} lies past the float maximum"
+        ) from None
 
 
 def jacobi_population_m1(gamma: float) -> float:
@@ -98,7 +103,7 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
     return make_gof_outcome("jacobi", statistic, sigma_hat, alpha, batch.n, errors)
 
 
-FAMILY = Family("jacobi", PARAM_NAMES, ("jacobi",), fit_batch, gof_batch, None)
+FAMILY = Family("jacobi", PARAM_NAMES, ("jacobi",), fit_batch, gof_batch)
 
 #: one sample's fit and test
 fit_jacobi, gof_jacobi = FAMILY.fit, FAMILY.gof

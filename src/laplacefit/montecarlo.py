@@ -36,13 +36,13 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from typing import Any, Sequence
 
 import numpy as np
 
 from . import __version__
-from .distributions import DistributionSpec, derive_substream, sample_spec
+from .distributions import LAWS, DistributionSpec, derive_substream, sample_spec
 from .errors import ConfigError, LaplaceFitError, SampleValidationError, _at_least, _convert, _items
 from .families import FAMILIES
 from .laplace_core import summarise
@@ -58,6 +58,11 @@ BLOCK_VALUES = 2**12
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+def _true_values(spec: DistributionSpec) -> tuple[float, ...]:
+    # a generator's parameters in its record's field order; a _rule law's record is the tuple
+    return spec.native if isinstance(spec.native, tuple) else astuple(spec.native)
 
 
 @dataclass(frozen=True)
@@ -113,9 +118,9 @@ class ExperimentConfig:
 
     def truth(self) -> dict[str, float]:
         """True parameter values of the fit target implied by the generator."""
-        family = FAMILIES[self.fit_target]
-        if family.truth is not None and self.generator.family in family.null_generators:
-            return dict(zip(family.param_names, family.truth(self.generator)))
+        family, tag = FAMILIES[self.fit_target], self.generator.family
+        if tag in family.null_generators and LAWS[tag].draw is not None:
+            return dict(zip(family.param_names, _true_values(self.generator)))
         raise ConfigError(
             f"generator: {self.generator.text()!r} is not in the {self.fit_target!r} "
             "null family, so rrmse/coverage have no truth to compare against"
@@ -510,7 +515,7 @@ def conversion_report(base_seed: int = 0) -> ExperimentReport:
     records = tuple(
         CellRecord(spec.text(), family.name, 0, "conversion", name, value, 0.0, 1, 1, {}, base_seed)
         for spec in map(DistributionSpec.parse, CONVERSION_ROWS)
-        for name, value in zip(family.param_names, family.truth(spec))
+        for name, value in zip(family.param_names, _true_values(spec))
     )
     return ExperimentReport(records=records, config_hash="conversion", base_seed=base_seed)
 

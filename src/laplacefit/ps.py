@@ -78,7 +78,7 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
     return make_gof_outcome("ps", statistic, sigma_hat, alpha, batch.n, errors)
 
 
-FAMILY = Family("ps", PARAM_NAMES, ("ps",), fit_batch, gof_batch, lambda spec: spec.params)
+FAMILY = Family("ps", PARAM_NAMES, ("ps",), fit_batch, gof_batch)
 
 #: one sample's fit and test; a constant sample's fit also warns
 fit_ps, gof_ps = FAMILY.fit, FAMILY.gof

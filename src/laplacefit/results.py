@@ -14,7 +14,6 @@ import numpy as np
 from .errors import ConfigError, DegenerateSampleError, LaplaceFitError, refuse
 
 if TYPE_CHECKING:
-    from .distributions import DistributionSpec
     from .laplace_core import Batch, Sample
 
 
@@ -215,8 +214,8 @@ class Family:
     :class:`~laplacefit.laplace_core.Batch` and ``gof_batch(batch, alpha)``
     tests them; the methods :meth:`fit` and :meth:`gof` are their batches of
     one.  ``null_generators`` are the spec families that draw from the law
-    itself, and ``truth`` maps such a spec to its parameter values in
-    ``param_names`` order, or is None when the law has no sampler.
+    itself; such a spec's ``native`` record holds the true parameters, in
+    ``param_names`` order.
     """
 
     name: str
@@ -224,7 +223,6 @@ class Family:
     null_generators: tuple[str, ...]
     fit_batch: Callable[[Batch, float], FitBatch]
     gof_batch: Callable[[Batch, float], GofBatch]
-    truth: Callable[[DistributionSpec], tuple[float, ...]] | None
 
     def fit(self, sample: Sample, alpha: float = 0.05) -> Fit:
         """Fit one sample: row 0 of :attr:`fit_batch` on ``sample.batch``; raises its error.

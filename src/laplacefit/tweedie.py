@@ -20,19 +20,13 @@ prefer :func:`laplacefit.fit_ps` there.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ComplexPowerError, ConfigError, LaplaceFitError, NearSingularError, RegimeError, refuse,
-)
+from .errors import ComplexPowerError, LaplaceFitError, NearSingularError, refuse
 from .laplace_core import E, Batch, columns, influence_map, quadratic_form, row_errors
 from .results import Family, FitBatch, GofBatch, make_fit, make_gof_outcome
-
-if TYPE_CHECKING:  # fit and test never draw, so the samplers stay unloaded
-    from .distributions import TweedieParams
 
 #: smallest sample size accepted by the Tweedie fit
 MIN_SAMPLE = 50
@@ -48,44 +42,6 @@ SINGULAR_FLAG_RTOL = 1e-6
 
 #: imaginary step of the complex-step derivatives
 COMPLEX_STEP = 1e-100
-
-
-def tw_censoring_point(params: TweedieParams) -> float:
-    """Population censoring point a_* with L_X(a_*) = 1/e.
-
-    Exists iff lam*theta**gamma > -sgn(gamma), which is exactly P(X=0) < 1/e;
-    then a_* = (1/(sgn(gamma)*lam) + theta**gamma)**(1/gamma) - theta.
-    """
-    g, lam, th = params.gamma, params.lam, params.theta
-    sg = math.copysign(1.0, g)
-    if not lam * th**g > -sg:
-        raise RegimeError(
-            f"P(X=0) = {params.zero_probability:.3f} >= 1/e; no censoring point "
-            "with transform level 1/e exists"
-        )
-    return (1.0 / (sg * lam) + th**g) ** (1.0 / g) - th
-
-
-def tw_theoretical_censored_moments(
-    params: TweedieParams, a: float
-) -> tuple[float, float, float]:
-    """Exact censored moments E[X**r * exp(-a*X)] for r = 1, 2, 3.
-
-    Valid at any a > 0, not just at the censoring point:
-    m1 = |gamma|*lam*L(a)*(theta+a)**(gamma-1) and the higher moments follow
-    the recursion m2 = m1**2/L + m1*(1-gamma)/(theta+a),
-    m3 = m1**3/L**2 + m1*(1-gamma)/(theta+a) * (3*m1/L + (2-gamma)/(theta+a)).
-    """
-    from .distributions import DistributionSpec, laplace_exact
-
-    if not a > 0.0:
-        raise ConfigError(f"censoring point must be positive, got {a!r}")
-    g, lam, th = params.gamma, params.lam, params.theta
-    lap = float(laplace_exact(DistributionSpec("tw", (g, lam, th)), a))
-    m1 = abs(g) * lam * lap * (th + a) ** (g - 1.0)
-    m2 = m1**2 / lap + m1 * (1.0 - g) / (th + a)
-    m3 = m1**3 / lap**2 + m1 * (1.0 - g) / (th + a) * (3.0 * m1 / lap + (2.0 - g) / (th + a))
-    return m1, m2, m3
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +202,7 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
     return make_gof_outcome("tweedie", statistic, sigma_hat, alpha, batch.n, errors)
 
 
-FAMILY = Family(
-    "tweedie", PARAM_NAMES, ("tw", "tw0"), fit_batch, gof_batch,
-    lambda spec: astuple(spec.tweedie_params()),
-)
+FAMILY = Family("tweedie", PARAM_NAMES, ("tw", "tw0"), fit_batch, gof_batch)
 
 #: one sample's fit and test
 fit_tweedie, gof_tweedie = FAMILY.fit, FAMILY.gof

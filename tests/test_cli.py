@@ -415,6 +415,19 @@ def test_convert_invalid_regime(capsys):
     assert json.loads(out)["error"] == "invalid_regime"
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (("1", "inf", "0.5"), "mean and w must be finite, got 1.0 and inf"),
+        (("inf", "1", "0.5"), "mean and w must be finite, got inf and 1.0"),
+    ],
+)
+def test_convert_refuses_an_infinite_mean_or_w(capsys, values, message):
+    # an input error, not a traceback (w = inf) or a regime error (mu = inf)
+    code, out, err = run_cli(capsys, "convert", "tw0", *values)
+    assert (code, out, err) == (1, "", f"error (spec_format): {message}\n")
+
+
 def test_convert_missing_value_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["convert", "tw0", "1", "2"])

@@ -14,10 +14,13 @@ from laplacefit import tweedie
 from laplacefit.cli import main
 from laplacefit.distributions import (
     DistributionSpec, PsParams, TweedieParams, Tw0Params, derive_substream, sample_spec,
+    tw_censoring_point, tw_to_tw0,
 )
 from laplacefit.errors import (
-    ComplexPowerError, ConfigError, NearSingularError, SampleValidationError, SpecFormatError,
+    ComplexPowerError, ConfigError, InvalidRegimeError, NearSingularError, RegimeError,
+    SampleValidationError, SpecFormatError,
 )
+from laplacefit.jacobi import jacobi_censoring_point, jacobi_population_m1
 from laplacefit.laplace_core import Batch, Sample, summarise
 from laplacefit.montecarlo import ExperimentConfig, parse_config_document, table_configs
 
@@ -35,6 +38,8 @@ E = math.e
         (lambda: TweedieParams(-1.0, 1.0, 0.0), "compound-Poisson branch (gamma < 0) needs theta > 0"),
         (lambda: Tw0Params(0.0, 1.0, 0.5), "mean must be positive, got 0.0"),
         (lambda: Tw0Params(1.0, 0.0, 0.5), "w must be positive, got 0.0"),
+        (lambda: Tw0Params(1.0, math.inf, 0.5), "mean and w must be finite, got 1.0 and inf"),
+        (lambda: Tw0Params(math.inf, 1.0, 0.5), "mean and w must be finite, got inf and 1.0"),
         (lambda: DistributionSpec("nope", (1.0,)), "unknown family 'nope'"),
         (lambda: DistributionSpec("pa", (5.0, 2.0), p_zero=1.0), "zero-inflation must be in [0, 1), got 1.0"),
         (lambda: DistributionSpec("pa", (5.0, 2.0), p_zero=-0.1), "zero-inflation must be in [0, 1), got -0.1"),
@@ -42,11 +47,53 @@ E = math.e
             lambda: DistributionSpec.parse("pa0:5,2"),
             "pa0 takes 3 parameters (last one is the zero probability), got 2",
         ),
-        (lambda: DistributionSpec.parse("ps:0.5,15").tweedie_params(), "ps is not a Tweedie spec"),
     ],
 )
 def test_bad_parameters_are_refused(make, message):
     with pytest.raises(SpecFormatError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        # the population censoring point's root lies past the float maximum
+        pytest.param(
+            lambda: tw_censoring_point(TweedieParams(1e-300, 1.0, 1.0)), RegimeError,
+            "the censoring point of TweedieParams(gamma=1e-300, lam=1.0, theta=1.0) lies past the float maximum",
+            id="tw_censoring_point-tiny-gamma",
+        ),
+        pytest.param(
+            lambda: tw_censoring_point(TweedieParams(-1e-300, 2.0, 1.0)), RegimeError,
+            "the censoring point of TweedieParams(gamma=-1e-300, lam=2.0, theta=1.0) lies past the float maximum",
+            id="tw_censoring_point-tiny-negative-gamma",
+        ),
+        pytest.param(
+            lambda: tw_censoring_point(TweedieParams(0.001, 1e-300, 0.0)), RegimeError,
+            "the censoring point of TweedieParams(gamma=0.001, lam=1e-300, theta=0.0) lies past the float maximum",
+            id="tw_censoring_point-tiny-lam",
+        ),
+        pytest.param(
+            lambda: jacobi_censoring_point(1e-300), RegimeError,
+            "censoring point c**(1/gamma) at index 1e-300 lies past the float maximum",
+            id="jacobi_censoring_point",
+        ),
+        pytest.param(
+            lambda: jacobi_population_m1(1e-300), RegimeError,
+            "censoring point c**(1/gamma) at index 1e-300 lies past the float maximum",
+            id="jacobi_population_m1",
+        ),
+        # theta**(gamma-1) of the mean overflows
+        pytest.param(
+            lambda: tw_to_tw0(TweedieParams(-0.01, 1.0, 1e-310)), InvalidRegimeError,
+            "index -0.01 and tilt 1e-310 put theta**(gamma-1) outside the float range",
+            id="tw_to_tw0",
+        ),
+    ],
+)
+def test_population_values_past_the_float_range_are_refused(make, error, message):
+    with pytest.raises(error) as caught:
         make()
     assert str(caught.value) == message
 

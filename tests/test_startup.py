@@ -1,9 +1,10 @@
 """Start-up: ``import laplacefit`` and the CLI load only what ``fit`` and ``gof`` run.
 
-Every check runs in a fresh interpreter, since this test session has long
-since imported every module of the package.
+Every import check runs in a fresh interpreter, since this test session has
+long since imported every module of the package.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -53,6 +54,23 @@ def loaded_by_cli_import() -> set[str]:
 def test_cli_import_loads_only_the_fit_path(loaded_by_cli_import):
     # FIT_PATH holds neither the samplers (distributions) nor the harness (montecarlo)
     assert {m for m in loaded_by_cli_import if m.split(".")[0] == "laplacefit"} == FIT_PATH
+
+
+@pytest.mark.parametrize(
+    "module", sorted(FIT_PATH - {"laplacefit", "laplacefit.cli"}), ids=lambda m: m.split(".")[-1]
+)
+def test_fit_path_module_never_names_the_samplers_or_the_harness(module):
+    # not even in a TYPE_CHECKING block or a function body: only the cli
+    # handlers that draw or convert may load them
+    tree = ast.parse(SRC.joinpath(*module.split(".")).with_suffix(".py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            named.update([node.module or "", *(alias.name for alias in node.names)])
+    parts = {part for name in named for part in name.split(".")}
+    assert not parts & {"distributions", "montecarlo"}
 
 
 def test_import_leaves_numpy_random_out(loaded_by_cli_import):

@@ -103,7 +103,8 @@ def test_theoretical_moments_against_derivative_oracle(params):
             assert c == pytest.approx(o, rel=1e-9)
 
 
-@pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
+# inf is not finite, and at 1e300 the transform the recursion divides by underflows to 0
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf, 1e300])
 def test_theoretical_moments_refuse_censoring_point(a):
     with pytest.raises(ConfigError, match="censoring point must be positive") as excinfo:
         tw_theoretical_censored_moments(TweedieParams(0.5, 2.0, 0.5), a)
