@@ -15,20 +15,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = (
-    "cli",
-    "distributions",
-    "errors",
-    "families",
-    "ingest",
-    "jacobi",
-    "laplace_core",
-    "montecarlo",
-    "ps",
-    "results",
-    "tweedie",
-)
-
 #: submodule -> the names it exports
 _SUBMODULE_EXPORTS = {
     "distributions": (
@@ -56,6 +42,8 @@ _SUBMODULE_EXPORTS = {
     "tweedie": ("fit_tweedie", "gof_tweedie"),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
+
+_SUBMODULES = (*_SUBMODULE_EXPORTS, "cli", "families", "montecarlo")
 
 __all__ = sorted(_EXPORTS)
 

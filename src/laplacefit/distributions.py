@@ -314,20 +314,29 @@ def tw_censoring_point(params: TweedieParams) -> float:
     """Population censoring point a_* with L_X(a_*) = 1/e.
 
     Exists iff lam*theta**gamma > -sgn(gamma), which is exactly P(X=0) < 1/e;
-    then a_* = (1/(sgn(gamma)*lam) + theta**gamma)**(1/gamma) - theta, and
-    a root past the float maximum is a RegimeError too.
+    then a_* = (1/(sgn(gamma)*lam) + theta**gamma)**(1/gamma) - theta, taken
+    without cancelling as theta*expm1(log1p(u)/gamma), u = 1/(sgn(gamma)*lam*theta**gamma),
+    or as the stable root lam**(-1/gamma) where lam*theta**gamma is below the
+    smallest normal float (theta = 0 among them).  A root outside the normal
+    float range is a RegimeError too.
     """
     g, lam, th = params.gamma, params.lam, params.theta
-    sg = math.copysign(1.0, g)
-    if not lam * th**g > -sg:
+    sg, tiny = math.copysign(1.0, g), sys.float_info.min
+    mass = lam * th**g
+    if not mass > -sg:
         raise RegimeError(
             f"P(X=0) = {params.zero_probability:.3f} >= 1/e; no censoring point "
             "with transform level 1/e exists"
         )
     try:
-        return (1.0 / (sg * lam) + th**g) ** (1.0 / g) - th
+        a = lam ** (-1.0 / g) if mass < tiny else th * math.expm1(math.log1p(1.0 / (sg * mass)) / g)
     except OverflowError:
-        raise RegimeError(f"the censoring point of {params!r} lies past the float maximum") from None
+        a = math.inf
+    if a == math.inf:
+        raise RegimeError(f"the censoring point of {params!r} lies past the float maximum")
+    if not a >= tiny:
+        raise RegimeError(f"the censoring point of {params!r} lies below the smallest normal float")
+    return a
 
 
 def tw_theoretical_censored_moments(
@@ -339,7 +348,8 @@ def tw_theoretical_censored_moments(
     m1 = |gamma|*lam*L(a)*(theta+a)**(gamma-1) and the higher moments follow
     the recursion m2 = m1**2/L + m1*(1-gamma)/(theta+a),
     m3 = m1**3/L**2 + m1*(1-gamma)/(theta+a) * (3*m1/L + (2-gamma)/(theta+a)).
-    An a that is not finite, or at which L**2 underflows to 0, is refused.
+    An a that is not finite, or at which L**2 underflows to 0, is refused,
+    and a moment past the float maximum is a RegimeError.
     """
     lap = float(_tweedie_transform(params, a)) if 0.0 < a < math.inf else 0.0
     if not lap**2 > 0.0:
@@ -347,9 +357,14 @@ def tw_theoretical_censored_moments(
             f"censoring point must be positive and finite, with L(a)**2 not underflowing to 0, got {a!r}"
         )
     g, lam, th = params.gamma, params.lam, params.theta
-    m1 = abs(g) * lam * lap * (th + a) ** (g - 1.0)
-    m2 = m1**2 / lap + m1 * (1.0 - g) / (th + a)
-    m3 = m1**3 / lap**2 + m1 * (1.0 - g) / (th + a) * (3.0 * m1 / lap + (2.0 - g) / (th + a))
+    try:
+        m1 = abs(g) * lam * lap * (th + a) ** (g - 1.0)
+        m2 = m1**2 / lap + m1 * (1.0 - g) / (th + a)
+        m3 = m1**3 / lap**2 + m1 * (1.0 - g) / (th + a) * (3.0 * m1 / lap + (2.0 - g) / (th + a))
+    except OverflowError:
+        m1 = m2 = m3 = math.inf
+    if not all(map(math.isfinite, (m1, m2, m3))):
+        raise RegimeError(f"the censored moments of {params!r} at {a!r} lie past the float maximum")
     return m1, m2, m3
 
 

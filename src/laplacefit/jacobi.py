@@ -22,18 +22,15 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, LaplaceFitError, LogDomainError, RegimeError, refuse
-from .laplace_core import E, Batch, columns, influence_map, quadratic_form, row_errors
-from .results import Family, FitBatch, GofBatch, make_fit, make_gof_outcome
+from .errors import ConfigError, LogDomainError, RegimeError, refuse
+from .laplace_core import E, Batch, columns, influence_map, quadratic_form
+from .results import Errors, Family
 
 #: the transform-level constant c with cosh(c) = e
 JACOBI_C = math.log(E + math.sqrt(E**2 - 1.0))
 
 #: e^-2*c*sinh(c): in population m_tilde[1] = JACOBI_KAPPA * gamma
 JACOBI_KAPPA = math.exp(-2.0) * JACOBI_C * math.sinh(JACOBI_C)
-
-#: smallest sample size accepted
-MIN_SAMPLE = 10
 
 #: the fitted parameter: the index alone
 PARAM_NAMES = ("gamma",)
@@ -59,7 +56,7 @@ def jacobi_population_m1(gamma: float) -> float:
     return JACOBI_KAPPA * gamma / jacobi_censoring_point(gamma)
 
 
-def _index(batch: Batch, errors: list[LaplaceFitError | None]) -> tuple[np.ndarray, np.ndarray]:
+def _index(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray]:
     # gamma_hat = log(c)/log(A) and log(A) per row; refuses log(A) near 0
     log_a = np.log(batch.a)
     refuse(
@@ -69,41 +66,36 @@ def _index(batch: Batch, errors: list[LaplaceFitError | None]) -> tuple[np.ndarr
     return math.log(JACOBI_C) / log_a, log_a
 
 
-def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
+def fit_map(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Estimate the index of every sample of a batch as gamma_hat = log(c)/log(A)."""
-    errors = row_errors(batch, MIN_SAMPLE)
-    with np.errstate(all="ignore"):
-        gamma_hat, log_a = _index(batch, errors)
-        # the censoring point's influence row through d gamma / d a = -log(c)/(a*log(a)^2)
-        b = -math.log(JACOBI_C) / (log_a**2 * batch.m_tilde[:, 1])
-        cov = (b * batch.cov[:, 0, 0] * b)[:, None, None]
+    gamma_hat, log_a = _index(batch, errors)
+    # the censoring point's influence row through d gamma / d a = -log(c)/(a*log(a)^2)
+    b = -math.log(JACOBI_C) / (log_a**2 * batch.m_tilde[:, 1])
+    cov = (b * batch.cov[:, 0, 0] * b)[:, None, None]
     # 0 < gamma_hat <= 1/2 is A >= c**2, which, unlike log(c)/log(A), is exact at the boundary
     flags = {"gamma_out_of_range": ~(batch.a >= JACOBI_C**2)}
-    return make_fit(
-        "jacobi", PARAM_NAMES, gamma_hat[:, None], cov, np.ones((batch.a.size, 1)), batch.a,
-        batch.n, alpha, flags, errors, {"c": JACOBI_C},
-    )
+    return gamma_hat[:, None], cov, np.ones((batch.a.size, 1)), flags
 
 
-def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
+def gof_map(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray]:
     """Test the cosh-Jacobi hypothesis on every sample of a batch.
 
     T_n = sqrt(n) * (m_hat[1] - e^-2*c*sinh(c)*gamma_hat/A) vanishes in
     population via the m_1 identity; its variance applies the gradient of
     (m_1, A) to the covariance of the influence rows (V_1, W).
     """
-    errors = row_errors(batch, MIN_SAMPLE, constant="constant sample: test variance is zero")
     a = batch.a
-    with np.errstate(all="ignore"):
-        gamma_hat, log_a = _index(batch, errors)
-        statistic = math.sqrt(batch.n) * (batch.m_tilde[:, 1] - JACOBI_KAPPA * gamma_hat) / a
-        coef = columns(np.ones(a.size), JACOBI_KAPPA * gamma_hat * (1.0 + 1.0 / log_a))
-        row = (coef[:, None, :] @ influence_map(batch.m_tilde, k=1))[:, 0]
-        sigma_hat = np.sqrt(np.maximum(quadratic_form(row, batch.cov), 0.0)) / a
-    return make_gof_outcome("jacobi", statistic, sigma_hat, alpha, batch.n, errors)
+    gamma_hat, log_a = _index(batch, errors)
+    statistic = math.sqrt(batch.n) * (batch.m_tilde[:, 1] - JACOBI_KAPPA * gamma_hat) / a
+    coef = columns(np.ones(a.size), JACOBI_KAPPA * gamma_hat * (1.0 + 1.0 / log_a))
+    row = (coef[:, None, :] @ influence_map(batch.m_tilde, k=1))[:, 0]
+    return statistic, np.sqrt(np.maximum(quadratic_form(row, batch.cov), 0.0)) / a
 
 
-FAMILY = Family("jacobi", PARAM_NAMES, ("jacobi",), fit_batch, gof_batch)
+FAMILY = Family(
+    "jacobi", PARAM_NAMES, ("jacobi",), fit_map, gof_map, min_sample=10,
+    gof_constant="constant sample: test variance is zero", constants=(("c", JACOBI_C),),
+)
 
 #: one sample's fit and test
 fit_jacobi, gof_jacobi = FAMILY.fit, FAMILY.gof

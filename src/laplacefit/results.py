@@ -12,9 +12,13 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from .errors import ConfigError, DegenerateSampleError, LaplaceFitError, refuse
+from .laplace_core import row_errors
 
 if TYPE_CHECKING:
     from .laplace_core import Batch, Sample
+
+#: one error slot per row of a batch; a family map refuses a row by filling its slot
+Errors = list[LaplaceFitError | None]
 
 
 def check_alpha(alpha: float) -> None:
@@ -114,35 +118,6 @@ def _blank_failed(errors: list[LaplaceFitError | None], *arrays: np.ndarray) -> 
     return tuple(np.where(failed.reshape(-1, *[1] * (a.ndim - 1)), math.nan, a) for a in arrays)
 
 
-def make_fit(
-    family: str, param_names: tuple[str, ...], estimates: np.ndarray, cov: np.ndarray,
-    units: np.ndarray, a: np.ndarray, n: int, alpha: float, flags: dict[str, np.ndarray],
-    errors: list[LaplaceFitError | None], constants: dict[str, float] | None = None,
-) -> FitBatch:
-    """Standard errors and intervals est +- z_{1-alpha/2} * se, row by row.
-
-    ``cov`` (R, p, p) is the covariance estimate in unit-free form and
-    ``units`` (R, p) the factors that take each parameter to its own units:
-    se = units * sqrt(diag(cov) / n), so the units are applied after the
-    square root and a standard error is a float whenever its estimate is,
-    and the reported ``cov_hat`` is cov scaled by units on both sides.  The
-    ``nonfinite_covariance`` flag marks the rows with an interval bound that
-    is not finite: a standard error that is not finite makes one, and so does
-    est +- z*se past the float maximum.
-    """
-    z = normal_quantile(alpha)
-    estimates, cov = _blank_failed(errors, estimates, cov)
-    with np.errstate(over="ignore", invalid="ignore"):
-        se = units * np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / n)
-        cov_hat = cov * units[:, :, None] * units[:, None, :]
-        ci = np.empty((*estimates.shape, 2))
-        ci[..., 0], ci[..., 1] = estimates - z * se, estimates + z * se
-    flags = {**flags, "nonfinite_covariance": ~np.isfinite(ci).all(axis=(1, 2))}
-    return FitBatch(
-        family, param_names, estimates, cov_hat, se, ci, a, n, alpha, flags, constants or {}, errors
-    )
-
-
 @dataclass(frozen=True)
 class GofOutcome:
     """Outcome of a goodness-of-fit test with a centered-normal limit.
@@ -194,8 +169,7 @@ class GofBatch:
 
 
 def make_gof_outcome(
-    family: str, statistic: np.ndarray, sigma_hat: np.ndarray, alpha: float, n: int,
-    errors: list[LaplaceFitError | None],
+    family: str, statistic: np.ndarray, sigma_hat: np.ndarray, alpha: float, n: int, errors: Errors
 ) -> GofBatch:
     """Standardize each row (a zero variance is degenerate); reject where |z| > the intervals' z_{1-alpha/2}."""
     critical = normal_quantile(alpha)
@@ -210,22 +184,63 @@ def make_gof_outcome(
 class Family:
     """One fitted law: the record each family module declares as ``FAMILY``.
 
-    ``fit_batch(batch, alpha)`` fits every sample of a
-    :class:`~laplacefit.laplace_core.Batch` and ``gof_batch(batch, alpha)``
-    tests them; the methods :meth:`fit` and :meth:`gof` are their batches of
-    one.  ``null_generators`` are the spec families that draw from the law
-    itself; such a spec's ``native`` record holds the true parameters, in
-    ``param_names`` order.
+    :meth:`fit_batch` fits and :meth:`gof_batch` tests every sample of a
+    :class:`~laplacefit.laplace_core.Batch`; :meth:`fit` and :meth:`gof` are
+    their batches of one.  A family gives only its maps, which may refuse
+    rows: ``fit_map(batch, errors)`` returns the estimates (R, p), the
+    covariance in unit-free form (R, p, p), the units (R, p) and the flags,
+    and ``gof_map(batch, errors)`` the statistic and sigma_hat (R,).  Rows
+    with fewer than ``min_sample`` values, or constant where the
+    ``fit_constant`` or ``gof_constant`` text is given, are refused first.
+    ``null_generators`` are the spec families that draw from the law itself,
+    whose ``native`` record holds the true parameters in ``param_names``
+    order; ``constants`` are the fixed constants a fit reports (Jacobi's c).
     """
 
     name: str
     param_names: tuple[str, ...]
     null_generators: tuple[str, ...]
-    fit_batch: Callable[[Batch, float], FitBatch]
-    gof_batch: Callable[[Batch, float], GofBatch]
+    fit_map: Callable[[Batch, Errors], tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]]
+    gof_map: Callable[[Batch, Errors], tuple[np.ndarray, np.ndarray]]
+    min_sample: int
+    fit_constant: str | None = None
+    gof_constant: str | None = None
+    constants: tuple[tuple[str, float], ...] = ()
+
+    def fit_batch(self, batch: Batch, alpha: float = 0.05) -> FitBatch:
+        """Standard errors and intervals est +- z_{1-alpha/2} * se of the fit map, row by row.
+
+        se = units * sqrt(diag(cov) / n), so the units are applied after the
+        square root and a standard error is a float whenever its estimate is,
+        and the reported ``cov_hat`` is cov scaled by units on both sides.  The
+        ``nonfinite_covariance`` flag marks the rows with an interval bound that
+        is not finite: a standard error that is not finite makes one, and so does
+        est +- z*se past the float maximum.
+        """
+        z = normal_quantile(alpha)
+        errors = row_errors(batch, self.min_sample, self.fit_constant)
+        with np.errstate(all="ignore"):
+            estimates, cov, units, flags = self.fit_map(batch, errors)
+            estimates, cov = _blank_failed(errors, estimates, cov)
+            se = units * np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / batch.n)
+            cov_hat = cov * units[:, :, None] * units[:, None, :]
+            ci = np.empty((*estimates.shape, 2))
+            ci[..., 0], ci[..., 1] = estimates - z * se, estimates + z * se
+        flags["nonfinite_covariance"] = ~np.isfinite(ci).all(axis=(1, 2))
+        return FitBatch(
+            self.name, self.param_names, estimates, cov_hat, se, ci, batch.a, batch.n, alpha, flags,
+            dict(self.constants), errors,
+        )
+
+    def gof_batch(self, batch: Batch, alpha: float = 0.05) -> GofBatch:
+        """Test every row: the gof map's statistics, standardized by :func:`make_gof_outcome`."""
+        errors = row_errors(batch, self.min_sample, self.gof_constant)
+        with np.errstate(all="ignore"):
+            statistic, sigma_hat = self.gof_map(batch, errors)
+        return make_gof_outcome(self.name, statistic, sigma_hat, alpha, batch.n, errors)
 
     def fit(self, sample: Sample, alpha: float = 0.05) -> Fit:
-        """Fit one sample: row 0 of :attr:`fit_batch` on ``sample.batch``; raises its error.
+        """Fit one sample: row 0 of :meth:`fit_batch` on ``sample.batch``; raises its error.
 
         A fit flagged ``degenerate_sample`` (the positive stable law on a
         constant sample) also warns.
@@ -240,7 +255,7 @@ class Family:
         return fit
 
     def gof(self, sample: Sample, alpha: float = 0.05) -> GofOutcome:
-        """Test one sample: row 0 of :attr:`gof_batch` on ``sample.batch``; raises its error."""
+        """Test one sample: row 0 of :meth:`gof_batch` on ``sample.batch``; raises its error."""
         return self.gof_batch(sample.batch, alpha).row(0)
 
 

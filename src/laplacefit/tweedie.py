@@ -24,12 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ComplexPowerError, LaplaceFitError, NearSingularError, refuse
-from .laplace_core import E, Batch, columns, influence_map, quadratic_form, row_errors
-from .results import Family, FitBatch, GofBatch, make_fit, make_gof_outcome
-
-#: smallest sample size accepted by the Tweedie fit
-MIN_SAMPLE = 50
+from .errors import ComplexPowerError, NearSingularError, refuse
+from .laplace_core import E, Batch, columns, influence_map, quadratic_form
+from .results import Errors, Family
 
 #: the fitted parameters, in the order of every estimate and interval tuple
 PARAM_NAMES = ("gamma", "lambda", "theta")
@@ -81,7 +78,7 @@ def _complex_step(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray, valu
     return np.where(np.isfinite(value)[..., None, :], slope, np.nan)
 
 
-def singular_rows(m_tilde: np.ndarray, errors: list[LaplaceFitError | None]) -> np.ndarray:
+def singular_rows(m_tilde: np.ndarray, errors: Errors) -> np.ndarray:
     """Refuse the rows whose moments sit at a pole of the estimator map.
 
     The poles are those of psi: m1*m2 - e*m1^3 = 0 and psi = 0.  The
@@ -114,17 +111,14 @@ def singular_rows(m_tilde: np.ndarray, errors: list[LaplaceFitError | None]) -> 
     )
 
 
-def _fit_point(
-    batch: Batch,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[LaplaceFitError | None]]:
-    # the unit-free point (m~1, m~2, m~3, 1), h there, the near-singular mask, errors
-    errors = row_errors(batch, MIN_SAMPLE, constant="constant sample: moment aggregates are singular")
+def _fit_point(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the unit-free point (m~1, m~2, m~3, 1), h there and the near-singular mask
     near_singular = singular_rows(batch.m_tilde, errors)
     point = np.array([*batch.m_tilde[:, 1:4].T, np.ones(batch.a.size)])
-    return point, _h(point), near_singular, errors
+    return point, _h(point), near_singular
 
 
-def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
+def fit_map(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Fit the Tweedie law to every sample of a batch from its first three censored moments.
 
     At the unit-free point h gives (gamma_hat, lam~, theta~) = (gamma_hat,
@@ -138,16 +132,15 @@ def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
     summaries stay unbiased.
     """
     a = batch.a
-    with np.errstate(all="ignore"):
-        point, value, near_singular, errors = _fit_point(batch)
-        gamma_hat, lam_tilde, theta_tilde = value
-        jac = np.ascontiguousarray(np.moveaxis(_complex_step(_h, point, value), -1, 0))
-        rows_map = jac @ influence_map(batch.m_tilde, k=3)
-        singular = ~np.isfinite(rows_map).all(axis=(1, 2))
-        rows_map[:, 1] -= (lam_tilde * np.log(a))[:, None] * rows_map[:, 0]
-        cov = rows_map @ batch.cov @ rows_map.transpose(0, 2, 1)
-        units = columns(np.ones(a.size), a**-gamma_hat, a)
-        est = columns(gamma_hat, lam_tilde, theta_tilde) * units
+    point, value, near_singular = _fit_point(batch, errors)
+    gamma_hat, lam_tilde, theta_tilde = value
+    jac = np.ascontiguousarray(np.moveaxis(_complex_step(_h, point, value), -1, 0))
+    rows_map = jac @ influence_map(batch.m_tilde, k=3)
+    singular = ~np.isfinite(rows_map).all(axis=(1, 2))
+    rows_map[:, 1] -= (lam_tilde * np.log(a))[:, None] * rows_map[:, 0]
+    cov = rows_map @ batch.cov @ rows_map.transpose(0, 2, 1)
+    units = columns(np.ones(a.size), a**-gamma_hat, a)
+    est = columns(gamma_hat, lam_tilde, theta_tilde) * units
     cov[singular] = np.nan
     flags = {
         "near_singular_psi": near_singular,
@@ -155,10 +148,10 @@ def fit_batch(batch: Batch, alpha: float = 0.05) -> FitBatch:
         "theta_negative": theta_tilde < 0.0,
         "nonfinite_estimate": ~np.isfinite(est).all(axis=1),
     }
-    return make_fit("tweedie", PARAM_NAMES, est, cov, units, a, batch.n, alpha, flags, errors)
+    return est, cov, units, flags
 
 
-def _gof_map(v: np.ndarray) -> np.ndarray:
+def _test_map(v: np.ndarray) -> np.ndarray:
     # (m1, m2, m3, a) -> -(1 - a*m1*psi)**phi - (psi - m2/m1^2)/e, which is the
     # centered value whose sqrt(n)-scaled plug-in version is the test statistic
     m1, m2, m3, a = v
@@ -166,7 +159,7 @@ def _gof_map(v: np.ndarray) -> np.ndarray:
     return -((1.0 - a * m1 * psi) ** phi_exp) - (psi - m2 / m1**2) / E
 
 
-def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
+def gof_map(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray]:
     """Test the Tweedie hypothesis on every sample of a batch.
 
     The statistic is sqrt(n) * (1 - (theta_hat/(theta_hat+A))**gamma_hat
@@ -176,33 +169,36 @@ def gof_batch(batch: Batch, alpha: float = 0.05) -> GofBatch:
     - gamma_hat/(e*m~1*(theta~+1))), and the complex-step gradient of the
     underlying moment map there acts on the normalized influence rows.
     """
-    with np.errstate(all="ignore"):
-        point, (gamma_hat, _, theta_tilde), _, errors = _fit_point(batch)
-        base = theta_tilde / (theta_tilde + 1.0)
-        refuse(
-            errors, (base < 0.0) & (gamma_hat != np.round(gamma_hat)),
-            lambda i: ComplexPowerError(
-                f"power base theta_hat/(theta_hat+A) = {base[i]:.3g} is negative with "
-                f"non-integer exponent {gamma_hat[i]:.3g}"
-            ),
-        )
-        statistic = math.sqrt(batch.n) * (
-            1.0 - base**gamma_hat - gamma_hat / (E * point[0] * (theta_tilde + 1.0))
-        )
-        # the statistic is sqrt(n) times _gof_map at the point
-        beta = _complex_step(_gof_map, point, statistic).T.copy()
-        row = (beta[:, None, :] @ influence_map(batch.m_tilde, k=3))[:, 0]
-        sigma_hat = np.sqrt(np.maximum(quadratic_form(row, batch.cov), 0.0))
+    point, (gamma_hat, _, theta_tilde), _ = _fit_point(batch, errors)
+    base = theta_tilde / (theta_tilde + 1.0)
+    refuse(
+        errors, (base < 0.0) & (gamma_hat != np.round(gamma_hat)),
+        lambda i: ComplexPowerError(
+            f"power base theta_hat/(theta_hat+A) = {base[i]:.3g} is negative with "
+            f"non-integer exponent {gamma_hat[i]:.3g}"
+        ),
+    )
+    statistic = math.sqrt(batch.n) * (
+        1.0 - base**gamma_hat - gamma_hat / (E * point[0] * (theta_tilde + 1.0))
+    )
+    # the statistic is sqrt(n) times _test_map at the point
+    beta = _complex_step(_test_map, point, statistic).T.copy()
+    row = (beta[:, None, :] @ influence_map(batch.m_tilde, k=3))[:, 0]
+    sigma_hat = np.sqrt(np.maximum(quadratic_form(row, batch.cov), 0.0))
     refuse(
         errors, ~(np.isfinite(statistic) & np.isfinite(sigma_hat)),
         lambda i: ComplexPowerError(
             "test statistic or its variance is not finite at the plug-in point"
         ),
     )
-    return make_gof_outcome("tweedie", statistic, sigma_hat, alpha, batch.n, errors)
+    return statistic, sigma_hat
 
 
-FAMILY = Family("tweedie", PARAM_NAMES, ("tw", "tw0"), fit_batch, gof_batch)
+FAMILY = Family(
+    "tweedie", PARAM_NAMES, ("tw", "tw0"), fit_map, gof_map, min_sample=50,
+    fit_constant="constant sample: moment aggregates are singular",
+    gof_constant="constant sample: moment aggregates are singular",
+)
 
 #: one sample's fit and test
 fit_tweedie, gof_tweedie = FAMILY.fit, FAMILY.gof

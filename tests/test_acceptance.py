@@ -40,7 +40,7 @@ from laplacefit.montecarlo import (
     run_configs,
     run_table,
 )
-from laplacefit.tweedie import _complex_step, _gof_map, _h, psi_phi
+from laplacefit.tweedie import _complex_step, _test_map, _h, psi_phi
 
 from numdiff_oracle import richardson_jacobian
 
@@ -359,7 +359,7 @@ def test_criterion_7b_gof_population_identities():
         psi, _, phi_exp = psi_phi(m1, m2, m3)
         lhs = (1.0 - a_star * m1 * psi) ** phi_exp
         rhs = -(psi - m2 / m1**2) / E
-        if abs(lhs - rhs) > 1e-9 or abs(_gof_map(np.array([m1, m2, m3, a_star]))) > 1e-9:
+        if abs(lhs - rhs) > 1e-9 or abs(_test_map(np.array([m1, m2, m3, a_star]))) > 1e-9:
             violations.append(("tw", params))
     check("criterion 7b (gof identities)", violations, "statistic numerators vanish to 1e-9")
 
@@ -378,7 +378,7 @@ def test_criterion_7c_jacobian_agreement():
         if a_star > 10.0 or (1.0 - params.gamma) / (params.theta + a_star) > 4.0:
             continue
         point = np.array([*tw_theoretical_censored_moments(params, a_star), a_star])
-        for fn in (_h, _gof_map):
+        for fn in (_h, _test_map):
             shipped = _complex_step(fn, point[:, None], fn(point[:, None]))[..., 0]
             fine = richardson_jacobian(fn, point)
             scale = np.maximum(np.abs(fine), 1e-4 * np.abs(fine).max())

@@ -20,7 +20,6 @@ from laplacefit import (
     Sample,
     derive_substream,
     fit_ps,
-    jacobi,
     laplace_core,
     montecarlo,
     ps,
@@ -80,7 +79,7 @@ def per_row(x: np.ndarray) -> list[tuple]:
         ]
         for i in range(x.shape[0])
     ]
-    for family in (ps, tweedie, jacobi):
+    for family in FAMILIES.values():
         fits, outcomes = family.fit_batch(batch, 0.05), family.gof_batch(batch, 0.05)
         for i, row in enumerate(rows):
             flags = tuple(name for name, mask in fits.flags.items() if mask[i])
@@ -115,7 +114,7 @@ def test_rows_do_not_depend_on_their_batch(n, kinds, seed, order):
 def test_batch_rows_cover_every_error_kind():
     # the row kinds above reach every error of the solve and of the families' row checks
     batch = summarise(np.array([make_row(kind, 40, 3) for kind in KINDS]))
-    codes = {code(e) for family in (ps, tweedie) for e in family.fit_batch(batch, 0.05).errors}
+    codes = {code(e) for family in (ps.FAMILY, tweedie.FAMILY) for e in family.fit_batch(batch, 0.05).errors}
     assert {code(e) for e in batch.errors} == {"degenerate_sample", "regime", None}
     assert codes == {"all_zero_sample", "degenerate_sample", "insufficient_sample", "regime", None}
 
@@ -231,7 +230,7 @@ def gof_inputs() -> list[np.ndarray]:
 
 
 @pytest.mark.parametrize("alpha", [0.05, 1e-8])
-@pytest.mark.parametrize("family", [ps, tweedie, jacobi], ids=["ps", "tweedie", "jacobi"])
+@pytest.mark.parametrize("family", list(FAMILIES.values()), ids=list(FAMILIES))
 def test_gof_rejects_past_the_intervals_critical_value(family, alpha):
     # one rule with the intervals: reject where |z| > z_{1-alpha/2}; a failed
     # row's NaN z does not reject, and a row read forms its p-value from its z

@@ -14,7 +14,7 @@ from laplacefit import tweedie
 from laplacefit.cli import main
 from laplacefit.distributions import (
     DistributionSpec, PsParams, TweedieParams, Tw0Params, derive_substream, sample_spec,
-    tw_censoring_point, tw_to_tw0,
+    tw_censoring_point, tw_theoretical_censored_moments, tw_to_tw0,
 )
 from laplacefit.errors import (
     ComplexPowerError, ConfigError, InvalidRegimeError, NearSingularError, RegimeError,
@@ -73,6 +73,18 @@ def test_bad_parameters_are_refused(make, message):
             lambda: tw_censoring_point(TweedieParams(0.001, 1e-300, 0.0)), RegimeError,
             "the censoring point of TweedieParams(gamma=0.001, lam=1e-300, theta=0.0) lies past the float maximum",
             id="tw_censoring_point-tiny-lam",
+        ),
+        # ... or below the smallest normal float
+        pytest.param(
+            lambda: tw_censoring_point(TweedieParams(0.5, 1e200, 0.0)), RegimeError,
+            "the censoring point of TweedieParams(gamma=0.5, lam=1e+200, theta=0.0) lies below the smallest normal float",
+            id="tw_censoring_point-huge-lam",
+        ),
+        # m1 = lam/e at a_* = 1/lam is finite, m1**2 is not
+        pytest.param(
+            lambda: tw_theoretical_censored_moments(TweedieParams(1.0, 1e200, 0.0), 1e-200), RegimeError,
+            "the censored moments of TweedieParams(gamma=1.0, lam=1e+200, theta=0.0) at 1e-200 lie past the float maximum",
+            id="tw_theoretical_censored_moments",
         ),
         pytest.param(
             lambda: jacobi_censoring_point(1e-300), RegimeError,
@@ -165,9 +177,9 @@ def test_sample_of_values_that_are_not_numbers_is_refused():
 def test_tweedie_test_refuses_an_infinite_variance():
     x = sample_spec(DistributionSpec.parse("tw0:1,1,0.1"), derive_substream(5), 300)
     batch = summarise(x[None])
-    assert tweedie.gof_batch(batch).errors == [None]
+    assert tweedie.FAMILY.gof_batch(batch).errors == [None]
     infinite = dataclasses.replace(batch, cov=np.full_like(batch.cov, np.inf))
-    (error,) = tweedie.gof_batch(infinite).errors
+    (error,) = tweedie.FAMILY.gof_batch(infinite).errors
     assert isinstance(error, ComplexPowerError)
     assert str(error) == "test statistic or its variance is not finite at the plug-in point"
 
@@ -179,7 +191,7 @@ def test_tweedie_refuses_moments_where_psi_is_zero():
         100, np.array([0]), np.array([False]), np.array([1.0]),
         np.array([3]), np.array([0.0]), m_tilde, 0.1 * np.eye(4)[None], [None],
     )
-    for errors in (tweedie.fit_batch(batch).errors, tweedie.gof_batch(batch).errors):
+    for errors in (tweedie.FAMILY.fit_batch(batch).errors, tweedie.FAMILY.gof_batch(batch).errors):
         assert isinstance(errors[0], NearSingularError)
         assert str(errors[0]) == "|psi| = 0 below 1e-08 of scale 21.7"
 

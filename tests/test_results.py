@@ -6,7 +6,26 @@ from scipy import stats
 
 from laplacefit import Sample, derive_substream, gof_jacobi, gof_ps, gof_tweedie
 from laplacefit.errors import ConfigError, DegenerateSampleError
-from laplacefit.results import make_fit, make_gof_outcome, normal_quantile, two_sided_p_value
+from laplacefit.laplace_core import Batch
+from laplacefit.results import Family, normal_quantile, two_sided_p_value
+
+
+def stub_batch(n: int = 100) -> Batch:
+    # one row of n values that passes every row check; the stub maps read nothing else
+    return Batch(
+        n, np.zeros(1, int), np.zeros(1, bool), np.ones(1), np.full(1, 3), np.zeros(1),
+        np.ones((1, 5)), np.eye(4)[None], [None],
+    )
+
+
+def stub_family(fit_map=None, gof_map=None) -> Family:
+    """A family whose maps return fixed arrays, to drive the assembly in ``Family``."""
+    return Family("stub", ("a", "b"), (), fit_map, gof_map, min_sample=1)
+
+
+def stub_gof(statistic, sigma_hat, alpha=0.05):
+    family = stub_family(gof_map=lambda batch, errors: (np.array(statistic), np.array(sigma_hat)))
+    return family.gof_batch(stub_batch(), alpha)
 
 
 def test_normal_quantile_matches_scipy():
@@ -34,7 +53,7 @@ def test_alpha_outside_unit_interval_is_a_config_error(alpha):
     sample = Sample.from_values(derive_substream(62).gamma(2.0, 1.0, 200))
     for call in (
         lambda: normal_quantile(alpha),
-        lambda: make_gof_outcome("ps", np.ones(1), np.ones(1), alpha, 100, [None]),
+        lambda: stub_gof([1.0], [1.0], alpha),
         lambda: gof_ps(sample, alpha=alpha),
         lambda: gof_tweedie(sample, alpha=alpha),
         lambda: gof_jacobi(sample, alpha=alpha),
@@ -48,9 +67,9 @@ def test_alpha_outside_unit_interval_is_a_config_error(alpha):
 def test_zero_test_variance_is_degenerate():
     # the row's error is raised when its outcome is read
     with pytest.raises(DegenerateSampleError, match="test variance estimate is zero"):
-        make_gof_outcome("ps", np.ones(1), np.zeros(1), 0.05, 100, [None]).row(0)
+        stub_gof([1.0], [0.0]).row(0)
     # a non-finite variance estimate passes through unchanged
-    assert math.isnan(make_gof_outcome("ps", np.ones(1), np.full(1, np.nan), 0.05, 100, [None]).row(0).z)
+    assert math.isnan(stub_gof([1.0], [math.nan]).row(0).z)
 
 
 def test_units_apply_after_the_square_root():
@@ -58,10 +77,8 @@ def test_units_apply_after_the_square_root():
     # those units leaves the float range, the standard errors do not
     def fit_in(units):
         estimates = np.array([[1e-300, 1e300]])
-        return make_fit(
-            "ps", ("a", "b"), estimates, np.diag([4.0, 9.0])[None], units, np.ones(1), 1, 0.05,
-            {}, [None],
-        ).row(0)
+        family = stub_family(fit_map=lambda batch, errors: (estimates, np.diag([4.0, 9.0])[None], units, {}))
+        return family.fit_batch(stub_batch(n=1), 0.05).row(0)
 
     fit = fit_in(np.array([[1e-300, 1e300]]))
     assert fit.se == pytest.approx((2e-300, 3e300), rel=1e-15)

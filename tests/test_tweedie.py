@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from laplacefit import (
     DistributionSpec,
@@ -23,12 +25,13 @@ from laplacefit.errors import (
     ConfigError,
     DegenerateSampleError,
     InsufficientSampleError,
+    LaplaceFitError,
     NearSingularError,
     RegimeError,
+    SpecFormatError,
 )
 from laplacefit.laplace_core import moments_rows, summarise
-from laplacefit.tweedie import _complex_step, _gof_map, _h, psi_phi, singular_rows
-from laplacefit.tweedie import fit_batch as tweedie_fit_batch
+from laplacefit.tweedie import FAMILY, _complex_step, _h, _test_map, psi_phi, singular_rows
 
 from numdiff_oracle import central_diff_jacobian, richardson_jacobian
 
@@ -76,6 +79,79 @@ def test_censoring_point_regime_gate():
     assert params.zero_probability == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(RegimeError):
         tw_censoring_point(params)
+
+
+def mp_censoring_point(params):
+    """The root a_* = theta*((1 + u)**(1/gamma) - 1), u = 1/(sgn*lam*theta**gamma), and its condition number.
+
+    Taken in mpmath with enough digits to hold 1 + u.  The condition number
+    is |d log a_* / d log lam|: a rounding of lam*theta**gamma in double
+    precision moves the root by that many ulps, which near the regime gate
+    of the compound-Poisson branch is far more than 1e-12.
+    """
+    with mp.workdps(40):
+        gamma, lam, theta = (mp.mpf(v) for v in (params.gamma, params.lam, params.theta))
+        if theta == 0:
+            return lam ** (-1 / gamma), 1 / abs(gamma)
+        u = 1 / (mp.sign(gamma) * lam * theta**gamma)
+    with mp.workdps(40 + max(0, int(-mp.log10(abs(u))))):
+        u = 1 / (mp.sign(gamma) * lam * theta**gamma)
+        root = theta * ((1 + u) ** (1 / gamma) - 1)
+        return root, abs(u / ((1 + u) * gamma)) * (theta + root) / root
+
+
+@pytest.mark.parametrize(
+    "params",
+    [TweedieParams(0.5, 1e120, 1.0), TweedieParams(-5.0, 1000.0, 0.2)],
+    ids=["u-below-ulp", "ordinary-compound-poisson"],
+)
+def test_censoring_point_does_not_cancel(params):
+    # (1/lam + theta**gamma)**(1/gamma) - theta gave 0.0 for the first,
+    # where a_* is about 2e-120, and was 8.4e-10 off for the second
+    root, _ = mp_censoring_point(params)
+    assert tw_censoring_point(params) == pytest.approx(float(root), rel=1e-14, abs=0.0)
+
+
+@st.composite
+def tweedie_params(draw):
+    # lam and theta spanning 1e-300..1e300 on both branches; on the
+    # compound-Poisson one, lam*theta**gamma is drawn below numpy's Poisson
+    # limit of 9.2e18, since a larger one is no law
+    exponent = st.floats(-300.0, 300.0)
+    if draw(st.booleans()):
+        gamma = draw(st.floats(0.0, 1.0, exclude_min=True))
+        theta = draw(st.just(0.0) | exponent.map(lambda e: 10.0**e))
+        lam = 10.0 ** draw(exponent)
+    else:
+        gamma = -draw(st.floats(0.0, 10.0, exclude_min=True))
+        theta = 10.0 ** draw(exponent)
+        log_lam = draw(st.floats(-5.0, 18.9)) - gamma * math.log10(theta)
+        assume(abs(log_lam) <= 300.0)
+        lam = 10.0**log_lam
+    try:
+        return TweedieParams(gamma, lam, theta)
+    except SpecFormatError:  # lam*theta**gamma past the float maximum
+        assume(False)
+
+
+@given(params=tweedie_params())
+@example(params=TweedieParams(0.5, 1e120, 1.0))
+@example(params=TweedieParams(-5.0, 1000.0, 0.2))
+@example(params=TweedieParams(1.0, 1e200, 0.0))  # m1**2 of a_* = 1e-200 overflows
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_censoring_point_and_moments_are_exact_or_refused(params):
+    try:
+        a = tw_censoring_point(params)
+    except RegimeError:
+        return
+    root, kappa = mp_censoring_point(params)
+    assert 0.0 < a < math.inf
+    assert a == pytest.approx(float(root), rel=1e-12 + 4 * 2.0**-52 * float(kappa), abs=0.0)
+    try:
+        moments = tw_theoretical_censored_moments(params, a)
+    except LaplaceFitError:
+        return
+    assert all(map(math.isfinite, moments))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +245,7 @@ def test_gof_population_identity(params):
     lhs = (1.0 - a_star * m1 * psi) ** phi_exp
     rhs = -(psi - m2 / m1**2) / E
     assert lhs == pytest.approx(rhs, rel=1e-9)
-    assert _gof_map(np.array([m1, m2, m3, a_star])) == pytest.approx(0.0, abs=1e-9)
+    assert _test_map(np.array([m1, m2, m3, a_star])) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_jacobian_fd_vs_richardson_on_interior_points():
@@ -196,7 +272,7 @@ def test_jacobian_fd_vs_richardson_on_interior_points():
             # curvature scale of the map; benchmark models all sit below 0.4
             continue
         point = np.array([*tw_theoretical_censored_moments(params, a_star), a_star])
-        for fn in (_h, _gof_map):
+        for fn in (_h, _test_map):
             shipped = _complex_step(fn, point[:, None], fn(point[:, None]))[..., 0]
             fine = richardson_jacobian(fn, point)
             scale = np.maximum(np.abs(fine), 1e-4 * np.abs(fine).max())
@@ -229,7 +305,7 @@ def test_complex_step_does_not_depend_on_its_step(spec_text):
     # negative power base) has no derivative to compare
     point = unit_free_points(draw_batch(spec_text))
     with np.errstate(invalid="ignore"):
-        for fn in (_h, _gof_map):
+        for fn in (_h, _test_map):
             value = fn(point)
             shipped = _complex_step(fn, point, value).reshape(-1, 4, point.shape[1])
             rows = np.isfinite(value).reshape(-1, point.shape[1]).all(axis=0)
@@ -256,7 +332,7 @@ def test_complex_step_keeps_nan_rows_nan():
     shipped = _complex_step(_h, point, value)
     assert np.array_equal(np.isnan(shipped), np.isnan(central_diff_jacobian(_h, point)))
     assert np.isnan(shipped[1]).all() and np.isfinite(shipped[[0, 2]]).all()
-    fits = tweedie_fit_batch(batch)
+    fits = FAMILY.fit_batch(batch)
     assert all(error is None for error in fits.errors)
     assert np.isnan(fits.se).all()
     assert fits.flags["nonfinite_covariance"].all() and fits.flags["nonfinite_estimate"].all()
