@@ -15,6 +15,7 @@ from laplacefit.montecarlo import (
     run_configs,
     run_table,
 )
+from laplacefit.tables import FULL_REPLICATIONS, TABLE_DESIGNS
 
 # -- a small slice of the stable-law RRMSE benchmark -------------------------
 config = ExperimentConfig(
@@ -26,8 +27,8 @@ config = ExperimentConfig(
     metrics=("rrmse", "coverage"),
 )
 report = run_configs([config], jobs=1)
-print("PS(0.5,15), 300 replicates (benchmark values at 3500 reps: "
-      "rrmse 7.31/18.81 at n=100, 4.22/10.54 at n=300):")
+quoted = ", ".join("{}/{} at n={}".format(*TABLE_DESIGNS[1].value("ps:0.5,15", n), n) for n in config.n_grid)
+print(f"PS(0.5,15), 300 replicates (benchmark values at {FULL_REPLICATIONS} reps: rrmse {quoted}):")
 for record in report.records:
     print(f"  n={record.n:3d} {record.metric:<8} {record.parameter:<6} "
           f"{record.value:8.4f}  (mc se {record.mc_se:.4f})")

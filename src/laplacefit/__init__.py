@@ -43,7 +43,7 @@ _SUBMODULE_EXPORTS = {
 }
 _EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
 
-_SUBMODULES = (*_SUBMODULE_EXPORTS, "cli", "families", "montecarlo")
+_SUBMODULES = (*_SUBMODULE_EXPORTS, "cli", "families", "montecarlo", "tables")
 
 __all__ = sorted(_EXPORTS)
 

@@ -548,4 +548,4 @@ def laplace_exact(spec: DistributionSpec, s: float | np.ndarray) -> float | np.n
         raise UnsupportedOperationError(f"no closed-form transform for {spec.text()!r}")
     with np.errstate(over="ignore"):  # a transform that overflows its exponent is 0
         out = spec.p_zero + (1.0 - spec.p_zero) * law.transform(spec.native, s_arr)
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    return float(out) if s_arr.ndim == 0 else out

@@ -23,9 +23,9 @@ a sampler error fails every replicate of its block.
 
 The fit targets, their parameter names, null generators, fit and test
 functions come from the family registry ``laplacefit.families.FAMILIES``.
-The table designs at the bottom bundle the benchmark experiments
-(tables 1-7): estimator RRMSE for the stable and Tweedie targets, test sizes
-under the null families, test powers under the alternative laws, and the
+``run_table`` runs the paper's tables 1-7 as ``laplacefit.tables`` designs
+them: estimator RRMSE for the stable and Tweedie targets, test sizes under
+the null families, test powers under the alternative laws, and the
 deterministic mean/zero-probability conversion table.
 """
 
@@ -47,6 +47,7 @@ from .errors import ConfigError, LaplaceFitError, SampleValidationError, _at_lea
 from .families import FAMILIES
 from .laplace_core import summarise
 from .results import check_alpha, json_safe
+from .tables import CONVERSION_TABLE, DEFAULT_TABLE_SEED, FULL_REPLICATIONS, TABLE_DESIGNS
 
 VALID_METRICS = ("rrmse", "coverage", "size", "power")
 
@@ -72,7 +73,7 @@ class ExperimentConfig:
     generator: DistributionSpec
     fit_target: str
     n_grid: tuple[int, ...]
-    replications: int = 3500
+    replications: int = FULL_REPLICATIONS
     alpha: float = 0.05
     base_seed: int = 0
     metrics: tuple[str, ...] = ("rrmse",)
@@ -237,12 +238,7 @@ class ExperimentReport:
 
     def value(self, generator: str, n: int, metric: str, parameter: str = "") -> float:
         for record in self.records:
-            if (
-                record.generator == generator
-                and record.n == n
-                and record.metric == metric
-                and record.parameter == parameter
-            ):
+            if (record.generator, record.n, record.metric, record.parameter) == (generator, n, metric, parameter):
                 return record.value
         raise KeyError((generator, n, metric, parameter))
 
@@ -395,99 +391,14 @@ def run_configs(configs: Sequence[ExperimentConfig], jobs: int = 1) -> Experimen
 # bundled benchmark designs
 
 
-@dataclass(frozen=True)
-class TableDesign:
-    rows: tuple[str, ...]
-    fit_target: str
-    metrics: tuple[str, ...]
-    n_grid: tuple[int, ...]
-    desk_replications: int = 1000
-
-
-#: Monte Carlo benchmark experiment designs, keyed by table number
-TABLE_DESIGNS: dict[int, TableDesign] = {
-    1: TableDesign(
-        rows=("ps:0.3,2", "ps:0.4,5", "ps:0.5,15", "ps:0.6,20"),
-        fit_target="ps",
-        metrics=("rrmse",),
-        n_grid=(100, 200, 300),
-    ),
-    2: TableDesign(
-        rows=("tw0:1,1,0.1", "tw0:1,1.25,0.2", "tw:0.5,2,0.5", "tw:0.6,2.5,0.6"),
-        fit_target="tweedie",
-        metrics=("rrmse",),
-        n_grid=(500, 1000, 1500),
-        desk_replications=500,
-    ),
-    3: TableDesign(
-        rows=("ps:0.3,2", "ps:0.4,5", "ps:0.5,15", "ps:0.6,20"),
-        fit_target="ps",
-        metrics=("size",),
-        n_grid=(100, 200, 300),
-    ),
-    4: TableDesign(
-        rows=(
-            "tw0:0.75,0.5,0.1",
-            "tw0:1,1,0.1",
-            "tw0:1,1.25,0.2",
-            "tw:0.5,2,0.5",
-            "tw:0.6,2.5,0.6",
-        ),
-        fit_target="tweedie",
-        metrics=("size",),
-        n_grid=(300, 500, 1000, 1500),
-    ),
-    5: TableDesign(
-        rows=(
-            "ln:0,1.5",
-            "pa:5,2",
-            "pa:10,2",
-            "li:0.5,2,0.5",
-            "li:0.5,2,0.75",
-            "lnsqrt:0,1.5",
-            "lnsqrt:0,3",
-        ),
-        fit_target="ps",
-        metrics=("power",),
-        n_grid=(100, 200, 300),
-    ),
-    7: TableDesign(
-        rows=(
-            "ln:0,1",
-            "we:5,1",
-            "pa:10,2",
-            "ln0:1,0.75,0.1",
-            "ln0:1,0.75,0.2",
-            "ln0:5,1,0.1",
-            "ln0:5,1,0.2",
-            "we0:3,1,0.1",
-            "we0:3,1,0.2",
-            "we0:5,1,0.1",
-            "we0:5,1,0.2",
-            "pa0:5,2,0.1",
-            "pa0:5,2,0.2",
-            "pa0:10,2,0.1",
-        ),
-        fit_target="tweedie",
-        metrics=("power",),
-        n_grid=(300, 500, 1000, 1500),
-    ),
-}
-
-#: table 6, the deterministic one: mean/zero-probability triples to convert to native Tweedie parameters
-CONVERSION_ROWS = ("tw0:0.75,0.5,0.1", "tw0:1,1,0.1", "tw0:1,1.25,0.2")
-
-DEFAULT_TABLE_SEED = 20260809
-
-
 def table_configs(
     table: int, desk_scale: bool = False, base_seed: int | None = None
 ) -> list[ExperimentConfig]:
     """Configs for one benchmark table; row i gets base seed base_seed + i.
 
-    Each config runs :class:`ExperimentConfig`'s default replication count,
-    or the design's desk-scale count when ``desk_scale`` is set;
-    ``dataclasses.replace`` sets any other.
+    Each config runs the design's full-scale replication count, or its
+    desk-scale count when ``desk_scale`` is set; ``dataclasses.replace`` sets
+    any other.
     """
     if table == 6:
         raise ConfigError("table: 6 is the deterministic conversion table; use run_table")
@@ -495,15 +406,14 @@ def table_configs(
         raise ConfigError(f"table: must be one of {sorted([*TABLE_DESIGNS, 6])}, got {table}")
     design = TABLE_DESIGNS[table]
     seed0 = DEFAULT_TABLE_SEED + 1000 * table if base_seed is None else base_seed
-    scale = {"replications": design.desk_replications} if desk_scale else {}
     return [
         ExperimentConfig(
             generator=DistributionSpec.parse(row),
             fit_target=design.fit_target,
             n_grid=design.n_grid,
             base_seed=seed0 + i,
+            replications=design.replications(full=not desk_scale),
             metrics=design.metrics,
-            **scale,
         )
         for i, row in enumerate(design.rows)
     ]
@@ -514,7 +424,7 @@ def conversion_report(base_seed: int = 0) -> ExperimentReport:
     base_seed, family = _at_least("base_seed", base_seed, 0), FAMILIES["tweedie"]
     records = tuple(
         CellRecord(spec.text(), family.name, 0, "conversion", name, value, 0.0, 1, 1, {}, base_seed)
-        for spec in map(DistributionSpec.parse, CONVERSION_ROWS)
+        for spec in map(DistributionSpec.parse, CONVERSION_TABLE)
         for name, value in zip(family.param_names, _true_values(spec))
     )
     return ExperimentReport(records=records, config_hash="conversion", base_seed=base_seed)
@@ -534,7 +444,7 @@ def coverage_grid_configs(
     gammas: Sequence[float] = (0.3, 0.5, 0.7, 0.8),
     lambdas: Sequence[float] | None = None,
     n_grid: Sequence[int] = (200,),
-    replications: int = 3500,
+    replications: int = FULL_REPLICATIONS,
     base_seed: int = DEFAULT_TABLE_SEED,
 ) -> list[ExperimentConfig]:
     """Stable-law coverage curve designs: a (gamma, lambda) grid of configs."""

@@ -6,8 +6,10 @@ with proportionally widened tolerance bands, deterministic seeds).  Set
 tolerances; set ``LAPLACEFIT_JOBS=k`` to change worker-process count (the
 results are bitwise independent of it).
 
-Every table comparison allows the stated tolerance plus three reported Monte
-Carlo standard errors of the measured cell.  For most cells that margin is
+The published values, the stated full and desk tolerances and the
+replication counts come from ``laplacefit.tables``.  Every table comparison
+allows the stated tolerance plus three reported Monte Carlo standard errors
+of the measured cell.  For most cells that margin is
 negligible; for the handful of heavy-tailed RRMSE cells (the scale column of
 the compound-Poisson rows at the smallest n) the metric itself carries
 multi-point sampling noise at any feasible replication count, and the
@@ -33,12 +35,22 @@ from laplacefit import (
     tw_censoring_point,
     tw_theoretical_censored_moments,
 )
+from laplacefit.families import FAMILIES
 from laplacefit.laplace_core import SOLVER_RTOL, E
 from laplacefit.montecarlo import (
     ExperimentConfig,
     coverage_grid_configs,
     run_configs,
     run_table,
+)
+from laplacefit.tables import (
+    CONVERSION_TABLE,
+    COVERAGE_BAND,
+    DESK_REPLICATIONS,
+    FULL_REPLICATIONS,
+    SIZE_CAP,
+    TABLE_DESIGNS,
+    WE0_POWER_MIN,
 )
 from laplacefit.tweedie import _complex_step, _test_map, _h, psi_phi
 
@@ -47,9 +59,6 @@ from numdiff_oracle import richardson_jacobian
 FULL = os.environ.get("LAPLACEFIT_FULL") == "1"
 SCALE = "full" if FULL else "desk"
 JOBS = int(os.environ.get("LAPLACEFIT_JOBS", "2"))
-
-#: widening factor for tolerances without an explicitly stated desk variant
-DESK_WIDEN = 1.9
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -63,153 +72,75 @@ def check(criterion: str, violations: list, detail: str) -> None:
 
 def _metric_with_band(rep, gen, n, metric, parameter="", scale=1.0):
     """Cell value and its 3x Monte Carlo standard-error allowance."""
-    for record in rep.records:
-        if (
-            record.generator == gen
-            and record.n == n
-            and record.metric == metric
-            and record.parameter == parameter
-        ):
-            return scale * record.value, 3.0 * scale * record.mc_se
-    raise KeyError((gen, n, metric, parameter))
+    (record,) = [r for r in rep.records if (r.generator, r.n, r.metric, r.parameter) == (gen, n, metric, parameter)]
+    return scale * record.value, 3.0 * scale * record.mc_se
 
 
 # ---------------------------------------------------------------------------
-# criterion 1: stable-law estimator RRMSE table
+# criteria 1-3: the published RRMSE and size tables
 
-TABLE1 = {
-    ("ps:0.3,2", 100): (11.84, 12.46),
-    ("ps:0.3,2", 200): (8.34, 8.49),
-    ("ps:0.3,2", 300): (6.77, 6.88),
-    ("ps:0.4,5", 100): (9.19, 15.44),
-    ("ps:0.4,5", 200): (6.50, 10.57),
-    ("ps:0.4,5", 300): (5.30, 8.61),
-    ("ps:0.5,15", 100): (7.31, 18.81),
-    ("ps:0.5,15", 200): (5.19, 12.96),
-    ("ps:0.5,15", 300): (4.22, 10.54),
-    ("ps:0.6,20", 100): (5.88, 15.70),
-    ("ps:0.6,20", 200): (4.15, 10.87),
-    ("ps:0.6,20", 300): (3.38, 8.88),
-}
+
+def _table_gaps(table: int) -> tuple[list, float, dict]:
+    """Violations, worst gap and measured value by (row, n, parameter) over one table's published cells."""
+    design = TABLE_DESIGNS[table]
+    (metric,) = design.metrics
+    tol = design.tolerance.at(FULL)
+    rep = run_table(table, desk_scale=not FULL, jobs=JOBS)
+    assert rep.max_failure_rate() < 0.01
+    # an RRMSE cell quotes one percentage per parameter, a size cell one rate as a percentage
+    names, scale = (FAMILIES[design.fit_target].param_names, 1.0) if metric == "rrmse" else (("",), 100.0)
+    violations, worst, measured = [], 0.0, {}
+    for gen, n, expected in design.cells():
+        for name, exp_val in zip(names, expected if metric == "rrmse" else (expected,)):
+            got, band = _metric_with_band(rep, gen, n, metric, name, scale)
+            measured[gen, n, name] = got
+            worst = max(worst, abs(got - exp_val))
+            if abs(got - exp_val) > tol + band:
+                violations.append((gen, n, name, round(got, 2), exp_val))
+    return violations, worst, measured
 
 
 def test_criterion_1_stable_rrmse_table():
-    tol = 1.5 if FULL else 2.9
-    rep = run_table(1, desk_scale=not FULL, jobs=JOBS)
-    violations = []
-    worst = 0.0
-    for (gen, n), expected in TABLE1.items():
-        for name, exp_val in zip(("gamma", "lambda"), expected):
-            got, band = _metric_with_band(rep, gen, n, "rrmse", name)
-            worst = max(worst, abs(got - exp_val))
-            if abs(got - exp_val) > tol + band:
-                violations.append((gen, n, name, round(got, 2), exp_val))
-    assert rep.max_failure_rate() < 0.01
+    violations, worst, _ = _table_gaps(1)
+    tol = TABLE_DESIGNS[1].tolerance.at(FULL)
     check("criterion 1 (table 1 rrmse)", violations, f"worst gap {worst:.2f} vs tol {tol}")
 
 
-# ---------------------------------------------------------------------------
-# criterion 2: Tweedie estimator RRMSE table
-
-TABLE2 = {
-    ("tw0:1,1,0.1", 500): (28.66, 37.49, 23.13),
-    ("tw0:1,1,0.1", 1000): (19.56, 19.73, 15.80),
-    ("tw0:1,1,0.1", 1500): (16.02, 15.08, 13.12),
-    ("tw0:1,1.25,0.2", 500): (22.61, 48.19, 26.53),
-    ("tw0:1,1.25,0.2", 1000): (15.76, 27.10, 18.25),
-    ("tw0:1,1.25,0.2", 1500): (12.73, 20.44, 14.89),
-    ("tw:0.5,2,0.5", 500): (9.54, 18.39, 24.84),
-    ("tw:0.5,2,0.5", 1000): (6.73, 12.14, 17.62),
-    ("tw:0.5,2,0.5", 1500): (5.46, 9.72, 14.19),
-    ("tw:0.6,2.5,0.6", 500): (7.04, 13.94, 21.34),
-    ("tw:0.6,2.5,0.6", 1000): (4.83, 8.91, 14.38),
-    ("tw:0.6,2.5,0.6", 1500): (3.89, 7.09, 11.69),
-}
-
-
 def test_criterion_2_tweedie_rrmse_table():
-    tol = 2.5 if FULL else 5.0
-    rep = run_table(2, desk_scale=not FULL, jobs=JOBS)
-    violations = []
-    worst = 0.0
-    for (gen, n), expected in TABLE2.items():
-        for name, exp_val in zip(("gamma", "lambda", "theta"), expected):
-            got, band = _metric_with_band(rep, gen, n, "rrmse", name)
-            worst = max(worst, abs(got - exp_val))
-            if abs(got - exp_val) > tol + band:
-                violations.append((gen, n, name, round(got, 2), exp_val))
+    design = TABLE_DESIGNS[2]
+    violations, worst, rrmse = _table_gaps(2)
     # consistency shows in the reproduced table itself: every column shrinks
     # from the smallest to the largest sample size
-    for gen in {g for g, _ in TABLE2}:
-        for name in ("gamma", "lambda", "theta"):
-            first = rep.value(gen, 500, "rrmse", name)
-            last = rep.value(gen, 1500, "rrmse", name)
+    for gen in design.rows:
+        for name in FAMILIES[design.fit_target].param_names:
+            first, last = rrmse[gen, design.n_grid[0], name], rrmse[gen, design.n_grid[-1], name]
             if not last < first:
                 violations.append(("monotone", gen, name, round(first, 2), round(last, 2)))
-    assert rep.max_failure_rate() < 0.01
-    check("criterion 2 (table 2 rrmse)", violations, f"worst gap {worst:.2f} vs tol {tol}")
-
-
-# ---------------------------------------------------------------------------
-# criterion 3: empirical test sizes and conservativeness
-
-TABLE3 = {
-    ("ps:0.3,2", 100): 2.83, ("ps:0.3,2", 200): 3.94, ("ps:0.3,2", 300): 4.14,
-    ("ps:0.4,5", 100): 3.49, ("ps:0.4,5", 200): 3.89, ("ps:0.4,5", 300): 4.34,
-    ("ps:0.5,15", 100): 3.69, ("ps:0.5,15", 200): 4.74, ("ps:0.5,15", 300): 5.20,
-    ("ps:0.6,20", 100): 3.97, ("ps:0.6,20", 200): 4.54, ("ps:0.6,20", 300): 4.89,
-}
-
-TABLE4 = {
-    ("tw0:0.75,0.5,0.1", 300): 1.17, ("tw0:0.75,0.5,0.1", 500): 2.11,
-    ("tw0:0.75,0.5,0.1", 1000): 3.31, ("tw0:0.75,0.5,0.1", 1500): 3.43,
-    ("tw0:1,1,0.1", 300): 1.17, ("tw0:1,1,0.1", 500): 2.43,
-    ("tw0:1,1,0.1", 1000): 3.14, ("tw0:1,1,0.1", 1500): 3.49,
-    ("tw0:1,1.25,0.2", 300): 1.09, ("tw0:1,1.25,0.2", 500): 2.03,
-    ("tw0:1,1.25,0.2", 1000): 2.66, ("tw0:1,1.25,0.2", 1500): 3.20,
-    ("tw:0.5,2,0.5", 300): 1.06, ("tw:0.5,2,0.5", 500): 1.83,
-    ("tw:0.5,2,0.5", 1000): 3.77, ("tw:0.5,2,0.5", 1500): 3.80,
-    ("tw:0.6,2.5,0.6", 300): 0.17, ("tw:0.6,2.5,0.6", 500): 1.49,
-    ("tw:0.6,2.5,0.6", 1000): 3.26, ("tw:0.6,2.5,0.6", 1500): 3.40,
-}
+    check("criterion 2 (table 2 rrmse)", violations, f"worst gap {worst:.2f} vs tol {design.tolerance.at(FULL)}")
 
 
 def test_criterion_3_test_sizes():
-    tol = 1.2 if FULL else round(1.2 * DESK_WIDEN, 2)
-    # conservativeness cap 5.5 plus ~2 binomial sd at 1000 replications
-    cap = 5.5 if FULL else 6.9
-    rep3 = run_table(3, desk_scale=not FULL, jobs=JOBS)
-    rep4 = run_table(4, desk_scale=not FULL, jobs=JOBS)
-    violations = []
-    worst = 0.0
-    sizes = []
-    for rep, table in ((rep3, TABLE3), (rep4, TABLE4)):
-        for (gen, n), expected in table.items():
-            got, band = _metric_with_band(rep, gen, n, "size", scale=100.0)
-            sizes.append(got)
-            worst = max(worst, abs(got - expected))
-            if abs(got - expected) > tol + band:
-                violations.append((gen, n, round(got, 2), expected))
-    if max(sizes) > cap:
-        violations.append(("conservativeness", round(max(sizes), 2), f"> {cap}"))
-    assert rep3.max_failure_rate() < 0.01 and rep4.max_failure_rate() < 0.01
-    check(
-        "criterion 3 (tables 3+4 sizes)",
-        violations,
-        f"worst gap {worst:.2f} vs tol {tol}; max size {max(sizes):.2f} <= {cap}",
-    )
+    tol, cap = TABLE_DESIGNS[3].tolerance.at(FULL), SIZE_CAP.at(FULL)
+    gaps = [_table_gaps(3), _table_gaps(4)]
+    violations = [violation for found, _, _ in gaps for violation in found]
+    worst = max(table_worst for _, table_worst, _ in gaps)
+    largest = max(size for _, _, sizes in gaps for size in sizes.values())
+    if largest > cap:
+        violations.append(("conservativeness", round(largest, 2), f"> {cap}"))
+    check("criterion 3 (tables 3+4 sizes)", violations, f"worst gap {worst:.2f} vs tol {tol}; max size {largest:.2f} <= {cap}")
 
 
 # ---------------------------------------------------------------------------
 # criterion 4: named power cells
 
 
-def _power_cell(generator: str, fit_target: str, n: int, reps: int, seed: int) -> tuple[float, float]:
+def _power_cell(table: int, generator: str, n: int, seed: int) -> tuple[float, float]:
+    design = TABLE_DESIGNS[table]
     config = ExperimentConfig(
         generator=DistributionSpec.parse(generator),
-        fit_target=fit_target,
+        fit_target=design.fit_target,
         n_grid=(n,),
-        replications=reps,
+        replications=design.replications(FULL),
         base_seed=seed,
         metrics=("power",),
     )
@@ -218,25 +149,22 @@ def _power_cell(generator: str, fit_target: str, n: int, reps: int, seed: int) -
     assert record.failure_rate < 0.01, (generator, record.failures)
     return 100.0 * record.value, 3.0 * 100.0 * record.mc_se
 
+
 def test_criterion_4_power_cells():
-    reps = 3500 if FULL else 1000
-    cells = [
-        ("pa:5,2", "ps", 100, 97.77, 1.5),
-        ("ln0:5,1,0.1", "tweedie", 1500, 99.11, 1.0),
-    ]
     violations = []
     details = []
-    for i, (gen, target, n, expected, tol_full) in enumerate(cells):
-        tol = tol_full if FULL else tol_full * DESK_WIDEN
-        got, band = _power_cell(gen, target, n, reps, seed=41000 + i)
+    for seed, (table, gen, n) in enumerate(((5, "pa:5,2", 100), (7, "ln0:5,1,0.1", 1500)), start=41000):
+        expected = TABLE_DESIGNS[table].value(gen, n)
+        tol = TABLE_DESIGNS[table].tolerance[gen].at(FULL)
+        got, band = _power_cell(table, gen, n, seed)
         details.append(f"{gen} n={n}: {got:.2f} (want {expected}±{tol:.2f})")
         if abs(got - expected) > tol + band:
             violations.append((gen, n, round(got, 2), expected))
     # the high-power cell is a one-sided bound at either scale
-    got, _band = _power_cell("we0:5,1,0.1", "tweedie", 500, reps, seed=41990)
-    details.append(f"we0:5,1,0.1 n=500: {got:.2f} (want >= 99)")
-    if got < 99.0:
-        violations.append(("we0:5,1,0.1", 500, round(got, 2), ">= 99"))
+    got, _band = _power_cell(7, "we0:5,1,0.1", 500, seed=41990)
+    details.append(f"we0:5,1,0.1 n=500: {got:.2f} (want >= {WE0_POWER_MIN:g})")
+    if got < WE0_POWER_MIN:
+        violations.append(("we0:5,1,0.1", 500, round(got, 2), f">= {WE0_POWER_MIN:g}"))
     check("criterion 4 (power cells)", violations, "; ".join(details))
 
 
@@ -250,27 +178,15 @@ def test_criterion_4_power_cells():
     ),
 )
 def test_criterion_4_linnik_power_cell():
-    reps = 3500 if FULL else 1000
-    tol = 2.5 if FULL else 2.5 * DESK_WIDEN
-    got, band = _power_cell("li:0.5,2,0.5", "ps", 300, reps, seed=41500)
-    report("criterion 4 (linnik cell)", abs(got - 43.91) <= tol + band, f"{got:.2f} vs 43.91±{tol}")
-    assert abs(got - 43.91) <= tol + band
+    gen, n = "li:0.5,2,0.5", 300
+    expected, tol = TABLE_DESIGNS[5].value(gen, n), TABLE_DESIGNS[5].tolerance[gen].at(FULL)
+    got, band = _power_cell(5, gen, n, seed=41500)
+    report("criterion 4 (linnik cell)", abs(got - expected) <= tol + band, f"{got:.2f} vs {expected}±{tol}")
+    assert abs(got - expected) <= tol + band
 
 
 # ---------------------------------------------------------------------------
 # criterion 5: conversion table to seven significant digits
-
-TABLE6 = {
-    ("tw0:0.75,0.5,0.1", "gamma"): -1.8689607,
-    ("tw0:0.75,0.5,0.1", "lambda"): 60.297348,
-    ("tw0:0.75,0.5,0.1", "theta"): 5.737921,
-    ("tw0:1,1,0.1", "gamma"): -0.7677042,
-    ("tw0:1,1,0.1", "lambda"): 3.565768,
-    ("tw0:1,1,0.1", "theta"): 1.767704,
-    ("tw0:1,1.25,0.2", "gamma"): -0.9883402,
-    ("tw0:1,1.25,0.2", "lambda"): 2.546270,
-    ("tw0:1,1.25,0.2", "theta"): 1.590672,
-}
 
 
 def test_criterion_5_conversion_table():
@@ -278,9 +194,10 @@ def test_criterion_5_conversion_table():
         return round(x, sig - 1 - int(math.floor(math.log10(abs(x)))))
 
     rep = run_table(6)
+    names = FAMILIES["tweedie"].param_names
     violations = []
     for record in rep.records:
-        expected = TABLE6[(record.generator, record.parameter)]
+        expected = dict(zip(names, CONVERSION_TABLE[record.generator]))[record.parameter]
         if round_sig(record.value) != round_sig(expected):
             violations.append((record.generator, record.parameter, record.value, expected))
     check("criterion 5 (conversion table)", violations, "3 triples at 7 significant digits")
@@ -291,14 +208,9 @@ def test_criterion_5_conversion_table():
 
 
 def test_criterion_6_coverage_grid():
-    reps = 3500 if FULL else 1000
-    lo, hi = (0.93, 0.97) if FULL else (0.912, 0.988)
+    lo, hi = COVERAGE_BAND.at(FULL)
     configs = coverage_grid_configs(
-        gammas=(0.3, 0.5, 0.7, 0.8),
-        lambdas=[0.5 * k for k in range(1, 25)],
-        n_grid=(200,),
-        replications=reps,
-        base_seed=61000,
+        replications=FULL_REPLICATIONS if FULL else DESK_REPLICATIONS, base_seed=61000
     )
     rep = run_configs(configs, jobs=JOBS)
     values = [r.value for r in rep.records]

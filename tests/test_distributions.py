@@ -34,6 +34,7 @@ from laplacefit.errors import (
     TiltedRejectionInfeasibleError,
     UnsupportedOperationError,
 )
+from laplacefit.tables import CONVERSION_TABLE
 
 # uniform band on |L_n - L| at n = 1e5: 3*sqrt(log(2/delta)/(2n)), delta = 1e-3
 N_BAND = 10**5
@@ -48,12 +49,9 @@ def empirical_transform(x, s):
 # conversions
 
 
-# published reference triples for the mean/zero-probability conversion, given
-# to seven significant digits
+# the paper's mean/zero-probability conversions, given to seven significant digits
 CONVERSION_TRIPLES = [
-    ((1.0, 1.0, 0.1), (-0.7677042, 3.565768, 1.767704)),
-    ((0.75, 0.5, 0.1), (-1.8689607, 60.29735, 5.737921)),
-    ((1.0, 1.25, 0.2), (-0.9883402, 2.546270, 1.590672)),
+    (DistributionSpec.parse(row).params, expected) for row, expected in CONVERSION_TABLE.items()
 ]
 
 
@@ -344,6 +342,9 @@ def test_laplace_exact_ps():
     spec = DistributionSpec("ps", (0.5, 2.0))
     assert laplace_exact(spec, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
     assert laplace_exact(spec, 0.0) == 1.0
+    # a scalar or 0-d argument gives a float, a 1-d one an array
+    assert type(laplace_exact(spec, 1.0)) is float and type(laplace_exact(spec, np.array(1.0))) is float
+    assert laplace_exact(spec, np.array([1.0])).shape == (1,)
 
 
 def test_laplace_exact_tw_at_censoring_point():
