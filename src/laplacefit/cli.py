@@ -151,6 +151,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from .montecarlo import parse_config_document, run_configs, run_table
+    from .tables import DESK_REPLICATIONS
 
     if (args.config is None) == (args.table is None):
         raise ConfigError("experiment: pass exactly one of CONFIG or --table N")
@@ -168,7 +169,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if args.seed is not None:
             configs = [replace(c, base_seed=args.seed + i) for i, c in enumerate(configs)]
         if args.desk_scale:
-            configs = [replace(c, replications=min(c.replications, 1000)) for c in configs]
+            configs = [replace(c, replications=min(c.replications, DESK_REPLICATIONS)) for c in configs]
         report = run_configs(configs, jobs=args.jobs)
     json_path, csv_path = report.write(args.out)
     if args.fmt == "json":

@@ -95,7 +95,7 @@ def _transform_argument(s: Any) -> np.ndarray:
 
 
 class AllZeroSampleError(LaplaceFitError):
-    """Every observation is exactly zero, so the empirical transform has no root."""
+    """Every observation is exactly zero, so the empirical transform has no root (``row_errors``)."""
 
     code = "all_zero_sample"
 
@@ -103,41 +103,45 @@ class AllZeroSampleError(LaplaceFitError):
 class RegimeError(LaplaceFitError):
     """The zero fraction (or the parameter point) is outside the supported regime.
 
-    Raised when the observed zero fraction is >= 1/e, where the asymptotic
-    covariance of the estimators is not available, or when a Tweedie parameter
-    point has P(X=0) >= 1/e so no censoring point with transform level 1/e
-    exists.
+    Raised by the censoring-point solve for a zero fraction >= 1/e, where the
+    estimators' asymptotic covariance is not available; by ``tw_censoring_point``
+    for P(X=0) >= 1/e, where no censoring point with level 1/e exists; and for a
+    population value past the float range: a root of ``tw_censoring_point`` or
+    ``jacobi_censoring_point``, a moment of ``tw_theoretical_censored_moments``.
     """
 
     code = "regime"
 
 
 class DegenerateSampleError(LaplaceFitError):
-    """All observations are equal, or a test's variance estimate is zero."""
+    """A constant sample (``row_errors``), a failed censoring-point solve, or a degenerate test.
+
+    ``make_gof_outcome`` refuses a zero variance estimate and a statistic or variance that is not finite.
+    """
 
     code = "degenerate_sample"
 
 
 class DegenerateMomentsError(LaplaceFitError):
-    """A censored moment needed as a denominator is zero."""
+    """A censored moment needed as a denominator is zero; raised by ``influence_map``."""
 
     code = "degenerate_moments"
 
 
 class InsufficientSampleError(LaplaceFitError):
-    """Fewer observations than the family-specific minimum."""
+    """Fewer observations than the family-specific minimum; raised by the row checks."""
 
     code = "insufficient_sample"
 
 
 class NearSingularError(LaplaceFitError):
-    """A moment aggregate sits too close to a pole of the estimator map."""
+    """A moment aggregate sits too close to a pole of the Tweedie estimator map (``singular_rows``)."""
 
     code = "near_singular"
 
 
 class ComplexPowerError(LaplaceFitError):
-    """The fitted power base is negative with a non-integer exponent.
+    """The Tweedie test's fitted power base is negative with a non-integer exponent.
 
     The population base is theta/(theta + a) in [0, 1), so a negative base
     means the fitted model is far outside the Tweedie family; the statistic is
@@ -148,25 +152,25 @@ class ComplexPowerError(LaplaceFitError):
 
 
 class LogDomainError(LaplaceFitError):
-    """The censoring point equals 1 within tolerance, so log(A) vanishes."""
+    """The censoring point equals 1 within tolerance, so log(A) vanishes; raised by the Jacobi maps."""
 
     code = "log_domain"
 
 
 class TiltedRejectionInfeasibleError(LaplaceFitError):
-    """Tilted-stable rejection (gamma != 1/2) expects more than MAX_TILT_WORK (2**24) proposals in the call."""
+    """Tilted-stable rejection (gamma != 1/2) expects more than MAX_TILT_WORK proposals (``sample_tweedie``)."""
 
     code = "tilted_rejection_infeasible"
 
 
 class InvalidRegimeError(LaplaceFitError):
-    """A mean/zero-probability triple maps outside the compound-Poisson range."""
+    """A mean/zero-probability triple maps outside the compound-Poisson range (``tw0_to_tw``, ``tw_to_tw0``)."""
 
     code = "invalid_regime"
 
 
 class UnsupportedOperationError(LaplaceFitError):
-    """The requested closed form or sampler does not exist for this family."""
+    """The closed form (``laplace_exact``) or sampler (``sample_spec``) does not exist for this family."""
 
     code = "unsupported_operation"
 

@@ -7,11 +7,11 @@ the censoring point alone (the r = 0 case of the framework).
 
 No exact sampler exists here; correctness rests on the population-moment
 identities (m_1 = c*sinh(c)*gamma/(e^2*a_*)) and the generic asymptotics.
-The variance expressions are not spelled out by the estimator maps
-themselves; both come mechanically from the influence rows of the limit law
-and the delta method.  In the frame y = A*x the censoring point's row is
-A * P~_0/m_tilde[1], so the fit's variance is b * S[0, 0] * b with
-b = -log(c)/(log(A)^2 * m_tilde[1]).  The test statistic is
+The maps spell out no variance: each returns its influence rows, and
+:class:`~laplacefit.results.Family` applies the delta method.  In the frame
+y = A*x the censoring point's row is A * P~_0/m_tilde[1], so the fit's row
+is b on P~_0 alone, b = -log(c)/(log(A)^2 * m_tilde[1]), and its variance
+b * S[0, 0] * b.  The test statistic is
 sqrt(n) * (m_tilde[1] - kappa*gamma_hat)/A with kappa = e^-2*c*sinh(c); its
 row, with the 1/A factored out, is V~_1 + kappa*gamma_hat*(1 + 1/log(A)) * W~.
 """
@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, LogDomainError, RegimeError, refuse
-from .laplace_core import E, Batch, columns, influence_map, quadratic_form
+from .laplace_core import E, Batch, columns, influence_map
 from .results import Errors, Family
 
 #: the transform-level constant c with cosh(c) = e
@@ -71,25 +71,23 @@ def fit_map(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray, np.nd
     gamma_hat, log_a = _index(batch, errors)
     # the censoring point's influence row through d gamma / d a = -log(c)/(a*log(a)^2)
     b = -math.log(JACOBI_C) / (log_a**2 * batch.m_tilde[:, 1])
-    cov = (b * batch.cov[:, 0, 0] * b)[:, None, None]
     # 0 < gamma_hat <= 1/2 is A >= c**2, which, unlike log(c)/log(A), is exact at the boundary
     flags = {"gamma_out_of_range": ~(batch.a >= JACOBI_C**2)}
-    return gamma_hat[:, None], cov, np.ones((batch.a.size, 1)), flags
+    return gamma_hat[:, None], b[:, None, None], np.ones((batch.a.size, 1)), flags
 
 
-def gof_map(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray]:
+def gof_map(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Test the cosh-Jacobi hypothesis on every sample of a batch.
 
     T_n = sqrt(n) * (m_hat[1] - e^-2*c*sinh(c)*gamma_hat/A) vanishes in
-    population via the m_1 identity; its variance applies the gradient of
-    (m_1, A) to the covariance of the influence rows (V_1, W).
+    population via the m_1 identity; its influence row applies the gradient
+    of (m_1, A) to the rows (V_1, W), and its scale is A.
     """
     a = batch.a
     gamma_hat, log_a = _index(batch, errors)
     statistic = math.sqrt(batch.n) * (batch.m_tilde[:, 1] - JACOBI_KAPPA * gamma_hat) / a
     coef = columns(np.ones(a.size), JACOBI_KAPPA * gamma_hat * (1.0 + 1.0 / log_a))
-    row = (coef[:, None, :] @ influence_map(batch.m_tilde, k=1))[:, 0]
-    return statistic, np.sqrt(np.maximum(quadratic_form(row, batch.cov), 0.0)) / a
+    return statistic, (coef[:, None, :] @ influence_map(batch.m_tilde, k=1))[:, 0], a
 
 
 FAMILY = Family(

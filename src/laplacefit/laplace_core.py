@@ -325,11 +325,6 @@ def columns(*values: np.ndarray) -> np.ndarray:
     return np.array(values).T.copy()
 
 
-def quadratic_form(rows: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """b @ S @ b for each row b of ``rows`` (R, k) and matrix S of ``cov`` (R, k, k)."""
-    return (rows[:, None, :] @ cov @ rows[:, :, None])[:, 0, 0]
-
-
 def influence_map(m_tilde: np.ndarray, k: int) -> np.ndarray:
     """Map from the power products to the normalized influence rows.
 

@@ -68,7 +68,7 @@ def _true_values(spec: DistributionSpec) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One generator, one fit target, a grid of sample sizes."""
+    """One generator (a spec, or its text), one fit target, a grid of sample sizes."""
 
     generator: DistributionSpec
     fit_target: str
@@ -82,6 +82,12 @@ class ExperimentConfig:
         def put(name: str, value: Any) -> None:
             object.__setattr__(self, name, value)
 
+        if not isinstance(self.generator, DistributionSpec):
+            try:
+                put("generator", DistributionSpec.parse(str(self.generator)))
+            except LaplaceFitError as exc:
+                raise ConfigError(f"generator: {exc}") from None
+        put("fit_target", str(self.fit_target))
         if self.fit_target not in FAMILIES:
             raise ConfigError(f"fit_target: must be one of {tuple(FAMILIES)}, got {self.fit_target!r}")
         put("n_grid", tuple(_convert("n_grid", int, n) for n in _items("n_grid", self.n_grid)))
@@ -144,11 +150,7 @@ class ExperimentConfig:
             for f in fields(cls):
                 if f.default is MISSING and f.name not in payload:
                     raise ConfigError(f"{f.name}: missing required field")
-            try:
-                generator = DistributionSpec.parse(str(payload["generator"]))
-            except LaplaceFitError as exc:
-                raise ConfigError(f"generator: {exc}") from None
-            return cls(**dict(payload, generator=generator, fit_target=str(payload["fit_target"])))
+            return cls(**payload)
         except ConfigError as exc:
             raise ConfigError(f"{path + '.' if path else ''}{exc}") from None
 

@@ -118,6 +118,11 @@ def _blank_failed(errors: list[LaplaceFitError | None], *arrays: np.ndarray) -> 
     return tuple(np.where(failed.reshape(-1, *[1] * (a.ndim - 1)), math.nan, a) for a in arrays)
 
 
+def _delta(rows: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """The delta method: rows @ S @ rows.T for rows (R, p, k), S being ``cov`` (R, K, K) cut to k x k."""
+    return rows @ cov[:, : rows.shape[-1], : rows.shape[-1]] @ rows.transpose(0, 2, 1)
+
+
 @dataclass(frozen=True)
 class GofOutcome:
     """Outcome of a goodness-of-fit test with a centered-normal limit.
@@ -171,12 +176,13 @@ class GofBatch:
 def make_gof_outcome(
     family: str, statistic: np.ndarray, sigma_hat: np.ndarray, alpha: float, n: int, errors: Errors
 ) -> GofBatch:
-    """Standardize each row (a zero variance is degenerate); reject where |z| > the intervals' z_{1-alpha/2}."""
+    """Standardize each row, refusing a zero or non-finite test; reject where |z| > z_{1-alpha/2}."""
     critical = normal_quantile(alpha)
     refuse(errors, sigma_hat == 0.0, lambda i: DegenerateSampleError("test variance estimate is zero"))
+    nonfinite = ~(np.isfinite(statistic) & np.isfinite(sigma_hat))
+    refuse(errors, nonfinite, lambda i: DegenerateSampleError("test statistic or its variance is not finite"))
     statistic, sigma_hat = _blank_failed(errors, statistic, sigma_hat)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = statistic / sigma_hat
+    z = statistic / sigma_hat  # every row left is finite over a nonzero float
     return GofBatch(family, statistic, sigma_hat, z, np.abs(z) > critical, alpha, n, errors)
 
 
@@ -187,10 +193,12 @@ class Family:
     :meth:`fit_batch` fits and :meth:`gof_batch` tests every sample of a
     :class:`~laplacefit.laplace_core.Batch`; :meth:`fit` and :meth:`gof` are
     their batches of one.  A family gives only its maps, which may refuse
-    rows: ``fit_map(batch, errors)`` returns the estimates (R, p), the
-    covariance in unit-free form (R, p, p), the units (R, p) and the flags,
-    and ``gof_map(batch, errors)`` the statistic and sigma_hat (R,).  Rows
-    with fewer than ``min_sample`` values, or constant where the
+    rows: ``fit_map(batch, errors)`` returns the estimates (R, p), their unit-free
+    influence rows (R, p, k) on the first k power products, the units (R, p) and
+    the flags, ``gof_map`` the statistic (R,), its row (R, k) and a scale.  Only
+    here does the delta method form cov = rows @ S @ rows.T and sigma_hat =
+    sqrt(row @ S @ row)/scale, S being ``batch.cov`` cut to k x k.
+    Rows with fewer than ``min_sample`` values, or constant where the
     ``fit_constant`` or ``gof_constant`` text is given, are refused first.
     ``null_generators`` are the spec families that draw from the law itself,
     whose ``native`` record holds the true parameters in ``param_names``
@@ -201,7 +209,7 @@ class Family:
     param_names: tuple[str, ...]
     null_generators: tuple[str, ...]
     fit_map: Callable[[Batch, Errors], tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]]
-    gof_map: Callable[[Batch, Errors], tuple[np.ndarray, np.ndarray]]
+    gof_map: Callable[[Batch, Errors], tuple[np.ndarray, np.ndarray, np.ndarray | float]]
     min_sample: int
     fit_constant: str | None = None
     gof_constant: str | None = None
@@ -220,8 +228,8 @@ class Family:
         z = normal_quantile(alpha)
         errors = row_errors(batch, self.min_sample, self.fit_constant)
         with np.errstate(all="ignore"):
-            estimates, cov, units, flags = self.fit_map(batch, errors)
-            estimates, cov = _blank_failed(errors, estimates, cov)
+            estimates, rows, units, flags = self.fit_map(batch, errors)
+            estimates, cov = _blank_failed(errors, estimates, _delta(rows, batch.cov))
             se = units * np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / batch.n)
             cov_hat = cov * units[:, :, None] * units[:, None, :]
             ci = np.empty((*estimates.shape, 2))
@@ -233,10 +241,11 @@ class Family:
         )
 
     def gof_batch(self, batch: Batch, alpha: float = 0.05) -> GofBatch:
-        """Test every row: the gof map's statistics, standardized by :func:`make_gof_outcome`."""
+        """Test every row: the gof map's statistic and sigma_hat, standardized by :func:`make_gof_outcome`."""
         errors = row_errors(batch, self.min_sample, self.gof_constant)
         with np.errstate(all="ignore"):
-            statistic, sigma_hat = self.gof_map(batch, errors)
+            statistic, row, scale = self.gof_map(batch, errors)
+            sigma_hat = np.sqrt(np.maximum(_delta(row[:, None], batch.cov)[:, 0, 0], 0.0)) / scale
         return make_gof_outcome(self.name, statistic, sigma_hat, alpha, batch.n, errors)
 
     def fit(self, sample: Sample, alpha: float = 0.05) -> Fit:

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ComplexPowerError, NearSingularError, refuse
-from .laplace_core import E, Batch, columns, influence_map, quadratic_form
+from .laplace_core import E, Batch, columns, influence_map
 from .results import Errors, Family
 
 #: the fitted parameters, in the order of every estimate and interval tuple
@@ -124,9 +124,9 @@ def fit_map(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray, np.nd
     At the unit-free point h gives (gamma_hat, lam~, theta~) = (gamma_hat,
     lambda_hat*A**gamma_hat, theta_hat/A), and its Jacobian J acts on the
     normalized rows L @ P~ of :func:`influence_map`.  The shear V subtracts
-    lam~*log(A) times the gamma row from the lambda row: the unit-free
-    covariance estimate is (V J L) @ S @ (V J L).T, and the units that take
-    it to (gamma_hat, lambda_hat, theta_hat) are (1, A**-gamma_hat, A).
+    lam~*log(A) times the gamma row from the lambda row: the map returns the
+    unit-free influence rows V J L, NaN where J L is not finite, and the units
+    that take them to (gamma_hat, lambda_hat, theta_hat), (1, A**-gamma_hat, A).
     No estimate is clamped into the parameter
     space, out-of-range values only set diagnostics flags so that downstream
     summaries stay unbiased.
@@ -138,17 +138,16 @@ def fit_map(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray, np.nd
     rows_map = jac @ influence_map(batch.m_tilde, k=3)
     singular = ~np.isfinite(rows_map).all(axis=(1, 2))
     rows_map[:, 1] -= (lam_tilde * np.log(a))[:, None] * rows_map[:, 0]
-    cov = rows_map @ batch.cov @ rows_map.transpose(0, 2, 1)
+    rows_map[singular] = np.nan
     units = columns(np.ones(a.size), a**-gamma_hat, a)
     est = columns(gamma_hat, lam_tilde, theta_tilde) * units
-    cov[singular] = np.nan
     flags = {
         "near_singular_psi": near_singular,
         "gamma_out_of_range": (gamma_hat > 1.0) | (gamma_hat == 0.0),
         "theta_negative": theta_tilde < 0.0,
         "nonfinite_estimate": ~np.isfinite(est).all(axis=1),
     }
-    return est, cov, units, flags
+    return est, rows_map, units, flags
 
 
 def _test_map(v: np.ndarray) -> np.ndarray:
@@ -159,7 +158,7 @@ def _test_map(v: np.ndarray) -> np.ndarray:
     return -((1.0 - a * m1 * psi) ** phi_exp) - (psi - m2 / m1**2) / E
 
 
-def gof_map(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray]:
+def gof_map(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray, float]:
     """Test the Tweedie hypothesis on every sample of a batch.
 
     The statistic is sqrt(n) * (1 - (theta_hat/(theta_hat+A))**gamma_hat
@@ -167,7 +166,8 @@ def gof_map(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray]:
     censoring-point identity.  It is unit-free: at the unit-free point it
     reads sqrt(n) * (1 - (theta~/(theta~+1))**gamma_hat
     - gamma_hat/(e*m~1*(theta~+1))), and the complex-step gradient of the
-    underlying moment map there acts on the normalized influence rows.
+    underlying moment map there acts on the normalized influence rows: the
+    map returns that row, with scale 1.
     """
     point, (gamma_hat, _, theta_tilde), _ = _fit_point(batch, errors)
     base = theta_tilde / (theta_tilde + 1.0)
@@ -183,15 +183,7 @@ def gof_map(batch: Batch, errors: Errors) -> tuple[np.ndarray, np.ndarray]:
     )
     # the statistic is sqrt(n) times _test_map at the point
     beta = _complex_step(_test_map, point, statistic).T.copy()
-    row = (beta[:, None, :] @ influence_map(batch.m_tilde, k=3))[:, 0]
-    sigma_hat = np.sqrt(np.maximum(quadratic_form(row, batch.cov), 0.0))
-    refuse(
-        errors, ~(np.isfinite(statistic) & np.isfinite(sigma_hat)),
-        lambda i: ComplexPowerError(
-            "test statistic or its variance is not finite at the plug-in point"
-        ),
-    )
-    return statistic, sigma_hat
+    return statistic, (beta[:, None, :] @ influence_map(batch.m_tilde, k=3))[:, 0], 1.0
 
 
 FAMILY = Family(

@@ -10,14 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from laplacefit import tweedie
+from laplacefit import jacobi, ps, tweedie
 from laplacefit.cli import main
 from laplacefit.distributions import (
     DistributionSpec, PsParams, TweedieParams, Tw0Params, derive_substream, sample_spec,
     tw_censoring_point, tw_theoretical_censored_moments, tw_to_tw0,
 )
 from laplacefit.errors import (
-    ComplexPowerError, ConfigError, InvalidRegimeError, NearSingularError, RegimeError,
+    ConfigError, DegenerateSampleError, InvalidRegimeError, NearSingularError, RegimeError,
     SampleValidationError, SpecFormatError,
 )
 from laplacefit.jacobi import jacobi_censoring_point, jacobi_population_m1
@@ -117,6 +117,19 @@ def test_population_values_past_the_float_range_are_refused(make, error, message
             lambda: ExperimentConfig(DistributionSpec.parse("ps:0.5,15"), "ps", n_grid=(0,)),
             "n_grid: sizes must be >= 1, got (0,)",
         ),
+        # the constructor reads and checks a generator and fit target that are not yet a spec and a name
+        (
+            lambda: ExperimentConfig(DistributionSpec.parse("ps:0.5,15"), ["ps"], n_grid=(100,)),
+            "fit_target: must be one of ('ps', 'tweedie', 'jacobi'), got \"['ps']\"",
+        ),
+        (
+            lambda: ExperimentConfig("ps:0.5", "ps", n_grid=(100,), metrics=("size",)),
+            "generator: ps takes 2 parameters, got 1",
+        ),
+        (
+            lambda: ExperimentConfig(5, "ps", n_grid=(100,), metrics=("size",)),
+            "generator: expected 'family:p1,p2,...', got '5'",
+        ),
         (lambda: parse_config_document([{"generator": "ps:0.5,15"}]), "config: expected an object"),
         (lambda: parse_config_document({"experiments": []}), "experiments: must be a non-empty list"),
         (lambda: table_configs(6), "table: 6 is the deterministic conversion table; use run_table"),
@@ -174,14 +187,23 @@ def test_sample_of_values_that_are_not_numbers_is_refused():
     assert str(caught.value) == "sample values must be numbers (could not convert string to float: 'a')"
 
 
-def test_tweedie_test_refuses_an_infinite_variance():
+def test_text_generator_reads_as_its_spec():
+    text, spec = "tw:0.5,2,0.5", DistributionSpec.parse("tw:0.5,2,0.5")
+    from_text = ExperimentConfig(text, "tweedie", n_grid=(100,))
+    assert from_text.generator == spec
+    assert from_text.to_dict() == ExperimentConfig(spec, "tweedie", n_grid=(100,)).to_dict()
+
+
+@pytest.mark.parametrize("module", [ps, tweedie, jacobi], ids=lambda m: m.FAMILY.name)
+def test_gof_refuses_an_infinite_variance(module):
+    # every family's test variance is formed in one place, which refuses it when it is not finite
     x = sample_spec(DistributionSpec.parse("tw0:1,1,0.1"), derive_substream(5), 300)
     batch = summarise(x[None])
-    assert tweedie.FAMILY.gof_batch(batch).errors == [None]
+    assert module.FAMILY.gof_batch(batch).errors == [None]
     infinite = dataclasses.replace(batch, cov=np.full_like(batch.cov, np.inf))
-    (error,) = tweedie.FAMILY.gof_batch(infinite).errors
-    assert isinstance(error, ComplexPowerError)
-    assert str(error) == "test statistic or its variance is not finite at the plug-in point"
+    (error,) = module.FAMILY.gof_batch(infinite).errors
+    assert isinstance(error, DegenerateSampleError)
+    assert str(error) == "test statistic or its variance is not finite"
 
 
 def test_tweedie_refuses_moments_where_psi_is_zero():

@@ -23,8 +23,10 @@ def stub_family(fit_map=None, gof_map=None) -> Family:
     return Family("stub", ("a", "b"), (), fit_map, gof_map, min_sample=1)
 
 
-def stub_gof(statistic, sigma_hat, alpha=0.05):
-    family = stub_family(gof_map=lambda batch, errors: (np.array(statistic), np.array(sigma_hat)))
+def stub_gof(statistic, sigma_hat, alpha=0.05, scale=1.0):
+    # the stub batch's covariance is the identity, so the row (scale * sigma_hat, 0) has sigma_hat
+    row = np.array([[scale * sigma_hat, 0.0]])
+    family = stub_family(gof_map=lambda batch, errors: (np.array([statistic]), row, scale))
     return family.gof_batch(stub_batch(), alpha)
 
 
@@ -53,7 +55,7 @@ def test_alpha_outside_unit_interval_is_a_config_error(alpha):
     sample = Sample.from_values(derive_substream(62).gamma(2.0, 1.0, 200))
     for call in (
         lambda: normal_quantile(alpha),
-        lambda: stub_gof([1.0], [1.0], alpha),
+        lambda: stub_gof(1.0, 1.0, alpha),
         lambda: gof_ps(sample, alpha=alpha),
         lambda: gof_tweedie(sample, alpha=alpha),
         lambda: gof_jacobi(sample, alpha=alpha),
@@ -66,10 +68,20 @@ def test_alpha_outside_unit_interval_is_a_config_error(alpha):
 
 def test_zero_test_variance_is_degenerate():
     # the row's error is raised when its outcome is read
-    with pytest.raises(DegenerateSampleError, match="test variance estimate is zero"):
-        stub_gof([1.0], [0.0]).row(0)
-    # a non-finite variance estimate passes through unchanged
-    assert math.isnan(stub_gof([1.0], [math.nan]).row(0).z)
+    with pytest.raises(DegenerateSampleError, match="^test variance estimate is zero$"):
+        stub_gof(1.0, 0.0).row(0)
+    # so is a statistic or a variance estimate that is not finite
+    for statistic, sigma_hat in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(DegenerateSampleError, match="^test statistic or its variance is not finite$"):
+            stub_gof(statistic, sigma_hat).row(0)
+
+
+def test_test_variance_is_the_row_quadratic_form_over_the_scale():
+    # sigma_hat = sqrt(row @ S @ row) / scale, with S cut to the row's width
+    outcome = stub_gof(2.0, 0.5, scale=4.0).row(0)
+    assert (outcome.sigma_hat, outcome.z) == (0.5, 4.0)
+    family = stub_family(gof_map=lambda batch, errors: (np.array([1.0]), np.array([[3.0, 4.0]]), 10.0))
+    assert family.gof_batch(stub_batch()).sigma_hat.tolist() == [0.5]
 
 
 def test_units_apply_after_the_square_root():
@@ -77,7 +89,8 @@ def test_units_apply_after_the_square_root():
     # those units leaves the float range, the standard errors do not
     def fit_in(units):
         estimates = np.array([[1e-300, 1e300]])
-        family = stub_family(fit_map=lambda batch, errors: (estimates, np.diag([4.0, 9.0])[None], units, {}))
+        # influence rows diag(2, 3) on the identity covariance: unit-free variances 4 and 9
+        family = stub_family(fit_map=lambda batch, errors: (estimates, np.diag([2.0, 3.0])[None], units, {}))
         return family.fit_batch(stub_batch(n=1), 0.05).row(0)
 
     fit = fit_in(np.array([[1e-300, 1e300]]))
